@@ -13,14 +13,14 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import os
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 
-from . import desk, feasible, objective, oracle, schedule, solver
+from . import checks, desk, feasible, objective, oracle, schedule, solver
 from .errors import DrsubError, InputError, InvariantError
 
 EXIT_OK = 0
@@ -97,7 +97,6 @@ class _Experiment:
             [int(iters)] if isinstance(iters, (int, float)) else [int(v) for v in iters])
         self.opt_mode = pick("opt", args.opt)
         self.out_dir = Path(pick("out", args.out))
-        self.seed = int(pick("seed", args.seed))
         self.tol = float(pick("tol", args.tol))
         if self.tol < 0:
             raise InputError("--tol must be nonnegative")
@@ -111,11 +110,6 @@ class _Experiment:
             self.schedule = schedule.preset(self.family)
             self.is_preset = True
         self.spec = solver.family_spec(self.family)
-        if self.objective.n != self.body.n:
-            raise InputError(
-                f"instance dimension {self.objective.n} != constraint dimension {self.body.n}")
-        if self.spec.masked and not self.body.down_closed:
-            raise InputError("the measured family requires a down-closed constraint body")
         if self.family == "monotone" and not self.objective.monotone:
             print("warning: monotone family on a non-monotone instance; "
                   "its guarantee does not apply", file=sys.stderr)
@@ -169,6 +163,12 @@ def _check_run_invariants(traj, potential) -> list[str]:
     return problems
 
 
+def _report(problems: list[str]) -> int:
+    for p in problems:
+        print(f"invariant violation: {p}", file=sys.stderr)
+    return EXIT_INVARIANT if problems else EXIT_OK
+
+
 def cmd_run(args) -> int:
     exp = _Experiment(args)
     if len(exp.iters) != 1:
@@ -185,11 +185,7 @@ def cmd_run(args) -> int:
     problems = _check_run_invariants(traj, potential)
     _atomic_write(exp.out_dir / "summary.json", json.dumps(summary, indent=2) + "\n")
     print(json.dumps(summary, indent=2))
-    if problems:
-        for p in problems:
-            print(f"invariant violation: {p}", file=sys.stderr)
-        return EXIT_INVARIANT
-    return EXIT_OK
+    return _report(problems)
 
 
 def cmd_sweep(args) -> int:
@@ -226,225 +222,69 @@ def cmd_sweep(args) -> int:
     print(f"additive log-log slope: {slope:.6f}")
     if exp.is_preset and not _SWEEP_SLOPE_BAND[0] <= slope <= _SWEEP_SLOPE_BAND[1]:
         problems.append(f"additive slope {slope:.4f} outside {_SWEEP_SLOPE_BAND}")
-    if problems:
-        for p in problems:
-            print(f"invariant violation: {p}", file=sys.stderr)
-        return EXIT_INVARIANT
-    return EXIT_OK
+    return _report(problems)
 
 
-# --- self-check suites -------------------------------------------------------------
-
-
-def _suite_schedules(corrupt: bool) -> tuple[bool, str]:
-    expected = {
-        "monotone": 1.0 - math.exp(-1.0),
-        "measured": math.exp(-1.0),
-        "general": 0.25,
-        "general-exp": 0.25,
-        "general-linear": 0.25,
-    }
-    ratios = []
-    for family, want in expected.items():
-        s = schedule.preset(family)
-        if corrupt and family == "monotone":
-            s = schedule.Schedule(s.family, s.T,
-                                  lambda t: 2.0 * np.exp(t), s.b,
-                                  lambda t: 2.0 * np.exp(t), s.b_dot)
-        report = schedule.validate(s)
-        if not report.ok:
-            names = ", ".join(c.name for c in report.failures())
-            return False, f"{family}: boundary/monotonicity violation ({names})"
-        r = schedule.ratio(s)
-        ratios.append(r)
-        if abs(r - want) > 1e-12:
-            return False, f"{family}: ratio {r} != {want}"
-        grid = schedule.Grid(100, s.T)
-        if schedule.coupling_residual(s, grid) > 1e-10:
-            return False, f"{family}: coupling residual too large"
-    for variant, t_star in (("general", 1.0), ("general-exp", 2.0 * math.log(2.0)),
-                            ("general-linear", 3.0)):
-        s = schedule.preset(variant)
-        tt = np.linspace(0.0, s.T, 10001)
-        curve = schedule.ratio_curve(variant, tt)
-        if np.max(curve) > 0.25 + 1e-12:
-            return False, f"{variant}: ratio curve exceeds 1/4"
-        if abs(tt[int(np.argmax(curve))] - t_star) > s.T / 10000 + 1e-12:
-            return False, f"{variant}: ratio curve peaks away from t={t_star}"
-    table = ", ".join(f"{r:.6f}" for r in ratios[:3])
-    return True, f"preset ratios {table}"
-
-
-def _suite_objective_dr(rng) -> tuple[bool, str]:
-    worst = np.inf
-    for inst in desk.bundled_instances():
-        f = inst.objective
-        for _ in range(200):
-            res = objective.check_dr_inequality(f, rng.uniform(size=f.n), rng.uniform(size=f.n))
-            worst = min(worst, res)
-    return worst >= -1e-9, f"min DR residual {worst:.3e}"
-
-
-def _suite_objective_grad(rng) -> tuple[bool, str]:
-    worst = 0.0
-    for inst in desk.bundled_instances():
-        f = inst.objective
-        for _ in range(50):
-            x = rng.uniform(size=f.n)
-            g = f.grad(x)
-            fd = objective.finite_diff_grad(f, x, 1e-4)
-            worst = max(worst, float(np.max(np.abs(g - fd)) / (1.0 + np.max(np.abs(g)))))
-    return worst <= 1e-5, f"max gradient mismatch {worst:.3e}"
-
-
-def _suite_multilinear() -> tuple[bool, str]:
-    worst = 0.0
-    for sf in (desk.coverage_two_sets(), desk.coverage_three_sets()):
-        F = objective.multilinear_extension(sf)
-        for mask in range(1 << sf.m):
-            x = np.array([(mask >> i) & 1 for i in range(sf.m)], dtype=float)
-            worst = max(worst, abs(F.value(x) - sf.value(mask)))
-    return worst <= 1e-12, f"max lattice mismatch {worst:.3e}"
-
-
-def _suite_lmo(rng) -> tuple[bool, str]:
-    bodies = [inst.body for inst in desk.bundled_instances()]
-    bodies.append(feasible.PackingBody(np.array([[1.0, 1.0], [2.0, 1.0]]),
-                                       np.array([1.0, 2.0])))
-    worst = 0.0
-    for C in bodies:
-        for _ in range(100):
-            g = rng.normal(size=C.n)
-            ref, _ = feasible.lmo_bruteforce(C, g)
-            worst = max(worst, abs(float(g @ C.lmo(g)) - ref))
-            cap = rng.uniform(size=C.n)
-            ref_m, _ = feasible.lmo_bruteforce(C, g, cap)
-            worst = max(worst, abs(float(g @ C.masked_lmo(g, cap)) - ref_m))
-    return worst <= 1e-9, f"max oracle gap vs enumeration {worst:.3e}"
-
-
-def _suite_simplex(rng) -> tuple[bool, str]:
-    worst = 0.0
-    for _ in range(50):
-        n = int(rng.integers(1, 6))
-        m = int(rng.integers(1, 6))
-        A = rng.uniform(0.0, 1.0, size=(m, n))
-        b = rng.uniform(0.5, 2.0, size=m)
-        u = rng.uniform(0.2, 1.0, size=n)
-        c = rng.normal(size=n)
-        x, val = feasible.simplex_solve(feasible.LpProblem(c, A, b, u))
-        rows = np.vstack([A, np.eye(n), -np.eye(n)])
-        rhs = np.concatenate([b, u, np.zeros(n)])
-        ref = max(float(c @ v) for v in feasible.basic_solutions(rows, rhs))
-        worst = max(worst, abs(val - ref))
-    return worst <= 1e-9, f"max simplex gap vs basic solutions {worst:.3e}"
-
-
-def _suite_g_terms() -> tuple[bool, str]:
-    worst = 0.0
-    for family in ("monotone", "measured", "general"):
-        s = schedule.preset(family)
-        spec = solver.family_spec(family)
-        for N in (1, 7, 50, 500):
-            G = solver.g_series(s, spec, N)
-            if family == "monotone":
-                worst = max(worst, float(np.max(np.abs(G))))
-            else:
-                worst = max(worst, float(np.max(G)))
-    return worst <= 1e-12, f"max coupling-term excess {worst:.3e}"
-
-
-def _desk_opt(inst: desk.DeskInstance) -> float:
-    if inst.set_function is not None:
-        return oracle.set_bruteforce(inst.set_function, inst.body).value
-    return oracle.grid_search(inst.objective, inst.body).value
-
-
-def _suite_potential() -> tuple[bool, str]:
-    worst = np.inf
-    for inst in desk.bundled_instances():
-        opt = _desk_opt(inst)
-        if opt <= 0:
-            continue
-        for family in ("monotone", "measured", "general"):
-            if family == "monotone" and not inst.objective.monotone:
-                continue
-            s = schedule.preset(family)
-            spec = solver.family_spec(family)
-            for N in (10, 100):
-                traj = solver.run(inst.objective, inst.body, s, spec, N)
-                series = solver.potential_series(traj, s, opt)
-                worst = min(worst, series.min_margin)
-    return worst >= -1e-9, f"min potential increment margin {worst:.3e}"
-
-
-def _suite_gronwall() -> tuple[bool, str]:
-    worst = np.inf
-    for inst in desk.bundled_instances():
-        for family in ("measured", "general"):
-            s = schedule.preset(family)
-            spec = solver.family_spec(family)
-            for N in (1, 50, 500):
-                traj = solver.run(inst.objective, inst.body, s, spec, N)
-                worst = min(worst, solver.gronwall_check(traj))
-    return worst >= -1e-9, f"min headroom margin {worst:.3e}"
-
-
-def _suite_guarantee() -> tuple[bool, str]:
-    worst = np.inf
-    for inst in desk.bundled_instances():
-        opt = _desk_opt(inst)
-        if opt <= 0:
-            continue
-        for family in ("monotone", "measured", "general"):
-            if family == "monotone" and not inst.objective.monotone:
-                continue
-            s = schedule.preset(family)
-            spec = solver.family_spec(family)
-            traj = solver.run(inst.objective, inst.body, s, spec, 200)
-            bound = solver.guarantee(s, spec, 200, inst.objective.L, inst.body.diameter())
-            worst = min(worst, traj.final_value - (bound.coefficient * opt - bound.additive))
-        for N in (16, 32, 64, 128):
-            for family in ("monotone", "measured", "general"):
-                spec = solver.family_spec(family)
-                s = schedule.preset(family)
-                a1 = solver.guarantee(s, spec, N, 1.0, 1.0).additive
-                a2 = solver.guarantee(s, spec, 2 * N, 1.0, 1.0).additive
-                if a2 > 0.6 * a1:
-                    return False, f"{family}: additive({2*N}) > 0.6 additive({N})"
-    return worst >= -1e-9, f"min guarantee slack {worst:.3e}"
-
-
-def _suite_determinism() -> tuple[bool, str]:
-    inst = desk.bundled_instances()[0]
-    s = schedule.preset("monotone")
-    spec = solver.family_spec("monotone")
-    t1 = solver.run(inst.objective, inst.body, s, spec, 50)
-    t2 = solver.run(inst.objective, inst.body, s, spec, 50)
-    same = solver.trajectory_csv(t1) == solver.trajectory_csv(t2)
-    return same, "two runs render identical CSV" if same else "CSV mismatch between runs"
+# --- self-check suite ----------------------------------------------------------------
 
 
 def cmd_check(args) -> int:
     rng = np.random.default_rng(args.seed)
-    suites = [
-        ("schedule-presets", lambda: _suite_schedules(args.corrupt_preset)),
-        ("objective-dr", lambda: _suite_objective_dr(rng)),
-        ("objective-gradient", lambda: _suite_objective_grad(rng)),
-        ("objective-multilinear", _suite_multilinear),
-        ("feasible-lmo", lambda: _suite_lmo(rng)),
-        ("feasible-simplex", lambda: _suite_simplex(rng)),
-        ("solver-coupling", _suite_g_terms),
-        ("solver-potential", _suite_potential),
-        ("solver-headroom", _suite_gronwall),
-        ("solver-guarantee", _suite_guarantee),
-        ("solver-determinism", _suite_determinism),
+    presets = {family: schedule.preset(family) for family in schedule.PRESET_FAMILIES}
+    if args.corrupt_preset:  # a_T = 2e breaks the pinned boundary values
+        doubled = lambda t: 2.0 * np.exp(t)
+        presets["monotone"] = replace(presets["monotone"], a=doubled, a_dot=doubled)
+    instances = desk.bundled_instances()
+    pairs = [(inst.objective, inst.body) for inst in instances]
+    objectives = [f for f, _ in pairs]
+    bodies = [C for _, C in pairs] + [feasible.PackingBody(
+        np.array([[1.0, 1.0], [2.0, 1.0]]), np.array([1.0, 2.0]))]
+    optima = [oracle.set_bruteforce(i.set_function, i.body) if i.set_function is not None
+              else oracle.grid_search(i.objective, i.body) for i in instances]
+    certified = [(i.objective, i.body, c.value) for i, c in zip(instances, optima) if c.value > 0]
+    lattice = [desk.coverage_two_sets(), desk.coverage_three_sets()]
+    ratios = ", ".join(f"{checks.PRESET_RATIOS[f]:.6f}" for f in checks.FAMILIES)
+
+    # name, PASS detail (default: the first gate's value), gates (quantity, measure, limit);
+    # a "min ..." quantity must stay at or above its limit, any other at or below it
+    suite = [
+        ("schedule-presets", f"preset ratios {ratios}",
+         ("max preset ratio error", lambda: checks.max_ratio_error(presets), 1e-12),
+         ("max coupling residual", lambda: checks.max_coupling_residual(presets.values()), 1e-10),
+         ("max ratio-curve peak error", lambda: max(checks.ratio_curve_peaks()), 1e-12)),
+        ("objective-dr", None,
+         ("min DR residual", lambda: checks.min_dr_residual(objectives, rng), -1e-9)),
+        ("objective-gradient", None,
+         ("max gradient mismatch", lambda: checks.max_grad_mismatch(objectives, rng), 1e-5)),
+        ("objective-multilinear", None, ("max lattice mismatch",
+                                         lambda: checks.max_lattice_mismatch(lattice), 1e-12)),
+        ("feasible-lmo", None,
+         ("max oracle gap vs enumeration", lambda: checks.max_lmo_gap(bodies, rng), 1e-9)),
+        ("feasible-simplex", None,
+         ("max simplex gap vs basic solutions", lambda: checks.max_simplex_gap(rng), 1e-9)),
+        ("solver-coupling", None, ("max coupling-term excess", checks.max_coupling_excess, 1e-12)),
+        ("solver-potential", None, ("min potential increment margin",
+                                    lambda: checks.min_potential_margin(certified), -1e-9)),
+        ("solver-headroom", None,
+         ("min headroom margin", lambda: checks.min_headroom_margin(pairs), -1e-9)),
+        ("solver-guarantee", None,
+         ("min guarantee slack", lambda: checks.min_guarantee_slack(certified), -1e-9),
+         ("max additive(2N)/additive(N)", checks.max_additive_ratio, 0.6)),
+        ("solver-determinism", "two runs render identical CSV",
+         ("differing CSV lines", lambda: checks.csv_mismatches(*pairs[0]), 0)),
     ]
     failures = 0
-    for name, fn in suites:
-        ok, detail = fn()
-        print(f"{'PASS' if ok else 'FAIL'} {name}: {detail}")
-        failures += 0 if ok else 1
+    for name, summary, *gates in suite:
+        try:
+            for what, measure, limit in gates:
+                value = measure()
+                if not (value >= limit if what.startswith("min") else value <= limit):
+                    raise InvariantError(f"{what} {value:.3e} misses its limit {limit:g}")
+                summary = summary or f"{what} {value:.3e}"
+            print(f"PASS {name}: {summary}")
+        except DrsubError as e:
+            print(f"FAIL {name}: {e}")
+            failures += 1
     return EXIT_OK if failures == 0 else EXIT_INVARIANT
 
 

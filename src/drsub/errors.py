@@ -29,3 +29,10 @@ class ValidationError(DrsubError):
 
 class InvariantError(DrsubError):
     """A runtime invariant that should hold by construction was violated."""
+
+
+def required(obj, key: str, kind: str):
+    """``obj[key]`` of a JSON object of the given kind; InputError naming both if absent."""
+    if not isinstance(obj, dict) or key not in obj:
+        raise InputError(f"{kind} JSON is missing required field {key!r}")
+    return obj[key]

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import CapacityError, InputError, InvariantError
+from .errors import CapacityError, InputError, InvariantError, required
 
 #: single membership tolerance used across the toolkit
 FEASIBILITY_TOL = 1e-9
@@ -466,15 +466,15 @@ def body_from_json(obj: dict) -> ConvexBody:
     if kind == "box":
         if "upper" in obj:
             return BoxBody(np.asarray(obj["upper"], dtype=float))
-        return BoxBody(np.ones(int(obj["n"])))
+        return BoxBody(np.ones(int(required(obj, "n", kind))))
     if kind == "cardinality":
-        return CardinalityBody(int(obj["n"]), int(obj["k"]))
+        return CardinalityBody(int(required(obj, "n", kind)), int(required(obj, "k", kind)))
     if kind == "partition":
-        return PartitionBody(int(obj["n"]),
-                             tuple(tuple(blk) for blk in obj["blocks"]),
-                             tuple(obj["capacities"]))
+        return PartitionBody(int(required(obj, "n", kind)),
+                             tuple(tuple(blk) for blk in required(obj, "blocks", kind)),
+                             tuple(required(obj, "capacities", kind)))
     if kind == "packing":
-        return PackingBody(np.asarray(obj["A"], dtype=float),
-                           np.asarray(obj["b"], dtype=float),
+        return PackingBody(np.asarray(required(obj, "A", kind), dtype=float),
+                           np.asarray(required(obj, "b", kind), dtype=float),
                            bool(obj.get("down_closed", True)))
     raise InputError(f"unknown constraint kind {kind!r}; expected one of {CONSTRAINT_KINDS}")

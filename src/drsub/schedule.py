@@ -22,7 +22,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import InputError, ValidationError
+from .errors import InputError, ValidationError, required
 
 PRESET_FAMILIES = ("monotone", "measured", "general", "general-exp", "general-linear")
 
@@ -218,14 +218,14 @@ def _expr_from_json(spec: dict) -> tuple[Callable, Callable]:
         raise InputError("schedule expression must be an object with a 'form' key")
     form = spec["form"]
     if form == "exp":
-        rate = float(spec["rate"])
+        rate = float(required(spec, "rate", "exp schedule"))
         scale = float(spec.get("scale", 1.0))
         shift = float(spec.get("shift", 0.0))
         f = lambda t: scale * np.exp(rate * np.asarray(t, dtype=float)) + shift
         fd = lambda t: scale * rate * np.exp(rate * np.asarray(t, dtype=float))
         return f, fd
     if form == "poly":
-        coeffs = [float(c) for c in spec["coeffs"]]
+        coeffs = [float(c) for c in required(spec, "coeffs", "poly schedule")]
         if not coeffs:
             raise InputError("poly schedule needs at least one coefficient")
         p = np.polynomial.Polynomial(coeffs)
@@ -233,7 +233,7 @@ def _expr_from_json(spec: dict) -> tuple[Callable, Callable]:
         return (lambda t: p(np.asarray(t, dtype=float)),
                 lambda t: pd(np.asarray(t, dtype=float)))
     if form == "sqrt_affine":
-        inner_shift = float(spec["inner_shift"])
+        inner_shift = float(required(spec, "inner_shift", "sqrt_affine schedule"))
         inner_scale = float(spec.get("inner_scale", 1.0))
         scale = float(spec.get("scale", 1.0))
         shift = float(spec.get("shift", 0.0))
@@ -247,11 +247,8 @@ def _expr_from_json(spec: dict) -> tuple[Callable, Callable]:
 
 def schedule_from_json(obj: dict, family: str) -> Schedule:
     """Build a user schedule {"a": expr, "b": expr, "T": real} for a family."""
-    for key in ("a", "b", "T"):
-        if key not in obj:
-            raise InputError(f"schedule JSON missing key {key!r}")
     if family not in PRESET_FAMILIES:
         raise InputError(f"unknown schedule family {family!r}")
-    a, a_dot = _expr_from_json(obj["a"])
-    b, b_dot = _expr_from_json(obj["b"])
-    return Schedule(family, float(obj["T"]), a, b, a_dot, b_dot)
+    a, a_dot = _expr_from_json(required(obj, "a", "schedule"))
+    b, b_dot = _expr_from_json(required(obj, "b", "schedule"))
+    return Schedule(family, float(required(obj, "T", "schedule")), a, b, a_dot, b_dot)

@@ -36,11 +36,10 @@ from .schedule import GENERAL_VARIANTS, Grid, Schedule
 class FamilySpec:
     """Per-family plug-ins for the generic update.
 
-    The scalar rules are functions of the schedule value a_j only; the
-    headroom factor theta_j = 1 - 1/a_j (masked family) or 1 - 1/sqrt(a_j)
-    (offset family) is taken from the schedule, never from the iterate,
-    and the trajectory margins verify after the fact that it dominates
-    ||x_j||_inf.
+    The scalar rules are functions of the schedule value a_j only.  The
+    trajectory margins verify after the fact that the headroom factor
+    1 - 1/a_j (masked family) or 1 - 1/sqrt(a_j) (offset family), taken
+    from the schedule, dominates ||x_j||_inf.
     """
 
     family: str
@@ -48,24 +47,20 @@ class FamilySpec:
     offset_direction: bool
     c_of_a: Callable[[np.ndarray], np.ndarray]
     d_of_a: Callable[[np.ndarray], np.ndarray]
-    theta_of_a: Callable[[np.ndarray], np.ndarray]
 
 
 def family_spec(family: str) -> FamilySpec:
     """Plug-in bundle for a family tag (general variants share one bundle)."""
     if family == "monotone":
         one = lambda a: np.ones_like(np.asarray(a, dtype=float))
-        return FamilySpec("monotone", False, False, one, one,
-                          lambda a: np.zeros_like(np.asarray(a, dtype=float)))
+        return FamilySpec("monotone", False, False, one, one)
     if family == "measured":
         ident = lambda a: np.asarray(a, dtype=float) + 0.0
-        return FamilySpec("measured", True, False, ident, ident,
-                          lambda a: 1.0 - 1.0 / np.asarray(a, dtype=float))
+        return FamilySpec("measured", True, False, ident, ident)
     if family in GENERAL_VARIANTS:
         return FamilySpec(family, False, True,
                           lambda a: 2.0 * np.sqrt(a),
-                          lambda a: np.sqrt(np.asarray(a, dtype=float)),
-                          lambda a: 1.0 - 1.0 / np.sqrt(a))
+                          lambda a: np.sqrt(np.asarray(a, dtype=float)))
     raise InputError(f"unknown solver family {family!r}")
 
 
@@ -155,30 +150,15 @@ def g_series(s: Schedule, spec: FamilySpec, N: int) -> np.ndarray:
     return spec.c_of_a(a[:-1]) * np.diff(b) - np.diff(a)
 
 
-def g_term(s: Schedule, spec: FamilySpec, grid: Grid, j: int, x_j=None) -> float:
-    """Single coupling term at step j (the iterate is unused by the presets)."""
-    if not 0 <= j < grid.N:
-        raise InputError(f"step index {j} outside 0..{grid.N - 1}")
-    return float(g_series(s, spec, grid.N)[j])
+def _step_bounds(spec: FamilySpec, a: np.ndarray, b: np.ndarray, L: float,
+                 D: float) -> np.ndarray:
+    """Step-free bounds (D L / 2) (b_{j+1} - b_j)^2 d_j^2 / a_{j+1} >= B_exact_j.
 
-
-def b_term(s: Schedule, spec: FamilySpec, grid: Grid, j: int,
-           x_j, x_next, L: float, D: float) -> tuple[float, float]:
-    """Exact potential-drop bound and its step-free relaxation at step j.
-
-    exact = a_{j+1} (L/2) ||x_{j+1} - x_j||^2, and
-    bound = (D L / 2) (b_{j+1} - b_j)^2 d_j^2 / a_{j+1} >= exact.
+    float_power rounds like a scalar ``x ** 2`` (C pow); an array ``** 2``
+    computes x * x, which can differ in the last ulp.
     """
-    if L < 0 or D < 0:
-        raise InputError("L and D must be nonnegative")
-    if not 0 <= j < grid.N:
-        raise InputError(f"step index {j} outside 0..{grid.N - 1}")
-    _, a, b = _schedule_nodes(s, grid.N)
-    dx = np.asarray(x_next, dtype=float) - np.asarray(x_j, dtype=float)
-    exact = float(a[j + 1] * 0.5 * L * np.dot(dx, dx))
-    d = float(spec.d_of_a(a[j]))
-    bound = float(0.5 * D * L * (b[j + 1] - b[j]) ** 2 * d * d / a[j + 1])
-    return exact, bound
+    d = np.asarray(spec.d_of_a(a[:-1]), dtype=float)
+    return 0.5 * D * L * np.float_power(np.diff(b), 2) * d * d / a[1:]
 
 
 def run(f: DrFunction, C: ConvexBody, s: Schedule, spec: FamilySpec, N: int,
@@ -226,33 +206,24 @@ def _run(f: DrFunction, C: ConvexBody, s: Schedule, spec: FamilySpec, N: int,
     xs = np.zeros((N + 1, n))
     Fs = np.zeros(N + 1)
     vs = np.zeros((N, n))
-    rho = np.zeros(N)
+    rho = np.diff(b) / a[1:] * np.asarray(spec.d_of_a(a[:-1]), dtype=float)
     G = g_series(s, spec, N)
     B_exact = np.zeros(N)
-    B_bound = np.zeros(N)
+    B_bound = _step_bounds(spec, a, b, L, D)
 
     x = x0.astype(float).copy()
     xs[0] = x
     Fs[0] = f.value(x)
     for j in range(N):
         g = f.grad(x)
-        if spec.masked:
-            cap = np.clip(1.0 - x, 0.0, 1.0)
-            v = C.masked_lmo(g, cap)
-        else:
-            v = C.lmo(g)
-        d_j = float(spec.d_of_a(a[j]))
-        rho_j = (b[j + 1] - b[j]) / a[j + 1] * d_j
-        u = v - x if spec.offset_direction else v
-        x_next = x + rho_j * u
+        v = C.masked_lmo(g, np.clip(1.0 - x, 0.0, 1.0)) if spec.masked else C.lmo(g)
+        x_next = x + rho[j] * (v - x if spec.offset_direction else v)
         if not C.contains(x_next, tol):
             raise InvariantError(
                 f"iterate left the body at step {j}: x={x_next!r} (family {spec.family})")
         dx = x_next - x
         vs[j] = v
-        rho[j] = rho_j
         B_exact[j] = a[j + 1] * 0.5 * L * float(np.dot(dx, dx))
-        B_bound[j] = 0.5 * D * L * (b[j + 1] - b[j]) ** 2 * d_j * d_j / a[j + 1]
         x = x_next
         xs[j + 1] = x
         Fs[j + 1] = f.value(x)
@@ -265,6 +236,9 @@ def _run(f: DrFunction, C: ConvexBody, s: Schedule, spec: FamilySpec, N: int,
         floor = start_slack / a if spec.masked else start_slack / np.sqrt(a)
         margins = (1.0 - infnorm) - floor
 
+    for arr in (t, a, b, xs, Fs, infnorm, vs, rho, G, B_exact, B_bound, margins):
+        if arr is not None:
+            arr.flags.writeable = False
     return Trajectory(
         family=spec.family, N=N, t=t, a=a, b=b, x=xs, F=Fs, infnorm=infnorm,
         v=vs, rho=rho, G=G, B_exact=B_exact, B_bound=B_bound,
@@ -311,8 +285,7 @@ def guarantee(s: Schedule, spec: FamilySpec, N: int, L: float, D: float,
         raise ConfigurationError("only the general family supports arbitrary starts")
     _, a, b = _schedule_nodes(s, N)
     G = g_series(s, spec, N)
-    d = np.asarray(spec.d_of_a(a[:-1]), dtype=float)
-    additive = float(0.5 * D * L * np.sum(np.diff(b) ** 2 * d * d / a[1:]) / a[-1])
+    additive = float(np.sum(_step_bounds(spec, a, b, L, D)) / a[-1])
     coefficient = float((b[-1] - b[0] - np.sum(np.maximum(G, 0.0))) / a[-1])
     return GuaranteeBound(coefficient * (1.0 - start_infnorm), additive)
 

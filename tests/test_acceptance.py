@@ -11,15 +11,12 @@ import time
 
 import numpy as np
 
-from drsub import (BoxBody, CardinalityBody, LpProblem, PartitionBody,
+from drsub import (BoxBody, CardinalityBody, PackingBody, PartitionBody,
                    arbitrary_start_run, coverage_function, family_spec,
-                   finite_diff_grad, g_series, grid_search, guarantee,
-                   lmo_bruteforce, multilinear_extension,
-                   potential_series, preset, ratio, ratio_curve, run,
-                   set_bruteforce, set_function_from_table, simplex_solve)
-from drsub import check_dr_inequality, desk
+                   g_series, grid_search, guarantee, multilinear_extension,
+                   preset, run, set_bruteforce, set_function_from_table)
+from drsub import checks, desk
 from drsub.cli import main as cli_main
-from drsub.feasible import basic_solutions
 
 from conftest import cut_table
 
@@ -35,20 +32,13 @@ def test_criterion_01_schedule_ratios():
     start = time.perf_counter()
     expected = {"monotone": 1.0 - 1.0 / math.e, "measured": 1.0 / math.e,
                 "general": 0.25, "general-exp": 0.25, "general-linear": 0.25}
-    ratio_ok = all(abs(ratio(preset(f)) - want) <= 1e-9 for f, want in expected.items())
+    ratio_error = checks.max_ratio_error({f: preset(f) for f in expected}, expected)
 
     peaks = {"general": 1.0, "general-exp": 2.0 * math.log(2.0), "general-linear": 3.0}
-    curve_ok = True
-    for variant, t_star in peaks.items():
-        T = preset(variant).T
-        t = np.linspace(0.0, T, 10001)
-        curve = ratio_curve(variant, t)
-        cell = T / 10000
-        curve_ok &= float(np.max(curve)) <= 0.25 + 1e-9
-        curve_ok &= float(np.max(curve)) >= 0.25 - 1e-9
-        curve_ok &= abs(float(t[np.argmax(curve)]) - t_star) <= cell + 1e-12
+    peak_error, peak_offset = checks.ratio_curve_peaks(peaks)
+    curve_ok = peak_error <= 1e-9 and peak_offset <= 1e-12
     elapsed = time.perf_counter() - start
-    _verdict(1, "schedule ratios", ratio_ok and curve_ok and elapsed < 1.0,
+    _verdict(1, "schedule ratios", ratio_error <= 1e-9 and curve_ok and elapsed < 1.0,
              f"ratios to 1e-9, variant peaks at 1/4, {elapsed:.2f}s")
 
 
@@ -88,12 +78,7 @@ def test_criterion_03_potential_increments():
     F = multilinear_extension(cover)
     body = CardinalityBody(3, 2)
     opt = set_bruteforce(cover, body).value
-    worst = np.inf
-    for family in FAMILIES:
-        for N in (10, 100):
-            traj = run(F, body, preset(family), family_spec(family), N)
-            series = potential_series(traj, preset(family), opt)
-            worst = min(worst, series.min_margin)
+    worst = checks.min_potential_margin([(F, body, opt)])
     elapsed = time.perf_counter() - start
     _verdict(3, "potential increments", worst >= -1e-9 and elapsed < 5.0,
              f"min margin {worst:.3e}, {elapsed:.2f}s")
@@ -204,33 +189,10 @@ def test_criterion_09_oracle_suite():
     rng = np.random.default_rng(0)
     bodies = [BoxBody(np.ones(3)), CardinalityBody(3, 2), CardinalityBody(2, 1),
               PartitionBody(4, ((0, 1), (2, 3)), (1, 1)),
-              desk.bundled_instances()[1].body]
-    from drsub import PackingBody
-    bodies.append(PackingBody(np.array([[1.0, 1.0, 0.5], [0.5, 2.0, 1.0]]),
-                              np.array([1.0, 1.5])))
-    worst_lmo = 0.0
-    for body in bodies:
-        for _ in range(100):
-            g = rng.normal(size=body.n)
-            ref, _ = lmo_bruteforce(body, g)
-            worst_lmo = max(worst_lmo, abs(float(g @ body.lmo(g)) - ref))
-            cap = rng.uniform(size=body.n)
-            ref_m, _ = lmo_bruteforce(body, g, cap)
-            worst_lmo = max(worst_lmo, abs(float(g @ body.masked_lmo(g, cap)) - ref_m))
-
-    worst_lp = 0.0
-    for _ in range(50):
-        n = int(rng.integers(1, 6))
-        m = int(rng.integers(1, 6))
-        A = rng.uniform(0.0, 1.0, size=(m, n))
-        b = rng.uniform(0.5, 2.0, size=m)
-        u = rng.uniform(0.2, 1.0, size=n)
-        c = rng.normal(size=n)
-        _, val = simplex_solve(LpProblem(c, A, b, u))
-        rows = np.vstack([A, np.eye(n), -np.eye(n)])
-        rhs = np.concatenate([b, u, np.zeros(n)])
-        ref = max(float(c @ v) for v in basic_solutions(rows, rhs))
-        worst_lp = max(worst_lp, abs(val - ref))
+              desk.bundled_instances()[1].body,
+              PackingBody(np.array([[1.0, 1.0, 0.5], [0.5, 2.0, 1.0]]), np.array([1.0, 1.5]))]
+    worst_lmo = checks.max_lmo_gap(bodies, rng)
+    worst_lp = checks.max_simplex_gap(rng)
     elapsed = time.perf_counter() - start
     ok = worst_lmo <= 1e-9 and worst_lp <= 1e-9 and elapsed < 5.0
     _verdict(9, "oracle suite", ok,
@@ -247,25 +209,13 @@ def test_criterion_10_objective_suite():
     worst_dr = np.inf
     worst_grad = 0.0
     for F in instances:
-        for _ in range(200):
-            worst_dr = min(worst_dr, check_dr_inequality(
-                F, rng.uniform(size=F.n), rng.uniform(size=F.n)))
-        for _ in range(50):
-            x = rng.uniform(size=F.n)
-            g = F.grad(x)
-            fd = finite_diff_grad(F, x, 1e-4)
-            worst_grad = max(worst_grad,
-                             float(np.max(np.abs(g - fd)) / (1.0 + np.max(np.abs(g)))))
+        worst_dr = min(worst_dr, checks.min_dr_residual([F], rng))
+        worst_grad = max(worst_grad, checks.max_grad_mismatch([F], rng))
 
-    worst_lattice = 0.0
     big = coverage_function(
         [sorted(rng.choice(10, size=3, replace=False).tolist()) for _ in range(8)],
         rng.uniform(0.0, 2.0, size=10), 10)
-    for sf in (desk.coverage_three_sets(), cut, big):
-        F = multilinear_extension(sf)
-        for mask in range(1 << sf.m):
-            x = np.array([(mask >> i) & 1 for i in range(sf.m)], dtype=float)
-            worst_lattice = max(worst_lattice, abs(F.value(x) - sf.value(mask)))
+    worst_lattice = checks.max_lattice_mismatch([desk.coverage_three_sets(), cut, big])
     elapsed = time.perf_counter() - start
     ok = (worst_dr >= -1e-9 and worst_grad <= 1e-5 and worst_lattice <= 1e-12
           and elapsed < 10.0)

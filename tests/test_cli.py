@@ -158,9 +158,41 @@ class TestSweepCommand:
         assert code == 1
 
 
+class TestMalformedJson:
+    @pytest.mark.parametrize("instance,constraint", [
+        ('{"kind":"coverage"}', CARD),
+        ('{"kind":"table"}', CARD),
+        ('{"kind":"quadratic","c":[1,0.5]}', BOX2),
+        ('{"kind":"concave_modular"}', BOX2),
+        (QUAD, '{"kind":"box"}'),
+        (QUAD, '{"kind":"cardinality","n":2}'),
+        (QUAD, '{"kind":"partition","n":2,"blocks":[[0,1]]}'),
+        (QUAD, '{"kind":"packing","A":[[1,1]]}'),
+    ], ids=["coverage", "table", "quadratic", "concave_modular",
+            "box", "cardinality", "partition", "packing"])
+    def test_missing_field(self, tmp_path, capsys, instance, constraint):
+        code = run_cli("run", "--instance", instance, "--constraint", constraint,
+                       "--family", "general", "--iters", "5", "--out", str(tmp_path))
+        assert code == 1
+        assert "error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("expr", [
+        {"form": "exp", "scale": 1.0},
+        {"form": "poly"},
+        {"form": "sqrt_affine", "scale": 2.0},
+    ], ids=["exp", "poly", "sqrt_affine"])
+    def test_missing_schedule_field(self, tmp_path, capsys, expr):
+        cfg = {"instance": json.loads(QUAD), "constraint": json.loads(BOX2),
+               "family": "general", "iters": 5, "out": str(tmp_path),
+               "schedule": {"a": expr, "b": {"form": "poly", "coeffs": [0, 1]}, "T": 1.0}}
+        assert run_cli("run", "--config", json.dumps(cfg)) == 1
+        assert "error:" in capsys.readouterr().err
+
+
 class TestCheckCommand:
-    def test_pristine(self, capsys):
-        assert run_cli("check") == 0
+    @pytest.mark.parametrize("seed", [0, 1, 9])
+    def test_pristine(self, capsys, seed):
+        assert run_cli("check", "--seed", str(seed)) == 0
         out = capsys.readouterr().out
         lines = [l for l in out.strip().split("\n") if l]
         assert len(lines) == 11

@@ -224,6 +224,18 @@ class TestFiniteDiff:
         fd = finite_diff_grad(QUAD, [0.0, 1.0], 1e-4)
         assert fd == pytest.approx(QUAD.grad([0.0, 1.0]), rel=1e-3, abs=1e-3)
 
+    @pytest.mark.parametrize("F,x", [
+        # steep curvature just above SQRT_FLOOR
+        (make_concave_modular([[1.0, 0.5, 0.0, 0.0], [0.0, 0.0, 2.0, 1.0]]),
+         [0.0052, 0.0024, 0.854, 0.759]),
+        # 2.2e-5 below the face x_0 = 1, where a clipped stencil is lopsided
+        (QUAD, [0.999978, 0.890746]),
+    ], ids=["sqrt-near-floor", "near-face"])
+    def test_hard_points_within_check_tolerance(self, F, x):
+        g = F.grad(x)
+        fd = finite_diff_grad(F, x, 1e-4)
+        assert np.max(np.abs(g - fd)) / (1.0 + np.max(np.abs(g))) <= 1e-5
+
     def test_bad_step_rejected(self):
         with pytest.raises(InputError):
             finite_diff_grad(QUAD, [0.5, 0.5], 0.0)

@@ -4,10 +4,10 @@ import numpy as np
 import pytest
 
 from drsub import (BoxBody, CardinalityBody, ConfigurationError, Grid,
-                   InputError, arbitrary_start_run, b_term,
-                   family_spec, g_series, g_term, gronwall_check, guarantee,
-                   make_quadratic, multilinear_extension, potential_series,
-                   preset, run, set_bruteforce, trajectory_csv)
+                   InputError, arbitrary_start_run, family_spec, g_series,
+                   gronwall_check, guarantee, make_quadratic,
+                   multilinear_extension, potential_series, preset, run,
+                   set_bruteforce, trajectory_csv)
 from drsub import desk
 
 COVER3 = desk.coverage_three_sets()
@@ -83,6 +83,14 @@ class TestUpdateRule:
         assert np.array_equal(t1.F, t2.F)
         assert trajectory_csv(t1) == trajectory_csv(t2)
 
+    def test_trajectory_arrays_are_read_only(self):
+        traj = run_family("measured", N=5)
+        with pytest.raises(ValueError):
+            traj.x[0, 0] = 1.0
+        for name in ("t", "a", "b", "F", "infnorm", "v", "rho", "G", "B_exact", "B_bound",
+                     "gronwall_margin"):
+            assert not getattr(traj, name).flags.writeable, name
+
     def test_oracle_counters(self):
         traj = run_family("monotone", N=13)
         assert traj.grad_calls == 13
@@ -99,7 +107,7 @@ class TestGTerms:
 
     def test_measured_closed_form(self):
         s, spec = preset("measured"), family_spec("measured")
-        assert g_term(s, spec, Grid(1, 1.0), 0) == pytest.approx(2.0 - math.e, abs=1e-15)
+        assert g_series(s, spec, 1)[0] == pytest.approx(2.0 - math.e, abs=1e-15)
         for N in (3, 20, 200):
             t = Grid(N, 1.0).nodes
             closed = np.exp(t[:-1]) * (1.0 + np.diff(t) - np.exp(np.diff(t)))
@@ -108,34 +116,32 @@ class TestGTerms:
 
     def test_general_closed_form(self):
         s, spec = preset("general"), family_spec("general")
-        assert g_term(s, spec, Grid(1, 1.0), 0) == pytest.approx(-1.0, abs=1e-15)
+        assert g_series(s, spec, 1)[0] == pytest.approx(-1.0, abs=1e-15)
         for N in (3, 20, 200):
             t = Grid(N, 1.0).nodes
             closed = -np.diff(np.sqrt((1.0 + t) ** 2)) ** 2
             assert g_series(s, spec, N) == pytest.approx(closed, abs=1e-12)
             assert np.max(g_series(s, spec, N)) <= 1e-12
 
-    def test_index_bounds(self):
-        with pytest.raises(InputError):
-            g_term(preset("monotone"), family_spec("monotone"), Grid(5, 1.0), 5)
-
 
 class TestBTerms:
     def test_zero_smoothness(self):
-        exact, bound = b_term(preset("monotone"), family_spec("monotone"),
-                              Grid(4, 1.0), 0, np.zeros(2), np.ones(2) * 0.3, 0.0, 2.0)
-        assert exact == 0.0
+        traj = run_family("monotone", f=COVER3_F.with_smoothness(0.0), N=4)
+        assert np.all(traj.B_exact == 0.0)
+        assert np.all(traj.B_bound == 0.0)
 
     def test_zero_step(self):
-        x = np.array([0.2, 0.4])
-        exact, _ = b_term(preset("monotone"), family_spec("monotone"),
-                          Grid(4, 1.0), 1, x, x, 5.0, 2.0)
-        assert exact == 0.0
+        # the gradient vanishes at the origin, so every oracle vertex is 0
+        f = make_quadratic(-np.eye(2), np.zeros(2))
+        traj = run_family("monotone", f=f, body=BOX2, N=4)
+        assert np.all(traj.x == 0.0)
+        assert np.all(traj.B_exact == 0.0)
+        assert np.all(traj.B_bound > 0.0)
 
     def test_monotone_single_step_bound(self):
-        _, bound = b_term(preset("monotone"), family_spec("monotone"),
-                          Grid(1, 1.0), 0, np.zeros(2), np.ones(2), 1.0, 2.0)
-        assert bound == pytest.approx((math.e - 1.0) ** 2 / math.e, abs=1e-12)
+        traj = run_family("monotone", f=QUAD.with_smoothness(1.0), body=BOX2, N=1)
+        assert traj.D == 2.0
+        assert traj.B_bound[0] == pytest.approx((math.e - 1.0) ** 2 / math.e, abs=1e-12)
 
     @pytest.mark.parametrize("family", FAMILIES)
     def test_exact_below_bound_along_runs(self, family):
