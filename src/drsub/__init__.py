@@ -20,7 +20,7 @@ from .oracle import OptCertificate, cross_check, grid_search, set_bruteforce
 from .schedule import (Grid, Schedule, coupling_residual, preset, ratio,
                        ratio_curve, schedule_from_json, validate)
 from .solver import (FamilySpec, GuaranteeBound, PotentialSeries, Trajectory,
-                     arbitrary_start_run, family_spec, g_series, gronwall_check,
-                     guarantee, potential_series, run, trajectory_csv)
+                     arbitrary_start_run, family_spec, g_series, guarantee,
+                     potential_series, run, trajectory_csv)
 
 __version__ = "0.1.0"

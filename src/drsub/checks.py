@@ -141,14 +141,14 @@ def _certified_runs(certified: Certified, Ns: Iterable[int]):
 
 def min_potential_margin(certified: Certified) -> float:
     """Smallest potential-increment margin over runs of N = 10 and 100 steps."""
-    return min((solver.potential_series(traj, s, opt).min_margin
-                for _, _, opt, s, _, traj in _certified_runs(certified, (10, 100))),
+    return min((solver.potential_series(traj, opt).min_margin
+                for _, _, opt, _, _, traj in _certified_runs(certified, (10, 100))),
                default=math.inf)
 
 
 def min_headroom_margin(pairs: Iterable[tuple[DrFunction, ConvexBody]]) -> float:
     """Smallest headroom margin of the measured and general families, N in {1, 50, 500}."""
-    return min(solver.gronwall_check(solver.run(f, C, s, spec, N))
+    return min(solver.run(f, C, s, spec, N).min_gronwall_margin
                for f, C in pairs for _, s, spec in _presets(("measured", "general"))
                for N in (1, 50, 500))
 

@@ -5,7 +5,7 @@
 fast the a-priori additive gap shrinks; ``check`` replays the bundled
 invariant suites and exits nonzero if any of them fails.
 
-Exit codes: 0 success, 1 input or configuration error, 2 invariant or
+Exit codes: 0 success, 1 malformed or incompatible input, 2 invariant or
 acceptance failure.
 """
 
@@ -15,7 +15,6 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -46,10 +45,10 @@ def _load_json_arg(value: str, what: str):
     text = value.strip()
     if text.startswith("{") or text.startswith("["):
         return _strict_json_loads(text)
-    path = Path(value)
-    if not path.exists():
-        raise InputError(f"{what} file not found: {value}")
-    return _strict_json_loads(path.read_text())
+    try:
+        return _strict_json_loads(Path(value).read_text())
+    except (OSError, UnicodeDecodeError) as e:
+        raise InputError(f"cannot read {what} file {value}: {e}") from e
 
 
 def _atomic_write(path: Path, text: str) -> None:
@@ -60,77 +59,54 @@ def _atomic_write(path: Path, text: str) -> None:
 
 def _parse_iters(value: str) -> list[int]:
     try:
-        return [int(part) for part in str(value).split(",") if part != ""]
+        return [int(part) for part in value.split(",") if part != ""]
     except ValueError as e:
         raise InputError(f"--iters must be an integer or comma list, got {value!r}") from e
 
 
 class _Experiment:
-    """Resolved configuration for one run or sweep."""
+    """The inputs of one run or sweep, read from the flags."""
 
     def __init__(self, args):
-        cfg = {}
-        if args.config:
-            cfg = _load_json_arg(args.config, "config")
-            if not isinstance(cfg, dict):
-                raise InputError("config JSON must be an object")
+        missing = [f"--{flag}" for flag in ("instance", "constraint", "family", "iters")
+                   if getattr(args, flag) is None]
+        if missing:
+            raise InputError(f"missing required flags: {' '.join(missing)}")
+        self.family = args.family
+        self.iters = _parse_iters(args.iters)
+        self.opt_mode = args.opt
+        self.out_dir = Path(args.out)
 
-        def pick(key, flag_value):
-            return cfg[key] if key in cfg else flag_value
-
-        instance = pick("instance", args.instance)
-        constraint = pick("constraint", args.constraint)
-        if instance is None or constraint is None:
-            raise InputError("an instance and a constraint are required")
-        if isinstance(instance, str):
-            instance = _load_json_arg(instance, "instance")
-        if isinstance(constraint, str):
-            constraint = _load_json_arg(constraint, "constraint")
-
-        self.family = pick("family", args.family)
-        if self.family is None:
-            raise InputError("a solver family is required")
-        iters = pick("iters", args.iters)
-        if iters is None:
-            raise InputError("--iters is required")
-        self.iters = _parse_iters(iters) if isinstance(iters, str) else (
-            [int(iters)] if isinstance(iters, (int, float)) else [int(v) for v in iters])
-        self.opt_mode = pick("opt", args.opt)
-        self.out_dir = Path(pick("out", args.out))
-        self.tol = float(pick("tol", args.tol))
-        if self.tol < 0:
-            raise InputError("--tol must be nonnegative")
-
-        self.objective, self.set_function = objective.instance_from_json(instance)
-        self.body = feasible.body_from_json(constraint)
-        if "schedule" in cfg:
-            self.schedule = schedule.schedule_from_json(cfg["schedule"], self.family)
-            self.is_preset = False
-        else:
+        self.objective, self.set_function = objective.instance_from_json(
+            _load_json_arg(args.instance, "instance"))
+        self.body = feasible.body_from_json(_load_json_arg(args.constraint, "constraint"))
+        self.is_preset = args.schedule is None
+        if self.is_preset:
             self.schedule = schedule.preset(self.family)
-            self.is_preset = True
+        else:
+            self.schedule = schedule.schedule_from_json(
+                _load_json_arg(args.schedule, "schedule"), self.family)
+            schedule.ratio(self.schedule)  # validates; ValidationError names the failed checks
         self.spec = solver.family_spec(self.family)
         if self.family == "monotone" and not self.objective.monotone:
             print("warning: monotone family on a non-monotone instance; "
                   "its guarantee does not apply", file=sys.stderr)
 
     def certificate(self) -> oracle.OptCertificate | None:
-        if self.opt_mode in (None, "none"):
-            return None
         if self.opt_mode == "sets":
             if self.set_function is None:
                 raise InputError("--opt sets needs a coverage or table instance")
             return oracle.set_bruteforce(self.set_function, self.body)
         if self.opt_mode == "grid":
             return oracle.grid_search(self.objective, self.body)
-        raise InputError(f"unknown opt mode {self.opt_mode!r}")
+        return None
 
 
 def _solve_once(exp: _Experiment, N: int, cert: oracle.OptCertificate | None):
-    traj = solver.run(exp.objective, exp.body, exp.schedule, exp.spec, N, tol=exp.tol)
+    traj = solver.run(exp.objective, exp.body, exp.schedule, exp.spec, N)
     potential = None
     if cert is not None and cert.value > 0:
-        potential = solver.potential_series(traj, exp.schedule, cert.value)
+        potential = solver.potential_series(traj, cert.value)
     bound = solver.guarantee(exp.schedule, exp.spec, N, exp.objective.L,
                              exp.body.diameter())
     return traj, potential, bound
@@ -231,9 +207,6 @@ def cmd_sweep(args) -> int:
 def cmd_check(args) -> int:
     rng = np.random.default_rng(args.seed)
     presets = {family: schedule.preset(family) for family in schedule.PRESET_FAMILIES}
-    if args.corrupt_preset:  # a_T = 2e breaks the pinned boundary values
-        doubled = lambda t: 2.0 * np.exp(t)
-        presets["monotone"] = replace(presets["monotone"], a=doubled, a_dot=doubled)
     instances = desk.bundled_instances()
     pairs = [(inst.objective, inst.body) for inst in instances]
     objectives = [f for f, _ in pairs]
@@ -304,11 +277,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--opt", choices=("none", "sets", "grid"), default="none",
                        help="ground-truth oracle for ratio and potential telemetry")
         p.add_argument("--out", default="results", help="output directory")
-        p.add_argument("--seed", type=int, default=0,
-                       help="seed for randomized checks (solves are deterministic)")
-        p.add_argument("--tol", type=float, default=feasible.FEASIBILITY_TOL,
-                       help="feasibility tolerance")
-        p.add_argument("--config", help="config JSON overriding the flags above")
+        p.add_argument("--schedule", help="user schedule JSON (inline or path) "
+                                          "replacing the family preset")
 
     p_run = sub.add_parser("run", help="solve once; write trajectory.csv and summary.json")
     add_common(p_run)
@@ -319,9 +289,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.set_defaults(fn=cmd_sweep)
 
     p_check = sub.add_parser("check", help="run the bundled invariant suites")
-    p_check.add_argument("--seed", type=int, default=0)
-    p_check.add_argument("--corrupt-preset", action="store_true",
-                         help="testing hook: corrupt the monotone preset to a_T = 2e")
+    p_check.add_argument("--seed", type=int, default=0,
+                         help="seed of the randomized checks")
     p_check.set_defaults(fn=cmd_check)
     return parser
 

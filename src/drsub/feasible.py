@@ -14,11 +14,11 @@ bottom of the module.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import CapacityError, InputError, InvariantError, required
+from .errors import CapacityError, InputError, InvariantError, fields
 
 #: single membership tolerance used across the toolkit
 FEASIBILITY_TOL = 1e-9
@@ -39,11 +39,12 @@ class ConvexBody:
     """Interface shared by all feasible-set variants.
 
     Instances are immutable; all oracle calls are pure and allocate their
-    own scratch, so a body can be shared between concurrent runs.
+    own scratch, so a body can be shared between concurrent runs.  Every
+    variant is down-closed by construction (0 <= y <= x in the body puts y
+    in the body), which the masked oracle and the grid oracle's slack rely on.
     """
 
     n: int
-    down_closed: bool
 
     def contains(self, x, tol: float = FEASIBILITY_TOL) -> bool:
         raise NotImplementedError
@@ -76,7 +77,6 @@ class BoxBody(ConvexBody):
     """Axis-aligned box [0, u] with u in (0, 1]^n."""
 
     upper: np.ndarray
-    down_closed: bool = field(default=True, init=False)
 
     def __post_init__(self):
         u = np.asarray(self.upper, dtype=float)
@@ -113,7 +113,6 @@ class CardinalityBody(ConvexBody):
 
     n: int
     k: int
-    down_closed: bool = field(default=True, init=False)
 
     def __post_init__(self):
         if self.n < 1:
@@ -160,7 +159,6 @@ class PartitionBody(ConvexBody):
     n: int
     blocks: tuple[tuple[int, ...], ...]
     capacities: tuple[int, ...]
-    down_closed: bool = field(default=True, init=False)
 
     def __post_init__(self):
         blocks = tuple(tuple(int(i) for i in blk) for blk in self.blocks)
@@ -206,16 +204,10 @@ class PartitionBody(ConvexBody):
 
 @dataclass(frozen=True, eq=False)
 class PackingBody(ConvexBody):
-    """Packing polytope {x in [0,1]^n : A x <= b} with A >= 0 and b > 0.
-
-    Such a body is down-closed by construction; the flag can still be
-    declared False to mark a body as not certified down-closed, which the
-    masked-oracle solver family refuses to run on.
-    """
+    """Packing polytope {x in [0,1]^n : A x <= b} with A >= 0 and b > 0."""
 
     A: np.ndarray
     b: np.ndarray
-    down_closed: bool = True
 
     def __post_init__(self):
         A = np.atleast_2d(np.asarray(self.A, dtype=float))
@@ -459,22 +451,24 @@ CONSTRAINT_KINDS = ("box", "cardinality", "partition", "packing")
 
 
 def body_from_json(obj: dict) -> ConvexBody:
-    """Build a feasible body from its JSON description."""
+    """Build a feasible body from its typed, closed JSON description."""
     if not isinstance(obj, dict) or "kind" not in obj:
         raise InputError("constraint JSON must be an object with a 'kind' key")
     kind = obj["kind"]
     if kind == "box":
-        if "upper" in obj:
-            return BoxBody(np.asarray(obj["upper"], dtype=float))
-        return BoxBody(np.ones(int(required(obj, "n", kind))))
+        if "upper" in obj:  # the bounds fix the dimension, so "n" is then an unknown field
+            return BoxBody(fields(obj, kind, kind=None, upper="reals")["upper"])
+        n = fields(obj, kind, kind=None, n="int")["n"]
+        if n < 1:
+            raise InputError(f"box dimension n must be positive, got {n}")
+        return BoxBody(np.ones(n))
     if kind == "cardinality":
-        return CardinalityBody(int(required(obj, "n", kind)), int(required(obj, "k", kind)))
+        v = fields(obj, kind, kind=None, n="int", k="int")
+        return CardinalityBody(v["n"], v["k"])
     if kind == "partition":
-        return PartitionBody(int(required(obj, "n", kind)),
-                             tuple(tuple(blk) for blk in required(obj, "blocks", kind)),
-                             tuple(required(obj, "capacities", kind)))
+        v = fields(obj, kind, kind=None, n="int", blocks="int lists", capacities="ints")
+        return PartitionBody(v["n"], tuple(map(tuple, v["blocks"])), tuple(v["capacities"]))
     if kind == "packing":
-        return PackingBody(np.asarray(required(obj, "A", kind), dtype=float),
-                           np.asarray(required(obj, "b", kind), dtype=float),
-                           bool(obj.get("down_closed", True)))
+        v = fields(obj, kind, kind=None, A="matrix", b="reals")
+        return PackingBody(v["A"], v["b"])
     raise InputError(f"unknown constraint kind {kind!r}; expected one of {CONSTRAINT_KINDS}")

@@ -12,15 +12,14 @@ a diminishing-returns residual and a finite-difference gradient.
 
 from __future__ import annotations
 
-import dataclasses
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import CapacityError, InputError, required
+from .errors import CapacityError, InputError, fields
 
-#: inputs may stray from the unit box by round-off; they are clamped
+#: round-off up to this far outside the unit box is clamped; farther points are rejected
 CLAMP_TOL = 1e-12
 
 #: smoothing floor for the concave-of-modular family (a bare square root
@@ -35,8 +34,9 @@ def _as_point(x, n: int) -> np.ndarray:
     x = np.asarray(x, dtype=float)
     if x.shape != (n,):
         raise InputError(f"expected a point of dimension {n}, got shape {x.shape}")
-    if not np.all(np.isfinite(x)):
-        raise InputError("point contains NaN or infinity")
+    # one comparison per end: NaN fails both, so it is rejected with inf and far-out points
+    if n and not (x.min() >= -CLAMP_TOL and x.max() <= 1.0 + CLAMP_TOL):
+        raise InputError(f"point {x!r} is NaN, infinite or outside the unit box")
     return np.clip(x, 0.0, 1.0)
 
 
@@ -62,12 +62,6 @@ class DrFunction:
 
     def grad(self, x) -> np.ndarray:
         return np.asarray(self.grad_fn(_as_point(x, self.n)), dtype=float)
-
-    def with_smoothness(self, L: float) -> "DrFunction":
-        """Copy of this instance carrying a caller-supplied constant L."""
-        if L < 0:
-            raise InputError("smoothness constant must be nonnegative")
-        return dataclasses.replace(self, L=float(L))
 
 
 # --- set functions and their multilinear extensions ---------------------------
@@ -116,7 +110,7 @@ class SetFunction:
 def set_function_from_table(values: Sequence[float]) -> SetFunction:
     table = np.asarray(values, dtype=float)
     m = int(table.size).bit_length() - 1
-    if table.size != (1 << m):
+    if table.size != (1 << max(m, 0)):
         raise InputError(f"table length {table.size} is not a power of two")
     return SetFunction(m, table)
 
@@ -132,6 +126,8 @@ def coverage_function(subsets: Sequence[Sequence[int]],
     m = len(subsets)
     if m > _MAX_GROUND_SET:
         raise CapacityError(f"at most {_MAX_GROUND_SET} covering sets supported, got {m}")
+    if any(e < 0 for s in subsets for e in s):
+        raise InputError("subset elements must be nonnegative indices")
     max_elt = max((max(s) for s in subsets if len(s) > 0), default=-1)
     if n_elements is None:
         n_elements = max_elt + 1
@@ -187,13 +183,13 @@ def _subset_weights(x: np.ndarray) -> np.ndarray:
     return w
 
 
-def multilinear_extension(f: SetFunction, L: float | None = None) -> DrFunction:
+def multilinear_extension(f: SetFunction) -> DrFunction:
     """Exact multilinear extension of a set function on up to 20 elements.
 
     The value at x is the expectation of f over the random subset that
     includes element i independently with probability x_i; the gradient
     component i is the value gap between pinning x_i to 1 and to 0.
-    Unless overridden, L is set to the safe bound m^2 * max_S f(S).
+    L is the safe bound m^2 * max_S f(S).
     """
     if f.m > _MAX_GROUND_SET:
         raise CapacityError(f"multilinear extension supports m <= {_MAX_GROUND_SET}")
@@ -213,33 +209,11 @@ def multilinear_extension(f: SetFunction, L: float | None = None) -> DrFunction:
             g[i] = float(table @ (_subset_weights(hi) - _subset_weights(lo)))
         return g
 
-    if L is None:
-        L = float(m * m) * f.max_value()
-    return DrFunction(m, float(L), set_is_monotone(f), value, grad,
+    return DrFunction(m, float(m * m) * f.max_value(), set_is_monotone(f), value, grad,
                       name=f"multilinear(m={m})")
 
 
 # --- closed-form instance families ---------------------------------------------
-
-
-def _spectral_norm(H: np.ndarray, rel_tol: float = 1e-10, max_iter: int = 10000) -> float:
-    """Largest singular value by power iteration on H^T H."""
-    n = H.shape[0]
-    B = H.T @ H
-    v = 1.0 + 0.007 * np.arange(1, n + 1)  # deterministic, generically non-orthogonal
-    v /= np.linalg.norm(v)
-    lam = 0.0
-    for _ in range(max_iter):
-        w = B @ v
-        norm = np.linalg.norm(w)
-        if norm <= 1e-300:
-            return 0.0
-        v = w / norm
-        lam_new = float(v @ (B @ v))
-        if abs(lam_new - lam) <= rel_tol * max(lam_new, 1e-300):
-            return float(np.sqrt(lam_new))
-        lam = lam_new
-    return float(np.sqrt(lam))
 
 
 def make_quadratic(H, c) -> DrFunction:
@@ -276,7 +250,9 @@ def make_quadratic(H, c) -> DrFunction:
         return c + H @ x
 
     monotone = bool(np.all(c + H @ np.ones(n) >= 0.0))
-    return DrFunction(n, _spectral_norm(H), monotone, value, grad, name=f"quadratic(n={n})")
+    # the margin lifts SVD round-off (far below 1e-12 for n <= 20): L is an upper bound
+    L = float(np.linalg.norm(H, 2)) * (1.0 + 1e-12)
+    return DrFunction(n, L, monotone, value, grad, name=f"quadratic(n={n})")
 
 
 def make_concave_modular(weights: Sequence[Sequence[float]], n: int | None = None) -> DrFunction:
@@ -286,6 +262,8 @@ def make_concave_modular(weights: Sequence[Sequence[float]], n: int | None = Non
         n = ws[0].shape[0] if n is None else n
     elif n is None:
         raise InputError("dimension n is required when the weight list is empty")
+    if n < 1:
+        raise InputError(f"dimension n must be positive, got {n}")
     for w in ws:
         if w.shape != (n,):
             raise InputError("all weight vectors must share one dimension")
@@ -370,28 +348,27 @@ def instance_from_json(obj: dict) -> tuple[DrFunction, SetFunction | None]:
     """Build an instance from its JSON description.
 
     Returns the objective together with the underlying set function for
-    the coverage and table kinds (None for the smooth families).  An
-    optional "L" field overrides the default smoothness constant of the
-    set-function kinds.
+    the coverage and table kinds (None for the smooth families).  Fields are
+    typed and closed: a mistyped, missing or unknown field raises InputError.
     """
     if not isinstance(obj, dict) or "kind" not in obj:
         raise InputError("instance JSON must be an object with a 'kind' key")
     kind = obj["kind"]
     if kind == "coverage":
-        sf = coverage_function(required(obj, "subsets", kind), obj.get("weights"),
-                               obj.get("n_elements"))
-        L = obj.get("L")
-        return multilinear_extension(sf, None if L is None else float(L)), sf
+        v = fields(obj, kind, kind=None, subsets="int lists", weights="reals?",
+                   n_elements="int?")
+        sf = coverage_function(v["subsets"], v.get("weights"), v.get("n_elements"))
+        return multilinear_extension(sf), sf
     if kind == "table":
-        sf = set_function_from_table(required(obj, "values", kind))
-        if "m" in obj and int(obj["m"]) != sf.m:
-            raise InputError(f"declared m={obj['m']} does not match table length 2^{sf.m}")
-        L = obj.get("L")
-        return multilinear_extension(sf, None if L is None else float(L)), sf
+        v = fields(obj, kind, kind=None, values="reals", m="int?")
+        sf = set_function_from_table(v["values"])
+        if v.get("m", sf.m) != sf.m:
+            raise InputError(f"declared m={v['m']} does not match table length 2^{sf.m}")
+        return multilinear_extension(sf), sf
     if kind == "quadratic":
-        return make_quadratic(required(obj, "H", kind), required(obj, "c", kind)), None
+        v = fields(obj, kind, kind=None, H="matrix", c="reals")
+        return make_quadratic(v["H"], v["c"]), None
     if kind == "concave_modular":
-        n = obj.get("n")
-        weights = required(obj, "weights", kind)
-        return make_concave_modular(weights, None if n is None else int(n)), None
+        v = fields(obj, kind, kind=None, weights="matrix", n="int?")
+        return make_concave_modular(v["weights"], v.get("n")), None
     raise InputError(f"unknown instance kind {kind!r}; expected one of {INSTANCE_KINDS}")

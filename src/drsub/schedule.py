@@ -22,7 +22,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import InputError, ValidationError, required
+from .errors import InputError, ValidationError, fields
 
 PRESET_FAMILIES = ("monotone", "measured", "general", "general-exp", "general-linear")
 
@@ -217,26 +217,26 @@ def _expr_from_json(spec: dict) -> tuple[Callable, Callable]:
     if not isinstance(spec, dict) or "form" not in spec:
         raise InputError("schedule expression must be an object with a 'form' key")
     form = spec["form"]
+    what = f"{form} schedule"
     if form == "exp":
-        rate = float(required(spec, "rate", "exp schedule"))
-        scale = float(spec.get("scale", 1.0))
-        shift = float(spec.get("shift", 0.0))
+        v = fields(spec, what, form=None, rate="real", scale="real?", shift="real?")
+        rate, scale, shift = v["rate"], v.get("scale", 1.0), v.get("shift", 0.0)
         f = lambda t: scale * np.exp(rate * np.asarray(t, dtype=float)) + shift
         fd = lambda t: scale * rate * np.exp(rate * np.asarray(t, dtype=float))
         return f, fd
     if form == "poly":
-        coeffs = [float(c) for c in required(spec, "coeffs", "poly schedule")]
-        if not coeffs:
+        coeffs = fields(spec, what, form=None, coeffs="reals")["coeffs"]
+        if len(coeffs) == 0:
             raise InputError("poly schedule needs at least one coefficient")
         p = np.polynomial.Polynomial(coeffs)
         pd = p.deriv()
         return (lambda t: p(np.asarray(t, dtype=float)),
                 lambda t: pd(np.asarray(t, dtype=float)))
     if form == "sqrt_affine":
-        inner_shift = float(required(spec, "inner_shift", "sqrt_affine schedule"))
-        inner_scale = float(spec.get("inner_scale", 1.0))
-        scale = float(spec.get("scale", 1.0))
-        shift = float(spec.get("shift", 0.0))
+        v = fields(spec, what, form=None, inner_shift="real", inner_scale="real?",
+                   scale="real?", shift="real?")
+        inner_shift, inner_scale = v["inner_shift"], v.get("inner_scale", 1.0)
+        scale, shift = v.get("scale", 1.0), v.get("shift", 0.0)
         if inner_shift < 0:
             raise InputError("sqrt_affine needs inner_shift >= 0 so the root is real at t=0")
         f = lambda t: scale * np.sqrt(inner_scale * np.asarray(t, dtype=float) + inner_shift) + shift
@@ -249,6 +249,7 @@ def schedule_from_json(obj: dict, family: str) -> Schedule:
     """Build a user schedule {"a": expr, "b": expr, "T": real} for a family."""
     if family not in PRESET_FAMILIES:
         raise InputError(f"unknown schedule family {family!r}")
-    a, a_dot = _expr_from_json(required(obj, "a", "schedule"))
-    b, b_dot = _expr_from_json(required(obj, "b", "schedule"))
-    return Schedule(family, float(required(obj, "T", "schedule")), a, b, a_dot, b_dot)
+    v = fields(obj, "schedule", a=None, b=None, T="real")
+    a, a_dot = _expr_from_json(v["a"])
+    b, b_dot = _expr_from_json(v["b"])
+    return Schedule(family, v["T"], a, b, a_dot, b_dot)

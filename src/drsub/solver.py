@@ -27,7 +27,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import ConfigurationError, InputError, InvariantError
-from .feasible import FEASIBILITY_TOL, ConvexBody
+from .feasible import ConvexBody
 from .objective import DrFunction
 from .schedule import GENERAL_VARIANTS, Grid, Schedule
 
@@ -161,14 +161,12 @@ def _step_bounds(spec: FamilySpec, a: np.ndarray, b: np.ndarray, L: float,
     return 0.5 * D * L * np.float_power(np.diff(b), 2) * d * d / a[1:]
 
 
-def run(f: DrFunction, C: ConvexBody, s: Schedule, spec: FamilySpec, N: int,
-        tol: float = FEASIBILITY_TOL) -> Trajectory:
+def run(f: DrFunction, C: ConvexBody, s: Schedule, spec: FamilySpec, N: int) -> Trajectory:
     """Run N equal steps from the origin and record full telemetry."""
-    return _run(f, C, s, spec, N, np.zeros(C.n), tol)
+    return _run(f, C, s, spec, N, np.zeros(C.n))
 
 
-def arbitrary_start_run(f: DrFunction, C: ConvexBody, s: Schedule, N: int,
-                        x0, tol: float = FEASIBILITY_TOL) -> Trajectory:
+def arbitrary_start_run(f: DrFunction, C: ConvexBody, s: Schedule, N: int, x0) -> Trajectory:
     """Offset-direction run from a caller-chosen feasible start.
 
     Only the general family supports this: its update contracts toward
@@ -180,13 +178,13 @@ def arbitrary_start_run(f: DrFunction, C: ConvexBody, s: Schedule, N: int,
     x0 = np.asarray(x0, dtype=float)
     if x0.shape != (C.n,):
         raise InputError(f"start point must have dimension {C.n}")
-    if not C.contains(x0, tol):
+    if not C.contains(x0):
         raise InputError("start point is not feasible")
-    return _run(f, C, s, family_spec(s.family), N, x0, tol)
+    return _run(f, C, s, family_spec(s.family), N, x0)
 
 
 def _run(f: DrFunction, C: ConvexBody, s: Schedule, spec: FamilySpec, N: int,
-         x0: np.ndarray, tol: float) -> Trajectory:
+         x0: np.ndarray) -> Trajectory:
     if N < 1:
         raise InputError(f"N must be >= 1, got {N}")
     if f.n != C.n:
@@ -194,8 +192,6 @@ def _run(f: DrFunction, C: ConvexBody, s: Schedule, spec: FamilySpec, N: int,
     if spec.family != s.family and not (spec.family in GENERAL_VARIANTS
                                         and s.family in GENERAL_VARIANTS):
         raise ConfigurationError(f"family spec {spec.family!r} does not match schedule {s.family!r}")
-    if spec.masked and not C.down_closed:
-        raise ConfigurationError("the masked-oracle family requires a down-closed body")
 
     start = time.perf_counter()
     t, a, b = _schedule_nodes(s, N)
@@ -218,7 +214,7 @@ def _run(f: DrFunction, C: ConvexBody, s: Schedule, spec: FamilySpec, N: int,
         g = f.grad(x)
         v = C.masked_lmo(g, np.clip(1.0 - x, 0.0, 1.0)) if spec.masked else C.lmo(g)
         x_next = x + rho[j] * (v - x if spec.offset_direction else v)
-        if not C.contains(x_next, tol):
+        if not C.contains(x_next):
             raise InvariantError(
                 f"iterate left the body at step {j}: x={x_next!r} (family {spec.family})")
         dx = x_next - x
@@ -247,7 +243,7 @@ def _run(f: DrFunction, C: ConvexBody, s: Schedule, spec: FamilySpec, N: int,
         wall_seconds=time.perf_counter() - start)
 
 
-def potential_series(traj: Trajectory, s: Schedule, opt_value: float) -> PotentialSeries:
+def potential_series(traj: Trajectory, opt_value: float) -> PotentialSeries:
     """Potential telemetry against a ground-truth (or lower-bound) optimum.
 
     Any opt_value below the true optimum only makes the recorded margins
@@ -259,13 +255,6 @@ def potential_series(traj: Trajectory, s: Schedule, opt_value: float) -> Potenti
     increments = np.diff(E)
     margins = increments + np.maximum(traj.G, 0.0) * opt_value + traj.B_exact
     return PotentialSeries(E, increments, margins)
-
-
-def gronwall_check(traj: Trajectory) -> float:
-    """Minimum headroom margin along a masked- or offset-family trajectory."""
-    if traj.gronwall_margin is None:
-        raise ConfigurationError("the monotone family has no headroom margin to check")
-    return float(np.min(traj.gronwall_margin))
 
 
 def guarantee(s: Schedule, spec: FamilySpec, N: int, L: float, D: float,

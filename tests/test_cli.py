@@ -1,9 +1,16 @@
+import contextlib
+import dataclasses
+import io
 import json
+import re
 import subprocess
 import sys
 
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from drsub import schedule
 from drsub.cli import main
 
 COVERAGE = '{"kind":"coverage","subsets":[[0,1],[1,2],[2,3]]}'
@@ -58,11 +65,12 @@ class TestRunCommand:
         assert "N must be >= 1" in capsys.readouterr().err
 
     def test_measured_on_non_down_closed_body(self, tmp_path, capsys):
+        # every body is down-closed by construction; declaring otherwise is stale input
         body = '{"kind":"packing","A":[[1,1]],"b":[1.5],"down_closed":false}'
         code = run_cli("run", "--instance", QUAD, "--constraint", body,
                        "--family", "measured", "--iters", "10", "--out", str(tmp_path))
         assert code == 1
-        assert "down-closed" in capsys.readouterr().err
+        assert "unknown field 'down_closed'" in capsys.readouterr().err
 
     def test_dimension_mismatch(self, tmp_path):
         code = run_cli("run", "--instance", QUAD, "--constraint", CARD,
@@ -81,37 +89,42 @@ class TestRunCommand:
                        "--iters", "5", "--out", str(tmp_path))
         assert code == 1
 
-    def test_config_overrides_flags(self, tmp_path):
-        cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({
-            "instance": json.loads(COVERAGE),
-            "constraint": json.loads(CARD),
-            "family": "monotone",
-            "iters": 50,
-            "opt": "sets",
-            "out": str(tmp_path / "out"),
-        }))
-        code = run_cli("run", "--family", "general", "--iters", "7",
-                       "--config", str(cfg))
-        assert code == 0
-        summary = json.loads((tmp_path / "out" / "summary.json").read_text())
-        assert summary["family"] == "monotone"
-        assert summary["N"] == 50
-
-    def test_custom_schedule_from_config(self, tmp_path):
-        cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({
-            "instance": json.loads(QUAD),
-            "constraint": json.loads(BOX2),
-            "family": "general",
-            "iters": 20,
-            "out": str(tmp_path / "out"),
-            "schedule": {"a": {"form": "poly", "coeffs": [1, 2, 1]},
-                         "b": {"form": "poly", "coeffs": [0, 1]}, "T": 1.0},
-        }))
-        assert run_cli("run", "--config", str(cfg)) == 0
+    def test_custom_schedule_flag(self, tmp_path):
+        path = tmp_path / "schedule.json"
+        path.write_text(json.dumps({"a": {"form": "poly", "coeffs": [1, 2, 1]},
+                                    "b": {"form": "poly", "coeffs": [0, 1]}, "T": 1.0}))
+        assert run_cli("run", "--instance", QUAD, "--constraint", BOX2, "--family", "general",
+                       "--iters", "20", "--schedule", str(path),
+                       "--out", str(tmp_path / "out")) == 0
         summary = json.loads((tmp_path / "out" / "summary.json").read_text())
         assert summary["ratio_guaranteed"] == pytest.approx(0.25)
+
+    def test_invalid_custom_schedule_rejected(self, tmp_path, capsys):
+        decreasing = {"a": {"form": "poly", "coeffs": [2, -1]},
+                      "b": {"form": "poly", "coeffs": [0, 1]}, "T": 1.0}
+        assert run_cli("run", "--instance", QUAD, "--constraint", BOX2, "--family", "general",
+                       "--iters", "20", "--schedule", json.dumps(decreasing),
+                       "--out", str(tmp_path)) == 1
+        assert "a nondecreasing" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command,flags", [
+        ("run", ["--instance", "--constraint", "--family", "--iters", "--opt", "--out",
+                 "--schedule"]),
+        ("sweep", ["--instance", "--constraint", "--family", "--iters", "--opt", "--out",
+                   "--schedule"]),
+        ("check", ["--seed"]),
+    ])
+    def test_flags_are_the_only_settings(self, command, flags, capsys):
+        with pytest.raises(SystemExit):
+            run_cli(command, "--help")
+        listed = re.findall(r"^  (?:-h, )?(--[a-z-]+)", capsys.readouterr().out, re.M)
+        assert listed == ["--help", *flags]
+
+    def test_unreadable_instance_path(self, tmp_path, capsys):
+        code = run_cli("run", "--instance", str(tmp_path), "--constraint", CARD,
+                       "--family", "monotone", "--iters", "10", "--out", str(tmp_path / "out"))
+        assert code == 1
+        assert "cannot read instance file" in capsys.readouterr().err
 
     def test_instance_from_file(self, tmp_path):
         inst = tmp_path / "instance.json"
@@ -182,11 +195,101 @@ class TestMalformedJson:
         {"form": "sqrt_affine", "scale": 2.0},
     ], ids=["exp", "poly", "sqrt_affine"])
     def test_missing_schedule_field(self, tmp_path, capsys, expr):
-        cfg = {"instance": json.loads(QUAD), "constraint": json.loads(BOX2),
-               "family": "general", "iters": 5, "out": str(tmp_path),
-               "schedule": {"a": expr, "b": {"form": "poly", "coeffs": [0, 1]}, "T": 1.0}}
-        assert run_cli("run", "--config", json.dumps(cfg)) == 1
+        sched = {"a": expr, "b": {"form": "poly", "coeffs": [0, 1]}, "T": 1.0}
+        assert run_cli("run", "--instance", QUAD, "--constraint", BOX2, "--family", "general",
+                       "--iters", "5", "--schedule", json.dumps(sched),
+                       "--out", str(tmp_path)) == 1
         assert "error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("instance,constraint,message", [
+        (QUAD, '{"kind":"box","n":"abc"}', "field 'n' must be an integer"),
+        (QUAD, '{"kind":"box","n":2.7}', "field 'n' must be an integer"),
+        (QUAD, '{"kind":"box","n":true}', "field 'n' must be an integer"),
+        (QUAD, '{"kind":"box","n":-1}', "box dimension n must be positive"),
+        (QUAD, '{"kind":"box","upper":["a"]}', "field 'upper' must be an array"),
+        (QUAD, '{"kind":"box","upper":[1,1],"n":3}', "box JSON has unknown field 'n'"),
+        (QUAD, '{"kind":"cardinality","n":2,"k":"x"}', "field 'k' must be an integer"),
+        (QUAD, '{"kind":"partition","n":2,"blocks":[[0,1]],"capacities":["a",1]}',
+         "field 'capacities' must be an array of integers"),
+        (QUAD, '{"kind":"packing","A":[["x"]],"b":[1]}', "field 'A' must be a rectangular"),
+        (QUAD, '{"kind":"packing","A":[[1,1],[1]],"b":[1,1]}', "field 'A' must be a rectangular"),
+        ('{"kind":"quadratic","H":[[-2,0],[0,-2]],"c":[1,1e999]}', BOX2,
+         "field 'c' must be an array of finite"),
+        ('{"kind":"coverage","subsets":[[0],[1]],"L":12.0}', BOX2, "unknown field 'L'"),
+        ('{"kind":"coverage","subsets":[[0],[-1]],"n_elements":3}', BOX2,
+         "subset elements must be nonnegative"),
+        ('{"kind":"table","m":1.5,"values":[0,1]}', BOX2, "field 'm' must be an integer"),
+        ('{"kind":"table","values":[]}', BOX2, "table length 0 is not a power of two"),
+        ('{"kind":"concave_modular","weights":[],"n":-1}', BOX2, "dimension n must be positive"),
+    ], ids=["box-n-text", "box-n-fraction", "box-n-bool", "box-n-negative", "box-upper",
+            "box-n-upper-disagree", "cardinality-k", "partition-capacities", "packing-A-text",
+            "packing-A-ragged", "quadratic-c-inf", "coverage-L", "coverage-negative-element",
+            "table-m", "table-empty", "concave-n-negative"])
+    def test_bad_field_value(self, tmp_path, capsys, instance, constraint, message):
+        code = run_cli("run", "--instance", instance, "--constraint", constraint,
+                       "--family", "general", "--iters", "5", "--out", str(tmp_path))
+        assert code == 1
+        assert message in capsys.readouterr().err
+
+
+# README examples; each constraint is paired with an instance of its dimension
+README_INSTANCES = [
+    {"kind": "coverage", "subsets": [[0, 1], [1, 2]], "weights": [1, 1, 1], "n_elements": 3},
+    {"kind": "table", "m": 2, "values": [0, 1, 1, 1.5]},
+    {"kind": "quadratic", "H": [[-2, 0], [0, -2]], "c": [1, 0.5]},
+    {"kind": "concave_modular", "weights": [[1, 0.5], [0, 2]], "n": 2},
+]
+README_CONSTRAINTS = [
+    ({"kind": "box", "upper": [1, 0.5]}, QUAD),
+    ({"kind": "box", "n": 2}, QUAD),
+    ({"kind": "cardinality", "n": 3, "k": 2}, COVERAGE),
+    ({"kind": "partition", "n": 4, "blocks": [[0, 1], [2, 3]], "capacities": [1, 1]},
+     '{"kind":"concave_modular","weights":[[1,0.5,0,0],[0,0,2,1]]}'),
+    ({"kind": "packing", "A": [[1, 1], [2, 1]], "b": [1, 2]}, QUAD),
+]
+JUNK = st.one_of(st.text(max_size=3), st.booleans(), st.none(), st.just([]), st.just({}),
+                 st.integers(-3, 40), st.floats(-40.0, 40.0), st.just([["x"]]))
+
+
+@st.composite
+def mutated_example(draw):
+    """(instance, constraint) JSON with one field of a README example mutated."""
+    examples = ([(i, obj, None) for i, obj in enumerate(README_INSTANCES)]
+                + [(None, obj, partner) for obj, partner in README_CONSTRAINTS])
+    index, obj, partner = draw(st.sampled_from(examples))
+    obj = json.loads(json.dumps(obj))
+    key = draw(st.sampled_from(sorted(obj)))
+    how = draw(st.sampled_from(["missing", "extra", "replace", "leaf"]))
+    if how == "missing":
+        del obj[key]
+    elif how == "extra":
+        obj[draw(st.sampled_from(["L", "down_closed", "seed", "x"]))] = draw(JUNK)
+    elif how == "replace" or not isinstance(obj[key], list) or not obj[key]:
+        obj[key] = draw(JUNK)
+    else:  # one array entry, possibly nested: wrong type or non-integral
+        parent = obj[key]
+        while True:
+            j = draw(st.integers(0, len(parent) - 1))
+            if not isinstance(parent[j], list) or not parent[j]:
+                break
+            parent = parent[j]
+        parent[j] = draw(st.one_of(JUNK, st.just(0.5)))
+    if index is None:
+        return partner, json.dumps(obj)
+    return json.dumps(obj), BOX2
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(example=mutated_example())
+def test_mutated_readme_json_never_escapes(example, tmp_path_factory):
+    instance, constraint = example
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(["run", "--instance", instance, "--constraint", constraint, "--family",
+                     "general", "--iters", "5", "--out", str(tmp_path_factory.getbasetemp())])
+    assert code in (0, 1), err.getvalue()
+    if code == 1:
+        assert "error:" in err.getvalue()
 
 
 class TestCheckCommand:
@@ -199,8 +302,12 @@ class TestCheckCommand:
         assert all(l.startswith("PASS") for l in lines)
         assert "0.632121, 0.367879, 0.250000" in out
 
-    def test_corrupted_preset(self, capsys):
-        assert run_cli("check", "--corrupt-preset") == 2
+    def test_corrupted_preset(self, capsys, monkeypatch):
+        preset = schedule.preset
+        doubled = lambda t: 2.0 * np.exp(t)  # a_T = 2e breaks the pinned boundary values
+        monkeypatch.setattr(schedule, "preset", lambda family: dataclasses.replace(
+            preset(family), a=doubled, a_dot=doubled) if family == "monotone" else preset(family))
+        assert run_cli("check") == 2
         out = capsys.readouterr().out
         assert "FAIL schedule-presets" in out
 

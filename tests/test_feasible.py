@@ -206,16 +206,15 @@ class TestDiameter:
 class TestDownClosed:
     @pytest.mark.parametrize("body", all_bodies())
     def test_flagged_bodies_are_down_closed(self, body, rng):
-        if not body.down_closed:
-            pytest.skip("not flagged")
         for _ in range(100):
             y = body.masked_lmo(rng.normal(size=body.n), rng.uniform(size=body.n))
             x = y * rng.uniform(size=body.n)
             assert body.contains(x, 1e-9)
 
     def test_declared_override(self):
-        body = PackingBody(np.array([[1.0, 1.0]]), np.array([1.0]), down_closed=False)
-        assert not body.down_closed
+        # every body kind is down-closed by construction, so a declared flag is stale input
+        with pytest.raises(InputError, match="'down_closed'"):
+            body_from_json({"kind": "packing", "A": [[1, 1]], "b": [1.0], "down_closed": False})
 
 
 class TestJson:
@@ -227,7 +226,7 @@ class TestJson:
                                "blocks": [[0, 1], [2, 3]], "capacities": [1, 1]})
         assert part.diameter() == pytest.approx(4.0)
         pack = body_from_json({"kind": "packing", "A": [[1, 1]], "b": [1.0]})
-        assert pack.down_closed
+        assert pack.n == 2
 
     def test_unknown_kind(self):
         with pytest.raises(InputError):

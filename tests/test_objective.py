@@ -41,6 +41,15 @@ class TestEval:
         with pytest.raises(InputError):
             QUAD.value([np.nan, 0.0])
 
+    @pytest.mark.parametrize("x", [[5.0, -3.0], [1.0 + 1e-9, 0.0], [0.5, -1e-11],
+                                   [np.inf, 0.0], [0.5, -np.inf]])
+    def test_rejects_far_out_points(self, x):
+        # only round-off within CLAMP_TOL is clamped: (5, -3) must not read as (1, 0)
+        with pytest.raises(InputError):
+            QUAD.value(x)
+        with pytest.raises(InputError):
+            QUAD.grad(x)
+
 
 class TestGrad:
     def test_coverage_at_origin(self):
@@ -353,8 +362,9 @@ class TestInstanceJson:
         assert F.value([1.0, 0.0]) == pytest.approx(1.0)
 
     def test_smoothness_override(self):
-        F, _ = instance_from_json({"kind": "coverage", "subsets": [[0], [1]], "L": 7.5})
-        assert F.L == 7.5
+        # an L below the true constant would make the additive term false; no override exists
+        with pytest.raises(InputError, match="'L'"):
+            instance_from_json({"kind": "coverage", "subsets": [[0], [1]], "L": 7.5})
 
     def test_quadratic_kind(self):
         F, sf = instance_from_json(
@@ -365,3 +375,16 @@ class TestInstanceJson:
     def test_unknown_kind(self):
         with pytest.raises(InputError):
             instance_from_json({"kind": "mystery"})
+
+
+@settings(max_examples=200, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 6))
+def test_quadratic_L_bounds_the_spectral_norm(seed, n):
+    # L must bound the spectral norm from above, not approach it from below
+    rng = np.random.default_rng(seed)
+    H = -np.abs(rng.normal(size=(n, n)))
+    H = (H + H.T) / 2.0
+    F = make_quadratic(H, rng.uniform(0.0, 2.0, size=n))
+    assert F.L >= float(np.max(np.abs(np.linalg.eigvalsh(H))))
+    # the sampled ratio differences two gradients, so it carries their round-off
+    assert F.L * (1.0 + 1e-9) >= empirical_smoothness(F, samples=20, seed=seed)

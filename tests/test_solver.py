@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -5,7 +6,7 @@ import pytest
 
 from drsub import (BoxBody, CardinalityBody, ConfigurationError, Grid,
                    InputError, arbitrary_start_run, family_spec, g_series,
-                   gronwall_check, guarantee, make_quadratic,
+                   guarantee, make_quadratic,
                    multilinear_extension, potential_series, preset, run,
                    set_bruteforce, trajectory_csv)
 from drsub import desk
@@ -48,13 +49,6 @@ class TestUpdateRule:
         traj = run_family("measured", N=25)
         for j in range(traj.N):
             assert np.all(traj.v[j] <= 1.0 - traj.x[j] + 1e-12)
-
-    def test_measured_requires_down_closed(self):
-        from drsub import PackingBody
-        body = PackingBody(np.array([[1.0, 1.0]]), np.array([1.0]), down_closed=False)
-        f = make_quadratic(np.zeros((2, 2)), np.ones(2))
-        with pytest.raises(ConfigurationError):
-            run(f, body, preset("measured"), family_spec("measured"), 5)
 
     def test_bad_n(self):
         with pytest.raises(InputError):
@@ -126,7 +120,7 @@ class TestGTerms:
 
 class TestBTerms:
     def test_zero_smoothness(self):
-        traj = run_family("monotone", f=COVER3_F.with_smoothness(0.0), N=4)
+        traj = run_family("monotone", f=dataclasses.replace(COVER3_F, L=0.0), N=4)
         assert np.all(traj.B_exact == 0.0)
         assert np.all(traj.B_bound == 0.0)
 
@@ -139,7 +133,7 @@ class TestBTerms:
         assert np.all(traj.B_bound > 0.0)
 
     def test_monotone_single_step_bound(self):
-        traj = run_family("monotone", f=QUAD.with_smoothness(1.0), body=BOX2, N=1)
+        traj = run_family("monotone", f=dataclasses.replace(QUAD, L=1.0), body=BOX2, N=1)
         assert traj.D == 2.0
         assert traj.B_bound[0] == pytest.approx((math.e - 1.0) ** 2 / math.e, abs=1e-12)
 
@@ -153,13 +147,13 @@ class TestPotential:
     def test_rejects_nonpositive_opt(self):
         traj = run_family("monotone", N=5)
         with pytest.raises(InputError):
-            potential_series(traj, preset("monotone"), 0.0)
+            potential_series(traj, 0.0)
 
     def test_modular_increments_nonnegative(self):
         w = np.array([1.0, 1.0])
         f = make_quadratic(np.zeros((2, 2)), w)
         traj = run_family("monotone", f=f, body=BOX2, N=10)
-        series = potential_series(traj, preset("monotone"), 2.0)
+        series = potential_series(traj, 2.0)
         assert np.all(series.increments >= -1e-12)
 
     @pytest.mark.parametrize("family", FAMILIES)
@@ -167,23 +161,18 @@ class TestPotential:
     def test_increment_margins_on_coverage(self, family, N):
         opt = set_bruteforce(COVER3, CARD).value
         traj = run_family(family, N=N)
-        series = potential_series(traj, preset(family), opt)
+        series = potential_series(traj, opt)
         assert series.min_margin >= -1e-9
 
     def test_underestimated_opt_is_safe(self):
         opt = set_bruteforce(COVER3, CARD).value
         traj = run_family("measured", N=30)
-        s = preset("measured")
-        full = potential_series(traj, s, opt)
-        under = potential_series(traj, s, 0.5 * opt)
+        full = potential_series(traj, opt)
+        under = potential_series(traj, 0.5 * opt)
         assert under.min_margin >= full.min_margin - 1e-12
 
 
 class TestGronwall:
-    def test_monotone_rejected(self):
-        with pytest.raises(ConfigurationError):
-            gronwall_check(run_family("monotone", N=5))
-
     def test_margin_zero_at_start(self):
         for family in ("measured", "general"):
             traj = run_family(family, N=5)
@@ -194,7 +183,7 @@ class TestGronwall:
     def test_margins_nonnegative(self, family, N):
         for f, body in ((COVER3_F, CARD), (QUAD, BOX2), (QUAD, CardinalityBody(2, 1))):
             traj = run(f, body, preset(family), family_spec(family), N)
-            assert gronwall_check(traj) >= -1e-9
+            assert traj.min_gronwall_margin >= -1e-9
 
     def test_measured_margin_formula(self):
         traj = run_family("measured", N=20)
@@ -290,7 +279,7 @@ class TestArbitraryStart:
     def test_half_start_margins_and_guarantee(self):
         x0 = np.array([0.5, 0.5])
         traj = arbitrary_start_run(QUAD, BOX2, preset("general"), 200, x0)
-        assert gronwall_check(traj) >= -1e-9
+        assert traj.min_gronwall_margin >= -1e-9
         bound = guarantee(preset("general"), family_spec("general"), 200, QUAD.L,
                           BOX2.diameter(), start_infnorm=0.5)
         assert bound.coefficient == pytest.approx(0.125, abs=1e-12)
@@ -311,7 +300,7 @@ class TestCsv:
 
     def test_potential_column(self):
         traj = run_family("monotone", N=3)
-        series = potential_series(traj, preset("monotone"), 4.0)
+        series = potential_series(traj, 4.0)
         text = trajectory_csv(traj, series)
         first = text.strip().split("\n")[1].split(",")
         assert first[9] == format(series.E[0], ".17g")
