@@ -17,8 +17,8 @@ from .objective import (DrFunction, SetFunction, check_dr_inequality,
                         make_concave_modular, make_quadratic,
                         multilinear_extension, set_function_from_table)
 from .oracle import OptCertificate, cross_check, grid_search, set_bruteforce
-from .schedule import (Grid, Schedule, coupling_residual, preset, ratio,
-                       ratio_curve, schedule_from_json, validate)
+from .schedule import (Schedule, coupling_residual, preset, ratio, ratio_curve,
+                       schedule_from_json, validate)
 from .solver import (FamilySpec, GuaranteeBound, PotentialSeries, Trajectory,
                      arbitrary_start_run, family_spec, g_series, guarantee,
                      potential_series, run, trajectory_csv)

@@ -86,7 +86,7 @@ class _Experiment:
         else:
             self.schedule = schedule.schedule_from_json(
                 _load_json_arg(args.schedule, "schedule"), self.family)
-            schedule.ratio(self.schedule)  # validates; ValidationError names the failed checks
+            schedule.validate(self.schedule)
         self.spec = solver.family_spec(self.family)
         if self.family == "monotone" and not self.objective.monotone:
             print("warning: monotone family on a non-monotone instance; "

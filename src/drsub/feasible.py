@@ -23,7 +23,21 @@ from .errors import CapacityError, InputError, InvariantError, fields
 #: single membership tolerance used across the toolkit
 FEASIBILITY_TOL = 1e-9
 
-_MAX_LP_SIZE = 64
+#: desk-scale cap on every body's dimension and on the dense simplex's rows
+MAX_DIMENSION = 64
+
+
+def _is_int(v) -> bool:
+    return isinstance(v, (int, np.integer)) and not isinstance(v, bool)
+
+
+def checked_dimension(n: int, what: str) -> int:
+    """``n`` if it is a positive dimension within the desk-scale cap."""
+    if n < 1:
+        raise InputError(f"{what} dimension n must be positive, got {n}")
+    if n > MAX_DIMENSION:
+        raise CapacityError(f"{what} dimension {n} exceeds the desk-scale cap of {MAX_DIMENSION}")
+    return n
 
 
 def _as_vector(x, n: int, name: str = "point") -> np.ndarray:
@@ -82,6 +96,7 @@ class BoxBody(ConvexBody):
         u = np.asarray(self.upper, dtype=float)
         if u.ndim != 1 or u.size == 0:
             raise InputError("box upper bounds must be a nonempty vector")
+        checked_dimension(u.size, "box")
         if np.any(u <= 0) or np.any(u > 1.0) or not np.all(np.isfinite(u)):
             raise InputError("box upper bounds must lie in (0, 1]")
         object.__setattr__(self, "upper", u)
@@ -107,6 +122,20 @@ class BoxBody(ConvexBody):
         return float(np.sum(self.upper ** 2))
 
 
+def _greedy_fill(g: np.ndarray, cap: np.ndarray, blocks, budgets) -> np.ndarray:
+    """Per block, fill the coordinates of largest positive g up to cap until the budget is spent."""
+    v = np.zeros(g.size)
+    for blk, k in zip(blocks, budgets):
+        budget = float(k)
+        for i in sorted(blk, key=lambda i: (-g[i], i)):
+            if g[i] <= 0.0 or budget <= 0.0:
+                break
+            take = min(cap[i], budget)
+            v[i] = take
+            budget -= take
+    return v
+
+
 @dataclass(frozen=True)
 class CardinalityBody(ConvexBody):
     """Cardinality polytope {x in [0,1]^n : sum x <= k}."""
@@ -115,9 +144,8 @@ class CardinalityBody(ConvexBody):
     k: int
 
     def __post_init__(self):
-        if self.n < 1:
-            raise InputError("dimension must be positive")
-        if not isinstance(self.k, (int, np.integer)) or self.k < 0:
+        checked_dimension(self.n, "cardinality")
+        if not _is_int(self.k) or self.k < 0:
             raise InputError("cardinality budget k must be a nonnegative integer")
 
     def contains(self, x, tol: float = FEASIBILITY_TOL) -> bool:
@@ -130,26 +158,12 @@ class CardinalityBody(ConvexBody):
 
     def masked_lmo(self, g, cap) -> np.ndarray:
         g = _as_vector(g, self.n, "objective")
-        cap = self._check_cap(cap)
-        v = np.zeros(self.n)
-        budget = float(self.k)
-        for i in sorted(range(self.n), key=lambda i: (-g[i], i)):
-            if g[i] <= 0.0 or budget <= 0.0:
-                break
-            take = min(cap[i], budget)
-            v[i] = take
-            budget -= take
-        return v
+        return _greedy_fill(g, self._check_cap(cap), [range(self.n)], [self.k])
 
     def diameter(self) -> float:
-        # exact: scan extreme-point support sizes p, q; two vertices with
-        # supports of sizes p and q can differ in at most min(p+q, 2n-p-q)
-        # coordinates, so the square distance maximum over vertex pairs is
-        best = 0
-        for p in range(min(self.k, self.n) + 1):
-            for q in range(min(self.k, self.n) + 1):
-                best = max(best, min(p + q, 2 * self.n - p - q))
-        return float(best)
+        # exact: the vertices are 0/1 points with at most k ones, so two of them
+        # differ in at most min(2k, n) coordinates; disjoint supports attain it
+        return float(min(2 * self.k, self.n))
 
 
 @dataclass(frozen=True)
@@ -161,6 +175,9 @@ class PartitionBody(ConvexBody):
     capacities: tuple[int, ...]
 
     def __post_init__(self):
+        checked_dimension(self.n, "partition")
+        if not all(map(_is_int, [*self.capacities, *(i for blk in self.blocks for i in blk)])):
+            raise InputError("block indices and capacities must be integers")
         blocks = tuple(tuple(int(i) for i in blk) for blk in self.blocks)
         caps = tuple(int(k) for k in self.capacities)
         if len(blocks) != len(caps):
@@ -185,17 +202,7 @@ class PartitionBody(ConvexBody):
 
     def masked_lmo(self, g, cap) -> np.ndarray:
         g = _as_vector(g, self.n, "objective")
-        cap = self._check_cap(cap)
-        v = np.zeros(self.n)
-        for blk, k in zip(self.blocks, self.capacities):
-            budget = float(k)
-            for i in sorted(blk, key=lambda i: (-g[i], i)):
-                if g[i] <= 0.0 or budget <= 0.0:
-                    break
-                take = min(cap[i], budget)
-                v[i] = take
-                budget -= take
-        return v
+        return _greedy_fill(g, self._check_cap(cap), self.blocks, self.capacities)
 
     def diameter(self) -> float:
         # blocks are coordinate-disjoint, so square distances add up
@@ -220,8 +227,8 @@ class PackingBody(ConvexBody):
             raise InputError("packing matrix must be entrywise nonnegative")
         if np.any(b <= 0):
             raise InputError("packing rhs must be strictly positive")
-        if A.shape[0] > _MAX_LP_SIZE or A.shape[1] > _MAX_LP_SIZE:
-            raise CapacityError(f"dense simplex supports at most {_MAX_LP_SIZE} rows/columns")
+        if A.shape[0] > MAX_DIMENSION or A.shape[1] > MAX_DIMENSION:
+            raise CapacityError(f"dense simplex supports at most {MAX_DIMENSION} rows/columns")
         object.__setattr__(self, "A", A)
         object.__setattr__(self, "b", b)
 
@@ -284,8 +291,8 @@ class LpProblem:
             raise InputError("rhs must be strictly positive")
         if np.any(u <= 0) or np.any(u > 1.0):
             raise InputError("variable upper bounds must lie in (0, 1]")
-        if n > _MAX_LP_SIZE or b.size > _MAX_LP_SIZE:
-            raise CapacityError(f"dense simplex supports at most {_MAX_LP_SIZE} rows/columns")
+        if n > MAX_DIMENSION or b.size > MAX_DIMENSION:
+            raise CapacityError(f"dense simplex supports at most {MAX_DIMENSION} rows/columns")
         for name, v in (("c", c), ("A", A), ("b", b), ("u", u)):
             if not np.all(np.isfinite(v)):
                 raise InputError(f"{name} contains NaN or infinity")
@@ -459,9 +466,7 @@ def body_from_json(obj: dict) -> ConvexBody:
         if "upper" in obj:  # the bounds fix the dimension, so "n" is then an unknown field
             return BoxBody(fields(obj, kind, kind=None, upper="reals")["upper"])
         n = fields(obj, kind, kind=None, n="int")["n"]
-        if n < 1:
-            raise InputError(f"box dimension n must be positive, got {n}")
-        return BoxBody(np.ones(n))
+        return BoxBody(np.ones(checked_dimension(n, kind)))
     if kind == "cardinality":
         v = fields(obj, kind, kind=None, n="int", k="int")
         return CardinalityBody(v["n"], v["k"])

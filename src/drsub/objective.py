@@ -18,6 +18,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import CapacityError, InputError, fields
+from .feasible import checked_dimension
 
 #: round-off up to this far outside the unit box is clamped; farther points are rejected
 CLAMP_TOL = 1e-12
@@ -28,6 +29,9 @@ CLAMP_TOL = 1e-12
 SQRT_FLOOR = 1e-3
 
 _MAX_GROUND_SET = 20
+
+#: desk-scale cap on a coverage universe
+_MAX_UNIVERSE = 4096
 
 
 def _as_point(x, n: int) -> np.ndarray:
@@ -133,6 +137,9 @@ def coverage_function(subsets: Sequence[Sequence[int]],
         n_elements = max_elt + 1
     if max_elt >= n_elements:
         raise InputError("subset references an element outside the universe")
+    if n_elements > _MAX_UNIVERSE:
+        raise CapacityError(f"coverage universe of {n_elements} elements exceeds "
+                            f"the desk-scale cap of {_MAX_UNIVERSE}")
     w = np.ones(n_elements) if weights is None else np.asarray(weights, dtype=float)
     if w.shape != (n_elements,):
         raise InputError(f"need one weight per universe element ({n_elements})")
@@ -262,8 +269,7 @@ def make_concave_modular(weights: Sequence[Sequence[float]], n: int | None = Non
         n = ws[0].shape[0] if n is None else n
     elif n is None:
         raise InputError("dimension n is required when the weight list is empty")
-    if n < 1:
-        raise InputError(f"dimension n must be positive, got {n}")
+    checked_dimension(n, "concave_modular")
     for w in ws:
         if w.shape != (n,):
             raise InputError("all weight vectors must share one dimension")

@@ -1,10 +1,11 @@
 """Weight schedules (a_t, b_t, T) that drive the Frank-Wolfe updates.
 
-A schedule is a pair of nonnegative, nondecreasing, differentiable
-functions a and b on a horizon [0, T].  The pair fixes both the step
-coefficients of the solver and the approximation ratio (b_T - b_0)/a_T
-that the final iterate is guaranteed to achieve.  Each solver family
-additionally ties a and b together through a coupling identity:
+A schedule is a pair of nonnegative, nondecreasing functions a and b on a
+horizon [0, T].  The solver reads them only as values on its grid: the pair
+fixes both the step coefficients and the approximation ratio
+(b_T - b_0)/a_T that the final iterate is guaranteed to achieve.  Each
+solver family additionally ties a and b together through a coupling
+identity:
 
     monotone                a_t - a_0 = b_t - b_0
     measured                b_t - b_0 = a_0 * ln(a_t / a_0)
@@ -29,7 +30,7 @@ PRESET_FAMILIES = ("monotone", "measured", "general", "general-exp", "general-li
 #: general variants share the sqrt coupling and the 1/4 peak ratio
 GENERAL_VARIANTS = ("general", "general-exp", "general-linear")
 
-#: grid resolution used by validate() for the monotonicity checks
+#: grid resolution used by validate()
 _VALIDATION_NODES = 1000
 _MONOTONICITY_TOL = 1e-12
 _BOUNDARY_TOL = 1e-12
@@ -37,7 +38,7 @@ _BOUNDARY_TOL = 1e-12
 
 @dataclass(frozen=True)
 class Schedule:
-    """Closed-form weight pair with closed-form derivatives.
+    """Closed-form weight pair on the horizon [0, T].
 
     The callables must accept scalars and numpy arrays alike.  ``family``
     selects the update rule and the coupling identity checked by
@@ -48,133 +49,90 @@ class Schedule:
     T: float
     a: Callable
     b: Callable
-    a_dot: Callable
-    b_dot: Callable
 
     def __post_init__(self):
         if self.T <= 0:
             raise InputError(f"schedule horizon must be positive, got {self.T}")
 
 
-@dataclass(frozen=True)
-class Grid:
-    """Equal-step time grid t_j = j*T/N, j = 0..N."""
-
-    N: int
-    T: float
-
-    def __post_init__(self):
-        if self.N < 1:
-            raise InputError(f"grid size N must be >= 1, got {self.N}")
-        if self.T <= 0:
-            raise InputError(f"grid horizon must be positive, got {self.T}")
-
-    @property
-    def nodes(self) -> np.ndarray:
-        return np.linspace(0.0, self.T, self.N + 1)
-
-
-@dataclass(frozen=True)
-class ScheduleCheck:
-    name: str
-    passed: bool
-    worst_t: float
-    worst_value: float
-
-
-@dataclass(frozen=True)
-class ScheduleReport:
-    checks: tuple[ScheduleCheck, ...]
-
-    @property
-    def ok(self) -> bool:
-        return all(c.passed for c in self.checks)
-
-    def failures(self) -> list[ScheduleCheck]:
-        return [c for c in self.checks if not c.passed]
-
-
 def preset(family: str) -> Schedule:
     """Return the bundled schedule for one of the five solver families."""
     if family == "monotone":
-        return Schedule("monotone", 1.0, np.exp, np.exp, np.exp, np.exp)
+        return Schedule("monotone", 1.0, np.exp, np.exp)
     if family == "measured":
-        return Schedule(
-            "measured", 1.0,
-            np.exp, lambda t: np.asarray(t, dtype=float) + 0.0,
-            np.exp, lambda t: np.ones_like(np.asarray(t, dtype=float)),
-        )
+        return Schedule("measured", 1.0, np.exp, lambda t: np.asarray(t, dtype=float) + 0.0)
     if family == "general":
-        return Schedule(
-            "general", 1.0,
-            lambda t: (1.0 + t) ** 2, lambda t: np.asarray(t, dtype=float) + 0.0,
-            lambda t: 2.0 * (1.0 + t), lambda t: np.ones_like(np.asarray(t, dtype=float)),
-        )
+        return Schedule("general", 1.0,
+                        lambda t: (1.0 + t) ** 2, lambda t: np.asarray(t, dtype=float) + 0.0)
     if family == "general-exp":
-        return Schedule(
-            "general-exp", 2.0 * math.log(2.0),
-            np.exp, lambda t: np.exp(0.5 * np.asarray(t, dtype=float)) - 1.0,
-            np.exp, lambda t: 0.5 * np.exp(0.5 * np.asarray(t, dtype=float)),
-        )
+        return Schedule("general-exp", 2.0 * math.log(2.0),
+                        np.exp, lambda t: np.exp(0.5 * np.asarray(t, dtype=float)) - 1.0)
     if family == "general-linear":
-        return Schedule(
-            "general-linear", 3.0,
-            lambda t: np.asarray(t, dtype=float) + 1.0,
-            lambda t: np.sqrt(np.asarray(t, dtype=float) + 1.0) - 1.0,
-            lambda t: np.ones_like(np.asarray(t, dtype=float)),
-            lambda t: 0.5 / np.sqrt(np.asarray(t, dtype=float) + 1.0),
-        )
+        return Schedule("general-linear", 3.0,
+                        lambda t: np.asarray(t, dtype=float) + 1.0,
+                        lambda t: np.sqrt(np.asarray(t, dtype=float) + 1.0) - 1.0)
     raise InputError(f"unknown schedule family {family!r}; expected one of {PRESET_FAMILIES}")
 
 
-def validate(s: Schedule, nodes: int = _VALIDATION_NODES) -> ScheduleReport:
-    """Check the monotonicity class and the family boundary conditions.
+def validate(s: Schedule) -> None:
+    """Check the weight values on an equally spaced grid of 1000 nodes.
 
-    Monotonicity of a and b is checked through their supplied derivatives
-    on an equally spaced grid; user schedules with non-monotone weights
-    anywhere between grid nodes are out of scope for this report.
+    a and b must be finite, a_0 > 0 and b_0 >= 0, and every secant slope
+    between neighbouring nodes nonnegative; the monotone and measured
+    families also pin a_0 = 1 and a_T = e.  A ValidationError names every
+    failed check with its worst node and value.  Weights that dip between
+    nodes are out of scope.
     """
-    t = np.linspace(0.0, s.T, nodes)
-    a0 = float(s.a(0.0))
-    b0 = float(s.b(0.0))
-    a_dot = np.asarray(s.a_dot(t), dtype=float)
-    b_dot = np.asarray(s.b_dot(t), dtype=float)
+    t = np.linspace(0.0, s.T, _VALIDATION_NODES)
+    with np.errstate(all="ignore"):  # overflow and NaN are reported by the finite check
+        weights = {"a": np.asarray(s.a(t), dtype=float), "b": np.asarray(s.b(t), dtype=float)}
+    failed = []
 
-    def _worst(values: np.ndarray) -> tuple[float, float]:
-        i = int(np.argmin(values))
-        return float(t[i]), float(values[i])
+    def check(passed, name: str, quantity: str, value: float, at: float) -> None:
+        if not passed:
+            failed.append(f"{name} ({quantity} {value:.2e} at t={at:.4g})")
 
-    checks = [
-        ScheduleCheck("a0 positive", a0 > 0.0, 0.0, a0),
-        ScheduleCheck("a nondecreasing", bool(np.all(a_dot >= -_MONOTONICITY_TOL)), *_worst(a_dot)),
-        ScheduleCheck("b0 nonnegative", b0 >= -_MONOTONICITY_TOL, 0.0, b0),
-        ScheduleCheck("b nondecreasing", bool(np.all(b_dot >= -_MONOTONICITY_TOL)), *_worst(b_dot)),
-    ]
-    if s.family in ("monotone", "measured"):
-        # these families distribute total step mass ln(a_T/a_0) = 1, so the
-        # boundary values are pinned: a_0 = 1 and a_T = e
-        aT = float(s.a(s.T))
-        log_a0 = math.log(a0) if a0 > 0 else math.inf
-        log_aT = math.log(aT) if aT > 0 else math.inf
-        checks.append(ScheduleCheck("log a0 == 0", abs(log_a0) <= _BOUNDARY_TOL, 0.0, log_a0))
-        checks.append(ScheduleCheck("log aT == 1", abs(log_aT - 1.0) <= _BOUNDARY_TOL, s.T, log_aT))
-    return ScheduleReport(tuple(checks))
+    for name, w in weights.items():
+        i = int(np.argmin(np.isfinite(w)))  # the first non-finite node, if any
+        check(np.isfinite(w[i]), f"{name} finite", "value", w[i], t[i])
+    if not failed:
+        a, b = weights["a"], weights["b"]
+        check(a[0] > 0.0, "a0 positive", "a0", a[0], 0.0)
+        check(b[0] >= -_MONOTONICITY_TOL, "b0 nonnegative", "b0", b[0], 0.0)
+        for name, w in weights.items():
+            slope = np.diff(w) / np.diff(t)
+            i = int(np.argmin(slope))
+            check(slope[i] >= -_MONOTONICITY_TOL, f"{name} nondecreasing", "slope", slope[i], t[i])
+        if s.family in ("monotone", "measured"):
+            # these families distribute total step mass ln(a_T/a_0) = 1, so the
+            # boundary values are pinned: a_0 = 1 and a_T = e
+            log_a0, log_aT = (math.log(v) if v > 0 else math.inf for v in (a[0], a[-1]))
+            check(abs(log_a0) <= _BOUNDARY_TOL, "log a0 == 0", "log a0", log_a0, 0.0)
+            check(abs(log_aT - 1.0) <= _BOUNDARY_TOL, "log aT == 1", "log aT", log_aT, s.T)
+    if failed:
+        raise ValidationError(f"schedule fails validation: {', '.join(failed)}")
 
 
 def ratio(s: Schedule) -> float:
     """Guaranteed fraction (b_T - b_0)/a_T of the optimum, after validation."""
-    report = validate(s)
-    if not report.ok:
-        names = ", ".join(c.name for c in report.failures())
-        raise ValidationError(f"schedule fails validation: {names}")
+    validate(s)
     return (float(s.b(s.T)) - float(s.b(0.0))) / float(s.a(s.T))
 
 
-def coupling_residual(s: Schedule, grid: Grid) -> float:
-    """Max absolute violation of the family coupling identity on the grid."""
-    t = grid.nodes
+def on_grid(s: Schedule, N: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Nodes t_j = j*T/N (j = 0..N) and the weights a_j > 0 and b_j on them."""
+    if N < 1:
+        raise InputError(f"N must be >= 1, got {N}")
+    t = np.linspace(0.0, s.T, N + 1)
     a = np.asarray(s.a(t), dtype=float)
-    b = np.asarray(s.b(t), dtype=float)
+    if np.any(a <= 0):
+        raise InputError("schedule weight a must be positive on the grid")
+    return t, a, np.asarray(s.b(t), dtype=float)
+
+
+def coupling_residual(s: Schedule, N: int) -> float:
+    """Max absolute violation of the family coupling identity on the N-step grid."""
+    _, a, b = on_grid(s, N)
     if s.family == "monotone":
         r = (a - a[0]) - (b - b[0])
     elif s.family == "measured":
@@ -207,8 +165,8 @@ def ratio_curve(variant: str, t) -> np.ndarray | float:
 _EXPR_FORMS = ("exp", "poly", "sqrt_affine")
 
 
-def _expr_from_json(spec: dict) -> tuple[Callable, Callable]:
-    """Build (f, f') from one of the supported closed forms.
+def _expr_from_json(spec: dict) -> Callable:
+    """Build f from one of the supported closed forms.
 
     exp:          scale * exp(rate * t) + shift
     poly:         sum_k coeffs[k] * t^k
@@ -221,27 +179,19 @@ def _expr_from_json(spec: dict) -> tuple[Callable, Callable]:
     if form == "exp":
         v = fields(spec, what, form=None, rate="real", scale="real?", shift="real?")
         rate, scale, shift = v["rate"], v.get("scale", 1.0), v.get("shift", 0.0)
-        f = lambda t: scale * np.exp(rate * np.asarray(t, dtype=float)) + shift
-        fd = lambda t: scale * rate * np.exp(rate * np.asarray(t, dtype=float))
-        return f, fd
+        return lambda t: scale * np.exp(rate * np.asarray(t, dtype=float)) + shift
     if form == "poly":
         coeffs = fields(spec, what, form=None, coeffs="reals")["coeffs"]
         if len(coeffs) == 0:
             raise InputError("poly schedule needs at least one coefficient")
         p = np.polynomial.Polynomial(coeffs)
-        pd = p.deriv()
-        return (lambda t: p(np.asarray(t, dtype=float)),
-                lambda t: pd(np.asarray(t, dtype=float)))
+        return lambda t: p(np.asarray(t, dtype=float))
     if form == "sqrt_affine":
         v = fields(spec, what, form=None, inner_shift="real", inner_scale="real?",
                    scale="real?", shift="real?")
         inner_shift, inner_scale = v["inner_shift"], v.get("inner_scale", 1.0)
         scale, shift = v.get("scale", 1.0), v.get("shift", 0.0)
-        if inner_shift < 0:
-            raise InputError("sqrt_affine needs inner_shift >= 0 so the root is real at t=0")
-        f = lambda t: scale * np.sqrt(inner_scale * np.asarray(t, dtype=float) + inner_shift) + shift
-        fd = lambda t: scale * inner_scale * 0.5 / np.sqrt(inner_scale * np.asarray(t, dtype=float) + inner_shift)
-        return f, fd
+        return lambda t: scale * np.sqrt(inner_scale * np.asarray(t, dtype=float) + inner_shift) + shift
     raise InputError(f"unknown schedule expression form {form!r}; expected one of {_EXPR_FORMS}")
 
 
@@ -250,6 +200,4 @@ def schedule_from_json(obj: dict, family: str) -> Schedule:
     if family not in PRESET_FAMILIES:
         raise InputError(f"unknown schedule family {family!r}")
     v = fields(obj, "schedule", a=None, b=None, T="real")
-    a, a_dot = _expr_from_json(v["a"])
-    b, b_dot = _expr_from_json(v["b"])
-    return Schedule(family, v["T"], a, b, a_dot, b_dot)
+    return Schedule(family, v["T"], _expr_from_json(v["a"]), _expr_from_json(v["b"]))

@@ -29,7 +29,7 @@ import numpy as np
 from .errors import ConfigurationError, InputError, InvariantError
 from .feasible import ConvexBody
 from .objective import DrFunction
-from .schedule import GENERAL_VARIANTS, Grid, Schedule
+from .schedule import GENERAL_VARIANTS, Schedule, on_grid
 
 
 @dataclass(frozen=True)
@@ -135,18 +135,9 @@ class GuaranteeBound:
     additive: float
 
 
-def _schedule_nodes(s: Schedule, N: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    t = Grid(N, s.T).nodes
-    a = np.asarray(s.a(t), dtype=float)
-    b = np.asarray(s.b(t), dtype=float)
-    if np.any(a <= 0):
-        raise InputError("schedule weight a must be positive on the grid")
-    return t, a, b
-
-
 def g_series(s: Schedule, spec: FamilySpec, N: int) -> np.ndarray:
     """Coupling terms G_j = c_j (b_{j+1} - b_j) - (a_{j+1} - a_j), j = 0..N-1."""
-    _, a, b = _schedule_nodes(s, N)
+    _, a, b = on_grid(s, N)
     return spec.c_of_a(a[:-1]) * np.diff(b) - np.diff(a)
 
 
@@ -185,8 +176,6 @@ def arbitrary_start_run(f: DrFunction, C: ConvexBody, s: Schedule, N: int, x0) -
 
 def _run(f: DrFunction, C: ConvexBody, s: Schedule, spec: FamilySpec, N: int,
          x0: np.ndarray) -> Trajectory:
-    if N < 1:
-        raise InputError(f"N must be >= 1, got {N}")
     if f.n != C.n:
         raise InputError(f"objective dimension {f.n} != body dimension {C.n}")
     if spec.family != s.family and not (spec.family in GENERAL_VARIANTS
@@ -194,7 +183,7 @@ def _run(f: DrFunction, C: ConvexBody, s: Schedule, spec: FamilySpec, N: int,
         raise ConfigurationError(f"family spec {spec.family!r} does not match schedule {s.family!r}")
 
     start = time.perf_counter()
-    t, a, b = _schedule_nodes(s, N)
+    t, a, b = on_grid(s, N)
     n = C.n
     D = C.diameter()
     L = f.L
@@ -272,7 +261,7 @@ def guarantee(s: Schedule, spec: FamilySpec, N: int, L: float, D: float,
         raise InputError("start_infnorm must lie in [0, 1]")
     if start_infnorm > 0.0 and not spec.offset_direction:
         raise ConfigurationError("only the general family supports arbitrary starts")
-    _, a, b = _schedule_nodes(s, N)
+    _, a, b = on_grid(s, N)
     G = g_series(s, spec, N)
     additive = float(np.sum(_step_bounds(spec, a, b, L, D)) / a[-1])
     coefficient = float((b[-1] - b[0] - np.sum(np.maximum(G, 0.0))) / a[-1])

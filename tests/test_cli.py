@@ -107,6 +107,15 @@ class TestRunCommand:
                        "--out", str(tmp_path)) == 1
         assert "a nondecreasing" in capsys.readouterr().err
 
+    def test_overflowing_custom_schedule_rejected(self, tmp_path, capsys):
+        overflowing = {"a": {"form": "exp", "rate": 1e308},
+                       "b": {"form": "poly", "coeffs": [0, 1]}, "T": 1}
+        assert run_cli("run", "--instance", QUAD, "--constraint", BOX2, "--family", "general",
+                       "--iters", "20", "--schedule", json.dumps(overflowing),
+                       "--out", str(tmp_path)) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: schedule fails validation: a finite (value inf")
+
     @pytest.mark.parametrize("command,flags", [
         ("run", ["--instance", "--constraint", "--family", "--iters", "--opt", "--out",
                  "--schedule"]),
@@ -221,10 +230,23 @@ class TestMalformedJson:
         ('{"kind":"table","m":1.5,"values":[0,1]}', BOX2, "field 'm' must be an integer"),
         ('{"kind":"table","values":[]}', BOX2, "table length 0 is not a power of two"),
         ('{"kind":"concave_modular","weights":[],"n":-1}', BOX2, "dimension n must be positive"),
+        (QUAD, '{"kind":"box","n":65}', "box dimension 65 exceeds the desk-scale cap of 64"),
+        (QUAD, '{"kind":"cardinality","n":100000,"k":1}',
+         "cardinality dimension 100000 exceeds the desk-scale cap of 64"),
+        (QUAD, '{"kind":"partition","n":100000,"blocks":[[0]],"capacities":[1]}',
+         "partition dimension 100000 exceeds the desk-scale cap of 64"),
+        ('{"kind":"concave_modular","weights":[],"n":65}', BOX2,
+         "concave_modular dimension 65 exceeds the desk-scale cap of 64"),
+        ('{"kind":"coverage","subsets":[[0],[1]],"n_elements":100000}', BOX2,
+         "coverage universe of 100000 elements exceeds the desk-scale cap of 4096"),
+        ('{"kind":"coverage","subsets":[[0],[4096]]}', BOX2,
+         "coverage universe of 4097 elements exceeds the desk-scale cap of 4096"),
     ], ids=["box-n-text", "box-n-fraction", "box-n-bool", "box-n-negative", "box-upper",
             "box-n-upper-disagree", "cardinality-k", "partition-capacities", "packing-A-text",
             "packing-A-ragged", "quadratic-c-inf", "coverage-L", "coverage-negative-element",
-            "table-m", "table-empty", "concave-n-negative"])
+            "table-m", "table-empty", "concave-n-negative", "box-n-cap", "cardinality-n-cap",
+            "partition-n-cap", "concave-n-cap", "coverage-n-elements-cap",
+            "coverage-element-cap"])
     def test_bad_field_value(self, tmp_path, capsys, instance, constraint, message):
         code = run_cli("run", "--instance", instance, "--constraint", constraint,
                        "--family", "general", "--iters", "5", "--out", str(tmp_path))
@@ -306,10 +328,12 @@ class TestCheckCommand:
         preset = schedule.preset
         doubled = lambda t: 2.0 * np.exp(t)  # a_T = 2e breaks the pinned boundary values
         monkeypatch.setattr(schedule, "preset", lambda family: dataclasses.replace(
-            preset(family), a=doubled, a_dot=doubled) if family == "monotone" else preset(family))
+            preset(family), a=doubled) if family == "monotone" else preset(family))
         assert run_cli("check") == 2
-        out = capsys.readouterr().out
-        assert "FAIL schedule-presets" in out
+        fail = [l for l in capsys.readouterr().out.split("\n")
+                if l.startswith("FAIL schedule-presets")]
+        assert fail and fail[0].startswith("FAIL schedule-presets: monotone: ")
+        assert "log aT == 1" in fail[0]
 
 
 class TestDeterminism:

@@ -217,6 +217,20 @@ class TestDownClosed:
             body_from_json({"kind": "packing", "A": [[1, 1]], "b": [1.0], "down_closed": False})
 
 
+class TestIntegralBudgets:
+    @pytest.mark.parametrize("make", [
+        lambda: PartitionBody(2, ((0, 1),), (1.5,)),
+        lambda: PartitionBody(2, ((0, 1),), (True,)),
+        lambda: PartitionBody(2, ((0, 1.9),), (1,)),
+        lambda: PartitionBody(2, ((False, True),), (1,)),
+        lambda: CardinalityBody(2, True),
+    ], ids=["partition-capacity-fraction", "partition-capacity-bool", "partition-index-fraction",
+            "partition-index-bool", "cardinality-k-bool"])
+    def test_rejected(self, make):
+        with pytest.raises(InputError, match="integer"):
+            make()
+
+
 class TestJson:
     def test_each_kind(self):
         assert body_from_json({"kind": "box", "n": 3}).n == 3

@@ -4,8 +4,8 @@ import math
 import numpy as np
 import pytest
 
-from drsub import (BoxBody, CardinalityBody, ConfigurationError, Grid,
-                   InputError, arbitrary_start_run, family_spec, g_series,
+from drsub import (BoxBody, CardinalityBody, ConfigurationError,
+                   InputError, arbitrary_start_run, coupling_residual, family_spec, g_series,
                    guarantee, make_quadratic,
                    multilinear_extension, potential_series, preset, run,
                    set_bruteforce, trajectory_csv)
@@ -93,6 +93,22 @@ class TestUpdateRule:
         assert traj.wall_seconds >= 0.0
 
 
+class TestScheduleGrid:
+    def test_zero_steps_rejected(self):
+        s, spec = preset("general"), family_spec("general")
+        for call in (lambda: g_series(s, spec, 0), lambda: guarantee(s, spec, 0, 1.0, 1.0),
+                     lambda: coupling_residual(s, 0)):
+            with pytest.raises(InputError, match="N must be >= 1"):
+                call()
+
+    def test_endpoints_exact_for_irrational_horizon(self):
+        s = preset("general-exp")  # T = 2 ln 2
+        traj = run(QUAD, BOX2, s, family_spec("general-exp"), 7)
+        assert traj.t[0] == 0.0
+        assert traj.t[-1] == s.T
+        assert np.all(np.diff(traj.t) > 0)
+
+
 class TestGTerms:
     def test_monotone_exactly_zero(self):
         for N in (1, 10, 100, 1000):
@@ -103,7 +119,7 @@ class TestGTerms:
         s, spec = preset("measured"), family_spec("measured")
         assert g_series(s, spec, 1)[0] == pytest.approx(2.0 - math.e, abs=1e-15)
         for N in (3, 20, 200):
-            t = Grid(N, 1.0).nodes
+            t = np.linspace(0.0, 1.0, N + 1)
             closed = np.exp(t[:-1]) * (1.0 + np.diff(t) - np.exp(np.diff(t)))
             assert g_series(s, spec, N) == pytest.approx(closed, abs=1e-12)
             assert np.max(g_series(s, spec, N)) <= 1e-12
@@ -112,7 +128,7 @@ class TestGTerms:
         s, spec = preset("general"), family_spec("general")
         assert g_series(s, spec, 1)[0] == pytest.approx(-1.0, abs=1e-15)
         for N in (3, 20, 200):
-            t = Grid(N, 1.0).nodes
+            t = np.linspace(0.0, 1.0, N + 1)
             closed = -np.diff(np.sqrt((1.0 + t) ** 2)) ** 2
             assert g_series(s, spec, N) == pytest.approx(closed, abs=1e-12)
             assert np.max(g_series(s, spec, N)) <= 1e-12
