@@ -9,9 +9,8 @@ increments, headroom margins, and the a-priori approximation bound.
 
 from .errors import (CapacityError, ConfigurationError, DrsubError, InputError,
                      InvariantError, ValidationError)
-from .feasible import (BoxBody, CardinalityBody, ConvexBody, LpProblem,
-                       PackingBody, PartitionBody, body_from_json,
-                       lmo_bruteforce, simplex_solve)
+from .feasible import (BoxBody, CardinalityBody, ConvexBody, PackingBody,
+                       PartitionBody, body_from_json, lmo_bruteforce)
 from .objective import (DrFunction, SetFunction, check_dr_inequality,
                         coverage_function, finite_diff_grad, instance_from_json,
                         make_concave_modular, make_quadratic,

@@ -109,7 +109,7 @@ def max_simplex_gap(rng: np.random.Generator) -> float:
         b = rng.uniform(0.5, 2.0, size=m)
         u = rng.uniform(0.2, 1.0, size=n)
         c = rng.normal(size=n)
-        _, val = feasible.simplex_solve(feasible.LpProblem(c, A, b, u))
+        _, val = feasible.simplex_solve(c, A, b, u)
         rows = np.vstack([A, np.eye(n), -np.eye(n)])
         rhs = np.concatenate([b, u, np.zeros(n)])
         ref = max(float(c @ v) for v in feasible.basic_solutions(rows, rhs))

@@ -2,13 +2,13 @@
 
 Every body contains the origin, answers membership queries, maximizes a
 linear function over itself (returning an extreme point), and maximizes a
-linear function over its intersection with {v <= cap}.  Four variants are
-provided: boxes with per-coordinate upper bounds, the cardinality polytope
-sum x <= k, partition bodies with per-block budgets, and packing polytopes
-A x <= b with nonnegative A.  Packing oracles run on a small dense simplex
-with Bland's anti-cycling rule; the other variants use closed-form greedy
-fills.  Exhaustive reference oracles used for cross-checking live at the
-bottom of the module.
+linear function over its intersection with {v <= cap}.  Three kinds are
+provided: boxes with per-coordinate upper bounds, partition bodies with
+per-block budgets (the cardinality polytope sum x <= k is the one-block
+case), and packing polytopes A x <= b with nonnegative A.  Packing oracles
+run on a small dense simplex with Bland's anti-cycling rule; the other
+kinds use closed-form greedy fills.  Exhaustive reference oracles used for
+cross-checking live at the bottom of the module.
 """
 
 from __future__ import annotations
@@ -25,6 +25,9 @@ FEASIBILITY_TOL = 1e-9
 
 #: desk-scale cap on every body's dimension and on the dense simplex's rows
 MAX_DIMENSION = 64
+
+#: pivot tolerance of the dense simplex: reduced costs, pivot entries and ratio ties
+_PIVOT_TOL = 1e-10
 
 
 def _is_int(v) -> bool:
@@ -60,7 +63,8 @@ class ConvexBody:
 
     n: int
 
-    def contains(self, x, tol: float = FEASIBILITY_TOL) -> bool:
+    def contains(self, x) -> bool:
+        """Membership up to FEASIBILITY_TOL."""
         raise NotImplementedError
 
     def lmo(self, g) -> np.ndarray:
@@ -105,9 +109,9 @@ class BoxBody(ConvexBody):
     def n(self) -> int:
         return self.upper.size
 
-    def contains(self, x, tol: float = FEASIBILITY_TOL) -> bool:
+    def contains(self, x) -> bool:
         x = _as_vector(x, self.n)
-        return bool(np.all(x >= -tol) and np.all(x <= self.upper + tol))
+        return bool(np.all(x >= -FEASIBILITY_TOL) and np.all(x <= self.upper + FEASIBILITY_TOL))
 
     def lmo(self, g) -> np.ndarray:
         g = _as_vector(g, self.n, "objective")
@@ -137,36 +141,6 @@ def _greedy_fill(g: np.ndarray, cap: np.ndarray, blocks, budgets) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class CardinalityBody(ConvexBody):
-    """Cardinality polytope {x in [0,1]^n : sum x <= k}."""
-
-    n: int
-    k: int
-
-    def __post_init__(self):
-        checked_dimension(self.n, "cardinality")
-        if not _is_int(self.k) or self.k < 0:
-            raise InputError("cardinality budget k must be a nonnegative integer")
-
-    def contains(self, x, tol: float = FEASIBILITY_TOL) -> bool:
-        x = _as_vector(x, self.n)
-        return bool(np.all(x >= -tol) and np.all(x <= 1.0 + tol)
-                    and float(np.sum(x)) <= self.k + tol)
-
-    def lmo(self, g) -> np.ndarray:
-        return self.masked_lmo(g, np.ones(self.n))
-
-    def masked_lmo(self, g, cap) -> np.ndarray:
-        g = _as_vector(g, self.n, "objective")
-        return _greedy_fill(g, self._check_cap(cap), [range(self.n)], [self.k])
-
-    def diameter(self) -> float:
-        # exact: the vertices are 0/1 points with at most k ones, so two of them
-        # differ in at most min(2k, n) coordinates; disjoint supports attain it
-        return float(min(2 * self.k, self.n))
-
-
-@dataclass(frozen=True)
 class PartitionBody(ConvexBody):
     """Independent per-block budgets: sum of x over block b is at most k_b."""
 
@@ -189,13 +163,15 @@ class PartitionBody(ConvexBody):
             raise InputError("block capacities must be nonnegative integers")
         object.__setattr__(self, "blocks", blocks)
         object.__setattr__(self, "capacities", caps)
+        # index arrays built once: the grid oracle asks contains() per mesh point
+        object.__setattr__(self, "_index", tuple(np.array(blk, dtype=np.intp) for blk in blocks))
 
-    def contains(self, x, tol: float = FEASIBILITY_TOL) -> bool:
+    def contains(self, x) -> bool:
         x = _as_vector(x, self.n)
-        if np.any(x < -tol) or np.any(x > 1.0 + tol):
+        if not (x.min() >= -FEASIBILITY_TOL and x.max() <= 1.0 + FEASIBILITY_TOL):
             return False
-        return all(float(np.sum(x[list(blk)])) <= k + tol
-                   for blk, k in zip(self.blocks, self.capacities))
+        return all(np.add.reduce(x[idx]) <= k + FEASIBILITY_TOL
+                   for idx, k in zip(self._index, self.capacities))
 
     def lmo(self, g) -> np.ndarray:
         return self.masked_lmo(g, np.ones(self.n))
@@ -205,8 +181,18 @@ class PartitionBody(ConvexBody):
         return _greedy_fill(g, self._check_cap(cap), self.blocks, self.capacities)
 
     def diameter(self) -> float:
-        # blocks are coordinate-disjoint, so square distances add up
+        # exact: a block's vertices are 0/1 points with at most k ones, so two of
+        # them differ in at most min(2k, |block|) coordinates (disjoint supports
+        # attain it), and blocks are coordinate-disjoint, so square distances add up
         return float(sum(min(2 * k, len(blk)) for blk, k in zip(self.blocks, self.capacities)))
+
+
+class CardinalityBody(PartitionBody):
+    """Cardinality polytope {x in [0,1]^n : sum x <= k}: a partition body with one block."""
+
+    def __init__(self, n: int, k: int):
+        checked_dimension(n, "cardinality")  # before range(n) is materialized
+        PartitionBody.__init__(self, n, (tuple(range(n)),), (k,))
 
 
 @dataclass(frozen=True, eq=False)
@@ -221,14 +207,15 @@ class PackingBody(ConvexBody):
         b = np.asarray(self.b, dtype=float)
         if A.ndim != 2 or b.ndim != 1 or A.shape[0] != b.size:
             raise InputError("A must be a matrix with one rhs entry per row")
+        checked_dimension(A.shape[1], "packing")
         if not np.all(np.isfinite(A)) or not np.all(np.isfinite(b)):
             raise InputError("A and b must be finite")
         if np.any(A < 0):
             raise InputError("packing matrix must be entrywise nonnegative")
         if np.any(b <= 0):
             raise InputError("packing rhs must be strictly positive")
-        if A.shape[0] > MAX_DIMENSION or A.shape[1] > MAX_DIMENSION:
-            raise CapacityError(f"dense simplex supports at most {MAX_DIMENSION} rows/columns")
+        if A.shape[0] > MAX_DIMENSION:
+            raise CapacityError(f"dense simplex supports at most {MAX_DIMENSION} rows")
         object.__setattr__(self, "A", A)
         object.__setattr__(self, "b", b)
 
@@ -236,10 +223,10 @@ class PackingBody(ConvexBody):
     def n(self) -> int:
         return self.A.shape[1]
 
-    def contains(self, x, tol: float = FEASIBILITY_TOL) -> bool:
+    def contains(self, x) -> bool:
         x = _as_vector(x, self.n)
-        return bool(np.all(x >= -tol) and np.all(x <= 1.0 + tol)
-                    and np.all(self.A @ x <= self.b + tol))
+        return bool(np.all(x >= -FEASIBILITY_TOL) and np.all(x <= 1.0 + FEASIBILITY_TOL)
+                    and np.all(self.A @ x <= self.b + FEASIBILITY_TOL))
 
     def lmo(self, g) -> np.ndarray:
         return self.masked_lmo(g, np.ones(self.n))
@@ -249,13 +236,10 @@ class PackingBody(ConvexBody):
         cap = self._check_cap(cap)
         # coordinates with nonpositive payoff (or a zero cap) stay at zero;
         # this keeps the output minimal and the subproblem bounds positive
-        active = [i for i in range(self.n) if g[i] > 0.0 and cap[i] > 0.0]
+        active = np.flatnonzero((g > 0.0) & (cap > 0.0))
         v = np.zeros(self.n)
-        if not active:
-            return v
-        problem = LpProblem(g[active], self.A[:, active], self.b, cap[active])
-        x_sub, _ = simplex_solve(problem)
-        v[active] = x_sub
+        if active.size:
+            v[active] = simplex_solve(g[active], self.A[:, active], self.b, cap[active])[0]
         return v
 
     def diameter(self) -> float:
@@ -266,98 +250,58 @@ class PackingBody(ConvexBody):
 # --- dense simplex ---------------------------------------------------------------
 
 
-@dataclass(frozen=True, eq=False)
-class LpProblem:
-    """max c.x subject to A x <= b, 0 <= x <= u, with A >= 0 and b > 0."""
+def simplex_solve(c: np.ndarray, A: np.ndarray, b: np.ndarray,
+                  u: np.ndarray) -> tuple[np.ndarray, float]:
+    """Solve max c.x subject to A x <= b, 0 <= x <= u with the dense primal simplex.
 
-    c: np.ndarray
-    A: np.ndarray
-    b: np.ndarray
-    u: np.ndarray
-
-    def __post_init__(self):
-        c = np.asarray(self.c, dtype=float)
-        A = np.atleast_2d(np.asarray(self.A, dtype=float))
-        b = np.asarray(self.b, dtype=float)
-        u = np.asarray(self.u, dtype=float)
-        n = c.size
-        if A.shape != (b.size, n):
-            raise InputError("A must be (len(b), len(c))")
-        if u.shape != (n,):
-            raise InputError("need one upper bound per variable")
-        if np.any(A < 0):
-            raise InputError("constraint matrix must be nonnegative")
-        if np.any(b <= 0):
-            raise InputError("rhs must be strictly positive")
-        if np.any(u <= 0) or np.any(u > 1.0):
-            raise InputError("variable upper bounds must lie in (0, 1]")
-        if n > MAX_DIMENSION or b.size > MAX_DIMENSION:
-            raise CapacityError(f"dense simplex supports at most {MAX_DIMENSION} rows/columns")
-        for name, v in (("c", c), ("A", A), ("b", b), ("u", u)):
-            if not np.all(np.isfinite(v)):
-                raise InputError(f"{name} contains NaN or infinity")
-        object.__setattr__(self, "c", c)
-        object.__setattr__(self, "A", A)
-        object.__setattr__(self, "b", b)
-        object.__setattr__(self, "u", u)
-
-
-def simplex_solve(p: LpProblem, tol: float = 1e-10) -> tuple[np.ndarray, float]:
-    """Solve a small packing LP exactly with the dense primal simplex.
-
-    The variable bounds are carried as explicit rows, so the all-slack
-    basis is feasible from the start and the problem is always bounded.
-    Bland's rule (lowest eligible index enters; among minimum-ratio rows
-    the lowest basic index leaves) rules out cycling, and the tableau is
-    allocated per call.
+    Precondition, which PackingBody establishes for its oracles: finite
+    float arrays, A >= 0 of shape (len(b), len(c)), b > 0 and u in (0, 1],
+    with at most MAX_DIMENSION rows and columns.  The variable bounds are
+    carried as explicit rows, so the all-slack basis is feasible from the
+    start and the problem is always bounded.  Bland's rule (the lowest
+    improving column enters; among the minimum-ratio rows the lowest basic
+    index leaves) rules out cycling.  The clipped result is re-checked
+    against A x <= b.
     """
-    n = p.c.size
-    G = np.vstack([p.A, np.eye(n)])
-    h = np.concatenate([p.b, p.u])
+    n = c.size
+    G = np.vstack([A, np.eye(n)])
     m = G.shape[0]
 
     # columns: n structural variables then m slacks; last column is the rhs
     tab = np.zeros((m + 1, n + m + 1))
     tab[:m, :n] = G
     tab[:m, n:n + m] = np.eye(m)
-    tab[:m, -1] = h
-    tab[m, :n] = p.c  # reduced-cost row; positive entry means improvement
-    basis = list(range(n, n + m))
+    tab[:m, -1] = np.concatenate([b, u])
+    tab[m, :n] = c  # reduced-cost row; positive entry means improvement
+    basis = np.arange(n, n + m)
 
     for _ in range(100000):
-        enter = -1
-        for j in range(n + m):
-            if tab[m, j] > tol:
-                enter = j
-                break
-        if enter < 0:
+        improving = np.flatnonzero(tab[m, :-1] > _PIVOT_TOL)
+        if improving.size == 0:
             break
-        leave = -1
-        best_ratio = np.inf
-        for i in range(m):
-            if tab[i, enter] > tol:
-                r = tab[i, -1] / tab[i, enter]
-                if r < best_ratio - tol or (abs(r - best_ratio) <= tol
-                                            and (leave < 0 or basis[i] < basis[leave])):
-                    best_ratio = r
-                    leave = i
-        if leave < 0:
+        enter = improving[0]
+        rows = np.flatnonzero(tab[:m, enter] > _PIVOT_TOL)
+        if rows.size == 0:
             raise InvariantError("unbounded packing LP; bounds rows should prevent this")
-        pivot = tab[leave, enter]
-        tab[leave, :] /= pivot
-        for i in range(m + 1):
-            if i != leave and tab[i, enter] != 0.0:
-                tab[i, :] -= tab[i, enter] * tab[leave, :]
+        ratios = tab[rows, -1] / tab[rows, enter]
+        tied = rows[ratios - ratios.min() <= _PIVOT_TOL]
+        leave = tied[np.argmin(basis[tied])]
+        tab[leave] /= tab[leave, enter]
+        col = tab[:, enter].copy()
+        col[leave] = 0.0
+        hit = col != 0.0
+        tab[hit] -= np.outer(col[hit], tab[leave])
         basis[leave] = enter
     else:
         raise InvariantError("simplex failed to terminate")
 
     x = np.zeros(n)
-    for i, var in enumerate(basis):
-        if var < n:
-            x[var] = tab[i, -1]
-    x = np.clip(x, 0.0, p.u)
-    return x, float(p.c @ x)
+    structural = basis < n
+    x[basis[structural]] = tab[:m, -1][structural]
+    x = np.clip(x, 0.0, u)
+    if np.any(A @ x > b + FEASIBILITY_TOL):
+        raise InvariantError("simplex solution violates A x <= b")
+    return x, float(c @ x)
 
 
 # --- exhaustive reference oracles (used by self-checks and tests) -----------------
@@ -366,8 +310,8 @@ def simplex_solve(p: LpProblem, tol: float = 1e-10) -> tuple[np.ndarray, float]:
 def extreme_point_candidates(C: ConvexBody, cap: np.ndarray | None = None) -> list[np.ndarray]:
     """All extreme points of the (optionally capped) body, for small n.
 
-    Box bodies enumerate corner patterns.  Cardinality and partition
-    bodies enumerate every support whose capped coordinates fit the
+    Box bodies enumerate corner patterns.  Partition bodies (cardinality
+    included) enumerate every support whose capped coordinates fit the
     budgets, plus the vertices with a single fractional coordinate that
     appear when a budget binds between caps.  Packing bodies enumerate
     basic solutions of the defining inequality system.
@@ -382,21 +326,15 @@ def extreme_point_candidates(C: ConvexBody, cap: np.ndarray | None = None) -> li
         pts = [np.array(pattern) * hi for pattern in itertools.product((0.0, 1.0), repeat=n)]
         return pts
 
-    if isinstance(C, (CardinalityBody, PartitionBody)):
+    if isinstance(C, PartitionBody):
         # extreme points have at most one fractional coordinate per budget
         # constraint, so enumerate each block and take cross products
-        if isinstance(C, CardinalityBody):
-            blocks = [tuple(range(n))]
-            budgets = [C.k]
-        else:
-            blocks = list(C.blocks)
-            budgets = list(C.capacities)
         per_block = [_budget_block_candidates(len(blk), float(k), cap[list(blk)])
-                     for blk, k in zip(blocks, budgets)]
+                     for blk, k in zip(C.blocks, C.capacities)]
         out = []
         for combo in itertools.product(*per_block):
             v = np.zeros(n)
-            for blk, piece in zip(blocks, combo):
+            for blk, piece in zip(C.blocks, combo):
                 v[list(blk)] = piece
             out.append(v)
         return out
@@ -426,7 +364,7 @@ def _budget_block_candidates(size: int, budget: float, cap: np.ndarray) -> list[
     return out
 
 
-def basic_solutions(rows: np.ndarray, rhs: np.ndarray, tol: float = 1e-9) -> list[np.ndarray]:
+def basic_solutions(rows: np.ndarray, rhs: np.ndarray) -> list[np.ndarray]:
     """Feasible basic solutions of {x : rows @ x <= rhs} (n x n subsystems)."""
     n = rows.shape[1]
     out: list[np.ndarray] = []
@@ -435,7 +373,7 @@ def basic_solutions(rows: np.ndarray, rhs: np.ndarray, tol: float = 1e-9) -> lis
         if abs(np.linalg.det(M)) < 1e-12:
             continue
         x = np.linalg.solve(M, rhs[list(subset)])
-        if np.all(rows @ x <= rhs + tol):
+        if np.all(rows @ x <= rhs + FEASIBILITY_TOL):
             out.append(x)
     return out
 

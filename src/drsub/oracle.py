@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CapacityError, InputError
-from .feasible import ConvexBody, FEASIBILITY_TOL
+from .feasible import ConvexBody
 from .objective import DrFunction, SetFunction
 
 _MAX_BRUTEFORCE_M = 16
@@ -82,7 +82,7 @@ def set_bruteforce(f: SetFunction, C: ConvexBody) -> OptCertificate:
     best = -np.inf
     for mask in range(1 << f.m):
         x = np.array([(mask >> i) & 1 for i in range(f.m)], dtype=float)
-        if not C.contains(x, FEASIBILITY_TOL):
+        if not C.contains(x):
             continue
         val = float(f.table[mask])
         if val > best:
@@ -155,7 +155,7 @@ def grid_search(F: DrFunction, C: ConvexBody, levels: int = 3) -> OptCertificate
             slack_width = width
         for point in itertools.product(*axes):
             x = np.array(point)
-            if not C.contains(x, FEASIBILITY_TOL):
+            if not C.contains(x):
                 continue
             val = F.value(x)
             if val > best_val + 1e-15 or (abs(val - best_val) <= 1e-15

@@ -26,10 +26,12 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import ConfigurationError, InputError, InvariantError
+from .errors import ConfigurationError, InputError, InvariantError, ValidationError
 from .feasible import ConvexBody
 from .objective import DrFunction
 from .schedule import GENERAL_VARIANTS, Schedule, on_grid
+
+_STEP_MASS_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -192,6 +194,12 @@ def _run(f: DrFunction, C: ConvexBody, s: Schedule, spec: FamilySpec, N: int,
     Fs = np.zeros(N + 1)
     vs = np.zeros((N, n))
     rho = np.diff(b) / a[1:] * np.asarray(spec.d_of_a(a[:-1]), dtype=float)
+    # the body is convex and holds 0, so x_N = sum_j rho_j v_j stays in it when
+    # sum_j rho_j <= 1, and an offset step x + rho_j (v - x) when rho_j <= 1
+    what, mass = ("max rho_j", np.max(rho)) if spec.offset_direction else ("sum rho_j", np.sum(rho))
+    if not mass <= 1.0 + _STEP_MASS_TOL:
+        raise ValidationError(
+            f"schedule steps are too long: {what} = {mass:.6g} exceeds 1 at N={N}")
     G = g_series(s, spec, N)
     B_exact = np.zeros(N)
     B_bound = _step_bounds(spec, a, b, L, D)

@@ -116,6 +116,21 @@ class TestRunCommand:
         err = capsys.readouterr().err
         assert err.startswith("error: schedule fails validation: a finite (value inf")
 
+    @pytest.mark.parametrize("family,schedule_json,message", [
+        ("general", {"a": {"form": "poly", "coeffs": [1, 1]},
+                     "b": {"form": "poly", "coeffs": [0, 1e300]}, "T": 1},
+         "max rho_j = 1.66667e+299 exceeds 1 at N=5"),
+        ("monotone", {"a": {"form": "exp", "rate": 1.0},
+                      "b": {"form": "exp", "rate": 1.0, "scale": 3.0}, "T": 1},
+         "sum rho_j = 2.71904 exceeds 1 at N=5"),
+    ], ids=["general-max-step", "monotone-step-sum"])
+    def test_overlong_custom_schedule_steps_rejected(self, tmp_path, capsys, family,
+                                                     schedule_json, message):
+        assert run_cli("run", "--instance", QUAD, "--constraint", BOX2, "--family", family,
+                       "--iters", "5", "--schedule", json.dumps(schedule_json),
+                       "--out", str(tmp_path)) == 1
+        assert f"error: schedule steps are too long: {message}\n" in capsys.readouterr().err
+
     @pytest.mark.parametrize("command,flags", [
         ("run", ["--instance", "--constraint", "--family", "--iters", "--opt", "--out",
                  "--schedule"]),
@@ -241,12 +256,14 @@ class TestMalformedJson:
          "coverage universe of 100000 elements exceeds the desk-scale cap of 4096"),
         ('{"kind":"coverage","subsets":[[0],[4096]]}', BOX2,
          "coverage universe of 4097 elements exceeds the desk-scale cap of 4096"),
+        ('{"kind":"coverage","subsets":[]}', '{"kind":"packing","A":[[]],"b":[1]}',
+         "packing dimension n must be positive, got 0"),
     ], ids=["box-n-text", "box-n-fraction", "box-n-bool", "box-n-negative", "box-upper",
             "box-n-upper-disagree", "cardinality-k", "partition-capacities", "packing-A-text",
             "packing-A-ragged", "quadratic-c-inf", "coverage-L", "coverage-negative-element",
             "table-m", "table-empty", "concave-n-negative", "box-n-cap", "cardinality-n-cap",
             "partition-n-cap", "concave-n-cap", "coverage-n-elements-cap",
-            "coverage-element-cap"])
+            "coverage-element-cap", "packing-no-columns"])
     def test_bad_field_value(self, tmp_path, capsys, instance, constraint, message):
         code = run_cli("run", "--instance", instance, "--constraint", constraint,
                        "--family", "general", "--iters", "5", "--out", str(tmp_path))

@@ -4,9 +4,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from drsub import (BoxBody, CardinalityBody, InputError, LpProblem, PackingBody,
-                   PartitionBody, body_from_json, lmo_bruteforce, simplex_solve)
+from drsub import (BoxBody, CardinalityBody, InputError, InvariantError, PackingBody,
+                   PartitionBody, body_from_json, lmo_bruteforce)
 from drsub.errors import CapacityError
+from drsub.feasible import basic_solutions, simplex_solve
 
 from conftest import vertex_pairs_diameter
 
@@ -27,14 +28,14 @@ class TestContains:
         assert CARD32.contains([1.0, 1.0, 0.0])
 
     def test_cardinality_budget_violation(self):
-        assert not CARD32.contains([1.0, 1.0, 0.5], 1e-9)
+        assert not CARD32.contains([1.0, 1.0, 0.5])
 
     @pytest.mark.parametrize("body", all_bodies())
     def test_origin_always_feasible(self, body):
         assert body.contains(np.zeros(body.n))
 
     def test_tolerance(self):
-        assert CARD32.contains([1.0, 1.0, 5e-10], 1e-9)
+        assert CARD32.contains([1.0, 1.0, 5e-10])
 
     def test_box_upper(self):
         b = BoxBody(np.array([0.5, 1.0]))
@@ -75,7 +76,7 @@ class TestLmo:
             g = rng.normal(size=body.n)
             ref, _ = lmo_bruteforce(body, g)
             v = body.lmo(g)
-            assert body.contains(v, 1e-9)
+            assert body.contains(v)
             assert float(g @ v) == pytest.approx(ref, abs=1e-9)
 
 
@@ -103,7 +104,7 @@ class TestMaskedLmo:
                 cap = rng.uniform(size=body.n)
                 v = body.masked_lmo(rng.normal(size=body.n), cap)
                 assert np.all(v <= cap + 1e-12)
-                assert body.contains(v, 1e-9)
+                assert body.contains(v)
 
     def test_cap_monotonicity(self, rng):
         for body in all_bodies():
@@ -124,23 +125,33 @@ class TestMaskedLmo:
             assert float(g @ body.masked_lmo(g, cap)) == pytest.approx(ref, abs=1e-9)
 
 
+def solve(c, A, b, u):
+    return simplex_solve(*(np.asarray(v, dtype=float) for v in (c, A, b, u)))
+
+
+def enumerated_optimum(c, A, b, u):
+    n = len(c)
+    rows = np.vstack([A, np.eye(n), -np.eye(n)])
+    rhs = np.concatenate([b, u, np.zeros(n)])
+    return max(float(c @ v) for v in basic_solutions(rows, rhs))
+
+
 class TestSimplex:
     def test_unit_budget(self):
-        x, val = simplex_solve(LpProblem([3.0, 1.0], [[1.0, 1.0]], [1.0], [1.0, 1.0]))
+        x, val = solve([3.0, 1.0], [[1.0, 1.0]], [1.0], [1.0, 1.0])
         assert val == pytest.approx(3.0, abs=1e-9)
         assert x == pytest.approx([1.0, 0.0], abs=1e-9)
 
     def test_zero_objective(self):
-        x, val = simplex_solve(LpProblem([0.0, 0.0], [[1.0, 1.0]], [1.0], [1.0, 1.0]))
+        x, val = solve([0.0, 0.0], [[1.0, 1.0]], [1.0], [1.0, 1.0])
         assert val == 0.0
 
     def test_fractional_vertex(self):
-        x, val = simplex_solve(LpProblem([1.0, 1.0], [[2.0, 1.0]], [2.0], [1.0, 1.0]))
+        x, val = solve([1.0, 1.0], [[2.0, 1.0]], [2.0], [1.0, 1.0])
         assert val == pytest.approx(1.5, abs=1e-9)
         assert x == pytest.approx([0.5, 1.0], abs=1e-9)
 
     def test_matches_basic_solution_enumeration(self, rng):
-        from drsub.feasible import basic_solutions
         for _ in range(50):
             n = int(rng.integers(1, 6))
             m = int(rng.integers(1, 6))
@@ -148,26 +159,39 @@ class TestSimplex:
             b = rng.uniform(0.5, 2.0, size=m)
             u = rng.uniform(0.2, 1.0, size=n)
             c = rng.normal(size=n)
-            _, val = simplex_solve(LpProblem(c, A, b, u))
-            rows = np.vstack([A, np.eye(n), -np.eye(n)])
-            rhs = np.concatenate([b, u, np.zeros(n)])
-            ref = max(float(c @ v) for v in basic_solutions(rows, rhs))
-            assert val == pytest.approx(ref, abs=1e-9)
+            _, val = simplex_solve(c, A, b, u)
+            assert val == pytest.approx(enumerated_optimum(c, A, b, u), abs=1e-9)
+
+    def test_degenerate_integer_lps_match_enumeration(self, rng):
+        # small integer data ties many ratios and reduced costs, so Bland's rule decides
+        for _ in range(500):
+            n = int(rng.integers(1, 6))
+            m = int(rng.integers(1, 6))
+            A = rng.integers(0, 3, size=(m, n)).astype(float)
+            b = rng.integers(1, 4, size=m).astype(float)
+            u = rng.choice([0.5, 1.0], size=n)
+            c = rng.integers(-2, 4, size=n).astype(float)
+            x, val = simplex_solve(c, A, b, u)
+            assert np.all(A @ x <= b + 1e-9) and np.all((0.0 <= x) & (x <= u))
+            assert val == pytest.approx(enumerated_optimum(c, A, b, u), abs=1e-9)
 
     def test_degenerate_rhs_terminates(self):
         # many ties in the ratio test; Bland's rule must still finish
-        A = np.ones((3, 3))
-        x, val = simplex_solve(LpProblem([1.0, 1.0, 1.0], A, [1.0, 1.0, 1.0],
-                                         [1.0, 1.0, 1.0]))
+        x, val = solve([1.0, 1.0, 1.0], np.ones((3, 3)), [1.0, 1.0, 1.0], [1.0, 1.0, 1.0])
         assert val == pytest.approx(1.0, abs=1e-9)
+
+    def test_result_is_checked_against_the_rows(self):
+        # b < 0 breaks the precondition: the all-slack start is infeasible
+        with pytest.raises(InvariantError, match="violates A x <= b"):
+            solve([1.0], [[1.0]], [-1.0], [1.0])
 
     def test_input_validation(self):
         with pytest.raises(InputError):
-            LpProblem([1.0], [[-0.5]], [1.0], [1.0])
+            PackingBody(np.array([[-0.5]]), np.array([1.0]))
         with pytest.raises(InputError):
-            LpProblem([1.0], [[1.0]], [0.0], [1.0])
+            PackingBody(np.array([[1.0]]), np.array([0.0]))
         with pytest.raises(CapacityError):
-            LpProblem(np.ones(65), np.ones((1, 65)), [1.0], np.ones(65))
+            PackingBody(np.ones((1, 65)), np.array([1.0]))
 
 
 class TestDiameter:
@@ -209,7 +233,7 @@ class TestDownClosed:
         for _ in range(100):
             y = body.masked_lmo(rng.normal(size=body.n), rng.uniform(size=body.n))
             x = y * rng.uniform(size=body.n)
-            assert body.contains(x, 1e-9)
+            assert body.contains(x)
 
     def test_declared_override(self):
         # every body kind is down-closed by construction, so a declared flag is stale input
@@ -235,7 +259,7 @@ class TestJson:
     def test_each_kind(self):
         assert body_from_json({"kind": "box", "n": 3}).n == 3
         assert body_from_json({"kind": "box", "upper": [0.5, 1.0]}).diameter() == pytest.approx(1.25)
-        assert body_from_json({"kind": "cardinality", "n": 3, "k": 2}).k == 2
+        assert body_from_json({"kind": "cardinality", "n": 3, "k": 2}).capacities == (2,)
         part = body_from_json({"kind": "partition", "n": 4,
                                "blocks": [[0, 1], [2, 3]], "capacities": [1, 1]})
         assert part.diameter() == pytest.approx(4.0)
@@ -245,6 +269,21 @@ class TestJson:
     def test_unknown_kind(self):
         with pytest.raises(InputError):
             body_from_json({"kind": "sphere"})
+
+
+@settings(max_examples=30, deadline=None)
+@given(seed=st.integers(0, 10_000), n=st.integers(1, 6), data=st.data())
+def test_cardinality_is_a_one_block_partition(seed, n, data):
+    k = data.draw(st.integers(0, n + 1))
+    card, part = CardinalityBody(n, k), PartitionBody(n, (tuple(range(n)),), (k,))
+    rng = np.random.default_rng(seed)
+    assert card.diameter() == part.diameter()
+    for _ in range(10):
+        x = rng.uniform(size=n) * rng.uniform(0.0, 2.0 * k / n + 0.5)
+        g, cap = rng.normal(size=n), rng.uniform(size=n)
+        assert card.contains(x) == part.contains(x)
+        assert np.array_equal(card.lmo(g), part.lmo(g))
+        assert np.array_equal(card.masked_lmo(g, cap), part.masked_lmo(g, cap))
 
 
 @settings(max_examples=30, deadline=None)
