@@ -15,7 +15,7 @@ from .objective import (DrFunction, SetFunction, check_dr_inequality,
                         coverage_function, finite_diff_grad, instance_from_json,
                         make_concave_modular, make_quadratic,
                         multilinear_extension, set_function_from_table)
-from .oracle import OptCertificate, cross_check, grid_search, set_bruteforce
+from .oracle import OptCertificate, grid_search, set_bruteforce
 from .schedule import (Schedule, coupling_residual, preset, ratio, ratio_curve,
                        schedule_from_json, validate)
 from .solver import (FamilySpec, GuaranteeBound, PotentialSeries, Trajectory,

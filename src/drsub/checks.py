@@ -81,8 +81,7 @@ def max_lattice_mismatch(set_functions: Iterable[SetFunction]) -> float:
     worst = 0.0
     for sf in set_functions:
         F = objective.multilinear_extension(sf)
-        for mask in range(1 << sf.m):
-            x = np.array([(mask >> i) & 1 for i in range(sf.m)], dtype=float)
+        for mask, x in enumerate(objective.corners(sf.m)):
             worst = max(worst, abs(F.value(x) - sf.value(mask)))
     return worst
 

@@ -20,7 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from . import checks, desk, feasible, objective, oracle, schedule, solver
-from .errors import DrsubError, InputError, InvariantError
+from .errors import ConfigurationError, DrsubError, InputError, InvariantError
 
 EXIT_OK = 0
 EXIT_INPUT = 1
@@ -89,8 +89,8 @@ class _Experiment:
             schedule.validate(self.schedule)
         self.spec = solver.family_spec(self.family)
         if self.family == "monotone" and not self.objective.monotone:
-            print("warning: monotone family on a non-monotone instance; "
-                  "its guarantee does not apply", file=sys.stderr)
+            raise ConfigurationError("the monotone family needs a monotone instance; "
+                                     "use measured or general")
 
     def certificate(self) -> oracle.OptCertificate | None:
         if self.opt_mode == "sets":

@@ -146,48 +146,35 @@ def coverage_function(subsets: Sequence[Sequence[int]],
     if np.any(w < 0) or not np.all(np.isfinite(w)):
         raise InputError("element weights must be finite and nonnegative")
 
-    covered = np.zeros((m, n_elements), dtype=bool)
+    # group the universe by the mask of the sets that cover it; a group adds its
+    # weight to every subset that meets its mask, so only nonnegative terms are summed
+    covers = np.zeros(n_elements, dtype=np.int64)
     for i, s in enumerate(subsets):
-        covered[i, list(s)] = True
+        covers[np.asarray(s, dtype=np.intp)] |= 1 << i
+    groups, which = np.unique(covers, return_inverse=True)
+    subset_masks = np.arange(1 << m)
     table = np.zeros(1 << m)
-    for mask in range(1 << m):
-        members = [i for i in range(m) if mask >> i & 1]
-        union = np.any(covered[members], axis=0) if members else np.zeros(n_elements, dtype=bool)
-        table[mask] = float(w[union].sum())
+    for mask, weight in zip(groups, np.bincount(which, weights=w, minlength=groups.size)):
+        table[(subset_masks & mask) != 0] += weight
     return SetFunction(m, table)
+
+
+def corners(m: int) -> np.ndarray:
+    """The (2^m, m) 0/1 matrix whose row s is the indicator vector of bitmask s."""
+    return (np.arange(1 << m)[:, None] >> np.arange(m) & 1).astype(float)
 
 
 def set_is_monotone(f: SetFunction, tol: float = 1e-12) -> bool:
     """Exhaustive marginal check: adding any element never decreases f."""
-    table = f.table
-    for i in range(f.m):
-        bit = 1 << i
-        without = np.array([s for s in range(1 << f.m) if not s & bit])
-        if np.any(table[without | bit] < table[without] - tol):
-            return False
-    return True
+    T = f.table.reshape((2,) * f.m)  # one axis per element
+    return all(np.all(np.diff(T, axis=i) >= -tol) for i in range(f.m))
 
 
 def set_is_submodular(f: SetFunction, tol: float = 1e-9) -> bool:
     """Pairwise marginal check, equivalent to the subset-chain definition."""
-    table = f.table
-    for i in range(f.m):
-        for j in range(i + 1, f.m):
-            bi, bj = 1 << i, 1 << j
-            base = np.array([s for s in range(1 << f.m) if not s & (bi | bj)])
-            lhs = table[base | bi] + table[base | bj]
-            rhs = table[base | bi | bj] + table[base]
-            if np.any(lhs < rhs - tol):
-                return False
-    return True
-
-
-def _subset_weights(x: np.ndarray) -> np.ndarray:
-    """Probability of each subset under independent inclusion with marginals x."""
-    w = np.ones(1)
-    for xi in x:
-        w = np.concatenate([w * (1.0 - xi), w * xi])
-    return w
+    T = f.table.reshape((2,) * f.m)
+    return all(np.all(np.diff(np.diff(T, axis=i), axis=j) <= tol)
+               for i in range(f.m) for j in range(i + 1, f.m))
 
 
 def multilinear_extension(f: SetFunction) -> DrFunction:
@@ -196,24 +183,33 @@ def multilinear_extension(f: SetFunction) -> DrFunction:
     The value at x is the expectation of f over the random subset that
     includes element i independently with probability x_i; the gradient
     component i is the value gap between pinning x_i to 1 and to 0.
-    L is the safe bound m^2 * max_S f(S).
+    Both come from one pass that averages the elements out of the table,
+    so each costs O(2^m).  L is the safe bound m^2 * max_S f(S).
     """
     if f.m > _MAX_GROUND_SET:
         raise CapacityError(f"multilinear extension supports m <= {_MAX_GROUND_SET}")
     table = f.table.copy()
     m = f.m
 
+    def partials(x: np.ndarray) -> list[np.ndarray]:
+        """partials[k] is the table with elements 0..k-1 averaged out."""
+        v = [table]
+        for xi in x:
+            v.append(v[-1].reshape(-1, 2) @ (1.0 - xi, xi))
+        return v
+
     def value(x: np.ndarray) -> float:
-        return float(table @ _subset_weights(x))
+        return float(partials(x)[-1][0])
 
     def grad(x: np.ndarray) -> np.ndarray:
+        # g_k pins element k in partials[k] and averages out elements k+1..m-1,
+        # whose inclusion weights the reverse sweep builds one element at a time
+        v = partials(x)
         g = np.empty(m)
-        for i in range(m):
-            hi = x.copy()
-            lo = x.copy()
-            hi[i] = 1.0
-            lo[i] = 0.0
-            g[i] = float(table @ (_subset_weights(hi) - _subset_weights(lo)))
+        weights = np.ones(1)
+        for k in reversed(range(m)):
+            g[k] = (v[k].reshape(-1, 2) @ (-1.0, 1.0)) @ weights
+            weights = np.outer(weights, (1.0 - x[k], x[k])).ravel()
         return g
 
     return DrFunction(m, float(m * m) * f.max_value(), set_is_monotone(f), value, grad,
@@ -370,6 +366,8 @@ def instance_from_json(obj: dict) -> tuple[DrFunction, SetFunction | None]:
         sf = set_function_from_table(v["values"])
         if v.get("m", sf.m) != sf.m:
             raise InputError(f"declared m={v['m']} does not match table length 2^{sf.m}")
+        if not set_is_submodular(sf):  # coverage is submodular by construction
+            raise InputError("table values are not submodular")
         return multilinear_extension(sf), sf
     if kind == "quadratic":
         v = fields(obj, kind, kind=None, H="matrix", c="reals")

@@ -16,9 +16,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import CapacityError, InputError
-from .feasible import ConvexBody
-from .objective import DrFunction, SetFunction
+from .errors import CapacityError, ConfigurationError, InputError
+from .feasible import BoxBody, ConvexBody, PartitionBody
+from .objective import DrFunction, SetFunction, corners
 
 _MAX_BRUTEFORCE_M = 16
 _MAX_GRID_N = 6
@@ -60,38 +60,29 @@ class OptCertificate:
         }
 
 
-@dataclass(frozen=True)
-class CrossCheckReport:
-    consistent: bool
-    discrepancy: float
-    allowed: float
-
-
 def set_bruteforce(f: SetFunction, C: ConvexBody) -> OptCertificate:
-    """Exact maximum of a set function over the feasible subsets of C.
+    """Exact maximum of a submodular set function over the feasible subsets of C.
 
     The winning indicator vector is a feasible point of the body, so the
-    value is also a certified lower bound on the continuous optimum of the
-    multilinear extension (slack 0 as a subset-level certificate).
+    value is a certified lower bound on the continuous optimum of the
+    multilinear extension.  It is the continuous optimum itself (slack 0)
+    only where that optimum sits at a 0/1 point: on partition bodies, by
+    pipage rounding, and on the unit box, where F is linear in each
+    coordinate.  Every other body raises ConfigurationError.
     """
     if f.m > _MAX_BRUTEFORCE_M:
         raise CapacityError(f"subset brute force supports m <= {_MAX_BRUTEFORCE_M}")
     if f.m != C.n:
         raise InputError(f"ground-set size {f.m} != body dimension {C.n}")
-    best_mask = 0
-    best = -np.inf
-    for mask in range(1 << f.m):
-        x = np.array([(mask >> i) & 1 for i in range(f.m)], dtype=float)
-        if not C.contains(x):
-            continue
-        val = float(f.table[mask])
-        if val > best:
-            best, best_mask = val, mask
-    if not np.isfinite(best):
-        raise InputError("no feasible subset found (the origin should always qualify)")
-    maximizer = np.array([(best_mask >> i) & 1 for i in range(f.m)], dtype=float)
-    subset = tuple(i for i in range(f.m) if best_mask >> i & 1)
-    return OptCertificate(best, maximizer, "set-bruteforce", 0.0, None, subset)
+    if not (isinstance(C, PartitionBody)
+            or isinstance(C, BoxBody) and np.all(C.upper == 1.0)):
+        raise ConfigurationError(f"--opt sets certifies slack 0 only on cardinality and partition "
+                                 f"bodies and on boxes whose upper bounds are all 1, not on this "
+                                 f"{type(C).__name__}; use --opt grid")
+    X = corners(f.m)  # the origin is a row, and every body above contains it
+    best = int(np.argmax(np.where([C.contains(x) for x in X], f.table, -np.inf)))  # lowest on ties
+    subset = tuple(int(i) for i in np.flatnonzero(X[best]))
+    return OptCertificate(float(f.table[best]), X[best], "set-bruteforce", 0.0, None, subset)
 
 
 def _gradient_envelope_norm(F: DrFunction) -> float:
@@ -166,10 +157,3 @@ def grid_search(F: DrFunction, C: ConvexBody, levels: int = 3) -> OptCertificate
     slack = float(np.sqrt(n) * slack_width * _gradient_envelope_norm(F))
     return OptCertificate(float(best_val), best_x, "grid", slack, width,
                           None, tuple(level_values))
-
-
-def cross_check(a: OptCertificate, b: OptCertificate) -> CrossCheckReport:
-    """Consistency of two certificates for the same instance."""
-    discrepancy = abs(a.value - b.value)
-    allowed = a.slack + b.slack + 1e-12
-    return CrossCheckReport(discrepancy <= allowed, float(discrepancy), float(allowed))

@@ -20,7 +20,6 @@ the masked and offset families keep enough headroom below the box ceiling.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 from typing import Callable
 
@@ -95,7 +94,6 @@ class Trajectory:
     value_calls: int
     grad_calls: int
     lmo_calls: int
-    wall_seconds: float
 
     @property
     def final_x(self) -> np.ndarray:
@@ -184,7 +182,6 @@ def _run(f: DrFunction, C: ConvexBody, s: Schedule, spec: FamilySpec, N: int,
                                         and s.family in GENERAL_VARIANTS):
         raise ConfigurationError(f"family spec {spec.family!r} does not match schedule {s.family!r}")
 
-    start = time.perf_counter()
     t, a, b = on_grid(s, N)
     n = C.n
     D = C.diameter()
@@ -236,8 +233,7 @@ def _run(f: DrFunction, C: ConvexBody, s: Schedule, spec: FamilySpec, N: int,
         family=spec.family, N=N, t=t, a=a, b=b, x=xs, F=Fs, infnorm=infnorm,
         v=vs, rho=rho, G=G, B_exact=B_exact, B_bound=B_bound,
         gronwall_margin=margins, start_infnorm=float(np.max(np.abs(x0))) if n else 0.0,
-        D=D, L=L, value_calls=N + 1, grad_calls=N, lmo_calls=N,
-        wall_seconds=time.perf_counter() - start)
+        D=D, L=L, value_calls=N + 1, grad_calls=N, lmo_calls=N)
 
 
 def potential_series(traj: Trajectory, opt_value: float) -> PotentialSeries:

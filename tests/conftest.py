@@ -21,6 +21,20 @@ def brute_multilinear(table, x):
     return total
 
 
+def brute_coverage_table(subsets, weights, n_elements):
+    """Literal per-mask union of the covering sets; the reference for coverage tables."""
+    m = len(subsets)
+    covered = np.zeros((m, n_elements), dtype=bool)
+    for i, s in enumerate(subsets):
+        covered[i, list(s)] = True
+    table = np.zeros(1 << m)
+    for mask in range(1 << m):
+        members = [i for i in range(m) if mask >> i & 1]
+        union = np.any(covered[members], axis=0) if members else np.zeros(n_elements, dtype=bool)
+        table[mask] = float(np.asarray(weights, dtype=float)[union].sum())
+    return table
+
+
 def cut_table(weights: np.ndarray) -> np.ndarray:
     """Value table of a weighted graph cut: nonnegative, submodular, non-monotone."""
     m = weights.shape[0]
@@ -34,6 +48,16 @@ def cut_table(weights: np.ndarray) -> np.ndarray:
                     total += weights[i, j]
         table[mask] = total
     return table
+
+
+def exhaustive_monotonicity_ok(table, m, tol=1e-12):
+    """Literal check of f(S+i) - f(S) >= -tol for every element i and every S without i."""
+    for mask in range(1 << m):
+        for i in range(m):
+            bit = 1 << i
+            if not mask & bit and table[mask | bit] - table[mask] < -tol:
+                return False
+    return True
 
 
 def exhaustive_submodularity_ok(table, m, tol=1e-9):

@@ -116,20 +116,55 @@ class TestRunCommand:
         err = capsys.readouterr().err
         assert err.startswith("error: schedule fails validation: a finite (value inf")
 
-    @pytest.mark.parametrize("family,schedule_json,message", [
-        ("general", {"a": {"form": "poly", "coeffs": [1, 1]},
-                     "b": {"form": "poly", "coeffs": [0, 1e300]}, "T": 1},
+    @pytest.mark.parametrize("instance,constraint,family,schedule_json,message", [
+        (QUAD, BOX2, "general", {"a": {"form": "poly", "coeffs": [1, 1]},
+                                 "b": {"form": "poly", "coeffs": [0, 1e300]}, "T": 1},
          "max rho_j = 1.66667e+299 exceeds 1 at N=5"),
-        ("monotone", {"a": {"form": "exp", "rate": 1.0},
-                      "b": {"form": "exp", "rate": 1.0, "scale": 3.0}, "T": 1},
+        (COVERAGE, CARD, "monotone", {"a": {"form": "exp", "rate": 1.0},
+                                      "b": {"form": "exp", "rate": 1.0, "scale": 3.0}, "T": 1},
          "sum rho_j = 2.71904 exceeds 1 at N=5"),
     ], ids=["general-max-step", "monotone-step-sum"])
-    def test_overlong_custom_schedule_steps_rejected(self, tmp_path, capsys, family,
-                                                     schedule_json, message):
-        assert run_cli("run", "--instance", QUAD, "--constraint", BOX2, "--family", family,
-                       "--iters", "5", "--schedule", json.dumps(schedule_json),
-                       "--out", str(tmp_path)) == 1
+    def test_overlong_custom_schedule_steps_rejected(self, tmp_path, capsys, instance,
+                                                     constraint, family, schedule_json,
+                                                     message):
+        assert run_cli("run", "--instance", instance, "--constraint", constraint,
+                       "--family", family, "--iters", "5",
+                       "--schedule", json.dumps(schedule_json), "--out", str(tmp_path)) == 1
         assert f"error: schedule steps are too long: {message}\n" in capsys.readouterr().err
+
+    def test_monotone_family_on_non_monotone_instance_rejected(self, tmp_path, capsys):
+        code = run_cli("run", "--instance", QUAD, "--constraint",
+                       '{"kind":"packing","A":[[1,1],[2,1]],"b":[1,2]}', "--family", "monotone",
+                       "--iters", "50", "--opt", "grid", "--out", str(tmp_path))
+        assert code == 1
+        assert capsys.readouterr().err.startswith(
+            "error: the monotone family needs a monotone instance")
+
+    @pytest.mark.parametrize("instance,constraint,family", [
+        ('{"kind":"table","values":[0,0,0,1]}', BOX2, "measured"),
+        ('{"kind":"table","values":[0,1,1,3,1,3,3,6]}', CARD, "monotone"),
+    ], ids=["supermodular-pair", "supermodular-triple"])
+    def test_non_submodular_table_rejected(self, tmp_path, capsys, instance, constraint,
+                                           family):
+        code = run_cli("run", "--instance", instance, "--constraint", constraint,
+                       "--family", family, "--iters", "50", "--opt", "sets",
+                       "--out", str(tmp_path))
+        assert code == 1
+        assert capsys.readouterr().err.startswith("error: table values are not submodular")
+
+    @pytest.mark.parametrize("constraint", [
+        '{"kind":"packing","A":[[1,1]],"b":[1.5]}',
+        '{"kind":"box","upper":[1,0.5]}',
+    ], ids=["packing", "fractional-box"])
+    def test_opt_sets_rejected_where_slack_zero_is_false(self, tmp_path, capsys, constraint):
+        code = run_cli("run", "--instance", '{"kind":"table","values":[0,1,1,2]}',
+                       "--constraint", constraint, "--family", "monotone", "--iters", "200",
+                       "--opt", "sets", "--out", str(tmp_path))
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: --opt sets certifies slack 0 only on")
+        assert "use --opt grid" in err
+        assert not (tmp_path / "summary.json").exists()
 
     @pytest.mark.parametrize("command,flags", [
         ("run", ["--instance", "--constraint", "--family", "--iters", "--opt", "--out",

@@ -11,7 +11,8 @@ from drsub import (CapacityError, InputError, check_dr_inequality,
 from drsub.objective import (empirical_smoothness, set_is_monotone,
                              set_is_submodular)
 
-from conftest import brute_multilinear, cut_table, exhaustive_submodularity_ok
+from conftest import (brute_coverage_table, brute_multilinear, cut_table,
+                      exhaustive_monotonicity_ok, exhaustive_submodularity_ok)
 
 COVER2 = coverage_function([[0, 1], [1, 2]])  # extension is 2x1 + 2x2 - x1 x2
 QUAD = make_quadratic([[-2.0, 0.0], [0.0, -2.0]], [1.0, 0.5])
@@ -316,6 +317,52 @@ class TestSetFunctionChecks:
             table[0] = 0.0
             sf = set_function_from_table(table)
             assert set_is_submodular(sf) == exhaustive_submodularity_ok(table, m)
+
+
+class TestCoverageTable:
+    def test_matches_per_mask_union(self, rng):
+        for _ in range(50):
+            m, covered = int(rng.integers(1, 9)), int(rng.integers(1, 41))
+            subsets = [sorted(rng.choice(covered, size=int(rng.integers(0, covered + 1)),
+                                         replace=False).tolist()) for _ in range(m)]
+            subsets[int(rng.integers(m))] = []
+            subsets.append(list(subsets[0]))  # a duplicate set
+            n_elements = covered + 3  # the last three elements are never covered
+            weights = rng.uniform(0.0, 10.0, size=n_elements)
+            weights[rng.random(n_elements) < 0.2] = 0.0
+            table = coverage_function(subsets, weights, n_elements).table
+            np.testing.assert_allclose(
+                table, brute_coverage_table(subsets, weights, n_elements), rtol=1e-15, atol=0.0)
+
+    def test_small_weight_survives_a_large_one(self):
+        # a complement form (total - uncovered weight) cancels f({0}) to 0 here
+        assert coverage_function([[0], [1]], [1.0, 1e16]).table.tolist() == [0.0, 1.0, 1e16, 1e16]
+
+
+@st.composite
+def set_tables(draw):
+    """A nonnegative table on m <= 8 elements: arbitrary, or concave of a modular function."""
+    m = draw(st.integers(0, 8))
+    table = np.array(draw(st.lists(st.floats(0.0, 100.0), min_size=1 << m, max_size=1 << m)))
+    if draw(st.booleans()):  # monotone and submodular
+        table = np.sqrt([sum(table[i] for i in range(m) if s >> i & 1) for s in range(1 << m)])
+    return table
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(table=set_tables(), data=st.data())
+def test_axis_algorithms_match_literal_references(table, data):
+    m = int(table.size).bit_length() - 1
+    x = np.array(data.draw(st.lists(st.floats(0.0, 1.0), min_size=m, max_size=m)))
+    sf = set_function_from_table(table)
+    F = multilinear_extension(sf)
+    tol = {"rtol": 1e-12, "atol": 1e-12 * float(np.max(table))}
+    np.testing.assert_allclose(F.value(x), brute_multilinear(table, x), **tol)
+    pinned = [brute_multilinear(table, np.where(np.arange(m) == i, 1.0, x))
+              - brute_multilinear(table, np.where(np.arange(m) == i, 0.0, x)) for i in range(m)]
+    np.testing.assert_allclose(F.grad(x), pinned, **tol)
+    assert set_is_monotone(sf) == exhaustive_monotonicity_ok(table, m)
+    assert set_is_submodular(sf) == exhaustive_submodularity_ok(table, m)
 
 
 @settings(max_examples=40, deadline=None)
