@@ -1,8 +1,9 @@
 """Feasible bodies inside the unit box, with the three oracles the solvers need.
 
-Every body contains the origin, answers membership queries, maximizes a
-linear function over itself (returning an extreme point), and maximizes a
-linear function over its intersection with {v <= cap}.  Three kinds are
+Every body contains the origin, answers membership queries for one point
+or a batch of points, maximizes a linear function over itself (returning
+an extreme point), and maximizes a linear function over its intersection
+with {v <= cap}.  Three kinds are
 provided: boxes with per-coordinate upper bounds, partition bodies with
 per-block budgets (the cardinality polytope sum x <= k is the one-block
 case), and packing polytopes A x <= b with nonnegative A.  Packing oracles
@@ -47,9 +48,28 @@ def _as_vector(x, n: int, name: str = "point") -> np.ndarray:
     x = np.asarray(x, dtype=float)
     if x.shape != (n,):
         raise InputError(f"{name} must have dimension {n}, got shape {x.shape}")
-    if not np.all(np.isfinite(x)):
+    if not np.isfinite(x).all():
         raise InputError(f"{name} contains NaN or infinity")
     return x
+
+
+def _as_rows(X, n: int) -> np.ndarray:
+    X = np.asarray(X, dtype=float)
+    if X.ndim != 2 or X.shape[1] != n:
+        raise InputError(f"points must form a (k, {n}) batch, got shape {X.shape}")
+    if not np.isfinite(X).all():
+        raise InputError("points contain NaN or infinity")
+    return X
+
+
+def row_products(X: np.ndarray, M: np.ndarray) -> np.ndarray:
+    """X @ M.T, one dot product per entry, so a row's products do not depend on the rows beside it.
+
+    BLAS blocks a (k, n) @ (n, m) product, and the last bits of a row then
+    depend on k and on the row's place in the batch; einsum (which never
+    calls BLAS) sums every entry in the same order.
+    """
+    return np.einsum("kj,mj->km", X, M)
 
 
 class ConvexBody:
@@ -59,13 +79,29 @@ class ConvexBody:
     own scratch, so a body can be shared between concurrent runs.  Every
     variant is down-closed by construction (0 <= y <= x in the body puts y
     in the body), which the masked oracle and the grid oracle's slack rely on.
+    Every variant is also a polyhedron {x : G x <= h}: the rows x <= upper
+    and -x <= 0, then the body's own inequalities.  Membership tests them.
     """
 
     n: int
 
     def contains(self, x) -> bool:
         """Membership up to FEASIBILITY_TOL."""
-        raise NotImplementedError
+        return bool(self._inside(_as_vector(x, self.n)[None])[0])
+
+    def contains_batch(self, X) -> np.ndarray:
+        """(k,) membership mask of the rows of a (k, n) batch, by the rule of contains."""
+        return self._inside(_as_rows(X, self.n))
+
+    def _inside(self, X: np.ndarray) -> np.ndarray:
+        Gx = np.concatenate((X, -X, row_products(X, self._A)), axis=1)
+        return (Gx <= self._h).all(axis=1)
+
+    def _set_inequalities(self, upper: np.ndarray, A: np.ndarray, b: np.ndarray) -> None:
+        """Store the rows x <= upper, -x <= 0 and A x <= b that membership tests."""
+        object.__setattr__(self, "_A", A)
+        h = np.concatenate([upper, np.zeros(upper.size), b]) + FEASIBILITY_TOL
+        object.__setattr__(self, "_h", h)
 
     def lmo(self, g) -> np.ndarray:
         """Extreme point maximizing <g, v> over the body.
@@ -104,14 +140,11 @@ class BoxBody(ConvexBody):
         if np.any(u <= 0) or np.any(u > 1.0) or not np.all(np.isfinite(u)):
             raise InputError("box upper bounds must lie in (0, 1]")
         object.__setattr__(self, "upper", u)
+        self._set_inequalities(u, np.zeros((0, u.size)), np.zeros(0))
 
     @property
     def n(self) -> int:
         return self.upper.size
-
-    def contains(self, x) -> bool:
-        x = _as_vector(x, self.n)
-        return bool(np.all(x >= -FEASIBILITY_TOL) and np.all(x <= self.upper + FEASIBILITY_TOL))
 
     def lmo(self, g) -> np.ndarray:
         g = _as_vector(g, self.n, "objective")
@@ -163,15 +196,10 @@ class PartitionBody(ConvexBody):
             raise InputError("block capacities must be nonnegative integers")
         object.__setattr__(self, "blocks", blocks)
         object.__setattr__(self, "capacities", caps)
-        # index arrays built once: the grid oracle asks contains() per mesh point
-        object.__setattr__(self, "_index", tuple(np.array(blk, dtype=np.intp) for blk in blocks))
-
-    def contains(self, x) -> bool:
-        x = _as_vector(x, self.n)
-        if not (x.min() >= -FEASIBILITY_TOL and x.max() <= 1.0 + FEASIBILITY_TOL):
-            return False
-        return all(np.add.reduce(x[idx]) <= k + FEASIBILITY_TOL
-                   for idx, k in zip(self._index, self.capacities))
+        sums = np.zeros((len(blocks), self.n))  # row b adds up block b
+        for row, blk in zip(sums, blocks):
+            row[list(blk)] = 1.0
+        self._set_inequalities(np.ones(self.n), sums, np.array(caps, dtype=float))
 
     def lmo(self, g) -> np.ndarray:
         return self.masked_lmo(g, np.ones(self.n))
@@ -218,15 +246,11 @@ class PackingBody(ConvexBody):
             raise CapacityError(f"dense simplex supports at most {MAX_DIMENSION} rows")
         object.__setattr__(self, "A", A)
         object.__setattr__(self, "b", b)
+        self._set_inequalities(np.ones(A.shape[1]), A, b)
 
     @property
     def n(self) -> int:
         return self.A.shape[1]
-
-    def contains(self, x) -> bool:
-        x = _as_vector(x, self.n)
-        return bool(np.all(x >= -FEASIBILITY_TOL) and np.all(x <= 1.0 + FEASIBILITY_TOL)
-                    and np.all(self.A @ x <= self.b + FEASIBILITY_TOL))
 
     def lmo(self, g) -> np.ndarray:
         return self.masked_lmo(g, np.ones(self.n))

@@ -12,13 +12,14 @@ a diminishing-returns residual and a finite-difference gradient.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
 
 from .errors import CapacityError, InputError, fields
-from .feasible import checked_dimension
+from .feasible import checked_dimension, row_products
 
 #: round-off up to this far outside the unit box is clamped; farther points are rejected
 CLAMP_TOL = 1e-12
@@ -33,15 +34,30 @@ _MAX_GROUND_SET = 20
 #: desk-scale cap on a coverage universe
 _MAX_UNIVERSE = 4096
 
+#: rows per block of mesh_chunks; a block of n=6 points and its values take well under 1 MB
+MESH_CHUNK = 4096
+
+
+def _in_box(X: np.ndarray) -> np.ndarray:
+    # one comparison per end: NaN fails both, so it is rejected with inf and far-out points
+    if X.size and not (X.min() >= -CLAMP_TOL and X.max() <= 1.0 + CLAMP_TOL):
+        what = f"point {X!r}" if X.ndim == 1 else "a row of the batch"
+        raise InputError(f"{what} is NaN, infinite or outside the unit box")
+    return np.clip(X, 0.0, 1.0)
+
 
 def _as_point(x, n: int) -> np.ndarray:
     x = np.asarray(x, dtype=float)
     if x.shape != (n,):
         raise InputError(f"expected a point of dimension {n}, got shape {x.shape}")
-    # one comparison per end: NaN fails both, so it is rejected with inf and far-out points
-    if n and not (x.min() >= -CLAMP_TOL and x.max() <= 1.0 + CLAMP_TOL):
-        raise InputError(f"point {x!r} is NaN, infinite or outside the unit box")
-    return np.clip(x, 0.0, 1.0)
+    return _in_box(x)
+
+
+def _as_batch(X, n: int) -> np.ndarray:
+    X = np.asarray(X, dtype=float)
+    if X.ndim != 2 or X.shape[1] != n:
+        raise InputError(f"expected a (k, {n}) batch of points, got shape {X.shape}")
+    return _in_box(X)
 
 
 @dataclass(frozen=True)
@@ -51,18 +67,29 @@ class DrFunction:
     Instances are immutable and evaluation is pure, so a single instance
     may be shared freely between threads.  ``L`` bounds the Lipschitz
     constant of the gradient; ``monotone`` is True only when the gradient
-    is nonnegative everywhere on the box.
+    is nonnegative everywhere on the box.  ``values_fn`` maps a (k, n) batch
+    to its k values, computing each row exactly as a one-row batch would,
+    so ``values`` agrees bit for bit with ``value``.  ``value_fn`` is an
+    optional faster route for one point.
     """
 
     n: int
     L: float
     monotone: bool
-    value_fn: Callable[[np.ndarray], float]
+    values_fn: Callable[[np.ndarray], np.ndarray]
     grad_fn: Callable[[np.ndarray], np.ndarray]
     name: str = ""
+    value_fn: Callable[[np.ndarray], float] | None = None
 
     def value(self, x) -> float:
-        return float(self.value_fn(_as_point(x, self.n)))
+        x = _as_point(x, self.n)
+        if self.value_fn is not None:
+            return float(self.value_fn(x))
+        return float(self.values_fn(x[None])[0])
+
+    def values(self, X) -> np.ndarray:
+        """The k values of a (k, n) batch; row i equals value(X[i]) exactly."""
+        return np.asarray(self.values_fn(_as_batch(X, self.n)), dtype=float)
 
     def grad(self, x) -> np.ndarray:
         return np.asarray(self.grad_fn(_as_point(x, self.n)), dtype=float)
@@ -164,6 +191,21 @@ def corners(m: int) -> np.ndarray:
     return (np.arange(1 << m)[:, None] >> np.arange(m) & 1).astype(float)
 
 
+def mesh_chunks(axes: Sequence[np.ndarray]):
+    """The product of the 1-d ``axes``, MESH_CHUNK points at a time, as (rows, len(axes)) arrays.
+
+    Points come in itertools.product order (the last axis varies fastest),
+    so with ascending axes every block is lexicographically sorted and
+    follows the previous one.
+    """
+    axes = [np.asarray(a, dtype=float) for a in axes]
+    shape = tuple(a.size for a in axes)
+    total = math.prod(shape)
+    for start in range(0, total, MESH_CHUNK):
+        index = np.unravel_index(np.arange(start, min(start + MESH_CHUNK, total)), shape)
+        yield np.stack([a[i] for a, i in zip(axes, index)], axis=1)
+
+
 def set_is_monotone(f: SetFunction, tol: float = 1e-12) -> bool:
     """Exhaustive marginal check: adding any element never decreases f."""
     T = f.table.reshape((2,) * f.m)  # one axis per element
@@ -201,6 +243,18 @@ def multilinear_extension(f: SetFunction) -> DrFunction:
     def value(x: np.ndarray) -> float:
         return float(partials(x)[-1][0])
 
+    def values(X: np.ndarray) -> np.ndarray:
+        # the same lowest-bit-first average with a leading batch axis; the stacked matmul
+        # makes per row the product partials makes, so each value matches value() exactly.
+        # value and grad keep the one-point pass: it is the solver's hot path, and at m=12
+        # a one-row batch takes about 3x as long (37 -> 107 us on a 2-vCPU Xeon).
+        # The scratch is k x 2^(m-1) floats, which the grid's m <= 6 keeps small
+        v = np.broadcast_to(table, (X.shape[0], table.size))
+        for xi in X.T:
+            pairs = v.reshape(X.shape[0], v.shape[1] // 2, 2)
+            v = (pairs @ np.stack([1.0 - xi, xi], axis=1)[:, :, None])[..., 0]
+        return v[:, 0]
+
     def grad(x: np.ndarray) -> np.ndarray:
         # g_k pins element k in partials[k] and averages out elements k+1..m-1,
         # whose inclusion weights the reverse sweep builds one element at a time
@@ -212,8 +266,8 @@ def multilinear_extension(f: SetFunction) -> DrFunction:
             weights = np.outer(weights, (1.0 - x[k], x[k])).ravel()
         return g
 
-    return DrFunction(m, float(m * m) * f.max_value(), set_is_monotone(f), value, grad,
-                      name=f"multilinear(m={m})")
+    return DrFunction(m, float(m * m) * f.max_value(), set_is_monotone(f), values, grad,
+                      name=f"multilinear(m={m})", value_fn=value)
 
 
 # --- closed-form instance families ---------------------------------------------
@@ -224,7 +278,7 @@ def make_quadratic(H, c) -> DrFunction:
 
     The offset d lifts the minimum over the box to zero; because the
     function is concave along every coordinate, that minimum sits at one
-    of the 2^n box vertices and is found exactly by enumeration.
+    of the 2^n box vertices and is found exactly by scoring them in blocks.
     """
     H = np.asarray(H, dtype=float)
     c = np.asarray(c, dtype=float)
@@ -239,15 +293,17 @@ def make_quadratic(H, c) -> DrFunction:
         raise InputError("H must be symmetric")
     if n > _MAX_GROUND_SET:
         raise CapacityError(f"vertex enumeration supports n <= {_MAX_GROUND_SET}")
+    checked_dimension(n, "quadratic")
+    half_H = 0.5 * H
 
-    vmin = np.inf
-    for mask in range(1 << n):
-        v = np.array([(mask >> i) & 1 for i in range(n)], dtype=float)
-        vmin = min(vmin, float(c @ v + 0.5 * v @ H @ v))
-    d = -vmin
+    def unlifted(X: np.ndarray) -> np.ndarray:
+        # x . (c + H x / 2) row by row; einsum's row dot, unlike BLAS, is the same for any batch
+        return np.einsum("ij,ij->i", row_products(X, half_H) + c, X)
 
-    def value(x: np.ndarray) -> float:
-        return float(c @ x + 0.5 * x @ H @ x + d)
+    d = -min(unlifted(V).min() for V in mesh_chunks([(0.0, 1.0)] * n))
+
+    def values(X: np.ndarray) -> np.ndarray:
+        return unlifted(X) + d
 
     def grad(x: np.ndarray) -> np.ndarray:
         return c + H @ x
@@ -255,7 +311,7 @@ def make_quadratic(H, c) -> DrFunction:
     monotone = bool(np.all(c + H @ np.ones(n) >= 0.0))
     # the margin lifts SVD round-off (far below 1e-12 for n <= 20): L is an upper bound
     L = float(np.linalg.norm(H, 2)) * (1.0 + 1e-12)
-    return DrFunction(n, L, monotone, value, grad, name=f"quadratic(n={n})")
+    return DrFunction(n, L, monotone, values, grad, name=f"quadratic(n={n})")
 
 
 def make_concave_modular(weights: Sequence[Sequence[float]], n: int | None = None) -> DrFunction:
@@ -278,15 +334,15 @@ def make_concave_modular(weights: Sequence[Sequence[float]], n: int | None = Non
     base = len(ws) * np.sqrt(SQRT_FLOOR)
     L = float(np.sum(np.sum(W * W, axis=1)) / (4.0 * SQRT_FLOOR ** 1.5))
 
-    def value(x: np.ndarray) -> float:
-        return float(np.sum(np.sqrt(SQRT_FLOOR + W @ x)) - base)
+    def values(X: np.ndarray) -> np.ndarray:
+        return np.sqrt(SQRT_FLOOR + row_products(X, W)).sum(axis=1) - base
 
     def grad(x: np.ndarray) -> np.ndarray:
         if W.shape[0] == 0:
             return np.zeros(n)
         return (W / (2.0 * np.sqrt(SQRT_FLOOR + W @ x))[:, None]).sum(axis=0)
 
-    return DrFunction(int(n), L, True, value, grad, name=f"concave_modular(k={len(ws)})")
+    return DrFunction(int(n), L, True, values, grad, name=f"concave_modular(k={len(ws)})")
 
 
 # --- verification utilities -----------------------------------------------------

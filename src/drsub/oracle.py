@@ -11,14 +11,13 @@ the potential telemetry.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import CapacityError, ConfigurationError, InputError
 from .feasible import BoxBody, ConvexBody, PartitionBody
-from .objective import DrFunction, SetFunction, corners
+from .objective import DrFunction, SetFunction, corners, mesh_chunks, set_is_submodular
 
 _MAX_BRUTEFORCE_M = 16
 _MAX_GRID_N = 6
@@ -27,8 +26,9 @@ _INITIAL_WIDTH = 0.125
 
 #: largest number of mesh points for which a refinement pass still sweeps
 #: the whole domain (beyond this the pass only searches near the incumbent,
-#: and the certified slack stays anchored to the last full sweep)
-_FULL_SWEEP_CAP = 50_000
+#: and the certified slack stays anchored to the last full sweep): n=4 at
+#: width 1/32 (33^4 points) and n=5 at 1/16 (17^5) are full, n=6 at 1/16 is not
+_FULL_SWEEP_CAP = 2_000_000
 
 
 @dataclass(frozen=True, eq=False)
@@ -68,7 +68,8 @@ def set_bruteforce(f: SetFunction, C: ConvexBody) -> OptCertificate:
     multilinear extension.  It is the continuous optimum itself (slack 0)
     only where that optimum sits at a 0/1 point: on partition bodies, by
     pipage rounding, and on the unit box, where F is linear in each
-    coordinate.  Every other body raises ConfigurationError.
+    coordinate.  Every other body, and a set function that is not
+    submodular (pipage rounding needs it), raises.
     """
     if f.m > _MAX_BRUTEFORCE_M:
         raise CapacityError(f"subset brute force supports m <= {_MAX_BRUTEFORCE_M}")
@@ -79,8 +80,10 @@ def set_bruteforce(f: SetFunction, C: ConvexBody) -> OptCertificate:
         raise ConfigurationError(f"--opt sets certifies slack 0 only on cardinality and partition "
                                  f"bodies and on boxes whose upper bounds are all 1, not on this "
                                  f"{type(C).__name__}; use --opt grid")
+    if not set_is_submodular(f):
+        raise InputError("subset enumeration certifies slack 0 only for submodular set functions")
     X = corners(f.m)  # the origin is a row, and every body above contains it
-    best = int(np.argmax(np.where([C.contains(x) for x in X], f.table, -np.inf)))  # lowest on ties
+    best = int(np.argmax(np.where(C.contains_batch(X), f.table, -np.inf)))  # lowest on ties
     subset = tuple(int(i) for i in np.flatnonzero(X[best]))
     return OptCertificate(float(f.table[best]), X[best], "set-bruteforce", 0.0, None, subset)
 
@@ -111,7 +114,10 @@ def grid_search(F: DrFunction, C: ConvexBody, levels: int = 3) -> OptCertificate
     certified slack is sqrt(n) * width_of_last_full_sweep * gradient
     envelope norm: rounding the true maximizer down to that mesh stays
     feasible (the bodies are down-closed) and moves the value by at most
-    the slack.
+    the slack.  The mesh is scored in blocks of MESH_CHUNK points.  The
+    largest value wins, and among exactly equal values the
+    lexicographically smallest point, so the winner does not depend on
+    the scan order.
     """
     if F.n > _MAX_GRID_N:
         raise CapacityError(f"grid search supports n <= {_MAX_GRID_N}")
@@ -144,16 +150,16 @@ def grid_search(F: DrFunction, C: ConvexBody, levels: int = 3) -> OptCertificate
                         for i in range(n)]
         if full:
             slack_width = width
-        for point in itertools.product(*axes):
-            x = np.array(point)
-            if not C.contains(x):
+        for X in mesh_chunks(axes):  # each block is sorted and follows the one before
+            X = X[C.contains_batch(X)]
+            if X.shape[0] == 0:
                 continue
-            val = F.value(x)
-            if val > best_val + 1e-15 or (abs(val - best_val) <= 1e-15
-                                          and tuple(x) < tuple(best_x)):
-                best_val, best_x = val, x
+            vals = F.values(X)
+            i = int(np.argmax(vals))  # the first, so the smallest, of the block's maxima
+            if vals[i] > best_val or (vals[i] == best_val and tuple(X[i]) < tuple(best_x)):
+                best_val, best_x = float(vals[i]), X[i]
         level_values.append(best_val)
 
     slack = float(np.sqrt(n) * slack_width * _gradient_envelope_norm(F))
-    return OptCertificate(float(best_val), best_x, "grid", slack, width,
+    return OptCertificate(F.value(best_x), best_x, "grid", slack, width,
                           None, tuple(level_values))

@@ -3,6 +3,8 @@ import itertools
 import numpy as np
 import pytest
 
+from drsub import oracle
+
 
 @pytest.fixture
 def rng():
@@ -85,3 +87,37 @@ def vertex_pairs_diameter(vertices):
     for x, y in itertools.product(vertices, repeat=2):
         best = max(best, float(np.sum((np.asarray(x) - np.asarray(y)) ** 2)))
     return best
+
+
+def brute_grid_search(F, C, levels=3):
+    """The grid sweep one point at a time: (value, maximizer, level values).
+
+    The reference for oracle.grid_search: the same meshes, windows and
+    full-sweep cap (read from the oracle module at call time), with one
+    contains() and one value() call per mesh point.  The largest value wins,
+    and among exactly equal values the lexicographically smallest point.
+    """
+    n = F.n
+    best_val, best_x = -np.inf, np.zeros(n)
+    level_values = []
+    width = oracle._INITIAL_WIDTH
+    for level in range(levels):
+        if level:
+            width /= 2.0
+        steps = int(round(1.0 / width))
+        if level == 0 or (steps + 1) ** n <= oracle._FULL_SWEEP_CAP:
+            axes = [np.linspace(0.0, 1.0, steps + 1)] * n
+        else:
+            lo = np.maximum(best_x - 2.0 * width, 0.0)
+            hi = np.minimum(best_x + 2.0 * width, 1.0)
+            axes = [np.unique(np.clip(lo[i] + width * np.arange(5), 0.0, hi[i]))
+                    for i in range(n)]
+        for point in itertools.product(*axes):
+            x = np.array(point)
+            if not C.contains(x):
+                continue
+            val = F.value(x)
+            if val > best_val or (val == best_val and tuple(x) < tuple(best_x)):
+                best_val, best_x = val, x
+        level_values.append(best_val)
+    return best_val, best_x, tuple(level_values)

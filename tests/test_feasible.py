@@ -47,6 +47,66 @@ class TestContains:
             BOX3.contains([1.0, 0.0])
 
 
+#: offsets from a face: the tolerance itself, inside it, and beyond it
+FACE_OFFSETS = np.array([-2e-9, -1e-9, -5e-10, 0.0, 5e-10, 1e-9, 2e-9])
+
+
+def near_faces(body, rng, k=100):
+    """Points of the body moved onto one of its faces, then FACE_OFFSETS across it."""
+    rows = []
+    for _ in range(k):
+        x = rng.uniform(size=body.n) * 0.5
+        for off in FACE_OFFSETS:
+            y = x.copy()
+            if isinstance(body, PackingBody):  # scale until the tightest row reads b + off
+                r = int(np.argmin(body.b / (body.A @ x)))
+                y *= (body.b[r] + off) / (body.A[r] @ x)
+            elif isinstance(body, PartitionBody):  # a block's budget or its unit faces bind
+                b = rng.integers(len(body.blocks))
+                blk = list(body.blocks[b])
+                y[blk] = min(1.0, body.capacities[b] / len(blk)) + off / len(blk)
+            else:  # an upper or a lower face of one coordinate
+                i = rng.integers(body.n)
+                y[i] = body.upper[i] + off if rng.uniform() < 0.5 else off
+            rows.append(y)
+    return np.array(rows)
+
+
+class TestContainsBatch:
+    @pytest.mark.parametrize("body", all_bodies(), ids=lambda b: type(b).__name__)
+    def test_rows_match_single_points(self, body, rng):
+        X = np.vstack([rng.uniform(-0.1, 1.1, size=(200, body.n)), near_faces(body, rng)])
+        mask = body.contains_batch(X)
+        assert mask.dtype == bool and mask.shape == (X.shape[0],)
+        assert mask.tolist() == [body.contains(x) for x in X]
+        assert 0 < mask.sum() < X.shape[0]
+
+    def test_tolerance_at_a_face(self):
+        X = [[1.0, 1.0, 5e-10], [1.0, 1.0, 2e-9], [1.0 + 5e-10, 0.0, 0.0],
+             [1.0 + 2e-9, 0.0, 0.0], [-5e-10, 0.0, 0.0], [-2e-9, 0.0, 0.0]]
+        assert CARD32.contains_batch(X).tolist() == [True, False, True, False, True, False]
+        assert PACK.contains_batch([[0.5, 0.5 + 5e-10], [0.5, 0.5 + 2e-9]]).tolist() == [True, False]
+
+    @pytest.mark.parametrize("body", all_bodies(), ids=lambda b: type(b).__name__)
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite_rows(self, body, bad):
+        X = np.zeros((3, body.n))
+        X[1, 0] = bad
+        with pytest.raises(InputError, match="NaN or infinity"):
+            body.contains_batch(X)
+
+    @pytest.mark.parametrize("body", all_bodies(), ids=lambda b: type(b).__name__)
+    def test_far_out_rows_are_outside(self, body):
+        X = np.zeros((3, body.n))
+        X[1, 0], X[2, -1] = 5.0, -3.0
+        assert body.contains_batch(X).tolist() == [True, False, False]
+
+    @pytest.mark.parametrize("shape", [(3,), (2, 4), (1, 2, 3)])
+    def test_rejects_wrong_shapes(self, shape):
+        with pytest.raises(InputError, match="batch"):
+            BOX3.contains_batch(np.zeros(shape))
+
+
 class TestLmo:
     def test_box_sign_pattern(self):
         v = BOX3.lmo([3.0, -1.0, 0.0])

@@ -1,4 +1,6 @@
+import itertools
 import math
+import time
 
 import numpy as np
 import pytest
@@ -50,6 +52,42 @@ class TestEval:
             QUAD.value(x)
         with pytest.raises(InputError):
             QUAD.grad(x)
+
+
+def _batch_instances():
+    rng = np.random.default_rng(3)
+    H = -np.abs(rng.normal(size=(5, 5)))
+    return [QUAD, make_quadratic((H + H.T) / 2.0, rng.normal(size=5)),
+            make_concave_modular(rng.uniform(0.0, 2.0, size=(3, 4))),
+            multilinear_extension(coverage_function([[0, 1], [1, 2], [2, 3]], [1.0, 0.5, 2.0, 1.5]))]
+
+
+class TestBatchValues:
+    @pytest.mark.parametrize("F", _batch_instances(), ids=lambda F: F.name)
+    def test_rows_match_single_points_exactly(self, F, rng):
+        X = rng.uniform(size=(300, F.n))
+        X[:40] = rng.choice([0.0, 1.0, -1e-13, 1.0 + 1e-13], size=(40, F.n))  # faces, round-off
+        values = F.values(X)
+        assert values.shape == (300,)
+        assert np.array_equal(values, [F.value(x) for x in X])
+        assert np.array_equal(F.values(X[7:100]), values[7:100])  # a row's batch does not matter
+
+    @pytest.mark.parametrize("F", _batch_instances(), ids=lambda F: F.name)
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, 1.0 + 1e-9, -1e-9, 5.0])
+    def test_rejects_nan_infinite_and_far_out_rows(self, F, bad):
+        X = np.full((3, F.n), 0.5)
+        X[1, -1] = bad
+        with pytest.raises(InputError, match="a row of the batch"):
+            F.values(X)
+
+    @pytest.mark.parametrize("shape", [(2,), (3, 3), (1, 2, 2)])
+    def test_rejects_wrong_shapes(self, shape):
+        with pytest.raises(InputError, match="batch"):
+            QUAD.values(np.zeros(shape))
+
+    @pytest.mark.parametrize("F", _batch_instances(), ids=lambda F: F.name)
+    def test_empty_batch(self, F):
+        assert F.values(np.zeros((0, F.n))).shape == (0,)
 
 
 class TestGrad:
@@ -163,6 +201,21 @@ class TestQuadraticFamily:
             H = (H + H.T) / 2.0
             F = make_quadratic(H, np.zeros(n))
             assert F.L == pytest.approx(float(np.linalg.norm(H, 2)), rel=1e-8, abs=1e-10)
+
+    def test_offset_lifts_the_vertex_minimum_to_zero(self, rng):
+        for n in (1, 3, 8):
+            H = -np.abs(rng.normal(size=(n, n)))
+            F = make_quadratic((H + H.T) / 2.0, rng.normal(size=n))
+            vertex_values = [F.value(v) for v in itertools.product((0.0, 1.0), repeat=n)]
+            assert min(vertex_values) == 0.0
+
+    def test_twenty_dimensions_build_in_under_two_seconds(self, rng):
+        H = -np.abs(rng.normal(size=(20, 20)))
+        start = time.perf_counter()
+        F = make_quadratic(H + H.T, rng.normal(size=20))
+        elapsed = time.perf_counter() - start
+        assert elapsed < 2.0, f"n=20 build took {elapsed:.2f}s"
+        assert F.value(np.zeros(20)) >= 0.0 and F.value(np.ones(20)) >= 0.0
 
 
 class TestConcaveModular:

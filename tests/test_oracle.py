@@ -1,10 +1,17 @@
+import time
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from drsub import (BoxBody, CapacityError, CardinalityBody, ConfigurationError, InputError,
-                   PackingBody, coverage_function, grid_search, make_quadratic,
-                   multilinear_extension, set_bruteforce, set_function_from_table)
+                   PackingBody, PartitionBody, coverage_function, grid_search,
+                   make_concave_modular, make_quadratic, multilinear_extension, oracle,
+                   set_bruteforce, set_function_from_table)
 from drsub import desk
+
+from conftest import brute_grid_search
 
 COVER2 = desk.coverage_two_sets()
 COVER3 = desk.coverage_three_sets()
@@ -54,6 +61,11 @@ class TestSetBruteforce:
         sf = set_function_from_table(np.zeros(1 << 17))
         with pytest.raises(CapacityError):
             set_bruteforce(sf, CardinalityBody(17, 2))
+
+    def test_rejects_a_set_function_that_is_not_submodular(self):
+        # the extension x1 x2 reaches 0.25 at (0.5, 0.5), above every feasible subset's 0
+        with pytest.raises(InputError, match="submodular"):
+            set_bruteforce(set_function_from_table([0.0, 0.0, 0.0, 1.0]), CardinalityBody(2, 1))
 
 
 class TestGridSearch:
@@ -107,6 +119,33 @@ class TestGridSearch:
         cert = grid_search(QUAD, body)
         assert body.contains(cert.maximizer)
 
+    def test_exact_ties_go_to_the_lexicographically_smallest_point(self):
+        # F = 2s - s^2 with s = x1 + x2 peaks on the line s = 1, where every
+        # dyadic mesh point ties exactly
+        F = make_quadratic([[-2.0, -2.0], [-2.0, -2.0]], [2.0, 2.0])
+        for body in (BoxBody(np.ones(2)), CardinalityBody(2, 1)):
+            cert = grid_search(F, body)
+            assert cert.value == 1.0
+            assert cert.maximizer.tolist() == [0.0, 1.0]
+
+    def test_five_dimensions_sweep_the_whole_mesh_at_width_one_sixteenth(self):
+        rng = np.random.default_rng(5)
+        H = -np.abs(rng.normal(size=(5, 5)))
+        F = make_quadratic((H + H.T) / 2.0, rng.uniform(0.5, 1.5, size=5))
+        cert = grid_search(F, CardinalityBody(5, 2))
+        envelope = oracle._gradient_envelope_norm(F)
+        assert cert.slack == pytest.approx(np.sqrt(5) * (1 / 16) * envelope, rel=1e-12)
+
+    def test_six_dimensions_within_a_second(self):
+        rng = np.random.default_rng(6)
+        H = -np.abs(rng.normal(size=(6, 6)))
+        F = make_quadratic((H + H.T) / 2.0, rng.uniform(0.5, 1.5, size=6))
+        start = time.perf_counter()
+        cert = grid_search(F, CardinalityBody(6, 2))
+        elapsed = time.perf_counter() - start
+        assert elapsed < 1.0, f"n=6 grid search took {elapsed:.2f}s"
+        assert CardinalityBody(6, 2).contains(cert.maximizer)
+
 
 class TestCrossCheck:
     def test_bruteforce_vs_grid_on_coverage(self):
@@ -150,3 +189,45 @@ class TestRandomInstances:
             cg = grid_search(multilinear_extension(sf), body)
             assert cs.value <= cg.value + cg.slack + 1e-12
             assert abs(cs.value - cg.value) <= cs.slack + cg.slack + 1e-12
+
+
+@st.composite
+def grid_cases(draw):
+    """An objective, a body, a level count and a full-sweep cap for a small grid search."""
+    n = draw(st.integers(1, 4))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    kind = draw(st.sampled_from(["quadratic", "symmetric", "concave_modular", "coverage"]))
+    if kind == "quadratic":
+        H = -np.abs(rng.normal(size=(n, n)))
+        F = make_quadratic((H + H.T) / 2.0, rng.uniform(0.0, 2.0, size=n))
+    elif kind == "symmetric":  # dyadic coefficients: mirrored mesh points tie exactly
+        a, b = draw(st.sampled_from([0.25, 0.5, 1.0, 2.0])), draw(st.sampled_from([0.5, 1.0, 1.5]))
+        F = make_quadratic(-a * np.ones((n, n)), np.full(n, b))
+    elif kind == "concave_modular":
+        F = make_concave_modular(rng.uniform(0.1, 2.0, size=(2, n)))
+    else:  # unit weights: exact values at mesh points, with many ties
+        F = multilinear_extension(coverage_function(
+            [sorted(rng.choice(4, size=2, replace=False).tolist()) for _ in range(n)], None, 4))
+    body = draw(st.sampled_from(["box", "partition", "packing"]))
+    if body == "box":
+        C = BoxBody(rng.choice([0.5, 0.75, 1.0, rng.uniform(0.3, 1.0)], size=n))
+    elif body == "partition":
+        cut = int(rng.integers(0, n + 1))
+        blocks = (tuple(range(cut)), tuple(range(cut, n)))
+        C = PartitionBody(n, blocks, tuple(int(rng.integers(0, len(b) + 1)) for b in blocks))
+    else:
+        C = PackingBody(rng.uniform(0.1, 1.0, size=(2, n)), rng.uniform(0.3, 1.5, size=2))
+    return F, C, draw(st.integers(1, 3)), draw(st.sampled_from([100, 2000]))
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(case=grid_cases())
+def test_batched_grid_matches_the_per_point_reference(case):
+    F, C, levels, cap = case
+    # a small cap keeps the per-point reference fast and sends levels into both branches
+    with mock.patch.object(oracle, "_FULL_SWEEP_CAP", cap):
+        cert = grid_search(F, C, levels)
+        value, maximizer, level_values = brute_grid_search(F, C, levels)
+    assert cert.maximizer.tolist() == maximizer.tolist()
+    assert cert.value == value
+    assert cert.level_values == level_values
