@@ -57,6 +57,13 @@ def _atomic_write(path: Path, text: str) -> None:
     os.replace(tmp, path)
 
 
+def _make_out_dir(path: Path) -> None:
+    try:
+        path.mkdir(parents=True, exist_ok=True)
+    except OSError as e:
+        raise InputError(f"cannot create output directory {path}: {e}") from e
+
+
 def _parse_iters(value: str) -> list[int]:
     try:
         return [int(part) for part in value.split(",") if part != ""]
@@ -155,7 +162,7 @@ def cmd_run(args) -> int:
     cert = exp.certificate()
     traj, potential, bound = _solve_once(exp, N, cert)
 
-    exp.out_dir.mkdir(parents=True, exist_ok=True)
+    _make_out_dir(exp.out_dir)
     _atomic_write(exp.out_dir / "trajectory.csv", solver.trajectory_csv(traj, potential))
     summary = _summary(exp, N, traj, potential, bound, cert)
     problems = _check_run_invariants(traj, potential)
@@ -175,7 +182,7 @@ def cmd_sweep(args) -> int:
     cert = exp.certificate()
     opt = None if cert is None else cert.value
 
-    exp.out_dir.mkdir(parents=True, exist_ok=True)
+    _make_out_dir(exp.out_dir)
     rows = []
     problems = []
     for N in exp.iters:
@@ -191,13 +198,15 @@ def cmd_sweep(args) -> int:
         lines.append(f"{N},{achieved:.17g},{guaranteed:.17g},{additive:.17g}")
     _atomic_write(exp.out_dir / "sweep.csv", "\n".join(lines) + "\n")
 
-    log_n = np.log([r[0] for r in rows])
-    log_add = np.log([r[3] for r in rows])
-    slope = float(np.polyfit(log_n, log_add, 1)[0])
     print("\n".join(lines))
-    print(f"additive log-log slope: {slope:.6f}")
-    if exp.is_preset and not _SWEEP_SLOPE_BAND[0] <= slope <= _SWEEP_SLOPE_BAND[1]:
-        problems.append(f"additive slope {slope:.4f} outside {_SWEEP_SLOPE_BAND}")
+    additive = [r[3] for r in rows]
+    if any(additive):
+        slope = float(np.polyfit(np.log(exp.iters), np.log(additive), 1)[0])
+        print(f"additive log-log slope: {slope:.6f}")
+        if exp.is_preset and not _SWEEP_SLOPE_BAND[0] <= slope <= _SWEEP_SLOPE_BAND[1]:
+            problems.append(f"additive slope {slope:.4f} outside {_SWEEP_SLOPE_BAND}")
+    else:  # L*D = 0: a zero gap meets the 1/N decay, and it has no logarithm
+        print("additive gap: 0 at every N")
     return _report(problems)
 
 
@@ -205,6 +214,8 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_check(args) -> int:
+    if args.seed < 0:
+        raise InputError(f"--seed must be a nonnegative integer, got {args.seed}")
     rng = np.random.default_rng(args.seed)
     presets = {family: schedule.preset(family) for family in schedule.PRESET_FAMILIES}
     instances = desk.bundled_instances()

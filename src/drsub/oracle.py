@@ -1,12 +1,12 @@
 """Desk-scale ground-truth optimum oracles.
 
 Two independent routes to a certified optimum over a feasible body: exact
-enumeration of feasible subsets for set-function instances, and a
-coarse-to-fine grid sweep of the box for any smooth instance.  Both report
-how far below the true continuous optimum their value can possibly be, so
-callers can fold the slack into their tolerances.  Certified values are
-always lower bounds on the true optimum, which keeps them safe to feed to
-the potential telemetry.
+enumeration of feasible subsets for set-function instances, and a full
+grid sweep of the box, refined near its winner, for any smooth instance.
+Both report how far below the true continuous optimum their value can
+possibly be, so callers can fold the slack into their tolerances.
+Certified values are always lower bounds on the true optimum, which keeps
+them safe to feed to the potential telemetry.
 """
 
 from __future__ import annotations
@@ -21,13 +21,13 @@ from .objective import DrFunction, SetFunction, corners, mesh_chunks, set_is_sub
 
 _MAX_BRUTEFORCE_M = 16
 _MAX_GRID_N = 6
-_MAX_GRID_LEVELS = 4
-_INITIAL_WIDTH = 0.125
+#: the grid widths run from 1/_COARSEST_STEPS to 1/_FINEST_STEPS by halving
+_COARSEST_STEPS = 8
+_FINEST_STEPS = 32
 
-#: largest number of mesh points for which a refinement pass still sweeps
-#: the whole domain (beyond this the pass only searches near the incumbent,
-#: and the certified slack stays anchored to the last full sweep): n=4 at
-#: width 1/32 (33^4 points) and n=5 at 1/16 (17^5) are full, n=6 at 1/16 is not
+#: largest number of points of the one full sweep (finer widths only search
+#: near the incumbent, and the certified slack stays anchored to the full
+#: sweep): n=4 sweeps width 1/32 (33^4 points), n=5 1/16 (17^5), n=6 1/8 (9^6)
 _FULL_SWEEP_CAP = 2_000_000
 
 
@@ -47,7 +47,6 @@ class OptCertificate:
     slack: float
     resolution: float | None = None
     subset: tuple[int, ...] | None = None
-    level_values: tuple[float, ...] = ()
 
     def to_json(self) -> dict:
         return {
@@ -88,78 +87,51 @@ def set_bruteforce(f: SetFunction, C: ConvexBody) -> OptCertificate:
     return OptCertificate(float(f.table[best]), X[best], "set-bruteforce", 0.0, None, subset)
 
 
-def _gradient_envelope_norm(F: DrFunction) -> float:
-    """2-norm of the componentwise gradient envelope over the box.
-
-    Because the gradient is antitone, every component of grad F(x) lies
-    between the corresponding components at the all-ones and all-zeros
-    corners, which yields a global bound from two gradient calls.
-    """
-    g0 = np.abs(F.grad(np.zeros(F.n)))
-    g1 = np.abs(F.grad(np.ones(F.n)))
-    return float(np.linalg.norm(np.maximum(g0, g1)))
-
-
-def _mesh_axes(width: float) -> np.ndarray:
-    steps = int(round(1.0 / width))
-    return np.linspace(0.0, 1.0, steps + 1)
+def _scan(F: DrFunction, C: ConvexBody, axes, best_val: float,
+          best_x: np.ndarray) -> tuple[float, np.ndarray]:
+    """The incumbent after scoring the feasible points of the mesh ``axes``."""
+    for X in mesh_chunks(axes):  # each block is sorted and follows the one before
+        X = X[C.contains_batch(X)]
+        if X.shape[0] == 0:
+            continue
+        vals = F.values(X)
+        i = int(np.argmax(vals))  # the first, so the smallest, of the block's maxima
+        if vals[i] > best_val or (vals[i] == best_val and tuple(X[i]) < tuple(best_x)):
+            best_val, best_x = float(vals[i]), X[i]
+    return best_val, best_x
 
 
-def grid_search(F: DrFunction, C: ConvexBody, levels: int = 3) -> OptCertificate:
-    """Coarse-to-fine sweep of the box intersected with the body.
+def grid_search(F: DrFunction, C: ConvexBody) -> OptCertificate:
+    """One full sweep of the box intersected with the body, then windows.
 
-    The first pass scans the whole domain at width 1/8; each later level
-    halves the width, sweeping the whole domain again while that stays
-    affordable and otherwise only a window around the incumbent.  The
-    certified slack is sqrt(n) * width_of_last_full_sweep * gradient
-    envelope norm: rounding the true maximizer down to that mesh stays
-    feasible (the bodies are down-closed) and moves the value by at most
-    the slack.  The mesh is scored in blocks of MESH_CHUNK points.  The
-    largest value wins, and among exactly equal values the
-    lexicographically smallest point, so the winner does not depend on
-    the scan order.
+    The full sweep uses the finest width in {1/8, 1/16, 1/32} whose mesh
+    has at most _FULL_SWEEP_CAP points (1/8 always qualifies).  Each
+    further halving of the width, down to 1/32, searches only the 5^n
+    window around the incumbent.  The certified slack is the full sweep's
+    width times sum(max(grad F(0), 0)): rounding the true maximizer down to
+    that mesh stays feasible (the bodies are down-closed) and moves each
+    coordinate up by at most the width, and the antitone gradient never
+    exceeds grad F(0) in the box.  The mesh is scored in blocks of
+    MESH_CHUNK points.  The largest value wins, and among exactly equal
+    values the lexicographically smallest point, so the winner does not
+    depend on the scan order.
     """
     if F.n > _MAX_GRID_N:
         raise CapacityError(f"grid search supports n <= {_MAX_GRID_N}")
-    if not 1 <= levels <= _MAX_GRID_LEVELS:
-        raise InputError(f"levels must lie in 1..{_MAX_GRID_LEVELS}")
     if F.n != C.n:
         raise InputError(f"objective dimension {F.n} != body dimension {C.n}")
     n = F.n
 
-    best_val = -np.inf
-    best_x = np.zeros(n)
-    level_values = []
-    width = _INITIAL_WIDTH
-    slack_width = _INITIAL_WIDTH
-
-    for level in range(levels):
-        if level == 0:
-            axes = [_mesh_axes(width)] * n
-            full = True
-        else:
-            width /= 2.0
-            points_per_axis = int(round(1.0 / width)) + 1
-            full = points_per_axis ** n <= _FULL_SWEEP_CAP
-            if full:
-                axes = [_mesh_axes(width)] * n
-            else:
-                lo = np.maximum(best_x - 2.0 * width, 0.0)
-                hi = np.minimum(best_x + 2.0 * width, 1.0)
-                axes = [np.unique(np.clip(lo[i] + width * np.arange(5), 0.0, hi[i]))
-                        for i in range(n)]
-        if full:
-            slack_width = width
-        for X in mesh_chunks(axes):  # each block is sorted and follows the one before
-            X = X[C.contains_batch(X)]
-            if X.shape[0] == 0:
-                continue
-            vals = F.values(X)
-            i = int(np.argmax(vals))  # the first, so the smallest, of the block's maxima
-            if vals[i] > best_val or (vals[i] == best_val and tuple(X[i]) < tuple(best_x)):
-                best_val, best_x = float(vals[i]), X[i]
-        level_values.append(best_val)
-
-    slack = float(np.sqrt(n) * slack_width * _gradient_envelope_norm(F))
-    return OptCertificate(F.value(best_x), best_x, "grid", slack, width,
-                          None, tuple(level_values))
+    steps = _COARSEST_STEPS
+    while steps < _FINEST_STEPS and (2 * steps + 1) ** n <= _FULL_SWEEP_CAP:
+        steps *= 2
+    slack = float(np.sum(np.maximum(F.grad(np.zeros(n)), 0.0))) / steps
+    best_val, best_x = _scan(F, C, [np.linspace(0.0, 1.0, steps + 1)] * n, -np.inf, np.zeros(n))
+    while steps < _FINEST_STEPS:
+        steps *= 2
+        width = 1.0 / steps
+        lo = np.maximum(best_x - 2.0 * width, 0.0)
+        hi = np.minimum(best_x + 2.0 * width, 1.0)
+        axes = [np.unique(np.clip(lo[i] + width * np.arange(5), 0.0, hi[i])) for i in range(n)]
+        best_val, best_x = _scan(F, C, axes, best_val, best_x)
+    return OptCertificate(F.value(best_x), best_x, "grid", slack, 1.0 / steps)

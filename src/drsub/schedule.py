@@ -23,12 +23,15 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import InputError, ValidationError, fields
+from .errors import CapacityError, InputError, ValidationError, fields
 
 PRESET_FAMILIES = ("monotone", "measured", "general", "general-exp", "general-linear")
 
 #: general variants share the sqrt coupling and the 1/4 peak ratio
 GENERAL_VARIANTS = ("general", "general-exp", "general-linear")
+
+#: desk-scale cap on the step count N
+_MAX_STEPS = 100_000
 
 #: grid resolution used by validate()
 _VALIDATION_NODES = 1000
@@ -123,6 +126,8 @@ def on_grid(s: Schedule, N: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Nodes t_j = j*T/N (j = 0..N) and the weights a_j > 0 and b_j on them."""
     if N < 1:
         raise InputError(f"N must be >= 1, got {N}")
+    if N > _MAX_STEPS:
+        raise CapacityError(f"N must be <= {_MAX_STEPS}, got {N}")
     t = np.linspace(0.0, s.T, N + 1)
     a = np.asarray(s.a(t), dtype=float)
     if np.any(a <= 0):

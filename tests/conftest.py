@@ -89,19 +89,21 @@ def vertex_pairs_diameter(vertices):
     return best
 
 
-def brute_grid_search(F, C, levels=3):
-    """The grid sweep one point at a time: (value, maximizer, level values).
+def brute_grid_search(F, C):
+    """The grid sweep one point at a time: (value, maximizer).
 
-    The reference for oracle.grid_search: the same meshes, windows and
-    full-sweep cap (read from the oracle module at call time), with one
-    contains() and one value() call per mesh point.  The largest value wins,
-    and among exactly equal values the lexicographically smallest point.
+    The reference for oracle.grid_search, written as the three-level sweep
+    the oracle replaced: widths 1/8, 1/16 and 1/32, each level sweeping the
+    whole mesh while it has at most the oracle's full-sweep cap of points
+    (read at call time) and otherwise a 5^n window around the incumbent.
+    The first level is always full.  One contains() and one value() call
+    per mesh point.  The largest value wins, and among exactly equal values
+    the lexicographically smallest point.
     """
     n = F.n
     best_val, best_x = -np.inf, np.zeros(n)
-    level_values = []
-    width = oracle._INITIAL_WIDTH
-    for level in range(levels):
+    width = 0.125
+    for level in range(3):
         if level:
             width /= 2.0
         steps = int(round(1.0 / width))
@@ -119,5 +121,4 @@ def brute_grid_search(F, C, levels=3):
             val = F.value(x)
             if val > best_val or (val == best_val and tuple(x) < tuple(best_x)):
                 best_val, best_x = val, x
-        level_values.append(best_val)
-    return best_val, best_x, tuple(level_values)
+    return best_val, best_x

@@ -64,6 +64,22 @@ class TestRunCommand:
         assert code == 1
         assert "N must be >= 1" in capsys.readouterr().err
 
+    def test_step_count_cap(self, tmp_path, capsys):
+        # refused before the 10^12-node schedule grid is allocated
+        code = run_cli("run", "--instance", QUAD, "--constraint", BOX2,
+                       "--family", "general", "--iters", str(10**12), "--out", str(tmp_path))
+        assert code == 1
+        assert "error: N must be <= 100000" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command,iters", [("run", "5"), ("sweep", "4,8,16")])
+    def test_out_naming_a_file(self, tmp_path, capsys, command, iters):
+        out = tmp_path / "taken"
+        out.write_text("")
+        code = run_cli(command, "--instance", QUAD, "--constraint", BOX2,
+                       "--family", "general", "--iters", iters, "--out", str(out))
+        assert code == 1
+        assert "error: cannot create output directory" in capsys.readouterr().err
+
     def test_measured_on_non_down_closed_body(self, tmp_path, capsys):
         # every body is down-closed by construction; declaring otherwise is stale input
         body = '{"kind":"packing","A":[[1,1]],"b":[1.5],"down_closed":false}'
@@ -217,6 +233,20 @@ class TestSweepCommand:
         assert code == 0
         rows = (tmp_path / "sweep.csv").read_text().strip().split("\n")[1:]
         assert all(float(r.split(",")[2]) == pytest.approx(0.25) for r in rows)
+
+    @pytest.mark.parametrize("instance,constraint", [
+        ('{"kind":"quadratic","H":[[0,0],[0,0]],"c":[1,0.5]}', BOX2),
+        ('{"kind":"coverage","subsets":[[0],[1]],"weights":[0,0],"n_elements":2}', BOX2),
+        (QUAD, '{"kind":"partition","n":2,"blocks":[[0],[1]],"capacities":[0,0]}'),
+    ], ids=["quadratic-H-zero", "coverage-weights-zero", "partition-capacities-zero"])
+    def test_zero_additive_gap_passes(self, tmp_path, capsys, instance, constraint):
+        # L*D = 0 makes every additive gap 0, which meets the 1/N decay
+        code = run_cli("sweep", "--instance", instance, "--constraint", constraint,
+                       "--family", "general", "--iters", "4,8,16", "--out", str(tmp_path))
+        assert code == 0, capsys.readouterr().err
+        assert "additive gap: 0 at every N" in capsys.readouterr().out
+        rows = (tmp_path / "sweep.csv").read_text().strip().split("\n")[1:]
+        assert [float(r.split(",")[3]) for r in rows] == [0.0, 0.0, 0.0]
 
     def test_single_n_rejected(self, tmp_path):
         code = run_cli("sweep", "--instance", QUAD, "--constraint", BOX2,
@@ -375,6 +405,10 @@ class TestCheckCommand:
         assert len(lines) == 11
         assert all(l.startswith("PASS") for l in lines)
         assert "0.632121, 0.367879, 0.250000" in out
+
+    def test_negative_seed_is_input_error(self, capsys):
+        assert run_cli("check", "--seed", "-1") == 1
+        assert "error: --seed must be a nonnegative integer" in capsys.readouterr().err
 
     def test_corrupted_preset(self, capsys, monkeypatch):
         preset = schedule.preset
