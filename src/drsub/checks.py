@@ -99,7 +99,7 @@ def max_lmo_gap(bodies: Iterable[ConvexBody], rng: np.random.Generator) -> float
 
 
 def max_simplex_gap(rng: np.random.Generator) -> float:
-    """Largest gap of the simplex to basic-solution enumeration on 50 random packing LPs."""
+    """Largest gap of the simplex to vertex enumeration on 50 random packing LPs."""
     worst = 0.0
     for _ in range(50):
         n = int(rng.integers(1, 6))
@@ -109,9 +109,7 @@ def max_simplex_gap(rng: np.random.Generator) -> float:
         u = rng.uniform(0.2, 1.0, size=n)
         c = rng.normal(size=n)
         _, val = feasible.simplex_solve(c, A, b, u)
-        rows = np.vstack([A, np.eye(n), -np.eye(n)])
-        rhs = np.concatenate([b, u, np.zeros(n)])
-        ref = max(float(c @ v) for v in feasible.basic_solutions(rows, rhs))
+        ref = feasible.lmo_bruteforce(feasible.PackingBody(A, b), c, u)[0]
         worst = max(worst, abs(val - ref))
     return worst
 

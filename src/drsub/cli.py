@@ -80,9 +80,13 @@ class _Experiment:
         if missing:
             raise InputError(f"missing required flags: {' '.join(missing)}")
         self.family = args.family
-        self.iters = _parse_iters(args.iters)
+        self.iters = [schedule.checked_steps(N) for N in _parse_iters(args.iters)]
         self.opt_mode = args.opt
         self.out_dir = Path(args.out)
+        existing = next(p for p in (self.out_dir, *self.out_dir.parents) if p.exists())
+        if not existing.is_dir():
+            raise InputError(f"cannot create output directory {self.out_dir}: "
+                             f"{existing} is not a directory")
 
         self.objective, self.set_function = objective.instance_from_json(
             _load_json_arg(args.instance, "instance"))
@@ -157,8 +161,6 @@ def cmd_run(args) -> int:
     if len(exp.iters) != 1:
         raise InputError("run takes a single --iters value; use sweep for lists")
     N = exp.iters[0]
-    if N < 1:
-        raise InputError("N must be >= 1")
     cert = exp.certificate()
     traj, potential, bound = _solve_once(exp, N, cert)
 
@@ -177,8 +179,6 @@ def cmd_sweep(args) -> int:
         raise InputError("sweep needs an ascending --iters list with at least 3 entries")
     if any(b <= a for a, b in zip(exp.iters, exp.iters[1:])):
         raise InputError("--iters list must be strictly ascending")
-    if exp.iters[0] < 1:
-        raise InputError("N must be >= 1")
     cert = exp.certificate()
     opt = None if cert is None else cert.value
 
@@ -189,13 +189,13 @@ def cmd_sweep(args) -> int:
         traj, potential, bound = _solve_once(exp, N, cert)
         _atomic_write(exp.out_dir / f"trajectory_N{N}.csv",
                       solver.trajectory_csv(traj, potential))
-        achieved = traj.final_value / opt if opt else traj.final_value
+        achieved = f"{traj.final_value / opt:.17g}" if opt else ""  # no optimum, no ratio
         rows.append((N, achieved, bound.coefficient, bound.additive))
         problems.extend(f"N={N}: {p}" for p in _check_run_invariants(traj, potential))
 
     lines = ["N,achieved,guaranteed,additive"]
     for N, achieved, guaranteed, additive in rows:
-        lines.append(f"{N},{achieved:.17g},{guaranteed:.17g},{additive:.17g}")
+        lines.append(f"{N},{achieved},{guaranteed:.17g},{additive:.17g}")
     _atomic_write(exp.out_dir / "sweep.csv", "\n".join(lines) + "\n")
 
     print("\n".join(lines))

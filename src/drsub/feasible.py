@@ -8,13 +8,15 @@ provided: boxes with per-coordinate upper bounds, partition bodies with
 per-block budgets (the cardinality polytope sum x <= k is the one-block
 case), and packing polytopes A x <= b with nonnegative A.  Packing oracles
 run on a small dense simplex with Bland's anti-cycling rule; the other
-kinds use closed-form greedy fills.  Exhaustive reference oracles used for
-cross-checking live at the bottom of the module.
+kinds use closed-form greedy fills.  The exhaustive reference oracle at the
+bottom of the module, used for cross-checking, enumerates the vertices of
+the inequality system every body stores.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -95,13 +97,12 @@ class ConvexBody:
 
     def _inside(self, X: np.ndarray) -> np.ndarray:
         Gx = np.concatenate((X, -X, row_products(X, self._A)), axis=1)
-        return (Gx <= self._h).all(axis=1)
+        return (Gx <= self._h + FEASIBILITY_TOL).all(axis=1)
 
     def _set_inequalities(self, upper: np.ndarray, A: np.ndarray, b: np.ndarray) -> None:
         """Store the rows x <= upper, -x <= 0 and A x <= b that membership tests."""
         object.__setattr__(self, "_A", A)
-        h = np.concatenate([upper, np.zeros(upper.size), b]) + FEASIBILITY_TOL
-        object.__setattr__(self, "_h", h)
+        object.__setattr__(self, "_h", np.concatenate([upper, np.zeros(upper.size), b]))
 
     def lmo(self, g) -> np.ndarray:
         """Extreme point maximizing <g, v> over the body.
@@ -328,90 +329,53 @@ def simplex_solve(c: np.ndarray, A: np.ndarray, b: np.ndarray,
     return x, float(c @ x)
 
 
-# --- exhaustive reference oracles (used by self-checks and tests) -----------------
+# --- exhaustive reference oracle (used by self-checks and tests) ------------------
+
+#: most n x n subsystems the vertex enumeration solves; comb(2n, n) passes it up to n = 9
+_MAX_SUBSYSTEMS = 100_000
 
 
-def extreme_point_candidates(C: ConvexBody, cap: np.ndarray | None = None) -> list[np.ndarray]:
-    """All extreme points of the (optionally capped) body, for small n.
+def basic_solutions(rows: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """(k, n) array of the feasible basic solutions of {x : rows @ x <= rhs}.
 
-    Box bodies enumerate corner patterns.  Partition bodies (cardinality
-    included) enumerate every support whose capped coordinates fit the
-    budgets, plus the vertices with a single fractional coordinate that
-    appear when a budget binds between caps.  Packing bodies enumerate
-    basic solutions of the defining inequality system.
+    Every n x n subsystem with |det| >= 1e-12 is solved as an equality
+    system, all in one stacked call, and its solution is kept when it meets
+    every row up to FEASIBILITY_TOL.
+    """
+    m, n = rows.shape
+    count = math.comb(m, n)
+    if count > _MAX_SUBSYSTEMS:
+        raise CapacityError(f"vertex enumeration solves at most {_MAX_SUBSYSTEMS} "
+                            f"subsystems; {m} rows in dimension {n} give {count}")
+    subsets = np.fromiter(itertools.chain.from_iterable(itertools.combinations(range(m), n)),
+                          dtype=np.intp, count=count * n).reshape(count, n)
+    M = rows[subsets]
+    regular = np.abs(np.linalg.det(M)) >= 1e-12
+    X = np.linalg.solve(M[regular], rhs[subsets[regular]][..., None])[..., 0]
+    return X[(X @ rows.T <= rhs + FEASIBILITY_TOL).all(axis=1)]
+
+
+def vertices(C: ConvexBody, cap=None) -> np.ndarray:
+    """(k, n) array of the extreme points of C intersected with {v <= cap}, with repeats.
+
+    They are the basic solutions of the body's own system G x <= h, with the
+    upper bounds lowered to the cap, so a body kind needs no code of its own.
     """
     n = C.n
-    cap = np.ones(n) if cap is None else np.clip(np.asarray(cap, dtype=float), 0.0, 1.0)
-    if n > 12:
-        raise CapacityError("reference enumeration is desk-scale only (n <= 12)")
-
-    if isinstance(C, BoxBody):
-        hi = np.minimum(C.upper, cap)
-        pts = [np.array(pattern) * hi for pattern in itertools.product((0.0, 1.0), repeat=n)]
-        return pts
-
-    if isinstance(C, PartitionBody):
-        # extreme points have at most one fractional coordinate per budget
-        # constraint, so enumerate each block and take cross products
-        per_block = [_budget_block_candidates(len(blk), float(k), cap[list(blk)])
-                     for blk, k in zip(C.blocks, C.capacities)]
-        out = []
-        for combo in itertools.product(*per_block):
-            v = np.zeros(n)
-            for blk, piece in zip(C.blocks, combo):
-                v[list(blk)] = piece
-            out.append(v)
-        return out
-
-    if isinstance(C, PackingBody):
-        rows = np.vstack([C.A, np.eye(n), -np.eye(n)])
-        rhs = np.concatenate([C.b, np.minimum(np.ones(n), cap), np.zeros(n)])
-        return basic_solutions(rows, rhs)
-
-    raise InputError(f"no reference enumeration for body type {type(C).__name__}")
-
-
-def _budget_block_candidates(size: int, budget: float, cap: np.ndarray) -> list[np.ndarray]:
-    """Extreme points of {0 <= v <= cap, sum v <= budget} on one block."""
-    out = []
-    for pattern in itertools.product((False, True), repeat=size):
-        base = np.where(pattern, cap, 0.0)
-        if float(np.sum(base)) <= budget + 1e-12:
-            out.append(base)
-            residual = budget - float(np.sum(base))
-            for j in range(size):
-                if pattern[j] or cap[j] <= 0.0 or residual <= 0.0:
-                    continue
-                v = base.copy()
-                v[j] = min(cap[j], residual)
-                out.append(v)
-    return out
-
-
-def basic_solutions(rows: np.ndarray, rhs: np.ndarray) -> list[np.ndarray]:
-    """Feasible basic solutions of {x : rows @ x <= rhs} (n x n subsystems)."""
-    n = rows.shape[1]
-    out: list[np.ndarray] = []
-    for subset in itertools.combinations(range(rows.shape[0]), n):
-        M = rows[list(subset)]
-        if abs(np.linalg.det(M)) < 1e-12:
-            continue
-        x = np.linalg.solve(M, rhs[list(subset)])
-        if np.all(rows @ x <= rhs + FEASIBILITY_TOL):
-            out.append(x)
-    return out
+    cap = np.ones(n) if cap is None else C._check_cap(cap)
+    rows = np.vstack([np.eye(n), -np.eye(n), C._A])
+    return basic_solutions(rows, np.concatenate([np.minimum(C._h[:n], cap), C._h[n:]]))
 
 
 def lmo_bruteforce(C: ConvexBody, g, cap=None) -> tuple[float, np.ndarray]:
-    """Best objective value and witness over the enumerated extreme points."""
+    """Best objective value and witness over the origin and the vertices; first best wins."""
     g = _as_vector(g, C.n, "objective")
-    best_v = np.zeros(C.n)
-    best = float(g @ best_v)
-    for v in extreme_point_candidates(C, cap):
-        val = float(g @ v)
-        if val > best + 0.0:
-            best, best_v = val, v
-    return best, best_v
+    V = vertices(C, cap)  # the origin is always one of them
+    values = V @ g
+    best = int(np.argmax(values))
+    if values[best] <= 0.0:
+        return 0.0, np.zeros(C.n)
+    return float(values[best]), V[best]
 
 
 # --- JSON loading ------------------------------------------------------------------

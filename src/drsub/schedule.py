@@ -122,13 +122,18 @@ def ratio(s: Schedule) -> float:
     return (float(s.b(s.T)) - float(s.b(0.0))) / float(s.a(s.T))
 
 
-def on_grid(s: Schedule, N: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Nodes t_j = j*T/N (j = 0..N) and the weights a_j > 0 and b_j on them."""
+def checked_steps(N: int) -> int:
+    """``N`` if it is a step count the grid supports: 1 <= N <= 100,000."""
     if N < 1:
         raise InputError(f"N must be >= 1, got {N}")
     if N > _MAX_STEPS:
         raise CapacityError(f"N must be <= {_MAX_STEPS}, got {N}")
-    t = np.linspace(0.0, s.T, N + 1)
+    return N
+
+
+def on_grid(s: Schedule, N: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Nodes t_j = j*T/N (j = 0..N) and the weights a_j > 0 and b_j on them."""
+    t = np.linspace(0.0, s.T, checked_steps(N) + 1)
     a = np.asarray(s.a(t), dtype=float)
     if np.any(a <= 0):
         raise InputError("schedule weight a must be positive on the grid")

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from drsub import schedule
+from drsub import oracle, schedule
 from drsub.cli import main
 
 COVERAGE = '{"kind":"coverage","subsets":[[0,1],[1,2],[2,3]]}'
@@ -79,6 +79,30 @@ class TestRunCommand:
                        "--family", "general", "--iters", iters, "--out", str(out))
         assert code == 1
         assert "error: cannot create output directory" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command,iters,too_many", [("run", "5", "1000000000000"),
+                                                         ("sweep", "4,8,16", "4,8,1000000000000")])
+    @pytest.mark.parametrize("bad", ["iters", "out", "out-below-a-file"])
+    def test_refused_before_the_oracle(self, tmp_path, capsys, monkeypatch, command, iters,
+                                       too_many, bad):
+        def never(*args):
+            raise AssertionError("the oracle ran on input that is refused anyway")
+        monkeypatch.setattr(oracle, "grid_search", never)
+        taken = tmp_path / "taken"
+        out = taken / "sub" if bad == "out-below-a-file" else taken
+        if bad == "iters":
+            iters, message = too_many, "error: N must be <= 100000"
+        else:
+            taken.write_text("")
+            message = f"error: cannot create output directory {out}: {taken} is not a directory"
+        quad5 = json.dumps({"kind": "quadratic", "H": (-np.eye(5)).tolist(), "c": [1] * 5})
+        code = run_cli(command, "--instance", quad5,
+                       "--constraint", '{"kind":"cardinality","n":5,"k":2}',
+                       "--family", "general", "--iters", iters, "--opt", "grid",
+                       "--out", str(out))
+        assert code == 1
+        assert message in capsys.readouterr().err
+        assert taken.is_file() if bad.startswith("out") else not taken.exists()
 
     def test_measured_on_non_down_closed_body(self, tmp_path, capsys):
         # every body is down-closed by construction; declaring otherwise is stale input
@@ -247,6 +271,28 @@ class TestSweepCommand:
         assert "additive gap: 0 at every N" in capsys.readouterr().out
         rows = (tmp_path / "sweep.csv").read_text().strip().split("\n")[1:]
         assert [float(r.split(",")[3]) for r in rows] == [0.0, 0.0, 0.0]
+
+    def test_achieved_is_a_ratio_or_empty(self, tmp_path, capsys):
+        # the column holds final_value / opt, and stays empty where no optimum is known
+        for opt in ("none", "sets"):
+            code = run_cli("sweep", "--instance", COVERAGE, "--constraint", CARD,
+                           "--family", "monotone", "--iters", "16,32,64",
+                           "--opt", opt, "--out", str(tmp_path / opt))
+            assert code == 0
+        printed = capsys.readouterr().out
+        for N in (16, 32, 64):
+            assert run_cli("run", "--instance", COVERAGE, "--constraint", CARD,
+                           "--family", "monotone", "--iters", str(N), "--opt", "sets",
+                           "--out", str(tmp_path / f"run{N}")) == 0
+        capsys.readouterr()
+        none = (tmp_path / "none" / "sweep.csv").read_text().strip().split("\n")[1:]
+        sets = (tmp_path / "sets" / "sweep.csv").read_text().strip().split("\n")[1:]
+        for N, row_none, row_sets in zip((16, 32, 64), none, sets):
+            summary = json.loads((tmp_path / f"run{N}" / "summary.json").read_text())
+            assert row_none.split(",")[1] == ""
+            assert row_sets.split(",")[1] == format(summary["ratio_achieved"], ".17g")
+            assert row_none.split(",")[2:] == row_sets.split(",")[2:]
+            assert row_none in printed and row_sets in printed
 
     def test_single_n_rejected(self, tmp_path):
         code = run_cli("sweep", "--instance", QUAD, "--constraint", BOX2,

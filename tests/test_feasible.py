@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 from drsub import (BoxBody, CardinalityBody, InputError, InvariantError, PackingBody,
                    PartitionBody, body_from_json, lmo_bruteforce)
 from drsub.errors import CapacityError
-from drsub.feasible import basic_solutions, simplex_solve
+from drsub.feasible import simplex_solve, vertices
 
 from conftest import vertex_pairs_diameter
 
@@ -185,15 +185,63 @@ class TestMaskedLmo:
             assert float(g @ body.masked_lmo(g, cap)) == pytest.approx(ref, abs=1e-9)
 
 
+def vertex_set(body):
+    return {tuple(np.round(v, 12) + 0.0) for v in vertices(body)}
+
+
+def at_most_k_ones(n, k):
+    return {p for p in itertools.product((0.0, 1.0), repeat=n) if sum(p) <= k}
+
+
+class TestVertices:
+    @pytest.mark.parametrize("n", range(1, 6))
+    def test_cardinality_vertices_are_0_1_points_with_at_most_k_ones(self, n):
+        for k in range(n + 1):
+            assert vertex_set(CardinalityBody(n, k)) == at_most_k_ones(n, k)
+
+    @pytest.mark.parametrize("upper", [[1.0], [0.5, 1.0, 0.25], [0.3, 0.7, 1.0, 0.9, 0.6]])
+    def test_box_vertices_are_scaled_corners(self, upper):
+        corners = itertools.product((0.0, 1.0), repeat=len(upper))
+        assert vertex_set(BoxBody(np.array(upper))) == {
+            tuple(np.round(np.array(p) * upper, 12)) for p in corners}
+
+    @pytest.mark.parametrize("blocks,capacities", [
+        (((0, 1), (2, 3)), (1, 1)),
+        (((0, 3), (1, 2, 4)), (1, 2)),
+        (((2,), (0, 1, 3, 4)), (0, 3)),
+    ])
+    def test_partition_vertices_are_the_product_of_block_vertices(self, blocks, capacities):
+        n = sum(map(len, blocks))
+        expected = set()
+        for pieces in itertools.product(*(at_most_k_ones(len(blk), k)
+                                          for blk, k in zip(blocks, capacities))):
+            v = np.zeros(n)
+            for blk, piece in zip(blocks, pieces):
+                v[list(blk)] = piece
+            expected.add(tuple(v))
+        assert vertex_set(PartitionBody(n, blocks, capacities)) == expected
+
+    def test_subsystem_cap(self):
+        # comb(40, 20) subsystems: refused before any of them is built
+        with pytest.raises(CapacityError, match="at most 100000 subsystems"):
+            lmo_bruteforce(BoxBody(np.ones(20)), np.ones(20))
+
+    @pytest.mark.parametrize("cap,message", [([5.0, np.nan], "NaN or infinity"),
+                                             ([-3.0, -3.0], r"cap must lie in \[0, 1\]\^n")])
+    def test_bad_cap_is_refused_like_masked_lmo(self, cap, message):
+        body = BoxBody(np.ones(2))
+        with pytest.raises(InputError, match=message):
+            body.masked_lmo([1.0, 1.0], cap)
+        with pytest.raises(InputError, match=message):
+            lmo_bruteforce(body, [1.0, 1.0], cap)
+
+
 def solve(c, A, b, u):
     return simplex_solve(*(np.asarray(v, dtype=float) for v in (c, A, b, u)))
 
 
 def enumerated_optimum(c, A, b, u):
-    n = len(c)
-    rows = np.vstack([A, np.eye(n), -np.eye(n)])
-    rhs = np.concatenate([b, u, np.zeros(n)])
-    return max(float(c @ v) for v in basic_solutions(rows, rhs))
+    return lmo_bruteforce(PackingBody(A, b), c, u)[0]
 
 
 class TestSimplex:
@@ -351,7 +399,7 @@ def test_cardinality_is_a_one_block_partition(seed, n, data):
        kind=st.sampled_from(["box", "cardinality", "partition", "packing"]))
 def test_random_bodies_oracles_agree_with_enumeration(seed, kind):
     rng = np.random.default_rng(seed)
-    n = int(rng.integers(2, 5))
+    n = int(rng.integers(2, 7))
     if kind == "box":
         body = BoxBody(rng.uniform(0.3, 1.0, size=n))
     elif kind == "cardinality":
