@@ -80,9 +80,8 @@ def max_lattice_mismatch(set_functions: Iterable[SetFunction]) -> float:
     """Largest gap between a multilinear extension and its set function at the corners."""
     worst = 0.0
     for sf in set_functions:
-        F = objective.multilinear_extension(sf)
-        for mask, x in enumerate(objective.corners(sf.m)):
-            worst = max(worst, abs(F.value(x) - sf.value(mask)))
+        F = objective.multilinear_extension(sf)  # row s of corners(m) is the subset with bitmask s
+        worst = max(worst, float(np.max(np.abs(F.values(objective.corners(sf.m)) - sf.table))))
     return worst
 
 

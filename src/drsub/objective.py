@@ -73,9 +73,9 @@ class DrFunction:
     may be shared freely between threads.  ``L`` bounds the Lipschitz
     constant of the gradient; ``monotone`` is True only when the gradient
     is nonnegative everywhere on the box.  ``values_fn`` maps a (k, n) batch
-    to its k values, computing each row exactly as a one-row batch would,
-    so ``values`` agrees bit for bit with ``value``.  ``value_fn`` is an
-    optional faster route for one point.
+    to its k values, computing each row exactly as a one-row batch would;
+    ``value`` is ``values_fn`` on the one-row batch, so ``values`` agrees
+    bit for bit with ``value``.
     """
 
     n: int
@@ -84,13 +84,9 @@ class DrFunction:
     values_fn: Callable[[np.ndarray], np.ndarray]
     grad_fn: Callable[[np.ndarray], np.ndarray]
     name: str = ""
-    value_fn: Callable[[np.ndarray], float] | None = None
 
     def value(self, x) -> float:
-        x = _as_point(x, self.n)
-        if self.value_fn is not None:
-            return float(self.value_fn(x))
-        return float(self.values_fn(x[None])[0])
+        return float(self.values_fn(_as_point(x, self.n)[None])[0])
 
     def values(self, X) -> np.ndarray:
         """The k values of a (k, n) batch; row i equals value(X[i]) exactly."""
@@ -238,41 +234,41 @@ def multilinear_extension(f: SetFunction) -> DrFunction:
     table = f.table.copy()
     m = f.m
 
-    def partials(x: np.ndarray) -> list[np.ndarray]:
-        """partials[k] is the table with elements 0..k-1 averaged out."""
-        v = [table]
-        for xi in x:
-            v.append(v[-1].reshape(-1, 2) @ (1.0 - xi, xi))
+    def partials(X: np.ndarray) -> list[np.ndarray]:
+        """partials[i][r] is the table with elements 0..i-1 averaged out at row r of X.
+
+        The table level has one row, which matmul broadcasts against the k rows.
+        """
+        # (1 - x_i, x_i) per element and row, filled in place: np.stack would
+        # nearly double the value of one point at m = 3
+        weights = np.empty((m, X.shape[0], 2, 1))
+        weights[:, :, 0, 0] = 1.0 - X.T
+        weights[:, :, 1, 0] = X.T
+        v = [table[None]]
+        for w in weights:
+            rows, size = v[-1].shape
+            v.append((v[-1].reshape(rows, size // 2, 2) @ w)[..., 0])
         return v
 
-    def value(x: np.ndarray) -> float:
-        return float(partials(x)[-1][0])
-
     def values(X: np.ndarray) -> np.ndarray:
-        # the same lowest-bit-first average with a leading batch axis; the stacked matmul
-        # makes per row the product partials makes, so each value matches value() exactly.
-        # value and grad keep the one-point pass: it is the solver's hot path, and at m=12
-        # a one-row batch takes about 3x as long (37 -> 107 us on a 2-vCPU Xeon).
-        # The scratch is k x 2^(m-1) floats, which the grid's m <= 6 keeps small
-        v = np.broadcast_to(table, (X.shape[0], table.size))
-        for xi in X.T:
-            pairs = v.reshape(X.shape[0], v.shape[1] // 2, 2)
-            v = (pairs @ np.stack([1.0 - xi, xi], axis=1)[:, :, None])[..., 0]
-        return v[:, 0]
+        out = np.empty(X.shape[0])
+        out[:] = partials(X)[-1][:, 0]  # with m = 0 the last level is the table's one row
+        return out
 
     def grad(x: np.ndarray) -> np.ndarray:
         # g_k pins element k in partials[k] and averages out elements k+1..m-1,
         # whose inclusion weights the reverse sweep builds one element at a time
-        v = partials(x)
+        v = partials(x[None])
         g = np.empty(m)
         weights = np.ones(1)
         for k in reversed(range(m)):
-            g[k] = (v[k].reshape(-1, 2) @ (-1.0, 1.0)) @ weights
-            weights = np.outer(weights, (1.0 - x[k], x[k])).ravel()
+            p = v[k][0]
+            g[k] = (p[1::2] - p[0::2]) @ weights
+            weights = (weights[:, None] * (1.0 - x[k], x[k])).ravel()
         return g
 
     return DrFunction(m, float(m * m) * f.max_value(), set_is_monotone(f), values, grad,
-                      name=f"multilinear(m={m})", value_fn=value)
+                      name=f"multilinear(m={m})")
 
 
 # --- closed-form instance families ---------------------------------------------

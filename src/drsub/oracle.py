@@ -134,4 +134,4 @@ def grid_search(F: DrFunction, C: ConvexBody) -> OptCertificate:
         hi = np.minimum(best_x + 2.0 * width, 1.0)
         axes = [np.unique(np.clip(lo[i] + width * np.arange(5), 0.0, hi[i])) for i in range(n)]
         best_val, best_x = _scan(F, C, axes, best_val, best_x)
-    return OptCertificate(F.value(best_x), best_x, "grid", slack, 1.0 / steps)
+    return OptCertificate(best_val, best_x, "grid", slack, 1.0 / steps)

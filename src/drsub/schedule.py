@@ -5,11 +5,11 @@ horizon [0, T].  The solver reads them only as values on its grid: the pair
 fixes both the step coefficients and the approximation ratio
 (b_T - b_0)/a_T that the final iterate is guaranteed to achieve.  Each
 solver family additionally ties a and b together through a coupling
-identity:
+identity, the integral of db = da / c(a) for the family's step scalar c:
 
-    monotone                a_t - a_0 = b_t - b_0
-    measured                b_t - b_0 = a_0 * ln(a_t / a_0)
-    general (all variants)  b_t - b_0 = sqrt(a_0) * (sqrt(a_t) - sqrt(a_0))
+    monotone                b_t - b_0 = a_t - a_0
+    measured                b_t - b_0 = ln(a_t / a_0)
+    general (all variants)  b_t - b_0 = sqrt(a_t) - sqrt(a_0)
 
 The five presets below satisfy their identities exactly and realize the
 ratios 1 - 1/e, 1/e, and 1/4 (the three general variants all peak at 1/4).
@@ -80,11 +80,12 @@ def preset(family: str) -> Schedule:
 def validate(s: Schedule) -> None:
     """Check the weight values on an equally spaced grid of 1000 nodes.
 
-    a and b must be finite, a_0 > 0 and b_0 >= 0, and every secant slope
+    a and b must be finite, a_0 >= 1 and b_0 >= 0, and every secant slope
     between neighbouring nodes nonnegative; the monotone and measured
-    families also pin a_0 = 1 and a_T = e.  A ValidationError names every
-    failed check with its worst node and value.  Weights that dip between
-    nodes are out of scope.
+    families also pin a_0 = 1 and a_T = e.  a_0 >= 1 keeps the headroom
+    floors 1/a_j and 1/sqrt(a_j) at or below 1 from the first step.  A
+    ValidationError names every failed check with its worst node and value.
+    Weights that dip between nodes are out of scope.
     """
     t = np.linspace(0.0, s.T, _VALIDATION_NODES)
     with np.errstate(all="ignore"):  # overflow and NaN are reported by the finite check
@@ -100,7 +101,7 @@ def validate(s: Schedule) -> None:
         check(np.isfinite(w[i]), f"{name} finite", "value", w[i], t[i])
     if not failed:
         a, b = weights["a"], weights["b"]
-        check(a[0] > 0.0, "a0 positive", "a0", a[0], 0.0)
+        check(a[0] >= 1.0 - _BOUNDARY_TOL, "a0 >= 1", "a0", a[0], 0.0)
         check(b[0] >= -_MONOTONICITY_TOL, "b0 nonnegative", "b0", b[0], 0.0)
         for name, w in weights.items():
             slope = np.diff(w) / np.diff(t)
@@ -146,9 +147,9 @@ def coupling_residual(s: Schedule, N: int) -> float:
     if s.family == "monotone":
         r = (a - a[0]) - (b - b[0])
     elif s.family == "measured":
-        r = (b - b[0]) - a[0] * np.log(a / a[0])
+        r = (b - b[0]) - np.log(a / a[0])
     elif s.family in GENERAL_VARIANTS:
-        r = (b - b[0]) - math.sqrt(a[0]) * (np.sqrt(a) - math.sqrt(a[0]))
+        r = (b - b[0]) - (np.sqrt(a) - math.sqrt(a[0]))
     else:
         raise InputError(f"unknown schedule family {s.family!r}")
     return float(np.max(np.abs(r)))

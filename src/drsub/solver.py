@@ -218,8 +218,9 @@ def _run(f: DrFunction, C: ConvexBody, s: Schedule, spec: FamilySpec, N: int,
         xs[j + 1] = x
         Fs[j + 1] = f.value(x)
 
-    infnorm = np.max(np.abs(xs), axis=1) if n else np.zeros(N + 1)
-    start_slack = 1.0 - float(np.max(np.abs(x0))) if n else 1.0
+    infnorm = np.max(np.abs(xs), axis=1)
+    start_infnorm = float(np.max(np.abs(x0)))
+    start_slack = 1.0 - start_infnorm
     if spec.family == "monotone":
         margins = None
     else:
@@ -232,7 +233,7 @@ def _run(f: DrFunction, C: ConvexBody, s: Schedule, spec: FamilySpec, N: int,
     return Trajectory(
         family=spec.family, N=N, t=t, a=a, b=b, x=xs, F=Fs, infnorm=infnorm,
         v=vs, rho=rho, G=G, B_exact=B_exact, B_bound=B_bound,
-        gronwall_margin=margins, start_infnorm=float(np.max(np.abs(x0))) if n else 0.0,
+        gronwall_margin=margins, start_infnorm=start_infnorm,
         D=D, L=L, value_calls=N + 1, grad_calls=N, lmo_calls=N)
 
 

@@ -147,6 +147,18 @@ class TestRunCommand:
                        "--out", str(tmp_path)) == 1
         assert "a nondecreasing" in capsys.readouterr().err
 
+    def test_custom_schedule_with_a0_below_one_rejected(self, tmp_path, capsys):
+        # a_0 = 1/4 would put the headroom floor 1/sqrt(a_0) = 2 above the box ceiling
+        # and report ratio 0.5, twice the 1/4 the analysis supports
+        below_one = {"a": {"form": "poly", "coeffs": [0.25, 0.5, 0.25]},
+                     "b": {"form": "poly", "coeffs": [0, 0.5]}, "T": 1}
+        assert run_cli("run", "--instance", COVERAGE, "--constraint", CARD, "--family", "general",
+                       "--iters", "50", "--opt", "sets", "--schedule", json.dumps(below_one),
+                       "--out", str(tmp_path)) == 1
+        assert capsys.readouterr().err == \
+            "error: schedule fails validation: a0 >= 1 (a0 2.50e-01 at t=0)\n"
+        assert not (tmp_path / "summary.json").exists()
+
     def test_overflowing_custom_schedule_rejected(self, tmp_path, capsys):
         overflowing = {"a": {"form": "exp", "rate": 1e308},
                        "b": {"form": "poly", "coeffs": [0, 1]}, "T": 1}

@@ -57,9 +57,14 @@ class TestEval:
 def _batch_instances():
     rng = np.random.default_rng(3)
     H = -np.abs(rng.normal(size=(5, 5)))
+    # multilinear extensions at an empty ground set, one element, m = 4 and m = 12
+    cover12 = [rng.choice(30, size=4, replace=False).tolist() for _ in range(12)]
     return [QUAD, make_quadratic((H + H.T) / 2.0, rng.normal(size=5)),
             make_concave_modular(rng.uniform(0.0, 2.0, size=(3, 4))),
-            multilinear_extension(coverage_function([[0, 1], [1, 2], [2, 3]], [1.0, 0.5, 2.0, 1.5]))]
+            multilinear_extension(set_function_from_table([2.5])),
+            multilinear_extension(set_function_from_table([0.5, 2.0])),
+            multilinear_extension(coverage_function([[0, 1], [1, 2], [2, 3]], [1.0, 0.5, 2.0, 1.5])),
+            multilinear_extension(coverage_function(cover12, rng.uniform(0.5, 2.0, size=30), 30))]
 
 
 class TestBatchValues:
@@ -72,7 +77,8 @@ class TestBatchValues:
         assert np.array_equal(values, [F.value(x) for x in X])
         assert np.array_equal(F.values(X[7:100]), values[7:100])  # a row's batch does not matter
 
-    @pytest.mark.parametrize("F", _batch_instances(), ids=lambda F: F.name)
+    @pytest.mark.parametrize("F", [F for F in _batch_instances() if F.n],  # m = 0 has no entry
+                             ids=lambda F: F.name)
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, 1.0 + 1e-9, -1e-9, 5.0])
     def test_rejects_nan_infinite_and_far_out_rows(self, F, bad):
         X = np.full((3, F.n), 0.5)

@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 from drsub import (InputError, ValidationError, coupling_residual, preset, ratio,
                    ratio_curve, schedule_from_json, validate)
 from drsub.schedule import PRESET_FAMILIES, Schedule
+from drsub.solver import family_spec, g_series
 
 RATIOS = {
     "monotone": 1.0 - 1.0 / math.e,
@@ -61,12 +62,22 @@ class TestValidate:
             validate(s)
 
     def test_general_family_has_no_boundary_pins(self):
-        # a_0 = 3 != 1 is fine for the general family; b keeps the sqrt coupling
+        # a_0 = 3 != 1 is fine for the general family; b = sqrt(a) - sqrt(a_0) keeps the
+        # sqrt coupling, read both as the schedule identity and as the solver's G_j <= 0
         s = Schedule("general", 1.0,
                      lambda t: 3.0 * (1.0 + np.asarray(t, dtype=float)) ** 2,
-                     lambda t: 3.0 * np.asarray(t, dtype=float))
+                     lambda t: math.sqrt(3.0) * np.asarray(t, dtype=float))
         assert validate(s) is None
         assert coupling_residual(s, 20) <= 1e-12
+        assert np.max(g_series(s, family_spec("general"), 20)) <= 1e-12
+
+    @pytest.mark.parametrize("family", PRESET_FAMILIES)
+    def test_a0_below_one_fails(self, family):
+        # the headroom floor 1/sqrt(a_0) (or 1/a_0) would exceed 1 at the first step
+        s = Schedule(family, 1.0, lambda t: 0.25 * np.exp(np.asarray(t, dtype=float)),
+                     lambda t: np.asarray(t, dtype=float) + 0.0)
+        with pytest.raises(ValidationError, match=r"a0 >= 1 \(a0 2\.50e-01 at t=0\)"):
+            validate(s)
 
     def test_ratio_raises_on_invalid(self):
         s = Schedule("monotone", 1.0,
@@ -175,4 +186,8 @@ def test_increasing_exponentials_pass_monotonicity(rate, scale, T):
         {"a": {"form": "exp", "rate": rate, "scale": scale},
          "b": {"form": "poly", "coeffs": [0.0, 1.0]}, "T": T},
         "general")
-    assert validate(s) is None
+    if scale >= 1.0 - 1e-12:  # validate's boundary tolerance
+        assert validate(s) is None
+    else:  # a_0 = scale: the one failed check is a0 >= 1, never monotonicity
+        with pytest.raises(ValidationError, match=r"validation: a0 >= 1 \([^)]*\)$"):
+            validate(s)
