@@ -18,26 +18,20 @@ from .errors import ValidationError
 from .feasible import ConvexBody
 from .objective import DrFunction, SetFunction
 
-#: families whose guarantees the solver checks exercise
+#: families whose guarantees the solver checks exercise, one per direction
 FAMILIES = ("monotone", "measured", "general")
-
-#: ratio (b_T - b_0)/a_T that each preset realizes
-PRESET_RATIOS = {"monotone": 1.0 - math.exp(-1.0), "measured": math.exp(-1.0),
-                 "general": 0.25, "general-exp": 0.25, "general-linear": 0.25}
-
-#: time at which the running ratio b_t/a_t of each general variant peaks at 1/4
-RATIO_PEAKS = {"general": 1.0, "general-exp": 2.0 * math.log(2.0), "general-linear": 3.0}
 
 Certified = Sequence[tuple[DrFunction, ConvexBody, float]]  # (f, C, optimum > 0)
 
 
 def max_ratio_error(schedules: Mapping[str, schedule.Schedule],
-                    expected: Mapping[str, float] = PRESET_RATIOS) -> float:
-    """Largest |ratio - expected| by family; a ValidationError is prefixed with the family."""
+                    expected: Mapping[str, float] | None = None) -> float:
+    """Largest |ratio - expected| by family (default: the table's ratio), naming it on error."""
     worst = 0.0
     for family, s in schedules.items():
+        want = schedule.FAMILIES[family].ratio if expected is None else expected[family]
         try:
-            worst = max(worst, abs(schedule.ratio(s) - expected[family]))
+            worst = max(worst, abs(schedule.ratio(s) - want))
         except ValidationError as e:
             raise ValidationError(f"{family}: {e}") from None
     return worst
@@ -48,8 +42,10 @@ def max_coupling_residual(schedules: Iterable[schedule.Schedule]) -> float:
     return max(schedule.coupling_residual(s, 100) for s in schedules)
 
 
-def ratio_curve_peaks(peaks: Mapping[str, float] = RATIO_PEAKS) -> tuple[float, float]:
+def ratio_curve_peaks(peaks: Mapping[str, float] | None = None) -> tuple[float, float]:
     """Worst |peak - 1/4| and distance of the peak from t* beyond one cell of 10001 nodes."""
+    if peaks is None:  # every offset family, which peaks at its horizon T
+        peaks = {n: f.T for n, f in schedule.FAMILIES.items() if f.direction == "offset"}
     value_error = offset = 0.0
     for variant, t_star in peaks.items():
         T = schedule.preset(variant).T
@@ -113,25 +109,25 @@ def max_simplex_gap(rng: np.random.Generator) -> float:
     return worst
 
 
-def _presets(families=FAMILIES):
-    return ((family, schedule.preset(family), solver.family_spec(family)) for family in families)
+def _presets():
+    return ((schedule.preset(family), solver.family_spec(family)) for family in FAMILIES)
 
 
 def max_coupling_excess() -> float:
-    """Largest |G_j| (monotone) or positive G_j (others) for N in {1, 7, 50, 500}."""
+    """Largest |G_j| (plain direction) or positive G_j (others) for N in {1, 7, 50, 500}."""
     worst = 0.0
-    for family, s, spec in _presets():
+    for s, spec in _presets():
         for N in (1, 7, 50, 500):
             G = solver.g_series(s, spec, N)
-            worst = max(worst, float(np.max(np.abs(G) if family == "monotone" else G)))
+            worst = max(worst, float(np.max(np.abs(G) if spec.direction == "plain" else G)))
     return worst
 
 
 def _certified_runs(certified: Certified, Ns: Iterable[int]):
-    """(f, C, opt, schedule, spec, trajectory) per run; monotone family on monotone f only."""
+    """(f, C, opt, schedule, spec, trajectory) per run; the plain direction on monotone f only."""
     for f, C, opt in certified:
-        for family, s, spec in _presets():
-            if family == "monotone" and not f.monotone:
+        for s, spec in _presets():
+            if spec.direction == "plain" and not f.monotone:
                 continue
             for N in Ns:
                 yield f, C, opt, s, spec, solver.run(f, C, s, spec, N)
@@ -145,9 +141,9 @@ def min_potential_margin(certified: Certified) -> float:
 
 
 def min_headroom_margin(pairs: Iterable[tuple[DrFunction, ConvexBody]]) -> float:
-    """Smallest headroom margin of the measured and general families, N in {1, 50, 500}."""
+    """Smallest headroom margin of the masked and offset families, N in {1, 50, 500}."""
     return min(solver.run(f, C, s, spec, N).min_gronwall_margin
-               for f, C in pairs for _, s, spec in _presets(("measured", "general"))
+               for f, C in pairs for s, spec in _presets() if spec.direction != "plain"
                for N in (1, 50, 500))
 
 
@@ -164,7 +160,7 @@ def max_additive_ratio() -> float:
     """Largest additive(2N) / additive(N) for N in {16, 32, 64, 128}."""
     return max(solver.guarantee(s, spec, 2 * N, 1.0, 1.0).additive
                / solver.guarantee(s, spec, N, 1.0, 1.0).additive
-               for _, s, spec in _presets() for N in (16, 32, 64, 128))
+               for s, spec in _presets() for N in (16, 32, 64, 128))
 
 
 def csv_mismatches(f: DrFunction, C: ConvexBody) -> int:

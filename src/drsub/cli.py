@@ -99,7 +99,7 @@ class _Experiment:
                 _load_json_arg(args.schedule, "schedule"), self.family)
             schedule.validate(self.schedule)
         self.spec = solver.family_spec(self.family)
-        if self.family == "monotone" and not self.objective.monotone:
+        if self.spec.direction == "plain" and not self.objective.monotone:
             raise ConfigurationError("the monotone family needs a monotone instance; "
                                      "use measured or general")
 
@@ -120,6 +120,12 @@ def _solve_once(exp: _Experiment, N: int, cert: oracle.OptCertificate | None):
         potential = solver.potential_series(traj, cert.value)
     bound = solver.guarantee(exp.schedule, exp.spec, N, exp.objective.L,
                              exp.body.diameter())
+    reported = (("final_value", traj.final_value), ("opt", cert and cert.value),
+                ("ratio_guaranteed", bound.coefficient), ("additive_gap", bound.additive),
+                ("min_potential_increment_margin", potential and potential.min_margin))
+    for name, value in reported:
+        if value is not None and not np.isfinite(value):
+            raise InputError(f"{name} is {value} at N={N}: the run overflows float64")
     return traj, potential, bound
 
 
@@ -142,10 +148,11 @@ def _summary(exp: _Experiment, N: int, traj, potential, bound, cert) -> dict:
 
 def _check_run_invariants(traj, potential) -> list[str]:
     problems = []
-    if potential is not None and potential.min_margin < -_POTENTIAL_TOL:
+    # written as "not >=" so that a NaN margin fails
+    if potential is not None and not potential.min_margin >= -_POTENTIAL_TOL:
         problems.append(f"potential increment margin {potential.min_margin:.3e} < -1e-9")
     margin = traj.min_gronwall_margin
-    if margin is not None and margin < -_GRONWALL_TOL:
+    if margin is not None and not margin >= -_GRONWALL_TOL:
         problems.append(f"headroom margin {margin:.3e} < -1e-9")
     return problems
 
@@ -217,7 +224,7 @@ def cmd_check(args) -> int:
     if args.seed < 0:
         raise InputError(f"--seed must be a nonnegative integer, got {args.seed}")
     rng = np.random.default_rng(args.seed)
-    presets = {family: schedule.preset(family) for family in schedule.PRESET_FAMILIES}
+    presets = {family: schedule.preset(family) for family in schedule.FAMILIES}
     instances = desk.bundled_instances()
     pairs = [(inst.objective, inst.body) for inst in instances]
     objectives = [f for f, _ in pairs]
@@ -227,7 +234,7 @@ def cmd_check(args) -> int:
               else oracle.grid_search(i.objective, i.body) for i in instances]
     certified = [(i.objective, i.body, c.value) for i, c in zip(instances, optima) if c.value > 0]
     lattice = [desk.coverage_two_sets(), desk.coverage_three_sets()]
-    ratios = ", ".join(f"{checks.PRESET_RATIOS[f]:.6f}" for f in checks.FAMILIES)
+    ratios = ", ".join(f"{schedule.FAMILIES[f].ratio:.6f}" for f in checks.FAMILIES)
 
     # name, PASS detail (default: the first gate's value), gates (quantity, measure, limit);
     # a "min ..." quantity must stay at or above its limit, any other at or below it
@@ -282,7 +289,7 @@ def build_parser() -> argparse.ArgumentParser:
     def add_common(p):
         p.add_argument("--instance", help="instance JSON (inline or path)")
         p.add_argument("--constraint", help="constraint JSON (inline or path)")
-        p.add_argument("--family", choices=schedule.PRESET_FAMILIES,
+        p.add_argument("--family", choices=schedule.FAMILIES,
                        help="solver family / schedule preset")
         p.add_argument("--iters", help="iteration count (run) or comma list (sweep)")
         p.add_argument("--opt", choices=("none", "sets", "grid"), default="none",

@@ -1,18 +1,20 @@
-"""Weight schedules (a_t, b_t, T) that drive the Frank-Wolfe updates.
+"""Weight schedules (a_t, b_t, T) and the one table of solver families.
 
 A schedule is a pair of nonnegative, nondecreasing functions a and b on a
 horizon [0, T].  The solver reads them only as values on its grid: the pair
 fixes both the step coefficients and the approximation ratio
-(b_T - b_0)/a_T that the final iterate is guaranteed to achieve.  Each
-solver family additionally ties a and b together through a coupling
-identity, the integral of db = da / c(a) for the family's step scalar c:
+(b_T - b_0)/a_T that the final iterate is guaranteed to achieve.
 
-    monotone                b_t - b_0 = a_t - a_0
-    measured                b_t - b_0 = ln(a_t / a_0)
-    general (all variants)  b_t - b_0 = sqrt(a_t) - sqrt(a_0)
+A solver family is one row of :data:`FAMILIES`: its oracle direction, its
+step scalars c(a) and d(a), and the coupling db = da / c(a) they impose,
+b_t - b_0 = beta(a_t) - beta(a_0).  Each row's preset (T, a, b) realizes the
+largest ratio (beta(r) - beta(1))/r over r = a_T/a_0 (r <= e where the steps
+share a unit budget); the three general variants differ only in the preset:
 
-The five presets below satisfy their identities exactly and realize the
-ratios 1 - 1/e, 1/e, and 1/4 (the three general variants all peak at 1/4).
+    family        direction  c(a)       d(a)     beta(a)  ratio
+    monotone      plain      1          1        a        1 - 1/e
+    measured      masked     a          a        ln a     1/e
+    general (x3)  offset     2 sqrt(a)  sqrt(a)  sqrt(a)  1/4
 """
 
 from __future__ import annotations
@@ -24,11 +26,6 @@ from typing import Callable
 import numpy as np
 
 from .errors import CapacityError, InputError, ValidationError, fields
-
-PRESET_FAMILIES = ("monotone", "measured", "general", "general-exp", "general-linear")
-
-#: general variants share the sqrt coupling and the 1/4 peak ratio
-GENERAL_VARIANTS = ("general", "general-exp", "general-linear")
 
 #: desk-scale cap on the step count N
 _MAX_STEPS = 100_000
@@ -44,8 +41,7 @@ class Schedule:
     """Closed-form weight pair on the horizon [0, T].
 
     The callables must accept scalars and numpy arrays alike.  ``family``
-    selects the update rule and the coupling identity checked by
-    :func:`coupling_residual`.
+    names the row of :data:`FAMILIES` whose update rule and coupling apply.
     """
 
     family: str
@@ -58,34 +54,69 @@ class Schedule:
             raise InputError(f"schedule horizon must be positive, got {self.T}")
 
 
+@dataclass(frozen=True)
+class FamilySpec:
+    """One solver family: its update rule, its ratio, and its preset schedule.
+
+    ``direction`` is "plain" (the oracle vertex v), "masked" (v <= 1 - x) or
+    "offset" (v - x); ``c`` and ``d`` map a_j to the step scalars.
+    """
+
+    name: str
+    direction: str
+    c: Callable
+    d: Callable
+    beta: Callable
+    ratio: float
+    T: float
+    a: Callable
+    b: Callable
+
+
+def _identity(t):
+    return np.asarray(t, dtype=float) + 0.0
+
+
+#: the one update rule of the three general variants, which differ only in the preset
+_OFFSET = dict(direction="offset", c=lambda a: 2.0 * np.sqrt(a), d=np.sqrt, beta=np.sqrt,
+               ratio=0.25)
+
+#: every solver family by name; the rest of the package reads what a family does from its row
+FAMILIES = {spec.name: spec for spec in (
+    FamilySpec("monotone", "plain", np.ones_like, np.ones_like, _identity,
+               1.0 - math.exp(-1.0), 1.0, np.exp, np.exp),
+    FamilySpec("measured", "masked", _identity, _identity, np.log,
+               math.exp(-1.0), 1.0, np.exp, _identity),
+    FamilySpec("general", **_OFFSET, T=1.0, a=lambda t: (1.0 + t) ** 2, b=_identity),
+    FamilySpec("general-exp", **_OFFSET, T=2.0 * math.log(2.0), a=np.exp,
+               b=lambda t: np.exp(0.5 * np.asarray(t, dtype=float)) - 1.0),
+    FamilySpec("general-linear", **_OFFSET, T=3.0, a=lambda t: np.asarray(t, dtype=float) + 1.0,
+               b=lambda t: np.sqrt(np.asarray(t, dtype=float) + 1.0) - 1.0),
+)}
+
+
+def family_spec(family: str) -> FamilySpec:
+    """The row of :data:`FAMILIES` named ``family``."""
+    if family not in FAMILIES:
+        raise InputError(f"unknown solver family {family!r}; expected one of {tuple(FAMILIES)}")
+    return FAMILIES[family]
+
+
 def preset(family: str) -> Schedule:
-    """Return the bundled schedule for one of the five solver families."""
-    if family == "monotone":
-        return Schedule("monotone", 1.0, np.exp, np.exp)
-    if family == "measured":
-        return Schedule("measured", 1.0, np.exp, lambda t: np.asarray(t, dtype=float) + 0.0)
-    if family == "general":
-        return Schedule("general", 1.0,
-                        lambda t: (1.0 + t) ** 2, lambda t: np.asarray(t, dtype=float) + 0.0)
-    if family == "general-exp":
-        return Schedule("general-exp", 2.0 * math.log(2.0),
-                        np.exp, lambda t: np.exp(0.5 * np.asarray(t, dtype=float)) - 1.0)
-    if family == "general-linear":
-        return Schedule("general-linear", 3.0,
-                        lambda t: np.asarray(t, dtype=float) + 1.0,
-                        lambda t: np.sqrt(np.asarray(t, dtype=float) + 1.0) - 1.0)
-    raise InputError(f"unknown schedule family {family!r}; expected one of {PRESET_FAMILIES}")
+    """Return the bundled schedule of one solver family."""
+    spec = family_spec(family)
+    return Schedule(spec.name, spec.T, spec.a, spec.b)
 
 
 def validate(s: Schedule) -> None:
     """Check the weight values on an equally spaced grid of 1000 nodes.
 
     a and b must be finite, a_0 >= 1 and b_0 >= 0, and every secant slope
-    between neighbouring nodes nonnegative; the monotone and measured
-    families also pin a_0 = 1 and a_T = e.  a_0 >= 1 keeps the headroom
-    floors 1/a_j and 1/sqrt(a_j) at or below 1 from the first step.  A
-    ValidationError names every failed check with its worst node and value.
-    Weights that dip between nodes are out of scope.
+    between neighbouring nodes nonnegative; the rules whose steps share a unit
+    budget (every direction but offset) also pin a_0 = 1 and a_T = e.  a_0 >= 1
+    keeps the headroom floors 1/a_j and 1/sqrt(a_j) at or below 1 from the
+    first step.  A ValidationError names every failed check with its worst
+    node and value.  Weights that dip between nodes are out of scope.
     """
     t = np.linspace(0.0, s.T, _VALIDATION_NODES)
     with np.errstate(all="ignore"):  # overflow and NaN are reported by the finite check
@@ -107,8 +138,8 @@ def validate(s: Schedule) -> None:
             slope = np.diff(w) / np.diff(t)
             i = int(np.argmin(slope))
             check(slope[i] >= -_MONOTONICITY_TOL, f"{name} nondecreasing", "slope", slope[i], t[i])
-        if s.family in ("monotone", "measured"):
-            # these families distribute total step mass ln(a_T/a_0) = 1, so the
+        if family_spec(s.family).direction != "offset":
+            # these rules distribute total step mass ln(a_T/a_0) = 1, so the
             # boundary values are pinned: a_0 = 1 and a_T = e
             log_a0, log_aT = (math.log(v) if v > 0 else math.inf for v in (a[0], a[-1]))
             check(abs(log_a0) <= _BOUNDARY_TOL, "log a0 == 0", "log a0", log_a0, 0.0)
@@ -142,27 +173,20 @@ def on_grid(s: Schedule, N: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 
 def coupling_residual(s: Schedule, N: int) -> float:
-    """Max absolute violation of the family coupling identity on the N-step grid."""
+    """Max absolute violation of b - b_0 = beta(a) - beta(a_0) on the N-step grid."""
     _, a, b = on_grid(s, N)
-    if s.family == "monotone":
-        r = (a - a[0]) - (b - b[0])
-    elif s.family == "measured":
-        r = (b - b[0]) - np.log(a / a[0])
-    elif s.family in GENERAL_VARIANTS:
-        r = (b - b[0]) - (np.sqrt(a) - math.sqrt(a[0]))
-    else:
-        raise InputError(f"unknown schedule family {s.family!r}")
-    return float(np.max(np.abs(r)))
+    beta = family_spec(s.family).beta
+    return float(np.max(np.abs((b - b[0]) - (beta(a) - beta(a[0])))))
 
 
 def ratio_curve(variant: str, t) -> np.ndarray | float:
-    """Running ratio b_t/a_t of a general variant at time t in [0, T].
+    """Running ratio b_t/a_t of an offset family's preset at time t in [0, T].
 
-    Every variant stays at or below 1/4 and touches 1/4 exactly once
-    (at t = 2 ln 2, t = 3, and t = 1 respectively).
+    Every curve stays at or below 1/4 and touches 1/4 exactly once, at
+    t = T, where a_t/a_0 reaches the maximizer r = 4.
     """
-    if variant not in GENERAL_VARIANTS:
-        raise InputError(f"ratio_curve is defined for {GENERAL_VARIANTS}, got {variant!r}")
+    if family_spec(variant).direction != "offset":
+        raise InputError(f"ratio_curve is defined for offset families, got {variant!r}")
     s = preset(variant)
     t_arr = np.asarray(t, dtype=float)
     if np.any(t_arr < 0.0) or np.any(t_arr > s.T + 1e-12):
@@ -208,7 +232,6 @@ def _expr_from_json(spec: dict) -> Callable:
 
 def schedule_from_json(obj: dict, family: str) -> Schedule:
     """Build a user schedule {"a": expr, "b": expr, "T": real} for a family."""
-    if family not in PRESET_FAMILIES:
-        raise InputError(f"unknown schedule family {family!r}")
+    name = family_spec(family).name  # refuses an unknown family
     v = fields(obj, "schedule", a=None, b=None, T="real")
-    return Schedule(family, v["T"], _expr_from_json(v["a"]), _expr_from_json(v["b"]))
+    return Schedule(name, v["T"], _expr_from_json(v["a"]), _expr_from_json(v["b"]))

@@ -1,15 +1,14 @@
 """Schedule-driven Frank-Wolfe engine with per-step telemetry.
 
-One generic update rule covers all three solver families.  At step j on
-the grid t_j = j*T/N the iterate moves by
+One generic update rule covers every solver family.  At step j on the
+grid t_j = j*T/N the iterate moves by
 
     x_{j+1} = x_j + rho_j * u_j,      rho_j = (b_{j+1} - b_j) / a_{j+1} * d_j,
 
-where the direction u_j and the scalars c_j, d_j come from the family:
-
-    monotone   plain oracle direction v_j, c = d = 1
-    measured   masked oracle direction (v <= 1 - x_j), c = d = a_j
-    general    offset direction v_j - x_j, c = 2 sqrt(a_j), d = sqrt(a_j)
+where the direction u_j (the oracle vertex v_j, the masked vertex
+v_j <= 1 - x_j, or the offset v_j - x_j) and the scalars c_j, d_j are read
+from the family's row of ``schedule.FAMILIES``; nothing here branches on a
+family name.
 
 The telemetry recorded along the trajectory makes the analysis checkable
 at runtime: G_j measures how far the step violates the schedule coupling
@@ -21,48 +20,15 @@ the masked and offset families keep enough headroom below the box ceiling.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
 from .errors import ConfigurationError, InputError, InvariantError, ValidationError
 from .feasible import ConvexBody
 from .objective import DrFunction
-from .schedule import GENERAL_VARIANTS, Schedule, on_grid
+from .schedule import FamilySpec, Schedule, family_spec, on_grid
 
 _STEP_MASS_TOL = 1e-12
-
-
-@dataclass(frozen=True)
-class FamilySpec:
-    """Per-family plug-ins for the generic update.
-
-    The scalar rules are functions of the schedule value a_j only.  The
-    trajectory margins verify after the fact that the headroom factor
-    1 - 1/a_j (masked family) or 1 - 1/sqrt(a_j) (offset family), taken
-    from the schedule, dominates ||x_j||_inf.
-    """
-
-    family: str
-    masked: bool
-    offset_direction: bool
-    c_of_a: Callable[[np.ndarray], np.ndarray]
-    d_of_a: Callable[[np.ndarray], np.ndarray]
-
-
-def family_spec(family: str) -> FamilySpec:
-    """Plug-in bundle for a family tag (general variants share one bundle)."""
-    if family == "monotone":
-        one = lambda a: np.ones_like(np.asarray(a, dtype=float))
-        return FamilySpec("monotone", False, False, one, one)
-    if family == "measured":
-        ident = lambda a: np.asarray(a, dtype=float) + 0.0
-        return FamilySpec("measured", True, False, ident, ident)
-    if family in GENERAL_VARIANTS:
-        return FamilySpec(family, False, True,
-                          lambda a: 2.0 * np.sqrt(a),
-                          lambda a: np.sqrt(np.asarray(a, dtype=float)))
-    raise InputError(f"unknown solver family {family!r}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -70,8 +36,8 @@ class Trajectory:
     """Complete iterate record of one run; immutable once returned.
 
     State arrays have length N+1; step arrays (direction, rho, G, B) have
-    length N.  ``gronwall_margin`` is None for the monotone family, which
-    needs no headroom below the box ceiling.
+    length N.  ``gronwall_margin`` is None for the plain direction (the
+    monotone family), which needs no headroom below the box ceiling.
     """
 
     family: str
@@ -138,7 +104,7 @@ class GuaranteeBound:
 def g_series(s: Schedule, spec: FamilySpec, N: int) -> np.ndarray:
     """Coupling terms G_j = c_j (b_{j+1} - b_j) - (a_{j+1} - a_j), j = 0..N-1."""
     _, a, b = on_grid(s, N)
-    return spec.c_of_a(a[:-1]) * np.diff(b) - np.diff(a)
+    return spec.c(a[:-1]) * np.diff(b) - np.diff(a)
 
 
 def _step_bounds(spec: FamilySpec, a: np.ndarray, b: np.ndarray, L: float,
@@ -148,7 +114,7 @@ def _step_bounds(spec: FamilySpec, a: np.ndarray, b: np.ndarray, L: float,
     float_power rounds like a scalar ``x ** 2`` (C pow); an array ``** 2``
     computes x * x, which can differ in the last ulp.
     """
-    d = np.asarray(spec.d_of_a(a[:-1]), dtype=float)
+    d = np.asarray(spec.d(a[:-1]), dtype=float)
     return 0.5 * D * L * np.float_power(np.diff(b), 2) * d * d / a[1:]
 
 
@@ -160,27 +126,27 @@ def run(f: DrFunction, C: ConvexBody, s: Schedule, spec: FamilySpec, N: int) -> 
 def arbitrary_start_run(f: DrFunction, C: ConvexBody, s: Schedule, N: int, x0) -> Trajectory:
     """Offset-direction run from a caller-chosen feasible start.
 
-    Only the general family supports this: its update contracts toward
+    Only the offset direction supports this: its update contracts toward
     the oracle vertex, so feasibility is preserved from any x0 in the
     body, and the guarantee coefficient scales by 1 - ||x0||_inf.
     """
-    if s.family not in GENERAL_VARIANTS:
+    spec = family_spec(s.family)
+    if spec.direction != "offset":
         raise ConfigurationError("arbitrary starts are supported by the general family only")
     x0 = np.asarray(x0, dtype=float)
     if x0.shape != (C.n,):
         raise InputError(f"start point must have dimension {C.n}")
     if not C.contains(x0):
         raise InputError("start point is not feasible")
-    return _run(f, C, s, family_spec(s.family), N, x0)
+    return _run(f, C, s, spec, N, x0)
 
 
 def _run(f: DrFunction, C: ConvexBody, s: Schedule, spec: FamilySpec, N: int,
          x0: np.ndarray) -> Trajectory:
     if f.n != C.n:
         raise InputError(f"objective dimension {f.n} != body dimension {C.n}")
-    if spec.family != s.family and not (spec.family in GENERAL_VARIANTS
-                                        and s.family in GENERAL_VARIANTS):
-        raise ConfigurationError(f"family spec {spec.family!r} does not match schedule {s.family!r}")
+    if spec.direction != family_spec(s.family).direction:
+        raise ConfigurationError(f"family spec {spec.name!r} does not match schedule {s.family!r}")
 
     t, a, b = on_grid(s, N)
     n = C.n
@@ -190,10 +156,11 @@ def _run(f: DrFunction, C: ConvexBody, s: Schedule, spec: FamilySpec, N: int,
     xs = np.zeros((N + 1, n))
     Fs = np.zeros(N + 1)
     vs = np.zeros((N, n))
-    rho = np.diff(b) / a[1:] * np.asarray(spec.d_of_a(a[:-1]), dtype=float)
+    rho = np.diff(b) / a[1:] * np.asarray(spec.d(a[:-1]), dtype=float)
     # the body is convex and holds 0, so x_N = sum_j rho_j v_j stays in it when
     # sum_j rho_j <= 1, and an offset step x + rho_j (v - x) when rho_j <= 1
-    what, mass = ("max rho_j", np.max(rho)) if spec.offset_direction else ("sum rho_j", np.sum(rho))
+    offset = spec.direction == "offset"
+    what, mass = ("max rho_j", np.max(rho)) if offset else ("sum rho_j", np.sum(rho))
     if not mass <= 1.0 + _STEP_MASS_TOL:
         raise ValidationError(
             f"schedule steps are too long: {what} = {mass:.6g} exceeds 1 at N={N}")
@@ -206,11 +173,11 @@ def _run(f: DrFunction, C: ConvexBody, s: Schedule, spec: FamilySpec, N: int,
     Fs[0] = f.value(x)
     for j in range(N):
         g = f.grad(x)
-        v = C.masked_lmo(g, np.clip(1.0 - x, 0.0, 1.0)) if spec.masked else C.lmo(g)
-        x_next = x + rho[j] * (v - x if spec.offset_direction else v)
+        v = C.masked_lmo(g, np.clip(1.0 - x, 0.0, 1.0)) if spec.direction == "masked" else C.lmo(g)
+        x_next = x + rho[j] * (v - x if offset else v)
         if not C.contains(x_next):
             raise InvariantError(
-                f"iterate left the body at step {j}: x={x_next!r} (family {spec.family})")
+                f"iterate left the body at step {j}: x={x_next!r} (family {spec.name})")
         dx = x_next - x
         vs[j] = v
         B_exact[j] = a[j + 1] * 0.5 * L * float(np.dot(dx, dx))
@@ -221,17 +188,15 @@ def _run(f: DrFunction, C: ConvexBody, s: Schedule, spec: FamilySpec, N: int,
     infnorm = np.max(np.abs(xs), axis=1)
     start_infnorm = float(np.max(np.abs(x0)))
     start_slack = 1.0 - start_infnorm
-    if spec.family == "monotone":
-        margins = None
-    else:
-        floor = start_slack / a if spec.masked else start_slack / np.sqrt(a)
-        margins = (1.0 - infnorm) - floor
+    # the headroom floor start_slack / d(a_j) that the masked and offset rules keep
+    # below the box ceiling; the plain rule needs none
+    margins = None if spec.direction == "plain" else (1.0 - infnorm) - start_slack / spec.d(a)
 
     for arr in (t, a, b, xs, Fs, infnorm, vs, rho, G, B_exact, B_bound, margins):
         if arr is not None:
             arr.flags.writeable = False
     return Trajectory(
-        family=spec.family, N=N, t=t, a=a, b=b, x=xs, F=Fs, infnorm=infnorm,
+        family=spec.name, N=N, t=t, a=a, b=b, x=xs, F=Fs, infnorm=infnorm,
         v=vs, rho=rho, G=G, B_exact=B_exact, B_bound=B_bound,
         gronwall_margin=margins, start_infnorm=start_infnorm,
         D=D, L=L, value_calls=N + 1, grad_calls=N, lmo_calls=N)
@@ -264,7 +229,7 @@ def guarantee(s: Schedule, spec: FamilySpec, N: int, L: float, D: float,
         raise InputError("L and D must be nonnegative")
     if not 0.0 <= start_infnorm <= 1.0:
         raise InputError("start_infnorm must lie in [0, 1]")
-    if start_infnorm > 0.0 and not spec.offset_direction:
+    if start_infnorm > 0.0 and spec.direction != "offset":
         raise ConfigurationError("only the general family supports arbitrary starts")
     _, a, b = on_grid(s, N)
     G = g_series(s, spec, N)

@@ -5,13 +5,14 @@ import json
 import re
 import subprocess
 import sys
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from drsub import oracle, schedule
-from drsub.cli import main
+from drsub.cli import _check_run_invariants, main
 
 COVERAGE = '{"kind":"coverage","subsets":[[0,1],[1,2],[2,3]]}'
 CARD = '{"kind":"cardinality","n":3,"k":2}'
@@ -217,6 +218,37 @@ class TestRunCommand:
         assert err.startswith("error: --opt sets certifies slack 0 only on")
         assert "use --opt grid" in err
         assert not (tmp_path / "summary.json").exists()
+
+    @pytest.mark.parametrize("command,instance,constraint,family,iters,opt,schedule_json,name", [
+        ("run", '{"kind":"quadratic","H":[[0,0],[0,0]],"c":[1e308,1e308]}', BOX2, "monotone",
+         "5", "grid", None, "final_value"),
+        ("run", '{"kind":"table","values":[0,1e308,1e308,1e308]}', BOX2, "measured", "5",
+         "sets", None, "additive_gap"),
+        ("sweep", '{"kind":"table","values":[0,1e308,1e308,1e308]}', BOX2, "measured",
+         "5,10,20", "sets", None, "additive_gap"),
+        ("run", COVERAGE, CARD, "general", "50", "sets",
+         {"a": {"form": "exp", "rate": 709.7},
+          "b": {"form": "exp", "rate": 354.85, "shift": -1}, "T": 1}, "additive_gap"),
+    ], ids=["value", "lipschitz", "lipschitz-sweep", "schedule"])
+    def test_overflowing_run_rejected(self, tmp_path, capsys, command, instance, constraint,
+                                      family, iters, opt, schedule_json, name):
+        extra = [] if schedule_json is None else ["--schedule", json.dumps(schedule_json)]
+        with pytest.warns(RuntimeWarning):  # the overflow itself warns; the CLI must refuse it
+            code = run_cli(command, "--instance", instance, "--constraint", constraint,
+                           "--family", family, "--iters", iters, "--opt", opt, *extra,
+                           "--out", str(tmp_path))
+        assert code == 1
+        err = capsys.readouterr().err
+        assert re.fullmatch(rf"error: {name} is inf at N=\d+: the run overflows float64\n", err)
+        assert not (tmp_path / "summary.json").exists()
+        assert not (tmp_path / "sweep.csv").exists()
+
+    def test_nan_margins_are_violations(self):
+        nan = float("nan")
+        problems = _check_run_invariants(SimpleNamespace(min_gronwall_margin=nan),
+                                         SimpleNamespace(min_margin=nan))
+        assert problems == ["potential increment margin nan < -1e-9",
+                            "headroom margin nan < -1e-9"]
 
     @pytest.mark.parametrize("command,flags", [
         ("run", ["--instance", "--constraint", "--family", "--iters", "--opt", "--out",

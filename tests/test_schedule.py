@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from drsub import (InputError, ValidationError, coupling_residual, preset, ratio,
                    ratio_curve, schedule_from_json, validate)
-from drsub.schedule import PRESET_FAMILIES, Schedule
+from drsub.schedule import FAMILIES, Schedule
 from drsub.solver import family_spec, g_series
 
 RATIOS = {
@@ -37,15 +37,42 @@ class TestPresets:
         with pytest.raises(InputError):
             preset("fastest")
 
-    @pytest.mark.parametrize("family", PRESET_FAMILIES)
+    @pytest.mark.parametrize("family", FAMILIES)
     def test_validation_passes(self, family):
         assert validate(preset(family)) is None
 
-    @pytest.mark.parametrize("family", PRESET_FAMILIES)
+    @pytest.mark.parametrize("family", FAMILIES)
     @pytest.mark.parametrize("N", [1, 10, 100, 1000])
     def test_coupling_residual(self, family, N):
         s = preset(family)
         assert coupling_residual(s, N) <= 1e-10
+
+
+class TestFamilyTable:
+    @pytest.mark.parametrize("name", FAMILIES)
+    def test_beta_is_the_primitive_of_one_over_c(self, name):
+        spec = FAMILIES[name]
+        a, h = np.linspace(1.0, math.e ** 2, 201), 1e-5
+        slope = (spec.beta(a + h) - spec.beta(a - h)) / (2.0 * h)
+        assert np.max(np.abs(slope * spec.c(a) - 1.0)) <= 1e-9
+
+    @pytest.mark.parametrize("name", FAMILIES)
+    def test_preset_maximizes_the_ratio(self, name):
+        # Phase 1: the ratio of the rule's form at r = a_T/a_0 is (beta(r) - beta(1))/r,
+        # maximized over r <= e where the steps share a unit budget, else over [1, 100]
+        spec = FAMILIES[name]
+        s = preset(name)
+        r_star = float(s.a(s.T)) / float(s.a(0.0))
+        r = np.linspace(1.0, 100.0 if spec.direction == "offset" else math.e, 200_001)
+        form = (spec.beta(r) - spec.beta(1.0)) / r
+        assert np.max(form) <= spec.ratio + 1e-12
+        assert (spec.beta(r_star) - spec.beta(1.0)) / r_star == pytest.approx(spec.ratio,
+                                                                              abs=1e-12)
+        assert abs(r[np.argmax(form)] - r_star) <= r[1] - r[0]
+
+    def test_unknown_family_spec(self):
+        with pytest.raises(InputError, match="unknown solver family 'fastest'"):
+            family_spec("fastest")
 
 
 class TestValidate:
@@ -71,7 +98,7 @@ class TestValidate:
         assert coupling_residual(s, 20) <= 1e-12
         assert np.max(g_series(s, family_spec("general"), 20)) <= 1e-12
 
-    @pytest.mark.parametrize("family", PRESET_FAMILIES)
+    @pytest.mark.parametrize("family", FAMILIES)
     def test_a0_below_one_fails(self, family):
         # the headroom floor 1/sqrt(a_0) (or 1/a_0) would exceed 1 at the first step
         s = Schedule(family, 1.0, lambda t: 0.25 * np.exp(np.asarray(t, dtype=float)),

@@ -10,7 +10,7 @@ from drsub import (BoxBody, CardinalityBody, ConfigurationError,
                    multilinear_extension, potential_series, preset, run,
                    set_bruteforce, trajectory_csv)
 from drsub import desk
-from drsub.schedule import PRESET_FAMILIES
+from drsub.schedule import FAMILIES as PRESET_FAMILIES
 
 COVER3 = desk.coverage_three_sets()
 COVER3_F = multilinear_extension(COVER3)
