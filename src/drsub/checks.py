@@ -29,23 +29,25 @@ def max_ratio_error(schedules: Mapping[str, schedule.Schedule],
     """Largest |ratio - expected| by family (default: the table's ratio), naming it on error."""
     worst = 0.0
     for family, s in schedules.items():
-        want = schedule.FAMILIES[family].ratio if expected is None else expected[family]
+        spec = schedule.FAMILIES[family]
+        want = spec.ratio if expected is None else expected[family]
         try:
-            worst = max(worst, abs(schedule.ratio(s) - want))
+            worst = max(worst, abs(schedule.ratio(s, spec) - want))
         except ValidationError as e:
             raise ValidationError(f"{family}: {e}") from None
     return worst
 
 
-def max_coupling_residual(schedules: Iterable[schedule.Schedule]) -> float:
+def max_coupling_residual(schedules: Mapping[str, schedule.Schedule]) -> float:
     """Largest violation of the family coupling identity on a 100-step grid."""
-    return max(schedule.coupling_residual(s, 100) for s in schedules)
+    return max(schedule.coupling_residual(s, schedule.FAMILIES[family], 100)
+               for family, s in schedules.items())
 
 
 def ratio_curve_peaks(peaks: Mapping[str, float] | None = None) -> tuple[float, float]:
     """Worst |peak - 1/4| and distance of the peak from t* beyond one cell of 10001 nodes."""
     if peaks is None:  # every offset family, which peaks at its horizon T
-        peaks = {n: f.T for n, f in schedule.FAMILIES.items() if f.direction == "offset"}
+        peaks = {n: f.preset.T for n, f in schedule.FAMILIES.items() if f.direction == "offset"}
     value_error = offset = 0.0
     for variant, t_star in peaks.items():
         T = schedule.preset(variant).T

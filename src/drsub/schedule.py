@@ -7,9 +7,11 @@ fixes both the step coefficients and the approximation ratio
 
 A solver family is one row of :data:`FAMILIES`: its oracle direction, its
 step scalars c(a) and d(a), and the coupling db = da / c(a) they impose,
-b_t - b_0 = beta(a_t) - beta(a_0).  Each row's preset (T, a, b) realizes the
-largest ratio (beta(r) - beta(1))/r over r = a_T/a_0 (r <= e where the steps
-share a unit budget); the three general variants differ only in the preset:
+b_t - b_0 = beta(a_t) - beta(a_0).  The row is the update rule and a schedule
+only its weights, so every function that needs the rule takes the row.  Each
+row's preset (T, a, b) realizes the largest ratio (beta(r) - beta(1))/r over
+r = a_T/a_0 (r <= e where the steps share a unit budget); the three general
+variants differ only in the preset:
 
     family        direction  c(a)       d(a)     beta(a)  ratio
     monotone      plain      1          1        a        1 - 1/e
@@ -40,11 +42,9 @@ _BOUNDARY_TOL = 1e-12
 class Schedule:
     """Closed-form weight pair on the horizon [0, T].
 
-    The callables must accept scalars and numpy arrays alike.  ``family``
-    names the row of :data:`FAMILIES` whose update rule and coupling apply.
+    The callables must accept scalars and numpy arrays alike.
     """
 
-    family: str
     T: float
     a: Callable
     b: Callable
@@ -68,9 +68,7 @@ class FamilySpec:
     d: Callable
     beta: Callable
     ratio: float
-    T: float
-    a: Callable
-    b: Callable
+    preset: Schedule
 
 
 def _identity(t):
@@ -84,14 +82,15 @@ _OFFSET = dict(direction="offset", c=lambda a: 2.0 * np.sqrt(a), d=np.sqrt, beta
 #: every solver family by name; the rest of the package reads what a family does from its row
 FAMILIES = {spec.name: spec for spec in (
     FamilySpec("monotone", "plain", np.ones_like, np.ones_like, _identity,
-               1.0 - math.exp(-1.0), 1.0, np.exp, np.exp),
+               1.0 - math.exp(-1.0), Schedule(1.0, np.exp, np.exp)),
     FamilySpec("measured", "masked", _identity, _identity, np.log,
-               math.exp(-1.0), 1.0, np.exp, _identity),
-    FamilySpec("general", **_OFFSET, T=1.0, a=lambda t: (1.0 + t) ** 2, b=_identity),
-    FamilySpec("general-exp", **_OFFSET, T=2.0 * math.log(2.0), a=np.exp,
-               b=lambda t: np.exp(0.5 * np.asarray(t, dtype=float)) - 1.0),
-    FamilySpec("general-linear", **_OFFSET, T=3.0, a=lambda t: np.asarray(t, dtype=float) + 1.0,
-               b=lambda t: np.sqrt(np.asarray(t, dtype=float) + 1.0) - 1.0),
+               math.exp(-1.0), Schedule(1.0, np.exp, _identity)),
+    FamilySpec("general", **_OFFSET, preset=Schedule(1.0, lambda t: (1.0 + t) ** 2, _identity)),
+    FamilySpec("general-exp", **_OFFSET, preset=Schedule(
+        2.0 * math.log(2.0), np.exp, lambda t: np.exp(0.5 * np.asarray(t, dtype=float)) - 1.0)),
+    FamilySpec("general-linear", **_OFFSET, preset=Schedule(
+        3.0, lambda t: np.asarray(t, dtype=float) + 1.0,
+        lambda t: np.sqrt(np.asarray(t, dtype=float) + 1.0) - 1.0)),
 )}
 
 
@@ -104,18 +103,17 @@ def family_spec(family: str) -> FamilySpec:
 
 def preset(family: str) -> Schedule:
     """Return the bundled schedule of one solver family."""
-    spec = family_spec(family)
-    return Schedule(spec.name, spec.T, spec.a, spec.b)
+    return family_spec(family).preset
 
 
-def validate(s: Schedule) -> None:
+def validate(s: Schedule, spec: FamilySpec) -> None:
     """Check the weight values on an equally spaced grid of 1000 nodes.
 
     a and b must be finite, a_0 >= 1 and b_0 >= 0, and every secant slope
-    between neighbouring nodes nonnegative; the rules whose steps share a unit
-    budget (every direction but offset) also pin a_0 = 1 and a_T = e.  a_0 >= 1
-    keeps the headroom floors 1/a_j and 1/sqrt(a_j) at or below 1 from the
-    first step.  A ValidationError names every failed check with its worst
+    between neighbouring nodes nonnegative; a ``spec`` whose steps share a
+    unit budget (every direction but offset) also pins a_0 = 1 and a_T = e.
+    a_0 >= 1 keeps the headroom floors 1/a_j and 1/sqrt(a_j) at or below 1
+    from the first step.  A ValidationError names every failed check with its worst
     node and value.  Weights that dip between nodes are out of scope.
     """
     t = np.linspace(0.0, s.T, _VALIDATION_NODES)
@@ -138,7 +136,7 @@ def validate(s: Schedule) -> None:
             slope = np.diff(w) / np.diff(t)
             i = int(np.argmin(slope))
             check(slope[i] >= -_MONOTONICITY_TOL, f"{name} nondecreasing", "slope", slope[i], t[i])
-        if family_spec(s.family).direction != "offset":
+        if spec.direction != "offset":
             # these rules distribute total step mass ln(a_T/a_0) = 1, so the
             # boundary values are pinned: a_0 = 1 and a_T = e
             log_a0, log_aT = (math.log(v) if v > 0 else math.inf for v in (a[0], a[-1]))
@@ -148,9 +146,9 @@ def validate(s: Schedule) -> None:
         raise ValidationError(f"schedule fails validation: {', '.join(failed)}")
 
 
-def ratio(s: Schedule) -> float:
+def ratio(s: Schedule, spec: FamilySpec) -> float:
     """Guaranteed fraction (b_T - b_0)/a_T of the optimum, after validation."""
-    validate(s)
+    validate(s, spec)
     return (float(s.b(s.T)) - float(s.b(0.0))) / float(s.a(s.T))
 
 
@@ -172,11 +170,10 @@ def on_grid(s: Schedule, N: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return t, a, np.asarray(s.b(t), dtype=float)
 
 
-def coupling_residual(s: Schedule, N: int) -> float:
+def coupling_residual(s: Schedule, spec: FamilySpec, N: int) -> float:
     """Max absolute violation of b - b_0 = beta(a) - beta(a_0) on the N-step grid."""
     _, a, b = on_grid(s, N)
-    beta = family_spec(s.family).beta
-    return float(np.max(np.abs((b - b[0]) - (beta(a) - beta(a[0])))))
+    return float(np.max(np.abs((b - b[0]) - (spec.beta(a) - spec.beta(a[0])))))
 
 
 def ratio_curve(variant: str, t) -> np.ndarray | float:
@@ -230,8 +227,7 @@ def _expr_from_json(spec: dict) -> Callable:
     raise InputError(f"unknown schedule expression form {form!r}; expected one of {_EXPR_FORMS}")
 
 
-def schedule_from_json(obj: dict, family: str) -> Schedule:
-    """Build a user schedule {"a": expr, "b": expr, "T": real} for a family."""
-    name = family_spec(family).name  # refuses an unknown family
+def schedule_from_json(obj: dict) -> Schedule:
+    """Build a user schedule {"a": expr, "b": expr, "T": real}."""
     v = fields(obj, "schedule", a=None, b=None, T="real")
-    return Schedule(name, v["T"], _expr_from_json(v["a"]), _expr_from_json(v["b"]))
+    return Schedule(v["T"], _expr_from_json(v["a"]), _expr_from_json(v["b"]))

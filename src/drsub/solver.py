@@ -26,7 +26,7 @@ import numpy as np
 from .errors import ConfigurationError, InputError, InvariantError, ValidationError
 from .feasible import ConvexBody
 from .objective import DrFunction
-from .schedule import FamilySpec, Schedule, family_spec, on_grid
+from .schedule import FamilySpec, Schedule, family_spec, on_grid  # noqa: F401 (re-exported)
 
 _STEP_MASS_TOL = 1e-12
 
@@ -54,9 +54,6 @@ class Trajectory:
     B_exact: np.ndarray      # (N,)
     B_bound: np.ndarray      # (N,)
     gronwall_margin: np.ndarray | None   # (N+1,)
-    start_infnorm: float
-    D: float
-    L: float
     value_calls: int
     grad_calls: int
     lmo_calls: int
@@ -118,35 +115,23 @@ def _step_bounds(spec: FamilySpec, a: np.ndarray, b: np.ndarray, L: float,
     return 0.5 * D * L * np.float_power(np.diff(b), 2) * d * d / a[1:]
 
 
-def run(f: DrFunction, C: ConvexBody, s: Schedule, spec: FamilySpec, N: int) -> Trajectory:
-    """Run N equal steps from the origin and record full telemetry."""
-    return _run(f, C, s, spec, N, np.zeros(C.n))
+def run(f: DrFunction, C: ConvexBody, s: Schedule, spec: FamilySpec, N: int,
+        x0=None) -> Trajectory:
+    """Run N equal steps of ``spec``'s rule from the origin, or from x0, with full telemetry.
 
-
-def arbitrary_start_run(f: DrFunction, C: ConvexBody, s: Schedule, N: int, x0) -> Trajectory:
-    """Offset-direction run from a caller-chosen feasible start.
-
-    Only the offset direction supports this: its update contracts toward
-    the oracle vertex, so feasibility is preserved from any x0 in the
-    body, and the guarantee coefficient scales by 1 - ||x0||_inf.
+    Only the offset direction starts from a caller-chosen feasible x0: its
+    update contracts toward the oracle vertex, so feasibility is preserved
+    from any x0 in the body, and the guarantee coefficient scales by
+    1 - ||x0||_inf.
     """
-    spec = family_spec(s.family)
-    if spec.direction != "offset":
-        raise ConfigurationError("arbitrary starts are supported by the general family only")
-    x0 = np.asarray(x0, dtype=float)
-    if x0.shape != (C.n,):
-        raise InputError(f"start point must have dimension {C.n}")
-    if not C.contains(x0):
-        raise InputError("start point is not feasible")
-    return _run(f, C, s, spec, N, x0)
-
-
-def _run(f: DrFunction, C: ConvexBody, s: Schedule, spec: FamilySpec, N: int,
-         x0: np.ndarray) -> Trajectory:
     if f.n != C.n:
         raise InputError(f"objective dimension {f.n} != body dimension {C.n}")
-    if spec.direction != family_spec(s.family).direction:
-        raise ConfigurationError(f"family spec {spec.name!r} does not match schedule {s.family!r}")
+    if x0 is None:
+        x0 = np.zeros(C.n)
+    elif spec.direction != "offset":
+        raise ConfigurationError("arbitrary starts are supported by the general family only")
+    elif not C.contains(x0):  # also refuses a wrong shape, NaN or infinity
+        raise InputError("start point is not feasible")
 
     t, a, b = on_grid(s, N)
     n = C.n
@@ -168,7 +153,7 @@ def _run(f: DrFunction, C: ConvexBody, s: Schedule, spec: FamilySpec, N: int,
     B_exact = np.zeros(N)
     B_bound = _step_bounds(spec, a, b, L, D)
 
-    x = x0.astype(float).copy()
+    x = np.array(x0, dtype=float)
     xs[0] = x
     Fs[0] = f.value(x)
     for j in range(N):
@@ -186,8 +171,7 @@ def _run(f: DrFunction, C: ConvexBody, s: Schedule, spec: FamilySpec, N: int,
         Fs[j + 1] = f.value(x)
 
     infnorm = np.max(np.abs(xs), axis=1)
-    start_infnorm = float(np.max(np.abs(x0)))
-    start_slack = 1.0 - start_infnorm
+    start_slack = 1.0 - infnorm[0]
     # the headroom floor start_slack / d(a_j) that the masked and offset rules keep
     # below the box ceiling; the plain rule needs none
     margins = None if spec.direction == "plain" else (1.0 - infnorm) - start_slack / spec.d(a)
@@ -198,8 +182,7 @@ def _run(f: DrFunction, C: ConvexBody, s: Schedule, spec: FamilySpec, N: int,
     return Trajectory(
         family=spec.name, N=N, t=t, a=a, b=b, x=xs, F=Fs, infnorm=infnorm,
         v=vs, rho=rho, G=G, B_exact=B_exact, B_bound=B_bound,
-        gronwall_margin=margins, start_infnorm=start_infnorm,
-        D=D, L=L, value_calls=N + 1, grad_calls=N, lmo_calls=N)
+        gronwall_margin=margins, value_calls=N + 1, grad_calls=N, lmo_calls=N)
 
 
 def potential_series(traj: Trajectory, opt_value: float) -> PotentialSeries:

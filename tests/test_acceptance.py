@@ -12,7 +12,7 @@ import time
 import numpy as np
 
 from drsub import (BoxBody, CardinalityBody, PackingBody, PartitionBody,
-                   arbitrary_start_run, coverage_function, family_spec,
+                   coverage_function, family_spec,
                    g_series, grid_search, guarantee, multilinear_extension,
                    preset, run, set_bruteforce, set_function_from_table)
 from drsub import checks, desk
@@ -133,7 +133,7 @@ def test_criterion_06_end_to_end_general():
     ok = traj.final_value >= lower
 
     x0 = np.array([0.5, 0.5])
-    traj_half = arbitrary_start_run(F, body, preset("general"), N, x0)
+    traj_half = run(F, body, preset("general"), family_spec("general"), N, x0)
     bound_half = guarantee(preset("general"), family_spec("general"), N, F.L,
                            body.diameter(), start_infnorm=0.5)
     lower_half = bound_half.coefficient * cert.value - cert.slack - bound_half.additive - 1e-9

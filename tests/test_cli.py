@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from drsub import oracle, schedule
+from drsub import BoxBody, desk, family_spec, oracle, preset, run, schedule, solver
 from drsub.cli import _check_run_invariants, main
 
 COVERAGE = '{"kind":"coverage","subsets":[[0,1],[1,2],[2,3]]}'
@@ -232,11 +232,12 @@ class TestRunCommand:
     ], ids=["value", "lipschitz", "lipschitz-sweep", "schedule"])
     def test_overflowing_run_rejected(self, tmp_path, capsys, command, instance, constraint,
                                       family, iters, opt, schedule_json, name):
+        # no numpy warning escapes (RuntimeWarning is an error under pytest): the finite
+        # check alone refuses the run
         extra = [] if schedule_json is None else ["--schedule", json.dumps(schedule_json)]
-        with pytest.warns(RuntimeWarning):  # the overflow itself warns; the CLI must refuse it
-            code = run_cli(command, "--instance", instance, "--constraint", constraint,
-                           "--family", family, "--iters", iters, "--opt", opt, *extra,
-                           "--out", str(tmp_path))
+        code = run_cli(command, "--instance", instance, "--constraint", constraint,
+                       "--family", family, "--iters", iters, "--opt", opt, *extra,
+                       "--out", str(tmp_path))
         assert code == 1
         err = capsys.readouterr().err
         assert re.fullmatch(rf"error: {name} is inf at N=\d+: the run overflows float64\n", err)
@@ -245,10 +246,41 @@ class TestRunCommand:
 
     def test_nan_margins_are_violations(self):
         nan = float("nan")
-        problems = _check_run_invariants(SimpleNamespace(min_gronwall_margin=nan),
-                                         SimpleNamespace(min_margin=nan))
+        problems = _check_run_invariants(SimpleNamespace(min_gronwall_margin=nan, final_value=nan),
+                                         SimpleNamespace(min_margin=nan),
+                                         solver.GuaranteeBound(0.25, 0.0), 1.0)
         assert problems == ["potential increment margin nan < -1e-9",
-                            "headroom margin nan < -1e-9"]
+                            "headroom margin nan < -1e-9", "guarantee slack nan < -1e-9"]
+
+    @pytest.mark.parametrize("command,iters", [("run", "200"), ("sweep", "50,100,200")])
+    def test_guarantee_is_gated(self, tmp_path, capsys, monkeypatch, command, iters):
+        # coefficient 1 claims F(x_N) >= OPT - additive, which the measured run misses
+        guarantee = solver.guarantee
+        monkeypatch.setattr(solver, "guarantee", lambda *args: solver.GuaranteeBound(
+            1.0, guarantee(*args).additive))
+        code = run_cli(command, "--instance", COVERAGE, "--constraint", CARD,
+                       "--family", "measured", "--iters", iters, "--opt", "sets",
+                       "--out", str(tmp_path))
+        assert code == 2
+        assert re.search(r"invariant violation: (N=200: )?guarantee slack -\S+ < -1e-9\n",
+                         capsys.readouterr().err)
+
+    def test_rule_comes_from_the_spec_alone(self, tmp_path, capsys):
+        # the monotone preset's weights under the offset rule, from the library and the CLI
+        traj = run(desk.quad_two_dim(), BoxBody(np.ones(2)), preset("monotone"),
+                   family_spec("general"), 50)
+        weights = {"a": {"form": "exp", "rate": 1}, "b": {"form": "exp", "rate": 1}, "T": 1}
+        code = run_cli("run", "--instance", QUAD, "--constraint", BOX2, "--family", "general",
+                       "--iters", "50", "--opt", "grid", "--schedule", json.dumps(weights),
+                       "--out", str(tmp_path))
+        assert code == 2
+        assert capsys.readouterr().err == \
+            "invariant violation: headroom margin -2.429e-01 < -1e-9\n"
+        summary = json.loads((tmp_path / "summary.json").read_text())
+        assert summary["min_gronwall_margin"] == traj.min_gronwall_margin == -0.24294678854824703
+        rows = [r.split(",") for r in (tmp_path / "trajectory.csv").read_text().split()[1:]]
+        assert [float(r[2]) for r in rows] == traj.F.tolist()
+        assert [float(r[5]) for r in rows[:-1]] == traj.G.tolist()
 
     @pytest.mark.parametrize("command,flags", [
         ("run", ["--instance", "--constraint", "--family", "--iters", "--opt", "--out",
@@ -308,7 +340,7 @@ class TestSweepCommand:
         (QUAD, '{"kind":"partition","n":2,"blocks":[[0],[1]],"capacities":[0,0]}'),
     ], ids=["quadratic-H-zero", "coverage-weights-zero", "partition-capacities-zero"])
     def test_zero_additive_gap_passes(self, tmp_path, capsys, instance, constraint):
-        # L*D = 0 makes every additive gap 0, which meets the 1/N decay
+        # L*D = 0 makes every additive gap 0, which has no log-log slope
         code = run_cli("sweep", "--instance", instance, "--constraint", constraint,
                        "--family", "general", "--iters", "4,8,16", "--out", str(tmp_path))
         assert code == 0, capsys.readouterr().err
@@ -337,6 +369,16 @@ class TestSweepCommand:
             assert row_sets.split(",")[1] == format(summary["ratio_achieved"], ".17g")
             assert row_none.split(",")[2:] == row_sets.split(",")[2:]
             assert row_none in printed and row_sets in printed
+
+    @pytest.mark.parametrize("iters", ["1,2,3", "1,100,10000"])
+    def test_short_or_wide_lists_pass(self, tmp_path, capsys, iters):
+        # the slope of a few far-from-asymptotic N is printed, not gated: it depends only
+        # on the preset and the N list, and `drsub check` gates the 1/N decay itself
+        code = run_cli("sweep", "--instance", COVERAGE, "--constraint", CARD,
+                       "--family", "measured", "--iters", iters, "--opt", "sets",
+                       "--out", str(tmp_path))
+        assert code == 0, capsys.readouterr().err
+        assert "additive log-log slope: " in capsys.readouterr().out
 
     def test_single_n_rejected(self, tmp_path):
         code = run_cli("sweep", "--instance", QUAD, "--constraint", BOX2,

@@ -24,7 +24,7 @@ VARIANT_PEAKS = {"general": 1.0, "general-exp": 2.0 * math.log(2.0), "general-li
 class TestPresets:
     @pytest.mark.parametrize("family,expected", sorted(RATIOS.items()))
     def test_ratio(self, family, expected):
-        assert ratio(preset(family)) == pytest.approx(expected, abs=1e-12)
+        assert ratio(preset(family), FAMILIES[family]) == pytest.approx(expected, abs=1e-12)
 
     def test_horizons(self):
         assert preset("monotone").T == 1.0
@@ -39,13 +39,12 @@ class TestPresets:
 
     @pytest.mark.parametrize("family", FAMILIES)
     def test_validation_passes(self, family):
-        assert validate(preset(family)) is None
+        assert validate(preset(family), FAMILIES[family]) is None
 
     @pytest.mark.parametrize("family", FAMILIES)
     @pytest.mark.parametrize("N", [1, 10, 100, 1000])
     def test_coupling_residual(self, family, N):
-        s = preset(family)
-        assert coupling_residual(s, N) <= 1e-10
+        assert coupling_residual(preset(family), FAMILIES[family], N) <= 1e-10
 
 
 class TestFamilyTable:
@@ -77,66 +76,62 @@ class TestFamilyTable:
 
 class TestValidate:
     def test_decreasing_a_fails(self):
-        s = Schedule("monotone", 1.0,
-                     lambda t: np.exp(-np.asarray(t, dtype=float)),
+        s = Schedule(1.0, lambda t: np.exp(-np.asarray(t, dtype=float)),
                      lambda t: np.exp(-np.asarray(t, dtype=float)))
         with pytest.raises(ValidationError, match="a nondecreasing"):
-            validate(s)
+            validate(s, FAMILIES["monotone"])
 
     def test_scaled_exponential_fails_boundary(self):
-        s = Schedule("monotone", 1.0, lambda t: 2.0 * np.exp(t), lambda t: 2.0 * np.exp(t))
+        s = Schedule(1.0, lambda t: 2.0 * np.exp(t), lambda t: 2.0 * np.exp(t))
         with pytest.raises(ValidationError, match="log a0 == 0"):
-            validate(s)
+            validate(s, FAMILIES["monotone"])
 
     def test_general_family_has_no_boundary_pins(self):
         # a_0 = 3 != 1 is fine for the general family; b = sqrt(a) - sqrt(a_0) keeps the
         # sqrt coupling, read both as the schedule identity and as the solver's G_j <= 0
-        s = Schedule("general", 1.0,
-                     lambda t: 3.0 * (1.0 + np.asarray(t, dtype=float)) ** 2,
+        s = Schedule(1.0, lambda t: 3.0 * (1.0 + np.asarray(t, dtype=float)) ** 2,
                      lambda t: math.sqrt(3.0) * np.asarray(t, dtype=float))
-        assert validate(s) is None
-        assert coupling_residual(s, 20) <= 1e-12
+        assert validate(s, FAMILIES["general"]) is None
+        assert coupling_residual(s, FAMILIES["general"], 20) <= 1e-12
         assert np.max(g_series(s, family_spec("general"), 20)) <= 1e-12
 
     @pytest.mark.parametrize("family", FAMILIES)
     def test_a0_below_one_fails(self, family):
         # the headroom floor 1/sqrt(a_0) (or 1/a_0) would exceed 1 at the first step
-        s = Schedule(family, 1.0, lambda t: 0.25 * np.exp(np.asarray(t, dtype=float)),
+        s = Schedule(1.0, lambda t: 0.25 * np.exp(np.asarray(t, dtype=float)),
                      lambda t: np.asarray(t, dtype=float) + 0.0)
         with pytest.raises(ValidationError, match=r"a0 >= 1 \(a0 2\.50e-01 at t=0\)"):
-            validate(s)
+            validate(s, FAMILIES[family])
 
     def test_ratio_raises_on_invalid(self):
-        s = Schedule("monotone", 1.0,
-                     lambda t: np.exp(-np.asarray(t, dtype=float)),
+        s = Schedule(1.0, lambda t: np.exp(-np.asarray(t, dtype=float)),
                      lambda t: np.exp(-np.asarray(t, dtype=float)))
         with pytest.raises(ValidationError):
-            ratio(s)
+            ratio(s, FAMILIES["monotone"])
 
     def test_report_lists_worst_node(self):
         # both weights turn down: one message names both checks and their worst slopes
-        s = Schedule("general", 1.0,
-                     lambda t: 1.0 + np.sin(3.0 * np.asarray(t, dtype=float)),
+        s = Schedule(1.0, lambda t: 1.0 + np.sin(3.0 * np.asarray(t, dtype=float)),
                      lambda t: np.asarray(t, dtype=float) * (0.5 - np.asarray(t, dtype=float)))
         with pytest.raises(ValidationError) as info:
-            validate(s)
+            validate(s, FAMILIES["general"])
         found = dict(re.findall(r"(\w) nondecreasing \(slope (\S+) at t=", str(info.value)))
         assert sorted(found) == ["a", "b"]
         assert float(found["a"]) == pytest.approx(3.0 * math.cos(3.0), rel=1e-2)
         assert float(found["b"]) == pytest.approx(-1.5, rel=1e-2)
 
     def test_non_finite_weight_fails_at_once(self):
-        s = Schedule("general", 1.0, lambda t: np.exp(1e308 * np.asarray(t, dtype=float)),
+        s = Schedule(1.0, lambda t: np.exp(1e308 * np.asarray(t, dtype=float)),
                      lambda t: np.asarray(t, dtype=float) + 0.0)
         with pytest.raises(ValidationError, match=r"a finite \(value inf at t=0\.001001\)$"):
-            validate(s)
+            validate(s, FAMILIES["general"])
 
     def test_root_of_negative_fails_finite_check(self):
         s = schedule_from_json(
             {"a": {"form": "poly", "coeffs": [1, 1]},
-             "b": {"form": "sqrt_affine", "inner_shift": -1.0}, "T": 1.0}, "general")
+             "b": {"form": "sqrt_affine", "inner_shift": -1.0}, "T": 1.0})
         with pytest.raises(ValidationError, match=r"b finite \(value nan at t=0\)"):
-            validate(s)
+            validate(s, FAMILIES["general"])
 
 
 class TestRatioCurve:
@@ -166,44 +161,40 @@ class TestRatioCurve:
 class TestJsonSchedules:
     def test_exp_form_reproduces_monotone(self):
         s = schedule_from_json(
-            {"a": {"form": "exp", "rate": 1.0}, "b": {"form": "exp", "rate": 1.0}, "T": 1.0},
-            "monotone")
-        assert ratio(s) == pytest.approx(RATIOS["monotone"], abs=1e-12)
-        assert coupling_residual(s, 50) <= 1e-12
+            {"a": {"form": "exp", "rate": 1.0}, "b": {"form": "exp", "rate": 1.0}, "T": 1.0})
+        assert ratio(s, FAMILIES["monotone"]) == pytest.approx(RATIOS["monotone"], abs=1e-12)
+        assert coupling_residual(s, FAMILIES["monotone"], 50) <= 1e-12
 
     def test_poly_form_reproduces_general(self):
         s = schedule_from_json(
             {"a": {"form": "poly", "coeffs": [1, 2, 1]},
-             "b": {"form": "poly", "coeffs": [0, 1]}, "T": 1.0},
-            "general")
-        assert ratio(s) == pytest.approx(0.25, abs=1e-12)
-        assert coupling_residual(s, 50) <= 1e-12
+             "b": {"form": "poly", "coeffs": [0, 1]}, "T": 1.0})
+        assert ratio(s, FAMILIES["general"]) == pytest.approx(0.25, abs=1e-12)
+        assert coupling_residual(s, FAMILIES["general"], 50) <= 1e-12
 
     def test_sqrt_affine_reproduces_general_linear(self):
         s = schedule_from_json(
             {"a": {"form": "poly", "coeffs": [1, 1]},
              "b": {"form": "sqrt_affine", "inner_shift": 1.0, "shift": -1.0},
-             "T": 3.0},
-            "general-linear")
-        assert ratio(s) == pytest.approx(0.25, abs=1e-12)
-        assert coupling_residual(s, 50) <= 1e-12
+             "T": 3.0})
+        assert ratio(s, FAMILIES["general-linear"]) == pytest.approx(0.25, abs=1e-12)
+        assert coupling_residual(s, FAMILIES["general-linear"], 50) <= 1e-12
 
     def test_exp_with_shift_reproduces_general_exp(self):
         s = schedule_from_json(
             {"a": {"form": "exp", "rate": 1.0},
              "b": {"form": "exp", "rate": 0.5, "shift": -1.0},
-             "T": 2.0 * math.log(2.0)},
-            "general-exp")
-        assert ratio(s) == pytest.approx(0.25, abs=1e-12)
+             "T": 2.0 * math.log(2.0)})
+        assert ratio(s, FAMILIES["general-exp"]) == pytest.approx(0.25, abs=1e-12)
 
     def test_missing_key(self):
         with pytest.raises(InputError):
-            schedule_from_json({"a": {"form": "exp", "rate": 1.0}, "T": 1.0}, "monotone")
+            schedule_from_json({"a": {"form": "exp", "rate": 1.0}, "T": 1.0})
 
     def test_unknown_form(self):
         with pytest.raises(InputError):
             schedule_from_json({"a": {"form": "log"}, "b": {"form": "exp", "rate": 1},
-                                "T": 1.0}, "monotone")
+                                "T": 1.0})
 
 
 @settings(max_examples=50, deadline=None)
@@ -211,10 +202,9 @@ class TestJsonSchedules:
 def test_increasing_exponentials_pass_monotonicity(rate, scale, T):
     s = schedule_from_json(
         {"a": {"form": "exp", "rate": rate, "scale": scale},
-         "b": {"form": "poly", "coeffs": [0.0, 1.0]}, "T": T},
-        "general")
+         "b": {"form": "poly", "coeffs": [0.0, 1.0]}, "T": T})
     if scale >= 1.0 - 1e-12:  # validate's boundary tolerance
-        assert validate(s) is None
+        assert validate(s, FAMILIES["general"]) is None
     else:  # a_0 = scale: the one failed check is a0 >= 1, never monotonicity
         with pytest.raises(ValidationError, match=r"validation: a0 >= 1 \([^)]*\)$"):
-            validate(s)
+            validate(s, FAMILIES["general"])

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from drsub import (BoxBody, CardinalityBody, ConfigurationError,
-                   InputError, arbitrary_start_run, coupling_residual, family_spec, g_series,
+                   InputError, coupling_residual, family_spec, g_series,
                    guarantee, make_quadratic,
                    multilinear_extension, potential_series, preset, run,
                    set_bruteforce, trajectory_csv)
@@ -63,10 +63,6 @@ class TestUpdateRule:
         with pytest.raises(InputError):
             run_family("monotone", N=0)
 
-    def test_family_schedule_mismatch(self):
-        with pytest.raises(ConfigurationError):
-            run(COVER3_F, CARD, preset("monotone"), family_spec("measured"), 5)
-
     def test_general_variants_accept_general_spec(self):
         traj = run(QUAD, BOX2, preset("general-exp"), family_spec("general-exp"), 10)
         assert traj.N == 10
@@ -105,7 +101,7 @@ class TestScheduleGrid:
     def test_zero_steps_rejected(self):
         s, spec = preset("general"), family_spec("general")
         for call in (lambda: g_series(s, spec, 0), lambda: guarantee(s, spec, 0, 1.0, 1.0),
-                     lambda: coupling_residual(s, 0)):
+                     lambda: coupling_residual(s, spec, 0)):
             with pytest.raises(InputError, match="N must be >= 1"):
                 call()
 
@@ -158,7 +154,7 @@ class TestBTerms:
 
     def test_monotone_single_step_bound(self):
         traj = run_family("monotone", f=dataclasses.replace(QUAD, L=1.0), body=BOX2, N=1)
-        assert traj.D == 2.0
+        assert BOX2.diameter() == 2.0
         assert traj.B_bound[0] == pytest.approx((math.e - 1.0) ** 2 / math.e, abs=1e-12)
 
     @pytest.mark.parametrize("family", FAMILIES)
@@ -277,24 +273,34 @@ class TestGuarantee:
                 assert traj.final_value >= bound.coefficient * opt - bound.additive - 1e-9
 
 
+def run_from(x0, family="general", body=BOX2, N=10):
+    return run(QUAD, body, preset(family), family_spec(family), N, x0)
+
+
 class TestArbitraryStart:
     def test_zero_start_matches_run(self):
         direct = run(QUAD, BOX2, preset("general"), family_spec("general"), 20)
-        via = arbitrary_start_run(QUAD, BOX2, preset("general"), 20, np.zeros(2))
+        via = run_from(np.zeros(2), N=20)
         assert np.array_equal(direct.x, via.x)
 
     def test_only_general_family(self):
         with pytest.raises(ConfigurationError):
-            arbitrary_start_run(QUAD, BOX2, preset("measured"), 10, np.zeros(2))
+            run_from(np.zeros(2), family="measured")
 
     def test_infeasible_start(self):
         with pytest.raises(InputError):
-            arbitrary_start_run(QUAD, CardinalityBody(2, 1), preset("general"),
-                                10, np.array([1.0, 1.0]))
+            run_from(np.array([1.0, 1.0]), body=CardinalityBody(2, 1))
+
+    def test_list_start_matches_array_start(self):
+        assert np.array_equal(run_from([0.5, 0.25]).x, run_from(np.array([0.5, 0.25])).x)
+
+    @pytest.mark.parametrize("x0", [np.zeros(3), np.zeros((1, 2)), [0.5]])
+    def test_wrong_shape_start(self, x0):
+        with pytest.raises(InputError, match="point must have dimension 2"):
+            run_from(x0)
 
     def test_saturated_start_still_runs(self):
-        traj = arbitrary_start_run(QUAD, BOX2, preset("general"), 10,
-                                   np.array([1.0, 0.0]))
+        traj = run_from(np.array([1.0, 0.0]))
         assert traj.N == 10
         coeff = guarantee(preset("general"), family_spec("general"), 10, QUAD.L,
                           BOX2.diameter(), start_infnorm=1.0).coefficient
@@ -302,7 +308,7 @@ class TestArbitraryStart:
 
     def test_half_start_margins_and_guarantee(self):
         x0 = np.array([0.5, 0.5])
-        traj = arbitrary_start_run(QUAD, BOX2, preset("general"), 200, x0)
+        traj = run_from(x0, N=200)
         assert traj.min_gronwall_margin >= -1e-9
         bound = guarantee(preset("general"), family_spec("general"), 200, QUAD.L,
                           BOX2.diameter(), start_infnorm=0.5)
