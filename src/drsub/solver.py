@@ -40,7 +40,6 @@ class Trajectory:
     monotone family), which needs no headroom below the box ceiling.
     """
 
-    family: str
     N: int
     t: np.ndarray
     a: np.ndarray
@@ -54,6 +53,7 @@ class Trajectory:
     B_exact: np.ndarray      # (N,)
     B_bound: np.ndarray      # (N,)
     gronwall_margin: np.ndarray | None   # (N+1,)
+    bound: GuaranteeBound    # the a-priori guarantee, scaled by the start headroom
     value_calls: int
     grad_calls: int
     lmo_calls: int
@@ -115,14 +115,26 @@ def _step_bounds(spec: FamilySpec, a: np.ndarray, b: np.ndarray, L: float,
     return 0.5 * D * L * np.float_power(np.diff(b), 2) * d * d / a[1:]
 
 
+def _bound(a: np.ndarray, b: np.ndarray, G: np.ndarray, B_bound: np.ndarray,
+           start_slack: float) -> GuaranteeBound:
+    """F(x_N) >= coefficient*OPT - additive from the grid weights, G_j and relaxed B_j.
+
+    The additive term is the exact sum of the relaxed per-step bounds and shrinks
+    like 1/N; the coefficient is the schedule ratio minus the (zero, for presets)
+    positive part of the coupling terms, scaled by the start headroom 1 - ||x_0||_inf.
+    """
+    coefficient = float((b[-1] - b[0] - np.sum(np.maximum(G, 0.0))) / a[-1])
+    return GuaranteeBound(float(coefficient * start_slack), float(np.sum(B_bound) / a[-1]))
+
+
 def run(f: DrFunction, C: ConvexBody, s: Schedule, spec: FamilySpec, N: int,
         x0=None) -> Trajectory:
     """Run N equal steps of ``spec``'s rule from the origin, or from x0, with full telemetry.
 
     Only the offset direction starts from a caller-chosen feasible x0: its
     update contracts toward the oracle vertex, so feasibility is preserved
-    from any x0 in the body, and the guarantee coefficient scales by
-    1 - ||x0||_inf.
+    from any x0 in the body, and the guarantee coefficient (``bound``) scales
+    by 1 - ||x0||_inf.
     """
     if f.n != C.n:
         raise InputError(f"objective dimension {f.n} != body dimension {C.n}")
@@ -180,9 +192,10 @@ def run(f: DrFunction, C: ConvexBody, s: Schedule, spec: FamilySpec, N: int,
         if arr is not None:
             arr.flags.writeable = False
     return Trajectory(
-        family=spec.name, N=N, t=t, a=a, b=b, x=xs, F=Fs, infnorm=infnorm,
-        v=vs, rho=rho, G=G, B_exact=B_exact, B_bound=B_bound,
-        gronwall_margin=margins, value_calls=N + 1, grad_calls=N, lmo_calls=N)
+        N=N, t=t, a=a, b=b, x=xs, F=Fs, infnorm=infnorm,
+        v=vs, rho=rho, G=G, B_exact=B_exact, B_bound=B_bound, gronwall_margin=margins,
+        bound=_bound(a, b, G, B_bound, start_slack),
+        value_calls=N + 1, grad_calls=N, lmo_calls=N)
 
 
 def potential_series(traj: Trajectory, opt_value: float) -> PotentialSeries:
@@ -199,26 +212,15 @@ def potential_series(traj: Trajectory, opt_value: float) -> PotentialSeries:
     return PotentialSeries(E, increments, margins)
 
 
-def guarantee(s: Schedule, spec: FamilySpec, N: int, L: float, D: float,
-              start_infnorm: float = 0.0) -> GuaranteeBound:
-    """A-priori bound for an N-step run: F(x_N) >= coefficient*OPT - additive.
+def guarantee(s: Schedule, spec: FamilySpec, N: int, L: float, D: float) -> GuaranteeBound:
+    """A-priori bound for an N-step run from the origin: F(x_N) >= coefficient*OPT - additive.
 
-    The additive term is the exact sum of the relaxed per-step bounds and
-    shrinks like 1/N; the coefficient equals the schedule ratio minus the
-    (zero, for presets) positive part of the coupling terms, scaled by the
-    start headroom for arbitrary-start offset runs.
+    ``run`` attaches the same bound, for its own start, as ``Trajectory.bound``.
     """
     if L < 0 or D < 0:
         raise InputError("L and D must be nonnegative")
-    if not 0.0 <= start_infnorm <= 1.0:
-        raise InputError("start_infnorm must lie in [0, 1]")
-    if start_infnorm > 0.0 and spec.direction != "offset":
-        raise ConfigurationError("only the general family supports arbitrary starts")
     _, a, b = on_grid(s, N)
-    G = g_series(s, spec, N)
-    additive = float(np.sum(_step_bounds(spec, a, b, L, D)) / a[-1])
-    coefficient = float((b[-1] - b[0] - np.sum(np.maximum(G, 0.0))) / a[-1])
-    return GuaranteeBound(coefficient * (1.0 - start_infnorm), additive)
+    return _bound(a, b, g_series(s, spec, N), _step_bounds(spec, a, b, L, D), 1.0)
 
 
 # --- trajectory CSV ------------------------------------------------------------

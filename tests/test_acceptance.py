@@ -78,7 +78,7 @@ def test_criterion_03_potential_increments():
     F = multilinear_extension(cover)
     body = CardinalityBody(3, 2)
     opt = set_bruteforce(cover, body).value
-    worst = checks.min_potential_margin([(F, body, opt)])
+    worst = checks.worst_run_margins([(F, body, opt)])["potential increment margin"]
     elapsed = time.perf_counter() - start
     _verdict(3, "potential increments", worst >= -1e-9 and elapsed < 5.0,
              f"min margin {worst:.3e}, {elapsed:.2f}s")
@@ -134,8 +134,7 @@ def test_criterion_06_end_to_end_general():
 
     x0 = np.array([0.5, 0.5])
     traj_half = run(F, body, preset("general"), family_spec("general"), N, x0)
-    bound_half = guarantee(preset("general"), family_spec("general"), N, F.L,
-                           body.diameter(), start_infnorm=0.5)
+    bound_half = traj_half.bound
     lower_half = bound_half.coefficient * cert.value - cert.slack - bound_half.additive - 1e-9
     ok &= abs(bound_half.coefficient - 0.125) <= 1e-12
     ok &= traj_half.final_value >= lower_half

@@ -5,7 +5,6 @@ import json
 import re
 import subprocess
 import sys
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -59,11 +58,17 @@ class TestRunCommand:
         assert summary["min_gronwall_margin"] >= -1e-9
         assert summary["opt_certificate"]["method"] == "grid"
 
-    def test_zero_iters_is_input_error(self, tmp_path, capsys):
-        code = run_cli("run", "--instance", QUAD, "--constraint", BOX2,
-                       "--family", "general", "--iters", "0", "--out", str(tmp_path))
+    @pytest.mark.parametrize("command,iters,message", [
+        ("run", "0", "N must be >= 1, got 0"),
+        ("run", "5,", "--iters must be an integer or comma list, got '5,'"),
+        ("sweep", "16,,32,64", "--iters must be an integer or comma list, got '16,,32,64'"),
+    ], ids=["zero", "trailing-comma", "empty-entry"])
+    def test_bad_iters_is_input_error(self, tmp_path, capsys, command, iters, message):
+        code = run_cli(command, "--instance", QUAD, "--constraint", BOX2,
+                       "--family", "general", "--iters", iters, "--out", str(tmp_path))
         assert code == 1
-        assert "N must be >= 1" in capsys.readouterr().err
+        assert f"error: {message}\n" in capsys.readouterr().err
+        assert not any(tmp_path.iterdir())
 
     def test_step_count_cap(self, tmp_path, capsys):
         # refused before the 10^12-node schedule grid is allocated
@@ -245,19 +250,22 @@ class TestRunCommand:
         assert not (tmp_path / "sweep.csv").exists()
 
     def test_nan_margins_are_violations(self):
-        nan = float("nan")
-        problems = _check_run_invariants(SimpleNamespace(min_gronwall_margin=nan, final_value=nan),
-                                         SimpleNamespace(min_margin=nan),
-                                         solver.GuaranteeBound(0.25, 0.0), 1.0)
+        traj = run(desk.quad_two_dim(), BoxBody(np.ones(2)), preset("general"),
+                   family_spec("general"), 5)
+        nan = np.full(6, np.nan)
+        problems = _check_run_invariants(dataclasses.replace(traj, F=nan, gronwall_margin=nan),
+                                         1.0)
         assert problems == ["potential increment margin nan < -1e-9",
                             "headroom margin nan < -1e-9", "guarantee slack nan < -1e-9"]
 
     @pytest.mark.parametrize("command,iters", [("run", "200"), ("sweep", "50,100,200")])
     def test_guarantee_is_gated(self, tmp_path, capsys, monkeypatch, command, iters):
         # coefficient 1 claims F(x_N) >= OPT - additive, which the measured run misses
-        guarantee = solver.guarantee
-        monkeypatch.setattr(solver, "guarantee", lambda *args: solver.GuaranteeBound(
-            1.0, guarantee(*args).additive))
+        solve = solver.run
+        def overclaiming(*args):
+            traj = solve(*args)
+            return dataclasses.replace(traj, bound=solver.GuaranteeBound(1.0, traj.bound.additive))
+        monkeypatch.setattr(solver, "run", overclaiming)
         code = run_cli(command, "--instance", COVERAGE, "--constraint", CARD,
                        "--family", "measured", "--iters", iters, "--opt", "sets",
                        "--out", str(tmp_path))
@@ -290,8 +298,9 @@ class TestRunCommand:
         ("check", ["--seed"]),
     ])
     def test_flags_are_the_only_settings(self, command, flags, capsys):
-        with pytest.raises(SystemExit):
+        with pytest.raises(SystemExit) as exc:
             run_cli(command, "--help")
+        assert exc.value.code == 0
         listed = re.findall(r"^  (?:-h, )?(--[a-z-]+)", capsys.readouterr().out, re.M)
         assert listed == ["--help", *flags]
 
@@ -528,6 +537,20 @@ def test_mutated_readme_json_never_escapes(example, tmp_path_factory):
         assert "error:" in err.getvalue()
 
 
+class TestUsageErrors:
+    @pytest.mark.parametrize("argv,message", [
+        (["run", "--family", "bogus"], "drsub run: error: argument --family: invalid choice"),
+        (["check", "--seed", "x"], "drsub check: error: argument --seed: invalid int value"),
+        (["frob"], "drsub: error: argument command: invalid choice"),
+    ], ids=["family", "seed", "command"])
+    def test_usage_error_exits_1(self, capsys, argv, message):
+        assert run_cli(*argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("usage: drsub")
+        assert message in captured.err
+
+
 class TestCheckCommand:
     @pytest.mark.parametrize("seed", [0, 1, 9])
     def test_pristine(self, capsys, seed):
@@ -537,6 +560,14 @@ class TestCheckCommand:
         assert len(lines) == 11
         assert all(l.startswith("PASS") for l in lines)
         assert "0.632121, 0.367879, 0.250000" in out
+
+    def test_one_measurement_of_the_runs(self, capsys, monkeypatch):
+        # the potential, headroom and guarantee rows share 40 runs; the CSV row adds 2
+        solve, calls = solver.run, []
+        monkeypatch.setattr(solver, "run", lambda *args: calls.append(args[4]) or solve(*args))
+        assert run_cli("check") == 0
+        assert len(calls) == 42
+        assert sum(calls) == 6210
 
     def test_negative_seed_is_input_error(self, capsys):
         assert run_cli("check", "--seed", "-1") == 1

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import math
 import time
@@ -10,6 +11,7 @@ from drsub import (CapacityError, InputError, check_dr_inequality,
                    coverage_function, finite_diff_grad, instance_from_json,
                    make_concave_modular, make_quadratic, multilinear_extension,
                    set_function_from_table)
+from drsub import checks
 from drsub.objective import (empirical_smoothness, set_is_monotone,
                              set_is_submodular)
 
@@ -355,6 +357,18 @@ class TestInvariantBatteries:
             res = check_dr_inequality(instance, rng.uniform(size=instance.n),
                                       rng.uniform(size=instance.n))
             assert res >= -1e-9
+
+
+class TestWorstOfKeepsNan:
+    """A NaN measurement is the worst value, also behind a finite one."""
+
+    NAN_GRAD = dataclasses.replace(QUAD, grad_fn=lambda x: np.full(2, np.nan))
+
+    @pytest.mark.parametrize("check", [checks.max_grad_mismatch, checks.min_dr_residual])
+    @pytest.mark.parametrize("order", ["alone", "after-finite"])
+    def test_nan_gradient(self, check, order):
+        objectives = [self.NAN_GRAD] if order == "alone" else [QUAD, self.NAN_GRAD]
+        assert math.isnan(check(objectives, np.random.default_rng(0)))
 
 
 class TestSetFunctionChecks:

@@ -9,7 +9,7 @@ from drsub import (BoxBody, CardinalityBody, ConfigurationError,
                    guarantee, make_quadratic,
                    multilinear_extension, potential_series, preset, run,
                    set_bruteforce, trajectory_csv)
-from drsub import desk
+from drsub import checks, desk
 from drsub.schedule import FAMILIES as PRESET_FAMILIES
 
 COVER3 = desk.coverage_three_sets()
@@ -272,6 +272,36 @@ class TestGuarantee:
                                   inst.objective.L, inst.body.diameter())
                 assert traj.final_value >= bound.coefficient * opt - bound.additive - 1e-9
 
+    @pytest.mark.parametrize("family", PRESET_FAMILIES)
+    def test_run_carries_the_a_priori_bound(self, family):
+        s, spec = preset(family), family_spec(family)
+        for inst in desk.bundled_instances():
+            for N in (1, 7, 200):
+                traj = run(inst.objective, inst.body, s, spec, N)
+                assert traj.bound == guarantee(s, spec, N, inst.objective.L,
+                                               inst.body.diameter())
+
+
+class TestRunMargins:
+    def test_keys_follow_the_rule_and_the_optimum(self):
+        opt = set_bruteforce(COVER3, CARD).value
+        assert list(checks.run_margins(run_family("monotone"), None)) == []
+        assert list(checks.run_margins(run_family("measured"), 0.0)) == ["headroom margin"]
+        assert list(checks.run_margins(run_family("general"), opt)) == [
+            "potential increment margin", "headroom margin", "guarantee slack"]
+        assert list(checks.run_margins(run_family("monotone"), opt)) == [
+            "potential increment margin", "guarantee slack"]
+        unknown = checks.run_margins(run_family("monotone"), math.nan)
+        assert len(unknown) == 2 and all(math.isnan(v) for v in unknown.values())
+
+    def test_worst_keeps_a_nan_margin(self):
+        # a NaN value oracle makes every potential and guarantee margin of its runs NaN
+        nan_values = dataclasses.replace(QUAD, values_fn=lambda X: np.full(len(X), np.nan))
+        worst = checks.worst_run_margins([(QUAD, BOX2, 0.8125), (nan_values, BOX2, 0.8125)])
+        assert math.isnan(worst["potential increment margin"])
+        assert math.isnan(worst["guarantee slack"])
+        assert worst["headroom margin"] >= -1e-9
+
 
 def run_from(x0, family="general", body=BOX2, N=10):
     return run(QUAD, body, preset(family), family_spec(family), N, x0)
@@ -302,16 +332,13 @@ class TestArbitraryStart:
     def test_saturated_start_still_runs(self):
         traj = run_from(np.array([1.0, 0.0]))
         assert traj.N == 10
-        coeff = guarantee(preset("general"), family_spec("general"), 10, QUAD.L,
-                          BOX2.diameter(), start_infnorm=1.0).coefficient
-        assert coeff == 0.0
+        assert traj.bound.coefficient == 0.0
 
     def test_half_start_margins_and_guarantee(self):
         x0 = np.array([0.5, 0.5])
         traj = run_from(x0, N=200)
         assert traj.min_gronwall_margin >= -1e-9
-        bound = guarantee(preset("general"), family_spec("general"), 200, QUAD.L,
-                          BOX2.diameter(), start_infnorm=0.5)
+        bound = traj.bound
         assert bound.coefficient == pytest.approx(0.125, abs=1e-12)
         opt = 0.8125  # box maximum of the bundled quadratic, at (0.5, 0.25)
         assert traj.final_value >= bound.coefficient * opt - bound.additive - 1e-9
