@@ -18,7 +18,7 @@ from .objective import (DrFunction, SetFunction, check_dr_inequality,
 from .oracle import OptCertificate, grid_search, set_bruteforce
 from .schedule import (Schedule, coupling_residual, preset, ratio, ratio_curve,
                        schedule_from_json, validate)
-from .solver import (FamilySpec, GuaranteeBound, PotentialSeries, Trajectory, family_spec,
-                     g_series, guarantee, potential_series, run, trajectory_csv)
+from .solver import (FamilySpec, GuaranteeBound, Trajectory, family_spec, g_series,
+                     guarantee, run, trajectory_csv)
 
 __version__ = "0.1.0"

@@ -132,14 +132,16 @@ def run_margins(traj: solver.Trajectory, opt: float | None) -> dict[str, float]:
     """One run's certificate margins, each nonnegative up to round-off on a sound run.
 
     The headroom margin applies to the masked and offset rules.  A certified optimum
-    opt > 0 adds the potential increment margin and the guarantee slack: opt is at
-    most OPT, which keeps the bound true (F >= 0 covers a coefficient < 0).
+    opt > 0 adds the potential increment margin, the smallest
+    E_{j+1} - E_j + max(G_j, 0) opt + B_exact_j over the steps, and the guarantee
+    slack: opt is at most OPT, which keeps both true (F >= 0 covers a coefficient < 0).
     """
     certified = opt is not None and not opt <= 0  # a NaN optimum gives NaN margins
+    if certified:
+        increments = np.diff(traj.potential(opt)) + np.maximum(traj.G, 0.0) * opt + traj.B_exact
     bound = traj.bound
     margins = {
-        "potential increment margin":
-            solver.potential_series(traj, opt).min_margin if certified else None,
+        "potential increment margin": float(np.min(increments)) if certified else None,
         "headroom margin": traj.min_gronwall_margin,
         "guarantee slack":
             traj.final_value - (bound.coefficient * opt - bound.additive) if certified else None,

@@ -34,8 +34,16 @@ _MARGIN_TOL = 1e-9
 def _strict_json_loads(text: str):
     def _reject(token):
         raise InputError(f"non-finite number {token!r} is not accepted")
+
+    def _unique(pairs):
+        obj = {}
+        for key, value in pairs:
+            if key in obj:
+                raise InputError(f"duplicate key {key!r} in a JSON object")
+            obj[key] = value
+        return obj
     try:
-        return json.loads(text, parse_constant=_reject)
+        return json.loads(text, parse_constant=_reject, object_pairs_hook=_unique)
     except json.JSONDecodeError as e:
         raise InputError(f"invalid JSON: {e}") from e
 
@@ -111,40 +119,38 @@ class _Experiment:
 
 
 def _solve_once(exp: _Experiment, N: int, cert: oracle.OptCertificate | None):
+    """One solve: its trajectory CSV, its summary record and its gate failures.
+
+    The record and the gate read the same ``run_margins`` call.  An optimum that
+    is not positive certifies nothing: ``Ej``, the achieved ratio and the
+    potential and guarantee margins stay empty.
+    """
     traj = solver.run(exp.objective, exp.body, exp.schedule, exp.spec, N)
-    potential = None
-    if cert is not None and cert.value > 0:
-        potential = solver.potential_series(traj, cert.value)
-    reported = (("final_value", traj.final_value), ("opt", cert and cert.value),
-                ("ratio_guaranteed", traj.bound.coefficient),
-                ("additive_gap", traj.bound.additive),
-                ("min_potential_increment_margin", potential and potential.min_margin))
-    for name, value in reported:
-        if value is not None and not np.isfinite(value):
-            raise InputError(f"{name} is {value} at N={N}: the run overflows float64")
-    return traj, potential
-
-
-def _summary(exp: _Experiment, N: int, traj, potential, cert) -> dict:
     opt = None if cert is None else cert.value
-    return {
+    positive = opt if opt is not None and opt > 0 else None
+    margins = checks.run_margins(traj, positive)
+    record = {
         "family": exp.spec.name,
         "N": N,
         "final_value": traj.final_value,
         "opt": opt,
-        "ratio_achieved": None if not opt else traj.final_value / opt,
+        "ratio_achieved": None if positive is None else traj.final_value / positive,
         "ratio_guaranteed": traj.bound.coefficient,
         "additive_gap": traj.bound.additive,
-        "min_potential_increment_margin": None if potential is None else potential.min_margin,
-        "min_gronwall_margin": traj.min_gronwall_margin,
+        "min_potential_increment_margin": margins.get("potential increment margin"),
+        "min_gronwall_margin": margins.get("headroom margin"),
         "feasible": True,
         "opt_certificate": None if cert is None else cert.to_json(),
     }
+    for name, value in record.items():
+        if isinstance(value, float) and not np.isfinite(value):
+            raise InputError(f"{name} is {value} at N={N}: the run overflows float64")
+    return solver.trajectory_csv(traj, positive), record, _gate(margins)
 
 
-def _check_run_invariants(traj, opt) -> list[str]:
+def _gate(margins: dict[str, float]) -> list[str]:
     # written as "not >=" so that a NaN margin fails
-    return [f"{name} {value:.3e} < -1e-9" for name, value in checks.run_margins(traj, opt).items()
+    return [f"{name} {value:.3e} < -1e-9" for name, value in margins.items()
             if not value >= -_MARGIN_TOL]
 
 
@@ -159,13 +165,10 @@ def cmd_run(args) -> int:
     if len(exp.iters) != 1:
         raise InputError("run takes a single --iters value; use sweep for lists")
     N = exp.iters[0]
-    cert = exp.certificate()
-    traj, potential = _solve_once(exp, N, cert)
+    trajectory, summary, problems = _solve_once(exp, N, exp.certificate())
 
     _make_out_dir(exp.out_dir)
-    _atomic_write(exp.out_dir / "trajectory.csv", solver.trajectory_csv(traj, potential))
-    summary = _summary(exp, N, traj, potential, cert)
-    problems = _check_run_invariants(traj, summary["opt"])
+    _atomic_write(exp.out_dir / "trajectory.csv", trajectory)
     _atomic_write(exp.out_dir / "summary.json", json.dumps(summary, indent=2) + "\n")
     print(json.dumps(summary, indent=2))
     return _report(problems)
@@ -178,26 +181,22 @@ def cmd_sweep(args) -> int:
     if any(b <= a for a, b in zip(exp.iters, exp.iters[1:])):
         raise InputError("--iters list must be strictly ascending")
     cert = exp.certificate()
-    opt = None if cert is None else cert.value
 
     _make_out_dir(exp.out_dir)
-    rows = []
+    lines = ["N,achieved,guaranteed,additive"]
+    additive = []
     problems = []
     for N in exp.iters:
-        traj, potential = _solve_once(exp, N, cert)
-        _atomic_write(exp.out_dir / f"trajectory_N{N}.csv",
-                      solver.trajectory_csv(traj, potential))
-        achieved = f"{traj.final_value / opt:.17g}" if opt else ""  # no optimum, no ratio
-        rows.append((N, achieved, traj.bound.coefficient, traj.bound.additive))
-        problems.extend(f"N={N}: {p}" for p in _check_run_invariants(traj, opt))
-
-    lines = ["N,achieved,guaranteed,additive"]
-    for N, achieved, guaranteed, additive in rows:
-        lines.append(f"{N},{achieved},{guaranteed:.17g},{additive:.17g}")
+        trajectory, record, gate = _solve_once(exp, N, cert)
+        _atomic_write(exp.out_dir / f"trajectory_N{N}.csv", trajectory)
+        achieved = record["ratio_achieved"]
+        lines.append(f"{N},{'' if achieved is None else format(achieved, '.17g')},"
+                     f"{record['ratio_guaranteed']:.17g},{record['additive_gap']:.17g}")
+        additive.append(record["additive_gap"])
+        problems.extend(f"N={N}: {p}" for p in gate)
     _atomic_write(exp.out_dir / "sweep.csv", "\n".join(lines) + "\n")
 
     print("\n".join(lines))
-    additive = [r[3] for r in rows]
     if any(additive):
         slope = float(np.polyfit(np.log(exp.iters), np.log(additive), 1)[0])
         print(f"additive log-log slope: {slope:.6f}")
@@ -268,14 +267,32 @@ def cmd_check(args) -> int:
     return EXIT_OK if failures == 0 else EXIT_INVARIANT
 
 
+class _Once(argparse.Action):
+    """Store a flag's value; a second occurrence is a usage error, not a silent override."""
+
+    def __call__(self, parser, namespace, values, option_string=None):
+        given = vars(namespace).setdefault("_given", set())
+        if self.dest in given:
+            raise argparse.ArgumentError(self, "given more than once")
+        given.add(self.dest)
+        setattr(namespace, self.dest, values)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
-        prog="drsub",
+        prog="drsub", allow_abbrev=False,
         description="Frank-Wolfe solvers for DR-submodular maximization, "
                     "with runtime verification of their guarantees.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p):
+    def add_command(name, fn, what):
+        p = sub.add_parser(name, help=what, allow_abbrev=False)
+        p.register("action", None, _Once)  # the default action of every flag
+        p.set_defaults(fn=fn)
+        return p
+
+    for p in (add_command("run", cmd_run, "solve once; write trajectory.csv and summary.json"),
+              add_command("sweep", cmd_sweep, "solve over an N list; write sweep.csv")):
         p.add_argument("--instance", help="instance JSON (inline or path)")
         p.add_argument("--constraint", help="constraint JSON (inline or path)")
         p.add_argument("--family", choices=schedule.FAMILIES,
@@ -287,18 +304,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--schedule", help="user schedule JSON (inline or path) "
                                           "replacing the family preset")
 
-    p_run = sub.add_parser("run", help="solve once; write trajectory.csv and summary.json")
-    add_common(p_run)
-    p_run.set_defaults(fn=cmd_run)
-
-    p_sweep = sub.add_parser("sweep", help="solve over an N list; write sweep.csv")
-    add_common(p_sweep)
-    p_sweep.set_defaults(fn=cmd_sweep)
-
-    p_check = sub.add_parser("check", help="run the bundled invariant suites")
-    p_check.add_argument("--seed", type=int, default=0,
-                         help="seed of the randomized checks")
-    p_check.set_defaults(fn=cmd_check)
+    add_command("check", cmd_check, "run the bundled invariant suites").add_argument(
+        "--seed", type=int, default=0, help="seed of the randomized checks")
     return parser
 
 

@@ -35,9 +35,9 @@ _STEP_MASS_TOL = 1e-12
 class Trajectory:
     """Complete iterate record of one run; immutable once returned.
 
-    State arrays have length N+1; step arrays (direction, rho, G, B) have
-    length N.  ``gronwall_margin`` is None for the plain direction (the
-    monotone family), which needs no headroom below the box ceiling.
+    State arrays have length N+1; step arrays (rho, G, B) have length N.
+    ``gronwall_margin`` is None for the plain direction (the monotone family),
+    which needs no headroom below the box ceiling.
     """
 
     N: int
@@ -47,7 +47,6 @@ class Trajectory:
     x: np.ndarray            # (N+1, n)
     F: np.ndarray            # (N+1,)
     infnorm: np.ndarray      # (N+1,)
-    v: np.ndarray            # (N, n)
     rho: np.ndarray          # (N,)
     G: np.ndarray            # (N,)
     B_exact: np.ndarray      # (N,)
@@ -72,22 +71,15 @@ class Trajectory:
             return None
         return float(np.min(self.gronwall_margin))
 
+    def potential(self, opt: float) -> np.ndarray:
+        """The potential E_j = a_j F(x_j) - b_j opt, j = 0..N.
 
-@dataclass(frozen=True, eq=False)
-class PotentialSeries:
-    """Potential values E_j = a_j F(x_j) - b_j OPT and their increments.
-
-    ``margins[j]`` is E_{j+1} - E_j + max(G_j, 0)*OPT + B_exact_j; the
-    analysis promises every margin is nonnegative up to round-off.
-    """
-
-    E: np.ndarray
-    increments: np.ndarray
-    margins: np.ndarray
-
-    @property
-    def min_margin(self) -> float:
-        return float(np.min(self.margins)) if self.margins.size else 0.0
+        opt must be positive.  Any opt below the true optimum only makes the
+        potential increments larger, so certified lower bounds are safe inputs.
+        """
+        if opt <= 0:
+            raise InputError(f"opt must be positive, got {opt}")
+        return self.a * self.F - self.b * opt
 
 
 @dataclass(frozen=True)
@@ -152,7 +144,6 @@ def run(f: DrFunction, C: ConvexBody, s: Schedule, spec: FamilySpec, N: int,
 
     xs = np.zeros((N + 1, n))
     Fs = np.zeros(N + 1)
-    vs = np.zeros((N, n))
     rho = np.diff(b) / a[1:] * np.asarray(spec.d(a[:-1]), dtype=float)
     # the body is convex and holds 0, so x_N = sum_j rho_j v_j stays in it when
     # sum_j rho_j <= 1, and an offset step x + rho_j (v - x) when rho_j <= 1
@@ -176,7 +167,6 @@ def run(f: DrFunction, C: ConvexBody, s: Schedule, spec: FamilySpec, N: int,
             raise InvariantError(
                 f"iterate left the body at step {j}: x={x_next!r} (family {spec.name})")
         dx = x_next - x
-        vs[j] = v
         B_exact[j] = a[j + 1] * 0.5 * L * float(np.dot(dx, dx))
         x = x_next
         xs[j + 1] = x
@@ -188,28 +178,14 @@ def run(f: DrFunction, C: ConvexBody, s: Schedule, spec: FamilySpec, N: int,
     # below the box ceiling; the plain rule needs none
     margins = None if spec.direction == "plain" else (1.0 - infnorm) - start_slack / spec.d(a)
 
-    for arr in (t, a, b, xs, Fs, infnorm, vs, rho, G, B_exact, B_bound, margins):
+    for arr in (t, a, b, xs, Fs, infnorm, rho, G, B_exact, B_bound, margins):
         if arr is not None:
             arr.flags.writeable = False
     return Trajectory(
         N=N, t=t, a=a, b=b, x=xs, F=Fs, infnorm=infnorm,
-        v=vs, rho=rho, G=G, B_exact=B_exact, B_bound=B_bound, gronwall_margin=margins,
+        rho=rho, G=G, B_exact=B_exact, B_bound=B_bound, gronwall_margin=margins,
         bound=_bound(a, b, G, B_bound, start_slack),
         value_calls=N + 1, grad_calls=N, lmo_calls=N)
-
-
-def potential_series(traj: Trajectory, opt_value: float) -> PotentialSeries:
-    """Potential telemetry against a ground-truth (or lower-bound) optimum.
-
-    Any opt_value below the true optimum only makes the recorded margins
-    larger, so certified lower bounds are safe inputs here.
-    """
-    if opt_value <= 0:
-        raise InputError(f"opt_value must be positive, got {opt_value}")
-    E = traj.a * traj.F - traj.b * opt_value
-    increments = np.diff(E)
-    margins = increments + np.maximum(traj.G, 0.0) * opt_value + traj.B_exact
-    return PotentialSeries(E, increments, margins)
 
 
 def guarantee(s: Schedule, spec: FamilySpec, N: int, L: float, D: float) -> GuaranteeBound:
@@ -233,8 +209,12 @@ def _fmt(x: float | None) -> str:
     return "" if x is None else format(float(x), ".17g")
 
 
-def trajectory_csv(traj: Trajectory, potential: PotentialSeries | None = None) -> str:
-    """Render a trajectory as CSV text (step columns are empty on the last row)."""
+def trajectory_csv(traj: Trajectory, opt: float | None = None) -> str:
+    """Render a trajectory as CSV text (step columns are empty on the last row).
+
+    The ``Ej`` column holds ``traj.potential(opt)``, and is empty without opt.
+    """
+    E = None if opt is None else traj.potential(opt)
     lines = [",".join(CSV_COLUMNS)]
     for j in range(traj.N + 1):
         last = j == traj.N
@@ -248,7 +228,7 @@ def trajectory_csv(traj: Trajectory, potential: PotentialSeries | None = None) -
             _fmt(None if last else traj.B_exact[j]),
             _fmt(None if last else traj.B_bound[j]),
             _fmt(None if traj.gronwall_margin is None else traj.gronwall_margin[j]),
-            _fmt(None if potential is None else potential.E[j]),
+            _fmt(None if E is None else E[j]),
         ]
         lines.append(",".join(row))
     return "\n".join(lines) + "\n"

@@ -10,8 +10,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from drsub import BoxBody, desk, family_spec, oracle, preset, run, schedule, solver
-from drsub.cli import _check_run_invariants, main
+from drsub import BoxBody, checks, desk, family_spec, oracle, preset, run, schedule, solver
+from drsub.cli import _gate, main
 
 COVERAGE = '{"kind":"coverage","subsets":[[0,1],[1,2],[2,3]]}'
 CARD = '{"kind":"cardinality","n":3,"k":2}'
@@ -253,8 +253,8 @@ class TestRunCommand:
         traj = run(desk.quad_two_dim(), BoxBody(np.ones(2)), preset("general"),
                    family_spec("general"), 5)
         nan = np.full(6, np.nan)
-        problems = _check_run_invariants(dataclasses.replace(traj, F=nan, gronwall_margin=nan),
-                                         1.0)
+        problems = _gate(checks.run_margins(
+            dataclasses.replace(traj, F=nan, gronwall_margin=nan), 1.0))
         assert problems == ["potential increment margin nan < -1e-9",
                             "headroom margin nan < -1e-9", "guarantee slack nan < -1e-9"]
 
@@ -358,7 +358,8 @@ class TestSweepCommand:
         assert [float(r.split(",")[3]) for r in rows] == [0.0, 0.0, 0.0]
 
     def test_achieved_is_a_ratio_or_empty(self, tmp_path, capsys):
-        # the column holds final_value / opt, and stays empty where no optimum is known
+        # the column holds final_value / opt, and stays empty where no optimum is known;
+        # each row and trajectory is the one `run --iters N` reports
         for opt in ("none", "sets"):
             code = run_cli("sweep", "--instance", COVERAGE, "--constraint", CARD,
                            "--family", "monotone", "--iters", "16,32,64",
@@ -376,8 +377,35 @@ class TestSweepCommand:
             summary = json.loads((tmp_path / f"run{N}" / "summary.json").read_text())
             assert row_none.split(",")[1] == ""
             assert row_sets.split(",")[1] == format(summary["ratio_achieved"], ".17g")
+            assert row_sets.split(",")[2:] == [format(summary["ratio_guaranteed"], ".17g"),
+                                              format(summary["additive_gap"], ".17g")]
             assert row_none.split(",")[2:] == row_sets.split(",")[2:]
             assert row_none in printed and row_sets in printed
+            assert ((tmp_path / "sets" / f"trajectory_N{N}.csv").read_bytes()
+                    == (tmp_path / f"run{N}" / "trajectory.csv").read_bytes())
+
+    def test_one_certificate_per_solve(self, tmp_path, capsys, monkeypatch):
+        # each solve calls run_margins once, and summary.json reports what that call
+        # returned: shifted there, the potential margin is shifted in the summary too
+        margins, seen = checks.run_margins, []
+
+        def shifted(traj, opt):
+            found = margins(traj, opt)
+            found["potential increment margin"] += 1.0
+            seen.append((traj.N, found["potential increment margin"]))
+            return found
+
+        monkeypatch.setattr(checks, "run_margins", shifted)
+        assert run_cli("sweep", "--instance", COVERAGE, "--constraint", CARD,
+                       "--family", "measured", "--iters", "4,8,16", "--opt", "sets",
+                       "--out", str(tmp_path / "sweep")) == 0
+        assert [N for N, _ in seen] == [4, 8, 16]
+        assert run_cli("run", "--instance", COVERAGE, "--constraint", CARD,
+                       "--family", "measured", "--iters", "8", "--opt", "sets",
+                       "--out", str(tmp_path / "run")) == 0
+        assert [N for N, _ in seen] == [4, 8, 16, 8]
+        summary = json.loads((tmp_path / "run" / "summary.json").read_text())
+        assert summary["min_potential_increment_margin"] == seen[-1][1]
 
     @pytest.mark.parametrize("iters", ["1,2,3", "1,100,10000"])
     def test_short_or_wide_lists_pass(self, tmp_path, capsys, iters):
@@ -464,17 +492,34 @@ class TestMalformedJson:
          "coverage universe of 4097 elements exceeds the desk-scale cap of 4096"),
         ('{"kind":"coverage","subsets":[]}', '{"kind":"packing","A":[[]],"b":[1]}',
          "packing dimension n must be positive, got 0"),
+        ('{"kind":"coverage","subsets":[[0]],"subsets":[[0,1],[1,2],[2,3]]}', CARD,
+         "error: duplicate key 'subsets' in a JSON object"),
+        (COVERAGE, '{"kind":"cardinality","n":3,"k":2,"k":1}',
+         "error: duplicate key 'k' in a JSON object"),
     ], ids=["box-n-text", "box-n-fraction", "box-n-bool", "box-n-negative", "box-upper",
             "box-n-upper-disagree", "cardinality-k", "partition-capacities", "packing-A-text",
             "packing-A-ragged", "quadratic-c-inf", "coverage-L", "coverage-negative-element",
             "table-m", "table-empty", "concave-n-negative", "box-n-cap", "cardinality-n-cap",
             "partition-n-cap", "concave-n-cap", "coverage-n-elements-cap",
-            "coverage-element-cap", "packing-no-columns"])
+            "coverage-element-cap", "packing-no-columns", "instance-duplicate-key",
+            "constraint-duplicate-key"])
     def test_bad_field_value(self, tmp_path, capsys, instance, constraint, message):
         code = run_cli("run", "--instance", instance, "--constraint", constraint,
                        "--family", "general", "--iters", "5", "--out", str(tmp_path))
         assert code == 1
         assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize("schedule_json,key", [
+        ('{"a":{"form":"exp","rate":1},"a":{"form":"exp","rate":1},'
+         '"b":{"form":"exp","rate":1},"T":1}', "a"),
+        ('{"a":{"form":"exp","rate":1,"rate":2},"b":{"form":"exp","rate":1},"T":1}', "rate"),
+    ], ids=["schedule", "schedule-expression"])
+    def test_duplicate_schedule_key(self, tmp_path, capsys, schedule_json, key):
+        assert run_cli("run", "--instance", COVERAGE, "--constraint", CARD, "--family",
+                       "monotone", "--iters", "5", "--schedule", schedule_json,
+                       "--out", str(tmp_path)) == 1
+        assert capsys.readouterr().err == f"error: duplicate key {key!r} in a JSON object\n"
+        assert not any(tmp_path.iterdir())
 
 
 # README examples; each constraint is paired with an instance of its dimension
@@ -542,13 +587,24 @@ class TestUsageErrors:
         (["run", "--family", "bogus"], "drsub run: error: argument --family: invalid choice"),
         (["check", "--seed", "x"], "drsub check: error: argument --seed: invalid int value"),
         (["frob"], "drsub: error: argument command: invalid choice"),
-    ], ids=["family", "seed", "command"])
-    def test_usage_error_exits_1(self, capsys, argv, message):
+        (["run", "--inst", COVERAGE, "--cons", CARD, "--fam", "general", "--it", "5"],
+         "drsub: error: unrecognized arguments: --inst"),
+        (["check", "--se", "1"], "drsub: error: unrecognized arguments: --se 1"),
+        (["run", "--instance", COVERAGE, "--constraint", CARD, "--family", "general",
+          "--iters", "5", "--out", "A", "--out", "B"],
+         "drsub run: error: argument --out: given more than once\n"),
+        (["check", "--seed", "0", "--seed", "1"],
+         "drsub check: error: argument --seed: given more than once\n"),
+    ], ids=["family", "seed", "command", "abbreviated-run", "abbreviated-check",
+            "repeated-out", "repeated-seed"])
+    def test_usage_error_exits_1(self, tmp_path, capsys, monkeypatch, argv, message):
+        monkeypatch.chdir(tmp_path)  # where a run would write
         assert run_cli(*argv) == 1
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith("usage: drsub")
         assert message in captured.err
+        assert not any(tmp_path.iterdir())
 
 
 class TestCheckCommand:

@@ -7,8 +7,8 @@ import pytest
 from drsub import (BoxBody, CardinalityBody, ConfigurationError,
                    InputError, coupling_residual, family_spec, g_series,
                    guarantee, make_quadratic,
-                   multilinear_extension, potential_series, preset, run,
-                   set_bruteforce, trajectory_csv)
+                   multilinear_extension, preset, run, set_bruteforce,
+                   trajectory_csv)
 from drsub import checks, desk
 from drsub.schedule import FAMILIES as PRESET_FAMILIES
 
@@ -29,7 +29,8 @@ class TestUpdateRule:
     def test_monotone_single_step_coefficient(self):
         traj = run_family("monotone", N=1)
         assert traj.rho[0] == pytest.approx(1.0 - math.exp(-1.0), abs=1e-15)
-        assert traj.x[1] == pytest.approx(traj.rho[0] * traj.v[0], abs=1e-15)
+        v0 = CARD.lmo(COVER3_F.grad(traj.x[0]))
+        assert traj.x[1] == pytest.approx(traj.rho[0] * v0, abs=1e-15)
 
     @pytest.mark.parametrize("N", [1, 10, 100])
     def test_monotone_modular_over_box_telescopes(self, N):
@@ -44,12 +45,13 @@ class TestUpdateRule:
     def test_general_single_step(self):
         traj = run(QUAD, BOX2, preset("general"), family_spec("general"), 1)
         assert traj.rho[0] == pytest.approx(0.25, abs=1e-15)
-        assert traj.x[1] == pytest.approx(0.25 * traj.v[0], abs=1e-15)
+        assert traj.x[1] == pytest.approx(0.25 * BOX2.lmo(QUAD.grad(traj.x[0])), abs=1e-15)
 
     def test_measured_cap_respected(self):
         traj = run_family("measured", N=25)
-        for j in range(traj.N):
-            assert np.all(traj.v[j] <= 1.0 - traj.x[j] + 1e-12)
+        for j in range(traj.N):  # the masked vertex is the step over its length
+            v = (traj.x[j + 1] - traj.x[j]) / traj.rho[j]
+            assert np.all(v <= 1.0 - traj.x[j] + 1e-12)
 
     @pytest.mark.parametrize("family", PRESET_FAMILIES)
     @pytest.mark.parametrize("N", [1, 2, 7, 1000])
@@ -86,7 +88,7 @@ class TestUpdateRule:
         traj = run_family("measured", N=5)
         with pytest.raises(ValueError):
             traj.x[0, 0] = 1.0
-        for name in ("t", "a", "b", "F", "infnorm", "v", "rho", "G", "B_exact", "B_bound",
+        for name in ("t", "a", "b", "F", "infnorm", "rho", "G", "B_exact", "B_bound",
                      "gronwall_margin"):
             assert not getattr(traj, name).flags.writeable, name
 
@@ -167,29 +169,27 @@ class TestPotential:
     def test_rejects_nonpositive_opt(self):
         traj = run_family("monotone", N=5)
         with pytest.raises(InputError):
-            potential_series(traj, 0.0)
+            traj.potential(0.0)
 
     def test_modular_increments_nonnegative(self):
         w = np.array([1.0, 1.0])
         f = make_quadratic(np.zeros((2, 2)), w)
         traj = run_family("monotone", f=f, body=BOX2, N=10)
-        series = potential_series(traj, 2.0)
-        assert np.all(series.increments >= -1e-12)
+        assert np.all(np.diff(traj.potential(2.0)) >= -1e-12)
 
     @pytest.mark.parametrize("family", FAMILIES)
     @pytest.mark.parametrize("N", [10, 100])
     def test_increment_margins_on_coverage(self, family, N):
         opt = set_bruteforce(COVER3, CARD).value
         traj = run_family(family, N=N)
-        series = potential_series(traj, opt)
-        assert series.min_margin >= -1e-9
+        assert checks.run_margins(traj, opt)["potential increment margin"] >= -1e-9
 
     def test_underestimated_opt_is_safe(self):
         opt = set_bruteforce(COVER3, CARD).value
         traj = run_family("measured", N=30)
-        full = potential_series(traj, opt)
-        under = potential_series(traj, 0.5 * opt)
-        assert under.min_margin >= full.min_margin - 1e-12
+        full = checks.run_margins(traj, opt)["potential increment margin"]
+        under = checks.run_margins(traj, 0.5 * opt)["potential increment margin"]
+        assert under >= full - 1e-12
 
 
 class TestGronwall:
@@ -357,10 +357,9 @@ class TestCsv:
 
     def test_potential_column(self):
         traj = run_family("monotone", N=3)
-        series = potential_series(traj, 4.0)
-        text = trajectory_csv(traj, series)
+        text = trajectory_csv(traj, 4.0)
         first = text.strip().split("\n")[1].split(",")
-        assert first[9] == format(series.E[0], ".17g")
+        assert first[9] == format(traj.potential(4.0)[0], ".17g")
 
     def test_monotone_has_empty_margin_column(self):
         text = trajectory_csv(run_family("monotone", N=3))
