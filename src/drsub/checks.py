@@ -99,15 +99,24 @@ def max_lmo_gap(bodies: Iterable[ConvexBody], rng: np.random.Generator) -> float
 
 
 def max_simplex_gap(rng: np.random.Generator) -> float:
-    """Largest gap of the simplex to vertex enumeration on 50 random packing LPs."""
+    """Largest gap of the simplex to vertex enumeration on 50 random packing LPs.
+
+    Every second LP has small integer data, whose tied ratios can make degenerate pivots.
+    """
     gaps = []
-    for _ in range(50):
+    for i in range(50):
         n = int(rng.integers(1, 6))
         m = int(rng.integers(1, 6))
-        A = rng.uniform(0.0, 1.0, size=(m, n))
-        b = rng.uniform(0.5, 2.0, size=m)
-        u = rng.uniform(0.2, 1.0, size=n)
-        c = rng.normal(size=n)
+        if i % 2:
+            A = rng.integers(0, 3, size=(m, n)).astype(float)
+            b = rng.integers(1, 4, size=m).astype(float)
+            u = rng.choice([0.5, 1.0], size=n)
+            c = rng.integers(-2, 4, size=n).astype(float)
+        else:
+            A = rng.uniform(0.0, 1.0, size=(m, n))
+            b = rng.uniform(0.5, 2.0, size=m)
+            u = rng.uniform(0.2, 1.0, size=n)
+            c = rng.normal(size=n)
         _, val = feasible.simplex_solve(c, A, b, u)
         ref = feasible.lmo_bruteforce(feasible.PackingBody(A, b), c, u)[0]
         gaps.append(abs(val - ref))

@@ -7,8 +7,10 @@ with {v <= cap}.  Three kinds are
 provided: boxes with per-coordinate upper bounds, partition bodies with
 per-block budgets (the cardinality polytope sum x <= k is the one-block
 case), and packing polytopes A x <= b with nonnegative A.  Packing oracles
-run on a small dense simplex with Bland's anti-cycling rule; the other
-kinds use closed-form greedy fills.  The exhaustive reference oracle at the
+run on a small dense simplex that enters the largest reduced cost, or the
+lowest improving column right after a degenerate pivot, so a cycle (which
+holds only degenerate pivots) would follow Bland's rule throughout and
+cannot occur; the other kinds (box, partition) use closed-form greedy fills.  The exhaustive reference oracle at the
 bottom of the module, used for cross-checking, enumerates the vertices of
 the inequality system every body stores.
 """
@@ -29,7 +31,7 @@ FEASIBILITY_TOL = 1e-9
 #: desk-scale cap on every body's dimension and on the dense simplex's rows
 MAX_DIMENSION = 64
 
-#: pivot tolerance of the dense simplex: reduced costs, pivot entries and ratio ties
+#: pivot tolerance of the dense simplex: reduced costs, pivot entries, ratio ties and degenerate pivots
 _PIVOT_TOL = 1e-10
 
 
@@ -107,8 +109,10 @@ class ConvexBody:
     def lmo(self, g) -> np.ndarray:
         """Extreme point maximizing <g, v> over the body.
 
-        Ties are broken deterministically: lowest coordinate index first,
-        and coordinates with nonpositive coefficients stay at zero.
+        Ties are broken deterministically: box and partition bodies fill the
+        lowest coordinate index first, packing bodies take the vertex the simplex's
+        pivot rule reaches, and coordinates with nonpositive coefficients
+        stay at zero.
         """
         raise NotImplementedError
 
@@ -283,9 +287,12 @@ def simplex_solve(c: np.ndarray, A: np.ndarray, b: np.ndarray,
     float arrays, A >= 0 of shape (len(b), len(c)), b > 0 and u in (0, 1],
     with at most MAX_DIMENSION rows and columns.  The variable bounds are
     carried as explicit rows, so the all-slack basis is feasible from the
-    start and the problem is always bounded.  Bland's rule (the lowest
-    improving column enters; among the minimum-ratio rows the lowest basic
-    index leaves) rules out cycling.  The clipped result is re-checked
+    start and the problem is always bounded.  The column with the largest
+    reduced cost enters (Dantzig), except right after a degenerate pivot
+    (leaving rhs <= _PIVOT_TOL), when the lowest improving column enters;
+    among the minimum-ratio rows the lowest basic index leaves.  A cycle
+    holds only degenerate pivots, so each of its pivots would follow Bland's
+    rule, which never cycles (Bland 1977).  The clipped result is re-checked
     against A x <= b.
     """
     n = c.size
@@ -300,22 +307,23 @@ def simplex_solve(c: np.ndarray, A: np.ndarray, b: np.ndarray,
     tab[m, :n] = c  # reduced-cost row; positive entry means improvement
     basis = np.arange(n, n + m)
 
+    degenerate = False
     for _ in range(100000):
         improving = np.flatnonzero(tab[m, :-1] > _PIVOT_TOL)
         if improving.size == 0:
             break
-        enter = improving[0]
+        enter = improving[0] if degenerate else np.argmax(tab[m, :-1])
         rows = np.flatnonzero(tab[:m, enter] > _PIVOT_TOL)
         if rows.size == 0:
             raise InvariantError("unbounded packing LP; bounds rows should prevent this")
         ratios = tab[rows, -1] / tab[rows, enter]
         tied = rows[ratios - ratios.min() <= _PIVOT_TOL]
         leave = tied[np.argmin(basis[tied])]
+        degenerate = tab[leave, -1] <= _PIVOT_TOL
         tab[leave] /= tab[leave, enter]
         col = tab[:, enter].copy()
         col[leave] = 0.0
-        hit = col != 0.0
-        tab[hit] -= np.outer(col[hit], tab[leave])
+        tab -= np.outer(col, tab[leave])
         basis[leave] = enter
     else:
         raise InvariantError("simplex failed to terminate")

@@ -81,6 +81,48 @@ def exhaustive_submodularity_ok(table, m, tol=1e-9):
     return True
 
 
+def bland_simplex(c, A, b, u):
+    """The dense simplex under Bland's rule alone: (x, value).
+
+    The reference for feasible.simplex_solve, written as the loop it
+    replaced: the lowest improving column enters, the lowest basic index
+    among the minimum-ratio rows leaves, and only the rows with a nonzero
+    entry in the entering column are updated.
+    """
+    tol = 1e-10
+    n = c.size
+    G = np.vstack([A, np.eye(n)])
+    m = G.shape[0]
+    tab = np.zeros((m + 1, n + m + 1))
+    tab[:m, :n] = G
+    tab[:m, n:n + m] = np.eye(m)
+    tab[:m, -1] = np.concatenate([b, u])
+    tab[m, :n] = c
+    basis = np.arange(n, n + m)
+    for _ in range(100000):
+        improving = np.flatnonzero(tab[m, :-1] > tol)
+        if improving.size == 0:
+            break
+        enter = improving[0]
+        rows = np.flatnonzero(tab[:m, enter] > tol)
+        ratios = tab[rows, -1] / tab[rows, enter]
+        tied = rows[ratios - ratios.min() <= tol]
+        leave = tied[np.argmin(basis[tied])]
+        tab[leave] /= tab[leave, enter]
+        col = tab[:, enter].copy()
+        col[leave] = 0.0
+        hit = col != 0.0
+        tab[hit] -= np.outer(col[hit], tab[leave])
+        basis[leave] = enter
+    else:
+        raise RuntimeError("reference simplex did not terminate")
+    x = np.zeros(n)
+    structural = basis < n
+    x[basis[structural]] = tab[:m, -1][structural]
+    x = np.clip(x, 0.0, u)
+    return x, float(c @ x)
+
+
 def vertex_pairs_diameter(vertices):
     """Max squared distance over explicit vertex pairs."""
     best = 0.0

@@ -9,7 +9,7 @@ from drsub import (BoxBody, CardinalityBody, InputError, InvariantError, Packing
 from drsub.errors import CapacityError
 from drsub.feasible import simplex_solve, vertices
 
-from conftest import vertex_pairs_diameter
+from conftest import bland_simplex, vertex_pairs_diameter
 
 BOX3 = BoxBody(np.ones(3))
 CARD32 = CardinalityBody(3, 2)
@@ -271,7 +271,8 @@ class TestSimplex:
             assert val == pytest.approx(enumerated_optimum(c, A, b, u), abs=1e-9)
 
     def test_degenerate_integer_lps_match_enumeration(self, rng):
-        # small integer data ties many ratios and reduced costs, so Bland's rule decides
+        # small integer data ties many ratios and reduced costs and makes degenerate
+        # pivots, after which the lowest improving column enters
         for _ in range(500):
             n = int(rng.integers(1, 6))
             m = int(rng.integers(1, 6))
@@ -284,9 +285,32 @@ class TestSimplex:
             assert val == pytest.approx(enumerated_optimum(c, A, b, u), abs=1e-9)
 
     def test_degenerate_rhs_terminates(self):
-        # many ties in the ratio test; Bland's rule must still finish
+        # many ties in the ratio test and degenerate pivots; the simplex must still finish
         x, val = solve([1.0, 1.0, 1.0], np.ones((3, 3)), [1.0, 1.0, 1.0], [1.0, 1.0, 1.0])
         assert val == pytest.approx(1.0, abs=1e-9)
+
+    def test_dantzig_cycling_example_terminates(self):
+        """Beale's LP, on which the largest-coefficient rule alone cycles through six
+        degenerate bases.  Its A has negative entries, outside the PackingBody
+        precondition A >= 0; it is here only to drive the degenerate path."""
+        c = [0.75, -20.0, 0.5, -6.0]
+        A = [[0.25, -8.0, -1.0, 9.0], [0.5, -12.0, -0.5, 3.0], [0.0, 0.0, 1.0, 0.0]]
+        x, val = solve(c, A, [0.0, 0.0, 1.0], np.ones(4))
+        assert val == pytest.approx(1.25, abs=1e-12)
+        assert x == pytest.approx([1.0, 0.0, 1.0, 0.0], abs=1e-12)
+
+    def test_matches_bland_reference_at_benchmark_scale(self, rng):
+        # 20x30 packing LPs drawn like the packing benchmark; the optimum is unique
+        # almost surely, so every correct pivot rule lands on the same vertex
+        for _ in range(100):
+            A = rng.uniform(0.0, 1.0, size=(20, 30))
+            b = 0.2 * A.sum(axis=1)
+            c = rng.normal(size=30)
+            for u in (np.ones(30), 1.0 - rng.uniform(size=30)):
+                x, val = simplex_solve(c, A, b, u)
+                x_ref, val_ref = bland_simplex(c, A, b, u)
+                assert abs(val - val_ref) <= 1e-9 * max(1.0, abs(val_ref))
+                assert np.max(np.abs(x - x_ref)) <= 1e-9
 
     def test_result_is_checked_against_the_rows(self):
         # b < 0 breaks the precondition: the all-slack start is infeasible
