@@ -3,14 +3,15 @@
 Each check measures one quantity over all of its inputs and returns the worst
 value: the smallest margin or residual, or the largest gap.  A NaN measurement
 is the worst value: numpy's reductions propagate it, where Python's ``min``
-and ``max`` would drop it.  Callers apply their own tolerances.  Checks that
-sample points draw from the caller's generator in input order, so one call per
-input reproduces one call for all.
+and ``max`` would drop it.  Callers apply their own tolerances, except to the
+run margins, whose one tolerance and gate live here.  Checks that sample points
+draw from the caller's generator in input order, so one call per input
+reproduces one call for all.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, NamedTuple
 
 import numpy as np
 
@@ -24,6 +25,10 @@ FAMILIES = ("monotone", "measured", "general")
 
 #: step counts of the runs behind the potential, headroom and guarantee checks
 RUN_STEPS = (1, 10, 100, 500)
+
+#: a run margin below -MARGIN_TOL fails its gate; every run margin is scale-free (see
+#: ``run_margins``), so its round-off is a fixed multiple of eps at any objective scale
+MARGIN_TOL = 1e-9
 
 
 def max_ratio_error(schedules: Mapping[str, schedule.Schedule],
@@ -101,18 +106,19 @@ def max_lmo_gap(bodies: Iterable[ConvexBody], rng: np.random.Generator) -> float
 def max_simplex_gap(rng: np.random.Generator) -> float:
     """Largest gap of the simplex to vertex enumeration on 50 random packing LPs.
 
-    Every second LP has small integer data, whose tied ratios can make degenerate pivots.
+    Every second LP is a 0/1 matrix with unit budgets and bounds and costs in {1, 2, 3}:
+    its tied ratios make degenerate pivots, and its tied costs make the Bland fallback
+    after them enter other columns than Dantzig's rule would.
     """
     gaps = []
     for i in range(50):
-        n = int(rng.integers(1, 6))
-        m = int(rng.integers(1, 6))
         if i % 2:
-            A = rng.integers(0, 3, size=(m, n)).astype(float)
-            b = rng.integers(1, 4, size=m).astype(float)
-            u = rng.choice([0.5, 1.0], size=n)
-            c = rng.integers(-2, 4, size=n).astype(float)
+            n, m = int(rng.integers(3, 5)), int(rng.integers(4, 7))
+            A = rng.integers(0, 2, size=(m, n)).astype(float)
+            b, u = np.ones(m), np.ones(n)
+            c = rng.integers(1, 4, size=n).astype(float)
         else:
+            n, m = int(rng.integers(1, 6)), int(rng.integers(1, 6))
             A = rng.uniform(0.0, 1.0, size=(m, n))
             b = rng.uniform(0.5, 2.0, size=m)
             u = rng.uniform(0.2, 1.0, size=n)
@@ -137,25 +143,46 @@ def max_coupling_excess() -> float:
     return float(np.max(excess))
 
 
-def run_margins(traj: solver.Trajectory, opt: float | None) -> dict[str, float]:
+class Margin(NamedTuple):
+    """A run's smallest margin of one kind and the step j where it occurs."""
+
+    value: float
+    step: int
+
+
+def _smallest(series: np.ndarray) -> Margin:
+    return Margin(float(np.min(series)), int(np.argmin(series)))  # both pick a NaN first
+
+
+def run_margins(traj: solver.Trajectory, opt: float | None) -> dict[str, Margin]:
     """One run's certificate margins, each nonnegative up to round-off on a sound run.
 
-    The headroom margin applies to the masked and offset rules.  A certified optimum
-    opt > 0 adds the potential increment margin, the smallest
-    E_{j+1} - E_j + max(G_j, 0) opt + B_exact_j over the steps, and the guarantee
-    slack: opt is at most OPT, which keeps both true (F >= 0 covers a coefficient < 0).
+    The headroom margin applies to the masked and offset rules, in box units.  A
+    certified optimum opt > 0 adds the potential increment margin, the smallest
+    E_{j+1} - E_j + max(G_j, 0) opt + B_exact_j over the steps j, and the guarantee
+    slack at step N: opt is at most OPT, which keeps both true (F >= 0 covers a
+    coefficient < 0).  Both are homogeneous of degree one in f, so they are given as
+    fractions of the run's scale max(opt, max_j F(x_j)), which scaling f leaves fixed.
     """
     certified = opt is not None and not opt <= 0  # a NaN optimum gives NaN margins
     if certified:
+        scale = np.max(traj.F, initial=opt)  # a NaN value or optimum propagates
         increments = np.diff(traj.potential(opt)) + np.maximum(traj.G, 0.0) * opt + traj.B_exact
-    bound = traj.bound
+        slack = traj.final_value - (traj.bound.coefficient * opt - traj.bound.additive)
     margins = {
-        "potential increment margin": float(np.min(increments)) if certified else None,
-        "headroom margin": traj.min_gronwall_margin,
-        "guarantee slack":
-            traj.final_value - (bound.coefficient * opt - bound.additive) if certified else None,
+        "potential increment margin": _smallest(increments / scale) if certified else None,
+        "headroom margin":
+            None if traj.gronwall_margin is None else _smallest(traj.gronwall_margin),
+        "guarantee slack": Margin(float(slack / scale), traj.N) if certified else None,
     }
-    return {name: value for name, value in margins.items() if value is not None}
+    return {name: margin for name, margin in margins.items() if margin is not None}
+
+
+def gate(margins: Mapping[str, Margin], where: str) -> list[str]:
+    """One line per margin below -MARGIN_TOL, naming the run (``where``) and the step."""
+    # written as "not >=" so that a NaN margin fails
+    return [f"{where}, step {step}: {name} {value:.3e} misses its limit {-MARGIN_TOL:g}"
+            for name, (value, step) in margins.items() if not value >= -MARGIN_TOL]
 
 
 def worst_run_margins(runs: Iterable[tuple[DrFunction, ConvexBody, float]]) -> dict[str, float]:
@@ -166,8 +193,8 @@ def worst_run_margins(runs: Iterable[tuple[DrFunction, ConvexBody, float]]) -> d
             if spec.direction == "plain" and not f.monotone:
                 continue  # its guarantee needs a monotone f
             for N in RUN_STEPS:
-                for name, value in run_margins(solver.run(f, C, s, spec, N), opt).items():
-                    found.setdefault(name, []).append(value)
+                for name, margin in run_margins(solver.run(f, C, s, spec, N), opt).items():
+                    found.setdefault(name, []).append(margin.value)
     return {name: float(np.min(values)) for name, values in found.items()}
 
 

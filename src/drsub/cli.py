@@ -28,8 +28,6 @@ EXIT_OK = 0
 EXIT_INPUT = 1
 EXIT_INVARIANT = 2
 
-_MARGIN_TOL = 1e-9
-
 
 def _strict_json_loads(text: str):
     def _reject(token):
@@ -129,6 +127,7 @@ def _solve_once(exp: _Experiment, N: int, cert: oracle.OptCertificate | None):
     opt = None if cert is None else cert.value
     positive = opt if opt is not None and opt > 0 else None
     margins = checks.run_margins(traj, positive)
+    smallest = {name: margin.value for name, margin in margins.items()}
     record = {
         "family": exp.spec.name,
         "N": N,
@@ -137,21 +136,16 @@ def _solve_once(exp: _Experiment, N: int, cert: oracle.OptCertificate | None):
         "ratio_achieved": None if positive is None else traj.final_value / positive,
         "ratio_guaranteed": traj.bound.coefficient,
         "additive_gap": traj.bound.additive,
-        "min_potential_increment_margin": margins.get("potential increment margin"),
-        "min_gronwall_margin": margins.get("headroom margin"),
+        "min_potential_increment_margin": smallest.get("potential increment margin"),
+        "min_gronwall_margin": smallest.get("headroom margin"),
         "feasible": True,
         "opt_certificate": None if cert is None else cert.to_json(),
     }
     for name, value in record.items():
         if isinstance(value, float) and not np.isfinite(value):
             raise InputError(f"{name} is {value} at N={N}: the run overflows float64")
-    return solver.trajectory_csv(traj, positive), record, _gate(margins)
-
-
-def _gate(margins: dict[str, float]) -> list[str]:
-    # written as "not >=" so that a NaN margin fails
-    return [f"{name} {value:.3e} < -1e-9" for name, value in margins.items()
-            if not value >= -_MARGIN_TOL]
+    return (solver.trajectory_csv(traj, positive), record,
+            checks.gate(margins, f"family {exp.spec.name}, N={N}"))
 
 
 def _report(problems: list[str]) -> int:
@@ -193,7 +187,7 @@ def cmd_sweep(args) -> int:
         lines.append(f"{N},{'' if achieved is None else format(achieved, '.17g')},"
                      f"{record['ratio_guaranteed']:.17g},{record['additive_gap']:.17g}")
         additive.append(record["additive_gap"])
-        problems.extend(f"N={N}: {p}" for p in gate)
+        problems.extend(gate)
     _atomic_write(exp.out_dir / "sweep.csv", "\n".join(lines) + "\n")
 
     print("\n".join(lines))
@@ -225,7 +219,7 @@ def cmd_check(args) -> int:
     ratios = ", ".join(f"{schedule.FAMILIES[f].ratio:.6f}" for f in checks.FAMILIES)
 
     def run_gate(margin):  # one measurement of all runs serves every run margin
-        return f"min {margin}", lambda: worst().get(margin, np.inf), -1e-9
+        return f"min {margin}", lambda: worst().get(margin, np.inf), -checks.MARGIN_TOL
 
     # name, PASS detail (default: the first gate's value), gates (quantity, measure, limit);
     # a "min ..." quantity must stay at or above its limit, any other at or below it

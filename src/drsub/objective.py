@@ -34,8 +34,8 @@ _MAX_GROUND_SET = 20
 #: desk-scale cap on a coverage universe
 _MAX_UNIVERSE = 4096
 
-#: round-off allowed in the exhaustive set checks: a marginal may fall by
-#: _MONOTONE_TOL, and a second difference may rise by _SUBMODULAR_TOL
+#: round-off allowed in the exhaustive set checks, as fractions of max f: a marginal
+#: may fall by _MONOTONE_TOL, and a second difference may rise by _SUBMODULAR_TOL
 _MONOTONE_TOL = 1e-12
 _SUBMODULAR_TOL = 1e-9
 
@@ -210,13 +210,15 @@ def mesh_chunks(axes: Sequence[np.ndarray]):
 def set_is_monotone(f: SetFunction) -> bool:
     """Exhaustive marginal check: adding any element never decreases f."""
     T = f.table.reshape((2,) * f.m)  # one axis per element
-    return all(np.all(np.diff(T, axis=i) >= -_MONOTONE_TOL) for i in range(f.m))
+    tol = _MONOTONE_TOL * f.max_value()
+    return all(np.all(np.diff(T, axis=i) >= -tol) for i in range(f.m))
 
 
 def set_is_submodular(f: SetFunction) -> bool:
     """Pairwise marginal check, equivalent to the subset-chain definition."""
     T = f.table.reshape((2,) * f.m)
-    return all(np.all(np.diff(np.diff(T, axis=i), axis=j) <= _SUBMODULAR_TOL)
+    tol = _SUBMODULAR_TOL * f.max_value()
+    return all(np.all(np.diff(np.diff(T, axis=i), axis=j) <= tol)
                for i in range(f.m) for j in range(i + 1, f.m))
 
 

@@ -52,8 +52,9 @@ def cut_table(weights: np.ndarray) -> np.ndarray:
     return table
 
 
-def exhaustive_monotonicity_ok(table, m, tol=1e-12):
-    """Literal check of f(S+i) - f(S) >= -tol for every element i and every S without i."""
+def exhaustive_monotonicity_ok(table, m, rtol=1e-12):
+    """Literal check of f(S+i) - f(S) >= -rtol max f for every element i and every S without i."""
+    tol = rtol * float(np.max(table))
     for mask in range(1 << m):
         for i in range(m):
             bit = 1 << i
@@ -62,8 +63,9 @@ def exhaustive_monotonicity_ok(table, m, tol=1e-12):
     return True
 
 
-def exhaustive_submodularity_ok(table, m, tol=1e-9):
-    """Literal check of f(A+i) - f(A) >= f(B+i) - f(B) over every A <= B."""
+def exhaustive_submodularity_ok(table, m, rtol=1e-9):
+    """Literal check of f(A+i) - f(A) >= f(B+i) - f(B) - rtol max f over every A <= B."""
+    tol = rtol * float(np.max(table))
     for b_mask in range(1 << m):
         a_sub = b_mask
         while True:

@@ -10,13 +10,15 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from drsub import BoxBody, checks, desk, family_spec, oracle, preset, run, schedule, solver
-from drsub.cli import _gate, main
+from drsub import (BoxBody, checks, coverage_function, desk, family_spec, oracle, preset, run,
+                   schedule, solver)
+from drsub.cli import main
 
 COVERAGE = '{"kind":"coverage","subsets":[[0,1],[1,2],[2,3]]}'
 CARD = '{"kind":"cardinality","n":3,"k":2}'
 QUAD = '{"kind":"quadratic","H":[[-2,0],[0,-2]],"c":[1,0.5]}'
 BOX2 = '{"kind":"box","n":2}'
+CARD1 = '{"kind":"cardinality","n":2,"k":1}'
 
 
 def run_cli(*argv):
@@ -253,10 +255,12 @@ class TestRunCommand:
         traj = run(desk.quad_two_dim(), BoxBody(np.ones(2)), preset("general"),
                    family_spec("general"), 5)
         nan = np.full(6, np.nan)
-        problems = _gate(checks.run_margins(
-            dataclasses.replace(traj, F=nan, gronwall_margin=nan), 1.0))
-        assert problems == ["potential increment margin nan < -1e-9",
-                            "headroom margin nan < -1e-9", "guarantee slack nan < -1e-9"]
+        problems = checks.gate(checks.run_margins(
+            dataclasses.replace(traj, F=nan, gronwall_margin=nan), 1.0), "family general, N=5")
+        assert problems == [
+            "family general, N=5, step 0: potential increment margin nan misses its limit -1e-09",
+            "family general, N=5, step 0: headroom margin nan misses its limit -1e-09",
+            "family general, N=5, step 5: guarantee slack nan misses its limit -1e-09"]
 
     @pytest.mark.parametrize("command,iters", [("run", "200"), ("sweep", "50,100,200")])
     def test_guarantee_is_gated(self, tmp_path, capsys, monkeypatch, command, iters):
@@ -270,7 +274,8 @@ class TestRunCommand:
                        "--family", "measured", "--iters", iters, "--opt", "sets",
                        "--out", str(tmp_path))
         assert code == 2
-        assert re.search(r"invariant violation: (N=200: )?guarantee slack -\S+ < -1e-9\n",
+        assert re.search(r"invariant violation: family measured, N=200, step 200: "
+                         r"guarantee slack -\S+ misses its limit -1e-09\n",
                          capsys.readouterr().err)
 
     def test_rule_comes_from_the_spec_alone(self, tmp_path, capsys):
@@ -283,9 +288,11 @@ class TestRunCommand:
                        "--out", str(tmp_path))
         assert code == 2
         assert capsys.readouterr().err == \
-            "invariant violation: headroom margin -2.429e-01 < -1e-9\n"
+            "invariant violation: family general, N=50, step 30: headroom margin -2.429e-01 " \
+            "misses its limit -1e-09\n"
         summary = json.loads((tmp_path / "summary.json").read_text())
         assert summary["min_gronwall_margin"] == traj.min_gronwall_margin == -0.24294678854824703
+        assert np.argmin(traj.gronwall_margin) == 30
         rows = [r.split(",") for r in (tmp_path / "trajectory.csv").read_text().split()[1:]]
         assert [float(r[2]) for r in rows] == traj.F.tolist()
         assert [float(r[5]) for r in rows[:-1]] == traj.G.tolist()
@@ -391,8 +398,9 @@ class TestSweepCommand:
 
         def shifted(traj, opt):
             found = margins(traj, opt)
-            found["potential increment margin"] += 1.0
-            seen.append((traj.N, found["potential increment margin"]))
+            value, step = found["potential increment margin"]
+            found["potential increment margin"] = checks.Margin(value + 1.0, step)
+            seen.append((traj.N, value + 1.0))
             return found
 
         monkeypatch.setattr(checks, "run_margins", shifted)
@@ -427,6 +435,97 @@ class TestSweepCommand:
                        "--family", "general", "--iters", "16,8,32",
                        "--out", str(tmp_path))
         assert code == 1
+
+
+def linear(c: float) -> str:
+    """The linear instance c x_1 + c x_2: L = 0, so every B_exact_j is 0."""
+    return json.dumps({"kind": "quadratic", "H": [[0, 0], [0, 0]], "c": [c, c]})
+
+
+class TestScaleFreeGates:
+    """Run margins are fractions of the run's scale, so one tolerance holds at every scale."""
+
+    def test_large_sound_run_passes(self, tmp_path, capsys):
+        # its potential increment margin is 0 in real arithmetic and -2.98e-8 in float64
+        code = run_cli("run", "--instance", linear(1e8), "--constraint", CARD1,
+                       "--family", "monotone", "--iters", "1", "--opt", "grid",
+                       "--out", str(tmp_path))
+        assert code == 0, capsys.readouterr().err
+        summary = json.loads((tmp_path / "summary.json").read_text())
+        assert abs(summary["min_potential_increment_margin"]) <= 1e-15
+
+    @pytest.mark.parametrize("family", schedule.FAMILIES)
+    def test_linear_runs_pass_at_every_scale(self, tmp_path, capsys, family):
+        for e in range(-12, 13):
+            for body in (CARD1, BOX2):
+                code = run_cli("sweep", "--instance", linear(10.0 ** e), "--constraint", body,
+                               "--family", family, "--iters", "1,10,100", "--opt", "grid",
+                               "--out", str(tmp_path))
+                assert code == 0, (e, body, capsys.readouterr().err)
+
+    @pytest.mark.parametrize("family", schedule.FAMILIES)
+    def test_lowered_value_fails_at_every_scale(self, tmp_path, capsys, monkeypatch, family):
+        # F(x_1) lowered by 1e-6 of itself breaks the first potential increment
+        solve = solver.run
+
+        def lowered(*args):
+            traj = solve(*args)
+            F = traj.F.copy()
+            F[1] *= 1.0 - 1e-6
+            return dataclasses.replace(traj, F=F)
+
+        monkeypatch.setattr(solver, "run", lowered)
+        for e in range(-6, 13):
+            for body in (CARD1, BOX2):
+                code = run_cli("sweep", "--instance", linear(10.0 ** e), "--constraint", body,
+                               "--family", family, "--iters", "1,10,100", "--opt", "grid",
+                               "--out", str(tmp_path))
+                err = capsys.readouterr().err
+                assert code == 2
+                for N in (1, 10, 100):
+                    assert (f"invariant violation: family {family}, N={N}, step 0: "
+                            f"potential increment margin -") in err, (e, body, err)
+
+    @pytest.mark.parametrize("scale", [1e6, 1e8, 1e10])
+    def test_large_coverage_table_is_accepted(self, tmp_path, capsys, scale):
+        # its second differences carry round-off of about 1e-16 of max f, far above 1e-9
+        rng = np.random.default_rng(0)
+        subsets = [np.flatnonzero(row).tolist() for row in rng.random((8, 24)) < 0.3]
+        table = coverage_function(subsets, rng.uniform(0.5, 1.5, size=24) * scale, 24).table
+        code = run_cli("run", "--instance", json.dumps({"kind": "table", "values": table.tolist()}),
+                       "--constraint", '{"kind":"cardinality","n":8,"k":2}', "--family",
+                       "monotone", "--iters", "10", "--opt", "sets", "--out", str(tmp_path))
+        assert code == 0, capsys.readouterr().err
+
+    def test_small_supermodular_table_is_refused(self, tmp_path, capsys):
+        # f({0,1}) exceeds f({0}) + f({1}) by 5e-5 of max f
+        code = run_cli("run", "--instance", '{"kind":"table","values":[0,1e-6,1e-6,2.0001e-6]}',
+                       "--constraint", CARD1, "--family", "monotone", "--iters", "10",
+                       "--opt", "sets", "--out", str(tmp_path))
+        assert code == 1
+        assert capsys.readouterr().err == "error: table values are not submodular\n"
+
+    @pytest.mark.parametrize("variant,weights", [
+        ("general-exp", '{"T":1.3862943611198906,"a":{"form":"exp","rate":1},'
+                        '"b":{"form":"exp","rate":0.5,"shift":-1}}'),
+        ("general-linear", '{"T":3,"a":{"form":"poly","coeffs":[1,1]},'
+                           '"b":{"form":"sqrt_affine","inner_shift":1,"shift":-1}}'),
+    ])
+    def test_offset_presets_are_general_schedules(self, tmp_path, capsys, variant, weights):
+        # the README's --schedule forms of the two offset presets reproduce their runs
+        args = ["--instance", '{"kind":"concave_modular","weights":[[1,0.5,0,0],[0,0,2,1]]}',
+                "--constraint", '{"kind":"partition","n":4,"blocks":[[0,1],[2,3]],'
+                '"capacities":[1,1]}', "--iters", "200", "--opt", "grid"]
+        assert run_cli("run", *args, "--family", variant, "--out", str(tmp_path / "preset")) == 0
+        assert run_cli("run", *args, "--family", "general", "--schedule", weights,
+                       "--out", str(tmp_path / "user")) == 0
+        assert ((tmp_path / "user" / "trajectory.csv").read_bytes()
+                == (tmp_path / "preset" / "trajectory.csv").read_bytes())
+        preset_summary, user_summary = (json.loads((tmp_path / d / "summary.json").read_text())
+                                        for d in ("preset", "user"))
+        assert preset_summary.pop("family") == variant
+        assert user_summary.pop("family") == "general"
+        assert user_summary == preset_summary
 
 
 class TestMalformedJson:

@@ -392,6 +392,23 @@ class TestSetFunctionChecks:
             assert set_is_submodular(sf) == exhaustive_submodularity_ok(table, m)
 
 
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(exponent=st.integers(-6, 10), m=st.integers(2, 8), seed=st.integers(0, 2 ** 32 - 1))
+def test_set_checks_read_the_tables_own_units(exponent, m, seed):
+    # coverage is monotone and submodular at any scale; a supermodular bump of 1e-6 of
+    # max f on elements 0 and 1 is caught at any scale
+    rng = np.random.default_rng(seed)
+    covers = rng.random((m, 24)) < 0.3
+    covers[1] &= ~covers[0]  # sets 0 and 1 are disjoint: f's second difference on them is 0
+    covers[:2, :2] = [[True, False], [False, True]]
+    sf = coverage_function([np.flatnonzero(row).tolist() for row in covers],
+                           rng.uniform(0.5, 1.5, size=24) * 10.0 ** exponent, 24)
+    assert set_is_monotone(sf) and set_is_submodular(sf)
+    both = (np.arange(1 << m) & 3) == 3
+    bumped = set_function_from_table(sf.table + 1e-6 * sf.max_value() * both)
+    assert set_is_monotone(bumped) and not set_is_submodular(bumped)
+
+
 class TestCoverageTable:
     def test_matches_per_mask_union(self, rng):
         for _ in range(50):

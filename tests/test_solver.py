@@ -182,13 +182,13 @@ class TestPotential:
     def test_increment_margins_on_coverage(self, family, N):
         opt = set_bruteforce(COVER3, CARD).value
         traj = run_family(family, N=N)
-        assert checks.run_margins(traj, opt)["potential increment margin"] >= -1e-9
+        assert checks.run_margins(traj, opt)["potential increment margin"].value >= -1e-9
 
     def test_underestimated_opt_is_safe(self):
         opt = set_bruteforce(COVER3, CARD).value
         traj = run_family("measured", N=30)
-        full = checks.run_margins(traj, opt)["potential increment margin"]
-        under = checks.run_margins(traj, 0.5 * opt)["potential increment margin"]
+        full = checks.run_margins(traj, opt)["potential increment margin"].value
+        under = checks.run_margins(traj, 0.5 * opt)["potential increment margin"].value
         assert under >= full - 1e-12
 
 
@@ -292,7 +292,7 @@ class TestRunMargins:
         assert list(checks.run_margins(run_family("monotone"), opt)) == [
             "potential increment margin", "guarantee slack"]
         unknown = checks.run_margins(run_family("monotone"), math.nan)
-        assert len(unknown) == 2 and all(math.isnan(v) for v in unknown.values())
+        assert len(unknown) == 2 and all(math.isnan(v) for v, _ in unknown.values())
 
     def test_worst_keeps_a_nan_margin(self):
         # a NaN value oracle makes every potential and guarantee margin of its runs NaN
