@@ -13,7 +13,7 @@ from .feasible import (BoxBody, CardinalityBody, ConvexBody, PackingBody,
                        PartitionBody, body_from_json, lmo_bruteforce)
 from .objective import (DrFunction, SetFunction, check_dr_inequality,
                         coverage_function, finite_diff_grad, instance_from_json,
-                        make_concave_modular, make_quadratic,
+                        make_concave_modular, make_coverage, make_quadratic,
                         multilinear_extension, set_function_from_table)
 from .oracle import OptCertificate, grid_search, set_bruteforce
 from .schedule import (Schedule, coupling_residual, preset, ratio, ratio_curve,

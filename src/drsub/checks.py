@@ -82,11 +82,10 @@ def max_grad_mismatch(objectives: Iterable[DrFunction], rng: np.random.Generator
     return float(np.max(mismatches, initial=0.0))
 
 
-def max_lattice_mismatch(set_functions: Iterable[SetFunction]) -> float:
-    """Largest gap between a multilinear extension and its set function at the corners."""
+def max_lattice_mismatch(pairs: Iterable[tuple[DrFunction, SetFunction]]) -> float:
+    """Largest gap between an extension F and its set function f at the corners, per (F, f)."""
     gaps = []
-    for sf in set_functions:
-        F = objective.multilinear_extension(sf)  # row s of corners(m) is the subset with bitmask s
+    for F, sf in pairs:  # row s of corners(m) is the subset with bitmask s
         gaps.append(np.max(np.abs(F.values(objective.corners(sf.m)) - sf.table)))
     return float(np.max(gaps, initial=0.0))
 

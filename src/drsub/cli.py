@@ -215,7 +215,10 @@ def cmd_check(args) -> int:
               else oracle.grid_search(i.objective, i.body) for i in instances]
     runs = [(i.objective, i.body, c.value) for i, c in zip(instances, optima)]
     worst = functools.cache(lambda: checks.worst_run_margins(runs))
-    lattice = [desk.coverage_two_sets(), desk.coverage_three_sets()]
+    # the desk's own objectives, and the table route on the same set functions
+    lattice = [(i.objective, i.set_function) for i in instances if i.set_function is not None]
+    lattice += [(objective.multilinear_extension(sf), sf)
+                for sf in (desk.coverage_two_sets(), desk.coverage_three_sets())]
     ratios = ", ".join(f"{schedule.FAMILIES[f].ratio:.6f}" for f in checks.FAMILIES)
 
     def run_gate(margin):  # one measurement of all runs serves every run margin

@@ -11,8 +11,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .feasible import BoxBody, CardinalityBody, ConvexBody, PartitionBody
-from .objective import (DrFunction, SetFunction, coverage_function,
-                        make_concave_modular, make_quadratic, multilinear_extension)
+from .objective import (DrFunction, SetFunction, coverage_function, make_concave_modular,
+                        make_coverage, make_quadratic)
 
 
 @dataclass(frozen=True, eq=False)
@@ -23,9 +23,13 @@ class DeskInstance:
     set_function: SetFunction | None = None
 
 
+#: four unit-weight elements covered by three overlapping sets
+COVER3 = [[0, 1], [1, 2], [2, 3]]
+
+
 def coverage_three_sets() -> SetFunction:
     """Coverage of four unit-weight elements by three overlapping sets."""
-    return coverage_function([[0, 1], [1, 2], [2, 3]])
+    return coverage_function(COVER3)
 
 
 def coverage_two_sets() -> SetFunction:
@@ -43,7 +47,7 @@ def bundled_instances() -> list[DeskInstance]:
     quad = quad_two_dim()
     sqrt_inst = make_concave_modular([[1.0, 0.5, 0.0, 0.0], [0.0, 0.0, 2.0, 1.0]])
     return [
-        DeskInstance("coverage3-card2", multilinear_extension(cover3),
+        DeskInstance("coverage3-card2", make_coverage(COVER3),
                      CardinalityBody(3, 2), cover3),
         DeskInstance("quad2-box", quad, BoxBody(np.ones(2))),
         DeskInstance("quad2-card1", quad, CardinalityBody(2, 1)),

@@ -3,9 +3,10 @@
 Everything here evaluates a nonnegative differentiable function
 F: [0,1]^n -> R+ whose gradient is antitone (x >= y componentwise implies
 grad F(x) <= grad F(y)), together with an analytic gradient oracle and a
-smoothness constant L valid in the 2-norm sense.  Three closed-form
-families are provided (exact multilinear extensions of small set
-functions, nonpositive-Hessian quadratics, and smoothed concave-of-modular
+smoothness constant L valid in the 2-norm sense.  Four closed-form
+families are provided (the multilinear extension of weighted coverage,
+exact multilinear extensions of small set functions given by their value
+tables, nonpositive-Hessian quadratics, and smoothed concave-of-modular
 sums), plus the test utilities used to cross-examine any instance:
 a diminishing-returns residual and a finite-difference gradient.
 """
@@ -14,6 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Sequence
 
 import numpy as np
@@ -38,6 +40,10 @@ _MAX_UNIVERSE = 4096
 #: may fall by _MONOTONE_TOL, and a second difference may rise by _SUBMODULAR_TOL
 _MONOTONE_TOL = 1e-12
 _SUBMODULAR_TOL = 1e-9
+
+#: floats per row block of a coverage batch (512 KB); a block holds at least one row,
+#: at most 4096 groups by 20 sets (640 KB)
+_COVERAGE_BLOCK = 1 << 16
 
 #: rows per block of mesh_chunks; a block of n=6 points and its values take well under 1 MB
 MESH_CHUNK = 4096
@@ -138,6 +144,22 @@ class SetFunction:
     def max_value(self) -> float:
         return float(np.max(self.table)) if self.table.size else 0.0
 
+    @cached_property
+    def second_differences(self) -> tuple[float, float]:
+        """Smallest and largest f(S+i+j) - f(S+i) - f(S+j) + f(S), i < j not in S.
+
+        Both are 0 when there is no pair.  One O(m^2 2^m) pass, made once
+        for the submodularity check and the extension's L together.
+        """
+        T = self.table.reshape((2,) * self.m)  # one axis per element
+        lo = hi = 0.0
+        for i in range(self.m):
+            along_i = np.diff(T, axis=i)
+            for j in range(i + 1, self.m):
+                D = np.diff(along_i, axis=j)
+                lo, hi = min(lo, float(D.min())), max(hi, float(D.max()))
+        return lo, hi
+
 
 def set_function_from_table(values: Sequence[float]) -> SetFunction:
     table = np.asarray(values, dtype=float)
@@ -147,13 +169,14 @@ def set_function_from_table(values: Sequence[float]) -> SetFunction:
     return SetFunction(m, table)
 
 
-def coverage_function(subsets: Sequence[Sequence[int]],
-                      weights: Sequence[float] | None = None,
-                      n_elements: int | None = None) -> SetFunction:
-    """Weighted coverage: f(S) = total weight of elements covered by S.
+def _coverage_groups(subsets: Sequence[Sequence[int]], weights: Sequence[float] | None,
+                     n_elements: int | None) -> tuple[int, np.ndarray, np.ndarray]:
+    """Validate a weighted coverage and group its universe by cover mask.
 
-    The ground set is the list of covering subsets; ``weights`` are per
-    universe element (default all ones).
+    Returns m and, for every group of elements covered by exactly the same
+    sets, that cover mask (bit i is set i) and the group's total weight.
+    Uncovered elements (mask 0) and groups of weight 0 add nothing anywhere
+    and are dropped.
     """
     m = len(subsets)
     if m > _MAX_GROUND_SET:
@@ -174,17 +197,79 @@ def coverage_function(subsets: Sequence[Sequence[int]],
     if np.any(w < 0) or not np.all(np.isfinite(w)):
         raise InputError("element weights must be finite and nonnegative")
 
-    # group the universe by the mask of the sets that cover it; a group adds its
-    # weight to every subset that meets its mask, so only nonnegative terms are summed
     covers = np.zeros(n_elements, dtype=np.int64)
     for i, s in enumerate(subsets):
         covers[np.asarray(s, dtype=np.intp)] |= 1 << i
-    groups, which = np.unique(covers, return_inverse=True)
+    masks, which = np.unique(covers, return_inverse=True)
+    group_weights = np.bincount(which, weights=w, minlength=masks.size)
+    with np.errstate(over="ignore"):  # the overflow is the error raised here
+        total = group_weights.sum()
+    if not np.isfinite(total):  # f(ground set) would be infinite
+        raise InputError("the total element weight overflows float64")
+    keep = (masks != 0) & (group_weights > 0)
+    return m, masks[keep], group_weights[keep]
+
+
+def coverage_function(subsets: Sequence[Sequence[int]],
+                      weights: Sequence[float] | None = None,
+                      n_elements: int | None = None) -> SetFunction:
+    """Weighted coverage: f(S) = total weight of elements covered by S.
+
+    The ground set is the list of covering subsets; ``weights`` are per
+    universe element (default all ones).
+    """
+    m, masks, group_weights = _coverage_groups(subsets, weights, n_elements)
+    # a group adds its weight to every subset that meets its mask, so only
+    # nonnegative terms are summed
     subset_masks = np.arange(1 << m)
     table = np.zeros(1 << m)
-    for mask, weight in zip(groups, np.bincount(which, weights=w, minlength=groups.size)):
+    for mask, weight in zip(masks, group_weights):
         table[(subset_masks & mask) != 0] += weight
     return SetFunction(m, table)
+
+
+def make_coverage(subsets: Sequence[Sequence[int]],
+                  weights: Sequence[float] | None = None,
+                  n_elements: int | None = None) -> DrFunction:
+    """Multilinear extension of weighted coverage in closed form, O(m * groups) per point.
+
+    Takes the arguments of ``coverage_function``.  A group of elements
+    covered by the same sets g, of total weight w_g, is missed by the random
+    set with probability prod_{i in g} (1 - x_i), so
+
+        F(x) = sum_g w_g (1 - prod_{i in g} (1 - x_i)),
+        dF/dx_i = sum_{g contains i} w_g prod_{l in g, l != i} (1 - x_l),
+
+    the gradient taken from prefix and suffix products over each group's
+    members, with no division, so it is exact where some x_l = 1.  The
+    Hessian has a zero diagonal and |d2F/dx_i dx_j| <= P_ij, the weight of
+    the groups holding both i and j, so L = ||P||_2 bounds its norm.
+    """
+    m, masks, w = _coverage_groups(subsets, weights, n_elements)
+    member = (masks[:, None] >> np.arange(m) & 1).astype(bool)  # (groups, m)
+    rows = max(1, _COVERAGE_BLOCK // max(member.size, 1))
+
+    def values(X: np.ndarray) -> np.ndarray:
+        out = np.empty(X.shape[0])
+        for start in range(0, X.shape[0], rows):
+            block = X[start:start + rows]
+            missed = np.where(member, 1.0 - block[:, None, :], 1.0).prod(axis=2)
+            # einsum's row dot, unlike BLAS, is the same for any batch
+            out[start:start + rows] = np.einsum("ij,j->i", 1.0 - missed, w)
+        return out
+
+    def grad(x: np.ndarray) -> np.ndarray:
+        factors = np.where(member, 1.0 - x, 1.0)  # a non-member's factor is 1
+        before, after = np.ones_like(factors), np.ones_like(factors)
+        before[:, 1:] = np.cumprod(factors[:, :-1], axis=1)
+        after[:, :-1] = np.cumprod(factors[:, :0:-1], axis=1)[:, ::-1]
+        return w @ np.where(member, before * after, 0.0)
+
+    pair_weights = (member.T * w) @ member
+    np.fill_diagonal(pair_weights, 0.0)
+    # the margin lifts SVD round-off, as for the quadratic family
+    L = float(np.linalg.norm(pair_weights, 2)) * (1.0 + 1e-12) if m else 0.0
+    return DrFunction(m, L, True, values, grad, name=f"coverage(m={m})")
 
 
 def corners(m: int) -> np.ndarray:
@@ -216,10 +301,7 @@ def set_is_monotone(f: SetFunction) -> bool:
 
 def set_is_submodular(f: SetFunction) -> bool:
     """Pairwise marginal check, equivalent to the subset-chain definition."""
-    T = f.table.reshape((2,) * f.m)
-    tol = _SUBMODULAR_TOL * f.max_value()
-    return all(np.all(np.diff(np.diff(T, axis=i), axis=j) <= tol)
-               for i in range(f.m) for j in range(i + 1, f.m))
+    return f.second_differences[1] <= _SUBMODULAR_TOL * f.max_value()
 
 
 def multilinear_extension(f: SetFunction) -> DrFunction:
@@ -229,7 +311,9 @@ def multilinear_extension(f: SetFunction) -> DrFunction:
     includes element i independently with probability x_i; the gradient
     component i is the value gap between pinning x_i to 1 and to 0.
     Both come from one pass that averages the elements out of the table,
-    so each costs O(2^m).  L is the safe bound m^2 * max_S f(S).
+    so each costs O(2^m).  The Hessian entry (i, j) is the expected second
+    difference of f on i and j, and its diagonal is zero, so by Gershgorin
+    L = (m - 1) * (largest |second difference|) bounds its norm.
     """
     if f.m > _MAX_GROUND_SET:
         raise CapacityError(f"multilinear extension supports m <= {_MAX_GROUND_SET}")
@@ -269,8 +353,8 @@ def multilinear_extension(f: SetFunction) -> DrFunction:
             weights = (weights[:, None] * (1.0 - x[k], x[k])).ravel()
         return g
 
-    return DrFunction(m, float(m * m) * f.max_value(), set_is_monotone(f), values, grad,
-                      name=f"multilinear(m={m})")
+    L = max(m - 1, 0) * max(-f.second_differences[0], f.second_differences[1])
+    return DrFunction(m, float(L), set_is_monotone(f), values, grad, name=f"multilinear(m={m})")
 
 
 # --- closed-form instance families ---------------------------------------------
@@ -411,7 +495,8 @@ def instance_from_json(obj: dict) -> tuple[DrFunction, SetFunction | None]:
     """Build an instance from its JSON description.
 
     Returns the objective together with the underlying set function for
-    the coverage and table kinds (None for the smooth families).  Fields are
+    the coverage and table kinds (None for the smooth families).  A coverage
+    objective is its closed form; the table serves the subset oracles.  Fields are
     typed and closed: a mistyped, missing or unknown field raises InputError.
     """
     if not isinstance(obj, dict) or "kind" not in obj:
@@ -420,8 +505,8 @@ def instance_from_json(obj: dict) -> tuple[DrFunction, SetFunction | None]:
     if kind == "coverage":
         v = fields(obj, kind, kind=None, subsets="int lists", weights="reals?",
                    n_elements="int?")
-        sf = coverage_function(v["subsets"], v.get("weights"), v.get("n_elements"))
-        return multilinear_extension(sf), sf
+        cover = (v["subsets"], v.get("weights"), v.get("n_elements"))
+        return make_coverage(*cover), coverage_function(*cover)
     if kind == "table":
         v = fields(obj, kind, kind=None, values="reals", m="int?")
         sf = set_function_from_table(v["values"])

@@ -13,7 +13,7 @@ import numpy as np
 
 from drsub import (BoxBody, CardinalityBody, PackingBody, PartitionBody,
                    coverage_function, family_spec,
-                   g_series, grid_search, guarantee, multilinear_extension,
+                   g_series, grid_search, guarantee, make_coverage, multilinear_extension,
                    preset, run, set_bruteforce, set_function_from_table)
 from drsub import checks, desk
 from drsub.cli import main as cli_main
@@ -211,10 +211,12 @@ def test_criterion_10_objective_suite():
         worst_dr = min(worst_dr, checks.min_dr_residual([F], rng))
         worst_grad = max(worst_grad, checks.max_grad_mismatch([F], rng))
 
-    big = coverage_function(
-        [sorted(rng.choice(10, size=3, replace=False).tolist()) for _ in range(8)],
-        rng.uniform(0.0, 2.0, size=10), 10)
-    worst_lattice = checks.max_lattice_mismatch([desk.coverage_three_sets(), cut, big])
+    big = ([sorted(rng.choice(10, size=3, replace=False).tolist()) for _ in range(8)],
+           rng.uniform(0.0, 2.0, size=10), 10)
+    cover3 = desk.bundled_instances()[0]
+    worst_lattice = checks.max_lattice_mismatch([
+        (cover3.objective, cover3.set_function), (multilinear_extension(cut), cut),
+        (make_coverage(*big), coverage_function(*big))])
     elapsed = time.perf_counter() - start
     ok = (worst_dr >= -1e-9 and worst_grad <= 1e-5 and worst_lattice <= 1e-12
           and elapsed < 10.0)

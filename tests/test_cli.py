@@ -19,6 +19,8 @@ CARD = '{"kind":"cardinality","n":3,"k":2}'
 QUAD = '{"kind":"quadratic","H":[[-2,0],[0,-2]],"c":[1,0.5]}'
 BOX2 = '{"kind":"box","n":2}'
 CARD1 = '{"kind":"cardinality","n":2,"k":1}'
+# its second differences reach 1e308 in size, so L = (m - 1) * 1e308 overflows
+LIPSCHITZ_OVERFLOW = '{"kind":"table","values":[0,1e308,1e308,1e308,1e308,1e308,1e308,1e308]}'
 
 
 def run_cli(*argv):
@@ -229,10 +231,8 @@ class TestRunCommand:
     @pytest.mark.parametrize("command,instance,constraint,family,iters,opt,schedule_json,name", [
         ("run", '{"kind":"quadratic","H":[[0,0],[0,0]],"c":[1e308,1e308]}', BOX2, "monotone",
          "5", "grid", None, "final_value"),
-        ("run", '{"kind":"table","values":[0,1e308,1e308,1e308]}', BOX2, "measured", "5",
-         "sets", None, "additive_gap"),
-        ("sweep", '{"kind":"table","values":[0,1e308,1e308,1e308]}', BOX2, "measured",
-         "5,10,20", "sets", None, "additive_gap"),
+        ("run", LIPSCHITZ_OVERFLOW, CARD, "measured", "5", "sets", None, "additive_gap"),
+        ("sweep", LIPSCHITZ_OVERFLOW, CARD, "measured", "5,10,20", "sets", None, "additive_gap"),
         ("run", COVERAGE, CARD, "general", "50", "sets",
          {"a": {"form": "exp", "rate": 709.7},
           "b": {"form": "exp", "rate": 354.85, "shift": -1}, "T": 1}, "additive_gap"),

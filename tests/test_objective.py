@@ -7,11 +7,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from drsub import (CapacityError, InputError, check_dr_inequality,
-                   coverage_function, finite_diff_grad, instance_from_json,
-                   make_concave_modular, make_quadratic, multilinear_extension,
-                   set_function_from_table)
-from drsub import checks
+from drsub import (CapacityError, CardinalityBody, InputError, check_dr_inequality,
+                   coverage_function, family_spec, finite_diff_grad, instance_from_json,
+                   make_concave_modular, make_coverage, make_quadratic, multilinear_extension,
+                   preset, run, set_function_from_table)
+from drsub import checks, desk, objective
 from drsub.objective import (empirical_smoothness, set_is_monotone,
                              set_is_submodular)
 
@@ -59,14 +59,19 @@ class TestEval:
 def _batch_instances():
     rng = np.random.default_rng(3)
     H = -np.abs(rng.normal(size=(5, 5)))
-    # multilinear extensions at an empty ground set, one element, m = 4 and m = 12
-    cover12 = [rng.choice(30, size=4, replace=False).tolist() for _ in range(12)]
-    return [QUAD, make_quadratic((H + H.T) / 2.0, rng.normal(size=5)),
-            make_concave_modular(rng.uniform(0.0, 2.0, size=(3, 4))),
+    # multilinear extensions at an empty ground set, one element, m = 3 and m = 12, and
+    # the coverage closed form at m = 0, 3 and 12, whose 300-row batch spans two row blocks
+    sets12 = [rng.choice(30, size=4, replace=False).tolist() for _ in range(12)]
+    quadratic = make_quadratic((H + H.T) / 2.0, rng.normal(size=5))
+    concave = make_concave_modular(rng.uniform(0.0, 2.0, size=(3, 4)))
+    cover4 = ([[0, 1], [1, 2], [2, 3]], [1.0, 0.5, 2.0, 1.5])
+    cover12 = (sets12, rng.uniform(0.5, 2.0, size=30), 30)
+    return [QUAD, quadratic, concave,
             multilinear_extension(set_function_from_table([2.5])),
             multilinear_extension(set_function_from_table([0.5, 2.0])),
-            multilinear_extension(coverage_function([[0, 1], [1, 2], [2, 3]], [1.0, 0.5, 2.0, 1.5])),
-            multilinear_extension(coverage_function(cover12, rng.uniform(0.5, 2.0, size=30), 30))]
+            multilinear_extension(coverage_function(*cover4)),
+            multilinear_extension(coverage_function(*cover12)),
+            make_coverage([]), make_coverage(*cover4), make_coverage(*cover12)]
 
 
 class TestBatchValues:
@@ -151,8 +156,9 @@ class TestMultilinearExtension:
             assert g[i] == pytest.approx(F.value(hi) - F.value(lo), abs=1e-12)
 
     def test_default_smoothness_constant(self):
+        # (m - 1) * max |second difference|: here the exact Hessian norm of 2x1 + 2x2 - x1 x2
         F = multilinear_extension(COVER2)
-        assert F.L == pytest.approx(2 * 2 * 3.0)
+        assert F.L == 1.0
 
     def test_lattice_agreement_at_twelve_elements(self, rng):
         table = rng.uniform(0.0, 3.0, size=1 << 12)
@@ -315,10 +321,12 @@ class TestFiniteDiff:
 class TestInvariantBatteries:
     """The sampled contracts every instance family must satisfy."""
 
-    @pytest.fixture(params=["coverage", "quadratic", "concave", "cut"])
+    @pytest.fixture(params=["coverage", "coverage-closed-form", "quadratic", "concave", "cut"])
     def instance(self, request, rng):
         if request.param == "coverage":
             return multilinear_extension(coverage_function([[0, 1], [1, 2], [2, 3]]))
+        if request.param == "coverage-closed-form":
+            return make_coverage([[0, 1], [1, 2], [2, 3]])
         if request.param == "quadratic":
             return QUAD
         if request.param == "concave":
@@ -472,6 +480,119 @@ def test_random_coverage_extension_properties(weights, seed):
     assert np.all(F.grad(np.minimum(x, y)) >= F.grad(np.maximum(x, y)) - 1e-9)
 
 
+@st.composite
+def coverage_instances(draw, min_m=0):
+    """(subsets, weights, n_elements) with m <= 12 and a universe of <= 24 elements.
+
+    Empty sets, uncovered elements and zero weights all occur.
+    """
+    m = draw(st.integers(min_m, 12))
+    n_elements = draw(st.integers(0, 24))
+    elements = st.integers(0, n_elements - 1) if n_elements else st.nothing()
+    subsets = [sorted(draw(st.frozensets(elements))) for _ in range(m)]
+    weights = draw(st.lists(st.sampled_from([0.0, 1.0]) | st.floats(0.0, 10.0),
+                            min_size=n_elements, max_size=n_elements))
+    return subsets, weights, n_elements
+
+
+def unit_points(n: int, max_size: int = 8):
+    """(k, n) batches of points in the box whose coordinates may be exactly 0 or 1."""
+    coordinate = st.sampled_from([0.0, 1.0]) | st.floats(0.0, 1.0)
+    return st.lists(st.lists(coordinate, min_size=n, max_size=n), min_size=1,
+                    max_size=max_size).map(lambda rows: np.array(rows).reshape(len(rows), n))
+
+
+def pinned_hessian(F, x) -> np.ndarray:
+    """Exact Hessian of a function that is affine in each coordinate, by pinned differences.
+
+    Row (i, j, a, b) of the batch is x with x_i = a and x_j = b; its diagonal is zero.
+    """
+    n = F.n
+    rows = np.tile(x, (n, n, 2, 2, 1))
+    i, j = np.meshgrid(np.arange(n), np.arange(n), indexing="ij")
+    rows[i, j, :, :, i] = np.array([1.0, 0.0])[:, None]
+    rows[i, j, :, :, j] = np.array([1.0, 0.0])[None, :]
+    v = F.values(rows.reshape(-1, n)).reshape(n, n, 2, 2)
+    H = v[:, :, 0, 0] - v[:, :, 0, 1] - v[:, :, 1, 0] + v[:, :, 1, 1]
+    np.fill_diagonal(H, 0.0)
+    return H
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(cover=coverage_instances(), data=st.data())
+def test_coverage_closed_form_matches_its_table(cover, data):
+    F, sf = make_coverage(*cover), coverage_function(*cover)
+    table = multilinear_extension(sf)
+    X = data.draw(unit_points(sf.m))
+    tol = 1e-12 * (1.0 + sf.max_value())
+    assert F.n == sf.m and F.monotone
+    np.testing.assert_allclose(F.values(X), table.values(X), rtol=0.0, atol=tol)
+    for x in X:
+        assert abs(F.value(x) - table.value(x)) <= tol
+        np.testing.assert_allclose(F.grad(x), table.grad(x), rtol=0.0, atol=tol)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(cover=coverage_instances(), data=st.data(), seed=st.integers(0, 2 ** 32 - 1))
+def test_coverage_L_bounds_the_hessian(cover, data, seed):
+    # L is ||P||_2 for the closed form and Gershgorin for the table route; at x = 0 the
+    # closed form's Hessian is -P, so there its bound is tight
+    F, sf = make_coverage(*cover), coverage_function(*cover)
+    table = multilinear_extension(sf)
+    tol = 1e-12 * (1.0 + sf.max_value())
+    for x in [np.zeros(sf.m), *data.draw(unit_points(sf.m, max_size=3))]:
+        norm = float(np.linalg.norm(pinned_hessian(table, x), 2)) if sf.m else 0.0
+        assert norm <= F.L + tol and F.L <= table.L * (1.0 + 1e-11) + tol
+    for G in (F, table):
+        assert empirical_smoothness(G, samples=20, seed=seed) <= G.L * (1.0 + 1e-9) + tol
+
+
+@settings(max_examples=8, deadline=None, derandomize=True)
+@given(cover=coverage_instances(min_m=6), seed=st.integers(0, 2 ** 32 - 1))
+def test_coverage_rows_match_single_points_across_blocks(cover, seed):
+    subsets, weights, n_elements = cover
+    subsets[0].append(n_elements)  # one more element, of weight 1, makes a group of set 0
+    F = make_coverage(subsets, weights + [1.0], n_elements + 1)
+    # a group has at least one member, so a block holds at most this many rows less one
+    rows = objective._COVERAGE_BLOCK // F.n + 1
+    X = np.random.default_rng(seed).uniform(size=(rows, F.n))
+    X[::7] = np.round(X[::7])  # corners and faces
+    assert np.array_equal(F.values(X), [F.value(x) for x in X])
+
+
+def test_coverage3_gradient_ties_exactly_on_the_diagonal():
+    # at (r, r, 0) each partial of coverage3 is 2 - r; the lowest-index tie rule of the
+    # LMO then picks {0, 1} at every monotone step, so x_2 stays 0
+    F = desk.bundled_instances()[0].objective
+    for r in np.linspace(0.0, 1.0, 1001):
+        g = F.grad([r, r, 0.0])
+        assert g[0] == g[1] == g[2] == pytest.approx(2.0 - r, abs=1e-15)
+    traj = run(F, CardinalityBody(3, 2), preset("monotone"), family_spec("monotone"), 200)
+    assert np.all(traj.x[:, 2] == 0.0)
+
+
+def test_coverage_closed_form_L_is_the_pair_weight_norm():
+    # P = [[0, 1, 0], [1, 0, 1], [0, 1, 0]]: element 1 is in sets 0 and 1, element 2 in 1 and 2
+    assert make_coverage([[0, 1], [1, 2], [2, 3]]).L == pytest.approx(math.sqrt(2.0), rel=1e-11)
+    assert make_coverage([[0], [1]]).L == 0.0  # disjoint sets: a modular extension
+
+
+@pytest.mark.parametrize("build", [coverage_function, make_coverage])
+@pytest.mark.parametrize("args,error,message", [
+    (([[0]] * 21,), CapacityError, "at most 20 covering sets supported, got 21"),
+    (([[0], [4096]],), CapacityError, "universe of 4097 elements exceeds"),
+    (([[0], [1]], None, 5000), CapacityError, "universe of 5000 elements exceeds"),
+    (([[0], [1]], [1.0, -1.0]), InputError, "finite and nonnegative"),
+    (([[0], [1]], [1.0, np.nan]), InputError, "finite and nonnegative"),
+    (([[0], [1]], [1.0, np.inf]), InputError, "finite and nonnegative"),
+    (([[0], [-1]], None, 3), InputError, "nonnegative indices"),
+    (([[0, 1], [1]], [1e308, 1e308]), InputError, "total element weight overflows float64"),
+], ids=["sets", "universe", "n-elements", "negative", "nan", "inf", "element", "overflow"])
+def test_coverage_input_checks_are_shared(build, args, error, message):
+    with pytest.raises(error, match=message):
+        build(*args)
+
+
 @settings(max_examples=40, deadline=None)
 @given(seed=st.integers(0, 10_000), n=st.integers(1, 4))
 def test_random_quadratics_are_dr(seed, n):
@@ -492,6 +613,12 @@ class TestInstanceJson:
         F, sf = instance_from_json({"kind": "coverage", "subsets": [[0, 1], [1, 2]]})
         assert sf is not None
         assert F.value([1.0, 1.0]) == pytest.approx(3.0)
+
+    def test_coverage_is_evaluated_in_closed_form(self):
+        F, sf = instance_from_json({"kind": "coverage", "subsets": [[0, 1], [1, 2]],
+                                    "weights": [1.0, 2.0, 0.5]})
+        assert F.name == "coverage(m=2)" and F.L == pytest.approx(2.0, rel=1e-11)
+        assert F.values(objective.corners(2)).tolist() == sf.table.tolist()
 
     def test_table_kind(self):
         F, sf = instance_from_json({"kind": "table", "m": 2, "values": [0, 1, 1, 1.5]})
