@@ -84,7 +84,13 @@ class ConvexBody:
     variant is down-closed by construction (0 <= y <= x in the body puts y
     in the body), which the masked oracle and the grid oracle's slack rely on.
     Every variant is also a polyhedron {x : G x <= h}: the rows x <= upper
-    and -x <= 0, then the body's own inequalities.  Membership tests them.
+    and -x <= 0, then the body's own inequalities A x <= b with A >= 0.
+    Membership tests them, and as computed in floating point it is monotone
+    along every coordinate of a nonnegative point: rounding preserves order
+    under a nonnegative factor and under addition, and row_products sums
+    each row in an order that does not depend on the batch.  So raising a
+    coordinate of a point outside the body never brings it in, which the
+    grid oracle's feasible-mesh walk relies on.
     """
 
     n: int

@@ -45,16 +45,21 @@ _SUBMODULAR_TOL = 1e-9
 #: at most 4096 groups by 20 sets (640 KB)
 _COVERAGE_BLOCK = 1 << 16
 
-#: rows per block of mesh_chunks; a block of n=6 points and its values take well under 1 MB
+#: rows per block of mesh_chunks and of the grid oracle's feasible mesh; a block of n=6
+#: points and its values take well under 1 MB
 MESH_CHUNK = 4096
 
 
 def _in_box(X: np.ndarray) -> np.ndarray:
+    """X itself inside the unit box, X clamped into it when round-off puts it just outside."""
+    if not X.size:
+        return X
+    lo, hi = X.min(), X.max()
     # one comparison per end: NaN fails both, so it is rejected with inf and far-out points
-    if X.size and not (X.min() >= -CLAMP_TOL and X.max() <= 1.0 + CLAMP_TOL):
+    if not (lo >= -CLAMP_TOL and hi <= 1.0 + CLAMP_TOL):
         what = f"point {X!r}" if X.ndim == 1 else "a row of the batch"
         raise InputError(f"{what} is NaN, infinite or outside the unit box")
-    return np.clip(X, 0.0, 1.0)
+    return X if lo >= 0.0 and hi <= 1.0 else np.clip(X, 0.0, 1.0)
 
 
 def _as_point(x, n: int) -> np.ndarray:
@@ -81,7 +86,9 @@ class DrFunction:
     is nonnegative everywhere on the box.  ``values_fn`` maps a (k, n) batch
     to its k values, computing each row exactly as a one-row batch would;
     ``value`` is ``values_fn`` on the one-row batch, so ``values`` agrees
-    bit for bit with ``value``.
+    bit for bit with ``value``.  A point inside the box reaches ``values_fn``
+    and ``grad_fn`` as the caller's own array, not a copy, so neither may
+    write to its argument.
     """
 
     n: int
@@ -282,7 +289,8 @@ def mesh_chunks(axes: Sequence[np.ndarray]):
 
     Points come in itertools.product order (the last axis varies fastest),
     so with ascending axes every block is lexicographically sorted and
-    follows the previous one.
+    follows the previous one.  make_quadratic's scan of the box's vertices
+    uses it; the grid oracle builds only the feasible part of its meshes.
     """
     axes = [np.asarray(a, dtype=float) for a in axes]
     shape = tuple(a.size for a in axes)

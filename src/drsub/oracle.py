@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import CapacityError, ConfigurationError, InputError
 from .feasible import BoxBody, ConvexBody, PartitionBody
-from .objective import DrFunction, SetFunction, corners, mesh_chunks, set_is_submodular
+from .objective import MESH_CHUNK, DrFunction, SetFunction, corners, set_is_submodular
 
 _MAX_BRUTEFORCE_M = 16
 _MAX_GRID_N = 6
@@ -87,13 +87,67 @@ def set_bruteforce(f: SetFunction, C: ConvexBody) -> OptCertificate:
     return OptCertificate(float(f.table[best]), X[best], "set-bruteforce", 0.0, None, subset)
 
 
+def _leading_runs(C: ConvexBody, P: np.ndarray, i: int, axis: np.ndarray) -> np.ndarray:
+    """Per row of P, how many leading values of ``axis`` at coordinate i keep the row in C.
+
+    Every row is in C with axis[0] at coordinate i, so each run is at least 1.
+    Membership is monotone along each coordinate (see ConvexBody), so the
+    values that keep a row in C are a leading run of the ascending axis, and
+    a bisection finds its length in ceil(log2(axis.size)) membership probes.
+    """
+    lo = np.ones(P.shape[0], dtype=np.intp)  # axis[:lo] keeps the row in C
+    hi = np.full(P.shape[0], axis.size)  # axis[hi:] takes it out
+    probe = P.copy()
+    while np.any(lo < hi):
+        mid = (lo + hi + 1) // 2
+        probe[:, i] = axis[mid - 1]
+        inside = C.contains_batch(probe)
+        lo = np.where(inside, mid, lo)
+        hi = np.where(inside, hi, mid - 1)
+    return lo
+
+
+def _feasible_blocks(C: ConvexBody, axes, P: np.ndarray, i: int):
+    """The points of C on the mesh ``axes`` that agree with a row of P on the first i axes.
+
+    The rows of P are in C, sorted, and hold each later axis's first value.
+    """
+    if i == len(axes):
+        yield P
+        return
+    runs = _leading_runs(C, P, i, axes[i])
+    starts = np.concatenate(([0], np.cumsum(runs)))  # row j's children: starts[j]:starts[j + 1]
+    first = 0
+    while first < P.shape[0]:  # the children of P[first:last] fill at most MESH_CHUNK rows
+        last = int(np.searchsorted(starts, starts[first] + MESH_CHUNK, "right")) - 1
+        counts = runs[first:last]
+        X = np.repeat(P[first:last], counts, axis=0)
+        offsets = np.arange(X.shape[0]) - np.repeat(starts[first:last] - starts[first], counts)
+        X[:, i] = axes[i][offsets]
+        yield from _feasible_blocks(C, axes, X, i + 1)
+        first = last
+
+
+def _feasible_mesh(C: ConvexBody, axes):
+    """The points of the mesh ``axes`` that C contains, in blocks of 1 to MESH_CHUNK rows.
+
+    These are exactly the rows C.contains_batch accepts from mesh_chunks(axes),
+    in the same (lexicographic) order, but only feasible points are built: the
+    mesh is walked one axis at a time, on blocks of feasible prefixes with the
+    later coordinates at their axes' first values.  A prefix that leaves C there
+    has no feasible completion, by the same monotonicity that lets
+    _leading_runs bisect.  No intermediate array holds more than MESH_CHUNK rows.
+    """
+    axes = [np.asarray(a, dtype=float) for a in axes]
+    start = np.array([[a[0] for a in axes]])
+    if C.contains_batch(start)[0]:
+        yield from _feasible_blocks(C, axes, start, 0)
+
+
 def _scan(F: DrFunction, C: ConvexBody, axes, best_val: float,
           best_x: np.ndarray) -> tuple[float, np.ndarray]:
     """The incumbent after scoring the feasible points of the mesh ``axes``."""
-    for X in mesh_chunks(axes):  # each block is sorted and follows the one before
-        X = X[C.contains_batch(X)]
-        if X.shape[0] == 0:
-            continue
+    for X in _feasible_mesh(C, axes):  # each block is sorted and follows the one before
         vals = F.values(X)
         i = int(np.argmax(vals))  # the first, so the smallest, of the block's maxima
         if vals[i] > best_val or (vals[i] == best_val and tuple(X[i]) < tuple(best_x)):
@@ -111,15 +165,21 @@ def grid_search(F: DrFunction, C: ConvexBody) -> OptCertificate:
     width times sum(max(grad F(0), 0)): rounding the true maximizer down to
     that mesh stays feasible (the bodies are down-closed) and moves each
     coordinate up by at most the width, and the antitone gradient never
-    exceeds grad F(0) in the box.  The mesh is scored in blocks of
-    MESH_CHUNK points.  The largest value wins, and among exactly equal
+    exceeds grad F(0) in the box.  Each mesh is walked by _feasible_mesh,
+    which builds only its feasible points, and is scored in its blocks of
+    at most MESH_CHUNK points.  The largest value wins, and among exactly equal
     values the lexicographically smallest point, so the winner does not
-    depend on the scan order.
+    depend on the scan order.  Both the slack and the walk need a body
+    whose inequality matrix is nonnegative (so down-closed, with membership
+    monotone along every coordinate); any other body raises.
     """
     if F.n > _MAX_GRID_N:
         raise CapacityError(f"grid search supports n <= {_MAX_GRID_N}")
     if F.n != C.n:
         raise InputError(f"objective dimension {F.n} != body dimension {C.n}")
+    if np.any(C._A < 0):
+        raise ConfigurationError(f"--opt grid needs a down-closed body, and this "
+                                 f"{type(C).__name__} has a negative inequality coefficient")
     n = F.n
 
     steps = _COARSEST_STEPS

@@ -166,3 +166,41 @@ def brute_grid_search(F, C):
             if val > best_val or (val == best_val and tuple(x) < tuple(best_x)):
                 best_val, best_x = val, x
     return best_val, best_x
+
+
+def filtered_mesh(C, axes):
+    """Every point of the mesh ``axes`` that C.contains_batch accepts, in mesh order: (k, n)."""
+    from drsub.objective import mesh_chunks
+    return np.concatenate([X[C.contains_batch(X)] for X in mesh_chunks(axes)])
+
+
+def full_mesh_grid_search(F, C):
+    """oracle.grid_search over whole filtered meshes: (value, maximizer, slack, resolution).
+
+    The reference for the oracle's feasible-mesh walk, written as the sweep
+    it replaced: each mesh (the full sweep at the oracle's widths and cap,
+    then the 5^n windows) is built whole, filtered by one membership mask
+    and scored in one values() call.  The largest value wins, and among
+    exactly equal values the lexicographically smallest point.
+    """
+    n = F.n
+    steps = oracle._COARSEST_STEPS
+    while steps < oracle._FINEST_STEPS and (2 * steps + 1) ** n <= oracle._FULL_SWEEP_CAP:
+        steps *= 2
+    slack = float(np.sum(np.maximum(F.grad(np.zeros(n)), 0.0))) / steps
+    axes = [np.linspace(0.0, 1.0, steps + 1)] * n
+    best_val, best_x = -np.inf, np.zeros(n)
+    while True:
+        X = filtered_mesh(C, axes)
+        if X.shape[0]:
+            vals = F.values(X)
+            top = np.flatnonzero(vals == vals.max())[0]  # mesh order is lexicographic
+            if vals[top] > best_val or (vals[top] == best_val and tuple(X[top]) < tuple(best_x)):
+                best_val, best_x = float(vals[top]), X[top]
+        if steps >= oracle._FINEST_STEPS:
+            return best_val, best_x, slack, 1.0 / steps
+        steps *= 2
+        width = 1.0 / steps
+        lo = np.maximum(best_x - 2.0 * width, 0.0)
+        hi = np.minimum(best_x + 2.0 * width, 1.0)
+        axes = [np.unique(np.clip(lo[i] + width * np.arange(5), 0.0, hi[i])) for i in range(n)]

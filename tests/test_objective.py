@@ -42,6 +42,15 @@ class TestEval:
     def test_clamps_roundoff(self):
         assert QUAD.value([1.0 + 1e-13, -1e-13]) == pytest.approx(QUAD.value([1.0, 0.0]))
 
+    def test_clamps_roundoff_in_a_copy(self):
+        # a point inside the box is evaluated as it is; one just outside is clamped, and
+        # the clamped copy, not the caller's array, is what the instance sees
+        x = np.array([1.0 + 1e-13, -1e-13])
+        assert QUAD.value(x) == QUAD.value([1.0, 0.0])
+        assert QUAD.grad(x).tolist() == QUAD.grad([1.0, 0.0]).tolist()
+        assert QUAD.values(x[None]).tolist() == [QUAD.value([1.0, 0.0])]
+        assert x.tolist() == [1.0 + 1e-13, -1e-13]
+
     def test_rejects_nan(self):
         with pytest.raises(InputError):
             QUAD.value([np.nan, 0.0])

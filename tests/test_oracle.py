@@ -3,15 +3,16 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from drsub import (BoxBody, CapacityError, CardinalityBody, ConfigurationError, InputError,
-                   PackingBody, PartitionBody, coverage_function, grid_search,
+from drsub import (BoxBody, CapacityError, CardinalityBody, ConfigurationError, ConvexBody,
+                   InputError, PackingBody, PartitionBody, coverage_function, grid_search,
                    make_concave_modular, make_quadratic, multilinear_extension, oracle,
                    set_bruteforce, set_function_from_table)
 from drsub import desk
 
-from conftest import brute_grid_search
+from conftest import brute_grid_search, filtered_mesh, full_mesh_grid_search
+from drsub.objective import MESH_CHUNK
 
 COVER2 = desk.coverage_two_sets()
 COVER3 = desk.coverage_three_sets()
@@ -221,3 +222,79 @@ def test_batched_grid_matches_the_per_point_reference(case):
         value, maximizer = brute_grid_search(F, C)
     assert cert.maximizer.tolist() == maximizer.tolist()
     assert cert.value == value
+
+
+class _CoveringBody(ConvexBody):
+    """{x in [0,1]^2 : x_0 + x_1 >= 1}, written as the row -x_0 - x_1 <= -1: not down-closed."""
+
+    n = 2
+
+    def __init__(self):
+        self._set_inequalities(np.ones(2), np.array([[-1.0, -1.0]]), np.array([-1.0]))
+
+
+def test_grid_refuses_a_body_with_a_negative_coefficient():
+    # the slack rounds the optimum down and the walk prunes by monotone membership:
+    # both need a nonnegative inequality matrix
+    body = _CoveringBody()
+    assert body.contains([0.5, 0.5]) and not body.contains([0.0, 0.0])
+    with pytest.raises(ConfigurationError, match="down-closed"):
+        grid_search(QUAD, body)
+
+
+@st.composite
+def mesh_cases(draw):
+    """A body and a mesh: the full sweep's linspace axes, or a window that may start above 0."""
+    n = draw(st.integers(1, 4))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    body = draw(st.sampled_from(["box", "partition", "packing"]))
+    if body == "box":
+        C = BoxBody(rng.choice([0.5, 0.75, 1.0, rng.uniform(0.3, 1.0)], size=n))
+    elif body == "partition":
+        cut = int(rng.integers(0, n + 1))
+        blocks = (tuple(range(cut)), tuple(range(cut, n)))
+        C = PartitionBody(n, blocks, tuple(int(rng.integers(0, len(b) + 1)) for b in blocks))
+    else:
+        C = PackingBody(rng.uniform(0.1, 1.0, size=(2, n)), rng.uniform(0.3, 1.5, size=2))
+    if draw(st.booleans()):  # the full sweep's axes, kept to at most 35,937 points
+        steps = draw(st.sampled_from([s for s in (8, 16, 32) if (s + 1) ** n <= 40_000]))
+        return C, [np.linspace(0.0, 1.0, steps + 1)] * n
+    width = draw(st.sampled_from([1 / 16, 1 / 32]))
+    centre = rng.integers(0, round(1 / width) + 1, size=n) * width
+    lo, hi = np.maximum(centre - 2.0 * width, 0.0), np.minimum(centre + 2.0 * width, 1.0)
+    return C, [np.unique(np.clip(lo[i] + width * np.arange(5), 0.0, hi[i])) for i in range(n)]
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(case=mesh_cases())
+@example(case=(BoxBody(np.full(4, 0.75)), [np.linspace(0.0, 1.0, 17)] * 4))  # 13^4 rows, 7 blocks
+@example(case=(PartitionBody(2, ((0,), (1,)), (1, 0)),  # a zero capacity, a window above 0:
+                [np.linspace(0.0, 1.0, 9), np.array([0.25, 0.5])]))  # nothing to yield
+def test_feasible_mesh_is_the_filtered_mesh(case):
+    C, axes = case
+    blocks = list(oracle._feasible_mesh(C, axes))
+    assert all(1 <= X.shape[0] <= MESH_CHUNK for X in blocks)
+    got = np.concatenate(blocks) if blocks else np.zeros((0, C.n))
+    expected = filtered_mesh(C, axes)
+    assert got.shape == expected.shape
+    assert np.array_equal(got, expected)
+
+
+@pytest.mark.parametrize("body", ["cardinality", "packing"])
+def test_certificates_equal_the_full_mesh_reference_at_benchmark_scale(body):
+    # an n=5 cardinality quadratic sweeps 17^5 points and an n=4 packing one 33^4,
+    # at the default full-sweep cap, then refines in windows, as --opt grid does
+    rng = np.random.default_rng(18)
+    n = 5 if body == "cardinality" else 4
+    H = -rng.uniform(0.0, 1.0, size=(n, n))
+    F = make_quadratic((H + H.T) / 2.0, rng.uniform(0.2, 1.5, size=n))
+    if body == "cardinality":
+        C = CardinalityBody(5, 2)
+    else:
+        A = rng.uniform(0.0, 1.0, size=(2, 4))
+        C = PackingBody(A, 0.5 * A.sum(axis=1))
+    cert = grid_search(F, C)
+    value, maximizer, slack, resolution = full_mesh_grid_search(F, C)
+    assert cert.value == value
+    assert cert.maximizer.tolist() == maximizer.tolist()
+    assert (cert.slack, cert.resolution) == (slack, resolution)
