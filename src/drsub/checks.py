@@ -103,11 +103,15 @@ def max_lmo_gap(bodies: Iterable[ConvexBody], rng: np.random.Generator) -> float
 
 
 def max_simplex_gap(rng: np.random.Generator) -> float:
-    """Largest gap of the simplex to vertex enumeration on 50 random packing LPs.
+    """Largest gap of the simplex to vertex enumeration on 50 random packing LPs, cold and warm.
 
     Every second LP is a 0/1 matrix with unit budgets and bounds and costs in {1, 2, 3}:
     its tied ratios make degenerate pivots, and its tied costs make the Bland fallback
-    after them enter other columns than Dantzig's rule would.
+    after them enter other columns than Dantzig's rule would.  Each LP is solved again
+    from a start: the vertex of the reversed costs for the continuous LPs, and another
+    optimal vertex, where there is one, for the 0/1 LPs.  The warm gap adds the distance
+    to the cold vertex, and is infinite when a tied LP's warm answer is not the cold
+    vertex bit for bit.
     """
     gaps = []
     for i in range(50):
@@ -122,9 +126,20 @@ def max_simplex_gap(rng: np.random.Generator) -> float:
             b = rng.uniform(0.5, 2.0, size=m)
             u = rng.uniform(0.2, 1.0, size=n)
             c = rng.normal(size=n)
-        _, val = feasible.simplex_solve(c, A, b, u)
-        ref = feasible.lmo_bruteforce(feasible.PackingBody(A, b), c, u)[0]
-        gaps.append(abs(val - ref))
+        x, val = feasible.simplex_solve(c, A, b, u)
+        body = feasible.PackingBody(A, b)
+        ref = feasible.lmo_bruteforce(body, c, u)[0]
+        tied = False
+        if i % 2:
+            V = feasible.vertices(body, u)
+            others = V[(V @ c >= ref - 1e-9) & (np.max(np.abs(V - x), axis=1) > 1e-9)]
+            tied = others.size > 0
+            start = others[0] if tied else x
+        else:
+            start = feasible.simplex_solve(c[::-1], A, b, u)[0]
+        x_warm, val_warm = feasible.simplex_solve(c, A, b, u, start)
+        warm_gap = max(abs(val_warm - ref), float(np.max(np.abs(x_warm - x))))
+        gaps += [abs(val - ref), np.inf if tied and not np.array_equal(x_warm, x) else warm_gap]
     return float(np.max(gaps))
 
 

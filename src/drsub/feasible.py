@@ -10,9 +10,12 @@ case), and packing polytopes A x <= b with nonnegative A.  Packing oracles
 run on a small dense simplex that enters the largest reduced cost, or the
 lowest improving column right after a degenerate pivot, so a cycle (which
 holds only degenerate pivots) would follow Bland's rule throughout and
-cannot occur; the other kinds (box, partition) use closed-form greedy fills.  The exhaustive reference oracle at the
-bottom of the module, used for cross-checking, enumerates the vertices of
-the inequality system every body stores.
+cannot occur.  It can start from the basis of a given vertex, such as the
+previous Frank-Wolfe step's, and keeps that answer only when the optimum
+is unique.  The other kinds (box, partition) use closed-form greedy fills.
+The exhaustive reference oracle at the bottom of the module, used for
+cross-checking, enumerates the vertices of the inequality system every
+body stores.
 """
 
 from __future__ import annotations
@@ -112,18 +115,23 @@ class ConvexBody:
         object.__setattr__(self, "_A", A)
         object.__setattr__(self, "_h", np.concatenate([upper, np.zeros(upper.size), b]))
 
-    def lmo(self, g) -> np.ndarray:
+    def lmo(self, g, start=None) -> np.ndarray:
         """Extreme point maximizing <g, v> over the body.
 
         Ties are broken deterministically: box and partition bodies fill the
         lowest coordinate index first, packing bodies take the vertex the simplex's
         pivot rule reaches, and coordinates with nonpositive coefficients
-        stay at zero.
+        stay at zero.  ``start``, a point of the body's dimension such as the
+        previous Frank-Wolfe vertex, is a hint that only saves work: packing
+        bodies start the simplex from it when it is a nondegenerate vertex
+        of the LP (see simplex_solve) and keep that answer only when the
+        optimum is unique, so the tie rule above holds with or without it;
+        box and partition bodies ignore it.
         """
         raise NotImplementedError
 
-    def masked_lmo(self, g, cap) -> np.ndarray:
-        """Maximize <g, v> over the body intersected with {v <= cap}."""
+    def masked_lmo(self, g, cap, start=None) -> np.ndarray:
+        """Maximize <g, v> over the body intersected with {v <= cap}; ``start`` as in lmo."""
         raise NotImplementedError
 
     def diameter(self) -> float:
@@ -157,11 +165,11 @@ class BoxBody(ConvexBody):
     def n(self) -> int:
         return self.upper.size
 
-    def lmo(self, g) -> np.ndarray:
+    def lmo(self, g, start=None) -> np.ndarray:
         g = _as_vector(g, self.n, "objective")
         return np.where(g > 0.0, self.upper, 0.0)
 
-    def masked_lmo(self, g, cap) -> np.ndarray:
+    def masked_lmo(self, g, cap, start=None) -> np.ndarray:
         g = _as_vector(g, self.n, "objective")
         cap = self._check_cap(cap)
         return np.where(g > 0.0, np.minimum(self.upper, cap), 0.0)
@@ -212,10 +220,10 @@ class PartitionBody(ConvexBody):
             row[list(blk)] = 1.0
         self._set_inequalities(np.ones(self.n), sums, np.array(caps, dtype=float))
 
-    def lmo(self, g) -> np.ndarray:
-        return self.masked_lmo(g, np.ones(self.n))
+    def lmo(self, g, start=None) -> np.ndarray:
+        return self.masked_lmo(g, np.ones(self.n), start)
 
-    def masked_lmo(self, g, cap) -> np.ndarray:
+    def masked_lmo(self, g, cap, start=None) -> np.ndarray:
         g = _as_vector(g, self.n, "objective")
         return _greedy_fill(g, self._check_cap(cap), self.blocks, self.capacities)
 
@@ -263,18 +271,20 @@ class PackingBody(ConvexBody):
     def n(self) -> int:
         return self.A.shape[1]
 
-    def lmo(self, g) -> np.ndarray:
-        return self.masked_lmo(g, np.ones(self.n))
+    def lmo(self, g, start=None) -> np.ndarray:
+        return self.masked_lmo(g, np.ones(self.n), start)
 
-    def masked_lmo(self, g, cap) -> np.ndarray:
+    def masked_lmo(self, g, cap, start=None) -> np.ndarray:
         g = _as_vector(g, self.n, "objective")
         cap = self._check_cap(cap)
+        start = None if start is None else _as_vector(start, self.n, "start")
         # coordinates with nonpositive payoff (or a zero cap) stay at zero;
         # this keeps the output minimal and the subproblem bounds positive
         active = np.flatnonzero((g > 0.0) & (cap > 0.0))
         v = np.zeros(self.n)
         if active.size:
-            v[active] = simplex_solve(g[active], self.A[:, active], self.b, cap[active])[0]
+            v[active] = simplex_solve(g[active], self.A[:, active], self.b, cap[active],
+                                      None if start is None else start[active])[0]
         return v
 
     def diameter(self) -> float:
@@ -285,8 +295,8 @@ class PackingBody(ConvexBody):
 # --- dense simplex ---------------------------------------------------------------
 
 
-def simplex_solve(c: np.ndarray, A: np.ndarray, b: np.ndarray,
-                  u: np.ndarray) -> tuple[np.ndarray, float]:
+def simplex_solve(c: np.ndarray, A: np.ndarray, b: np.ndarray, u: np.ndarray,
+                  start=None) -> tuple[np.ndarray, float]:
     """Solve max c.x subject to A x <= b, 0 <= x <= u with the dense primal simplex.
 
     Precondition, which PackingBody establishes for its oracles: finite
@@ -300,6 +310,15 @@ def simplex_solve(c: np.ndarray, A: np.ndarray, b: np.ndarray,
     holds only degenerate pivots, so each of its pivots would follow Bland's
     rule, which never cycles (Bland 1977).  The clipped result is re-checked
     against A x <= b.
+
+    ``start`` (a point of shape (len(c),), or None) only saves pivots.  When
+    it is a nondegenerate vertex of this LP (feasible, with exactly as many
+    positive coordinates and loose rows of A x <= b, x <= u as there are
+    rows), the pivots start from its basis, rebuilt by one solve.  That
+    answer is kept only when every nonbasic reduced cost ends below
+    -_PIVOT_TOL: the optimum is then unique, so it is the vertex the
+    all-slack start reaches, up to round-off.  Any other start, and a warm
+    answer that fails the test, give the all-slack solve bit for bit.
     """
     n = c.size
     G = np.vstack([A, np.eye(n)])
@@ -311,13 +330,50 @@ def simplex_solve(c: np.ndarray, A: np.ndarray, b: np.ndarray,
     tab[:m, n:n + m] = np.eye(m)
     tab[:m, -1] = np.concatenate([b, u])
     tab[m, :n] = c  # reduced-cost row; positive entry means improvement
-    basis = np.arange(n, n + m)
 
+    if start is not None:
+        warm = _warm_tableau(tab, _as_vector(start, n, "start"))
+        if warm is not None:
+            warm_tab, basis = warm
+            _pivot(warm_tab, basis)
+            if np.all(np.delete(warm_tab[m, :-1], basis) < -_PIVOT_TOL):
+                return _vertex(warm_tab, basis, c, A, b, u)
+    basis = np.arange(n, n + m)
+    _pivot(tab, basis)
+    return _vertex(tab, basis, c, A, b, u)
+
+
+def _warm_tableau(tab: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
+    """The all-slack tableau ``tab`` rewritten in the basis of the vertex x, or None.
+
+    None unless x is a nondegenerate vertex: its coordinates and slacks z are
+    all >= -_PIVOT_TOL and exactly m of them exceed _PIVOT_TOL.  Feasibility
+    costs one matvec, so a rejected start adds no factorization.
+    """
+    m, n = tab.shape[0] - 1, x.size
+    z = np.concatenate([x, tab[:m, -1] - tab[:m, :n] @ x])
+    if np.any(z < -_PIVOT_TOL):
+        return None
+    basis = np.flatnonzero(z > _PIVOT_TOL)
+    if basis.size != m:
+        return None
+    try:
+        rows = np.linalg.solve(tab[:m, basis], tab[:m])
+    except np.linalg.LinAlgError:  # a singular basis matrix
+        return None
+    if not np.all(rows[:, -1] >= 0.0):
+        return None
+    return np.vstack([rows, tab[m] - tab[m, basis] @ rows]), basis
+
+
+def _pivot(tab: np.ndarray, basis: np.ndarray) -> None:
+    """Pivot ``tab`` and ``basis`` in place from a feasible basis to an optimal one."""
+    m = basis.size
     degenerate = False
     for _ in range(100000):
         improving = np.flatnonzero(tab[m, :-1] > _PIVOT_TOL)
         if improving.size == 0:
-            break
+            return
         enter = improving[0] if degenerate else np.argmax(tab[m, :-1])
         rows = np.flatnonzero(tab[:m, enter] > _PIVOT_TOL)
         if rows.size == 0:
@@ -331,12 +387,16 @@ def simplex_solve(c: np.ndarray, A: np.ndarray, b: np.ndarray,
         col[leave] = 0.0
         tab -= np.outer(col, tab[leave])
         basis[leave] = enter
-    else:
-        raise InvariantError("simplex failed to terminate")
+    raise InvariantError("simplex failed to terminate")
 
+
+def _vertex(tab: np.ndarray, basis: np.ndarray, c: np.ndarray, A: np.ndarray,
+            b: np.ndarray, u: np.ndarray) -> tuple[np.ndarray, float]:
+    """The basic solution of an optimal tableau, clipped to [0, u] and checked against A x <= b."""
+    n = c.size
     x = np.zeros(n)
     structural = basis < n
-    x[basis[structural]] = tab[:m, -1][structural]
+    x[basis[structural]] = tab[:-1, -1][structural]
     x = np.clip(x, 0.0, u)
     if np.any(A @ x > b + FEASIBILITY_TOL):
         raise InvariantError("simplex solution violates A x <= b")

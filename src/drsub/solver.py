@@ -156,12 +156,20 @@ def run(f: DrFunction, C: ConvexBody, s: Schedule, spec: FamilySpec, N: int,
     B_exact = np.zeros(N)
     B_bound = _step_bounds(spec, a, b, L, D)
 
+    value_calls = grad_calls = lmo_calls = 0
     x = np.array(x0, dtype=float)
     xs[0] = x
     Fs[0] = f.value(x)
+    value_calls += 1
+    v = None  # the previous step's vertex starts the next oracle call
     for j in range(N):
         g = f.grad(x)
-        v = C.masked_lmo(g, np.clip(1.0 - x, 0.0, 1.0)) if spec.direction == "masked" else C.lmo(g)
+        grad_calls += 1
+        if spec.direction == "masked":
+            v = C.masked_lmo(g, np.clip(1.0 - x, 0.0, 1.0), v)
+        else:
+            v = C.lmo(g, v)
+        lmo_calls += 1
         x_next = x + rho[j] * (v - x if offset else v)
         if not C.contains(x_next):
             raise InvariantError(
@@ -171,6 +179,7 @@ def run(f: DrFunction, C: ConvexBody, s: Schedule, spec: FamilySpec, N: int,
         x = x_next
         xs[j + 1] = x
         Fs[j + 1] = f.value(x)
+        value_calls += 1
 
     infnorm = np.max(np.abs(xs), axis=1)
     start_slack = 1.0 - infnorm[0]
@@ -185,7 +194,7 @@ def run(f: DrFunction, C: ConvexBody, s: Schedule, spec: FamilySpec, N: int,
         N=N, t=t, a=a, b=b, x=xs, F=Fs, infnorm=infnorm,
         rho=rho, G=G, B_exact=B_exact, B_bound=B_bound, gronwall_margin=margins,
         bound=_bound(a, b, G, B_bound, start_slack),
-        value_calls=N + 1, grad_calls=N, lmo_calls=N)
+        value_calls=value_calls, grad_calls=grad_calls, lmo_calls=lmo_calls)
 
 
 def guarantee(s: Schedule, spec: FamilySpec, N: int, L: float, D: float) -> GuaranteeBound:

@@ -11,6 +11,16 @@ def rng():
     return np.random.default_rng(0)
 
 
+@pytest.fixture
+def warm_tableaus(monkeypatch):
+    """What every feasible._warm_tableau call of the test returned (None: the start was refused)."""
+    from drsub import feasible
+    seen = []
+    tableau = feasible._warm_tableau
+    monkeypatch.setattr(feasible, "_warm_tableau", lambda *a: seen.append(tableau(*a)) or seen[-1])
+    return seen
+
+
 def brute_multilinear(table, x):
     """Literal sum over all subsets; the reference for multilinear values."""
     m = len(x)

@@ -260,6 +260,7 @@ class TestSimplex:
         assert x == pytest.approx([0.5, 1.0], abs=1e-9)
 
     def test_matches_basic_solution_enumeration(self, rng):
+        # each LP again from the vertex of perturbed costs
         for _ in range(50):
             n = int(rng.integers(1, 6))
             m = int(rng.integers(1, 6))
@@ -267,8 +268,11 @@ class TestSimplex:
             b = rng.uniform(0.5, 2.0, size=m)
             u = rng.uniform(0.2, 1.0, size=n)
             c = rng.normal(size=n)
-            _, val = simplex_solve(c, A, b, u)
+            x, val = simplex_solve(c, A, b, u)
             assert val == pytest.approx(enumerated_optimum(c, A, b, u), abs=1e-9)
+            start = simplex_solve(c + rng.normal(scale=0.5, size=n), A, b, u)[0]
+            x_warm, val_warm = simplex_solve(c, A, b, u, start)
+            assert np.max(np.abs(x_warm - x)) <= 1e-12 and abs(val_warm - val) <= 1e-12
 
     def test_degenerate_integer_lps_match_enumeration(self, rng):
         # small integer data ties many ratios and reduced costs and makes degenerate
@@ -299,9 +303,10 @@ class TestSimplex:
         assert val == pytest.approx(1.25, abs=1e-12)
         assert x == pytest.approx([1.0, 0.0, 1.0, 0.0], abs=1e-12)
 
-    def test_matches_bland_reference_at_benchmark_scale(self, rng):
+    def test_matches_bland_reference_at_benchmark_scale(self, rng, warm_tableaus):
         # 20x30 packing LPs drawn like the packing benchmark; the optimum is unique
-        # almost surely, so every correct pivot rule lands on the same vertex
+        # almost surely, so every correct pivot rule lands on the same vertex, and so
+        # does a warm start from the vertex of nearby costs, as a Frank-Wolfe step has
         for _ in range(100):
             A = rng.uniform(0.0, 1.0, size=(20, 30))
             b = 0.2 * A.sum(axis=1)
@@ -311,6 +316,64 @@ class TestSimplex:
                 x_ref, val_ref = bland_simplex(c, A, b, u)
                 assert abs(val - val_ref) <= 1e-9 * max(1.0, abs(val_ref))
                 assert np.max(np.abs(x - x_ref)) <= 1e-9
+                start = simplex_solve(c + rng.normal(scale=0.1, size=30), A, b, u)[0]
+                x_warm, val_warm = simplex_solve(c, A, b, u, start)
+                assert np.max(np.abs(x_warm - x)) <= 1e-12
+                assert abs(val_warm - val) <= 1e-12 * max(1.0, abs(val))
+        assert len(warm_tableaus) == 200
+        assert sum(t is not None for t in warm_tableaus) >= 190
+
+    def test_tied_lp_gives_the_cold_vertex_from_another_optimal_vertex(self):
+        # c is parallel to the first row: the optimal edge runs from (0.5, 0.5) to (0.75, 0)
+        c, A, b, u = (np.array(v, dtype=float) for v in
+                      ([2.0, 1.0], [[2.0, 1.0], [1.0, 2.0]], [1.5, 1.5], [1.0, 1.0]))
+        cold = simplex_solve(c, A, b, u)
+        for start in ([0.5, 0.5], [0.75, 0.0]):
+            x, val = simplex_solve(c, A, b, u, np.array(start))
+            assert np.array_equal(x, cold[0]) and val == cold[1]
+
+    @pytest.mark.parametrize("start, u", [
+        ([0.8, 0.8], [1.0, 1.0]),    # infeasible: breaks both rows
+        ([0.2, 0.2], [1.0, 1.0]),    # interior: every coordinate and row loose
+        ([0.75, 0.0], [0.75, 1.0]),  # degenerate vertex: x_1 = u_1 and x_2 = 0 on a tight row
+        ([0.5, 0.5], [0.4, 1.0]),    # a vertex of cap 1 that breaks the new cap 0.4
+    ], ids=["infeasible", "interior", "degenerate", "new-cap"])
+    def test_rejected_start_is_the_cold_solve_without_a_factorization(self, start, u,
+                                                                       monkeypatch):
+        c, A, b = np.array([1.0, 1.0]), np.array([[2.0, 1.0], [1.0, 2.0]]), np.array([1.5, 1.5])
+        u = np.array(u)
+        cold = simplex_solve(c, A, b, u)
+
+        def no_factorization(*args):
+            raise AssertionError("a rejected start was factorized")
+
+        monkeypatch.setattr(np.linalg, "solve", no_factorization)
+        x, val = simplex_solve(c, A, b, u, np.array(start))
+        assert np.array_equal(x, cold[0]) and val == cold[1]
+        body = PackingBody(A, b)
+        assert np.array_equal(body.masked_lmo(c, u, start), body.masked_lmo(c, u))
+
+    def test_vertex_start_is_taken(self, monkeypatch):
+        # the optimal vertex itself: one factorization, no pivot
+        c, A, b, u = (np.array(v, dtype=float) for v in
+                      ([1.0, 1.0], [[2.0, 1.0], [1.0, 2.0]], [1.5, 1.5], [1.0, 1.0]))
+        solves = []
+        solve_ = np.linalg.solve
+        monkeypatch.setattr(np.linalg, "solve", lambda *a: solves.append(1) or solve_(*a))
+        x, val = simplex_solve(c, A, b, u, np.array([0.5, 0.5]))
+        assert len(solves) == 1
+        assert x == pytest.approx([0.5, 0.5], abs=1e-15) and val == pytest.approx(1.0, abs=1e-15)
+
+    @pytest.mark.parametrize("start", [[0.5], [0.5, 0.5, 0.0], [[0.5, 0.5]], [np.nan, 0.0],
+                                       [np.inf, 0.0]])
+    def test_malformed_start_is_refused(self, start):
+        with pytest.raises(InputError, match="start"):
+            simplex_solve(np.ones(2), np.ones((1, 2)), np.ones(1), np.ones(2), start)
+        body = PackingBody(np.ones((1, 2)), np.ones(1))
+        with pytest.raises(InputError, match="start"):
+            body.lmo(np.ones(2), start)
+        with pytest.raises(InputError, match="start"):
+            body.masked_lmo(np.ones(2), np.ones(2), start)
 
     def test_result_is_checked_against_the_rows(self):
         # b < 0 breaks the precondition: the all-slack start is infeasible

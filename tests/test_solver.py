@@ -5,8 +5,8 @@ import numpy as np
 import pytest
 
 from drsub import (BoxBody, CardinalityBody, ConfigurationError,
-                   InputError, coupling_residual, family_spec, g_series,
-                   guarantee, make_quadratic,
+                   InputError, PackingBody, PartitionBody, coupling_residual, family_spec,
+                   g_series, guarantee, make_concave_modular, make_quadratic,
                    multilinear_extension, preset, run, set_bruteforce,
                    trajectory_csv)
 from drsub import checks, desk
@@ -97,6 +97,43 @@ class TestUpdateRule:
         assert traj.grad_calls == 13
         assert traj.lmo_calls == 13
         assert traj.value_calls == 14
+
+
+def run_without_starts(monkeypatch, f, body, family, N):
+    """``run`` with every oracle call made as if no start were given."""
+    cls = type(body)
+    lmo, masked_lmo = cls.lmo, cls.masked_lmo
+    with monkeypatch.context() as patch:
+        patch.setattr(cls, "lmo", lambda self, g, start=None: lmo(self, g))
+        patch.setattr(cls, "masked_lmo", lambda self, g, cap, start=None: masked_lmo(self, g, cap))
+        return run(f, body, preset(family), family_spec(family), N)
+
+
+class TestWarmStartedOracles:
+    @pytest.mark.parametrize("family", FAMILIES)
+    def test_packing_run_matches_cold_oracles(self, family, rng, monkeypatch, warm_tableaus):
+        # a 20x30 packing body and concave-modular objective, as the packing benchmark draws
+        A = rng.uniform(0.0, 1.0, size=(20, 30))
+        body = PackingBody(A, 0.2 * A.sum(axis=1))
+        f = make_concave_modular(rng.uniform(0.0, 1.0, size=(8, 30)))
+        cold = run_without_starts(monkeypatch, f, body, family, 20)
+        traj = run(f, body, preset(family), family_spec(family), 20)
+        assert np.max(np.abs(traj.x - cold.x)) <= 1e-12
+        assert np.max(np.abs(traj.F - cold.F)) <= 1e-12 * np.max(cold.F)
+        assert traj.lmo_calls == cold.lmo_calls == 20
+        if family != "measured":  # a masked start mostly breaks the next, lower cap
+            assert sum(t is not None for t in warm_tableaus) >= 15
+
+    @pytest.mark.parametrize("body", [BOX2, CardinalityBody(2, 1),
+                                      PartitionBody(2, ((0,), (1,)), (1, 1))],
+                             ids=lambda b: type(b).__name__)
+    @pytest.mark.parametrize("family", FAMILIES)
+    def test_box_and_partition_runs_ignore_starts(self, body, family, monkeypatch):
+        cold = run_without_starts(monkeypatch, QUAD, body, family, 30)
+        traj = run(QUAD, body, preset(family), family_spec(family), 30)
+        assert trajectory_csv(traj, 0.5) == trajectory_csv(cold, 0.5)
+        assert (traj.value_calls, traj.grad_calls, traj.lmo_calls) == (31, 30, 30)
+        assert (cold.value_calls, cold.grad_calls, cold.lmo_calls) == (31, 30, 30)
 
 
 class TestScheduleGrid:
