@@ -86,14 +86,16 @@ class ConvexBody:
     own scratch, so a body can be shared between concurrent runs.  Every
     variant is down-closed by construction (0 <= y <= x in the body puts y
     in the body), which the masked oracle and the grid oracle's slack rely on.
-    Every variant is also a polyhedron {x : G x <= h}: the rows x <= upper
-    and -x <= 0, then the body's own inequalities A x <= b with A >= 0.
-    Membership tests them, and as computed in floating point it is monotone
-    along every coordinate of a nonnegative point: rounding preserves order
-    under a nonnegative factor and under addition, and row_products sums
-    each row in an order that does not depend on the batch.  So raising a
-    coordinate of a point outside the body never brings it in, which the
-    grid oracle's feasible-mesh walk relies on.
+    Every variant is also a polyhedron: x <= upper, -x <= 0 and the body's
+    own inequalities A x <= b with A >= 0.  Each array is stored once,
+    read-only, as the constructor copied or built it, so a caller's later
+    edit of its own array changes nothing here.  Membership tests these
+    rows, and as computed in floating point it is monotone along every
+    coordinate of a nonnegative point: rounding preserves order under a
+    nonnegative factor and under addition, and row_products sums each row
+    in an order that does not depend on the batch.  So raising a coordinate
+    of a point outside the body never brings it in, which the grid oracle's
+    feasible-mesh walk relies on.
     """
 
     n: int
@@ -107,13 +109,14 @@ class ConvexBody:
         return self._inside(_as_rows(X, self.n))
 
     def _inside(self, X: np.ndarray) -> np.ndarray:
-        Gx = np.concatenate((X, -X, row_products(X, self._A)), axis=1)
-        return (Gx <= self._h + FEASIBILITY_TOL).all(axis=1)
+        inside = ((X <= self._upper + FEASIBILITY_TOL) & (X >= -FEASIBILITY_TOL)).all(axis=1)
+        return inside & (row_products(X, self._A) <= self._b + FEASIBILITY_TOL).all(axis=1)
 
     def _set_inequalities(self, upper: np.ndarray, A: np.ndarray, b: np.ndarray) -> None:
-        """Store the rows x <= upper, -x <= 0 and A x <= b that membership tests."""
-        object.__setattr__(self, "_A", A)
-        object.__setattr__(self, "_h", np.concatenate([upper, np.zeros(upper.size), b]))
+        """Keep the rows x <= upper, -x <= 0 and A x <= b that membership tests, read-only."""
+        for name, array in (("_upper", upper), ("_A", A), ("_b", b)):
+            array.flags.writeable = False
+            object.__setattr__(self, name, array)
 
     def lmo(self, g, start=None) -> np.ndarray:
         """Extreme point maximizing <g, v> over the body.
@@ -152,7 +155,7 @@ class BoxBody(ConvexBody):
     upper: np.ndarray
 
     def __post_init__(self):
-        u = np.asarray(self.upper, dtype=float)
+        u = np.array(self.upper, dtype=float)
         if u.ndim != 1 or u.size == 0:
             raise InputError("box upper bounds must be a nonempty vector")
         checked_dimension(u.size, "box")
@@ -250,8 +253,8 @@ class PackingBody(ConvexBody):
     b: np.ndarray
 
     def __post_init__(self):
-        A = np.atleast_2d(np.asarray(self.A, dtype=float))
-        b = np.asarray(self.b, dtype=float)
+        A = np.atleast_2d(np.array(self.A, dtype=float))
+        b = np.array(self.b, dtype=float)
         if A.ndim != 2 or b.ndim != 1 or A.shape[0] != b.size:
             raise InputError("A must be a matrix with one rhs entry per row")
         checked_dimension(A.shape[1], "packing")
@@ -432,13 +435,14 @@ def basic_solutions(rows: np.ndarray, rhs: np.ndarray) -> np.ndarray:
 def vertices(C: ConvexBody, cap=None) -> np.ndarray:
     """(k, n) array of the extreme points of C intersected with {v <= cap}, with repeats.
 
-    They are the basic solutions of the body's own system G x <= h, with the
-    upper bounds lowered to the cap, so a body kind needs no code of its own.
+    They are the basic solutions of the body's own rows x <= upper, -x <= 0
+    and A x <= b, with the upper bounds lowered to the cap, so a body kind
+    needs no code of its own.
     """
     n = C.n
     cap = np.ones(n) if cap is None else C._check_cap(cap)
     rows = np.vstack([np.eye(n), -np.eye(n), C._A])
-    return basic_solutions(rows, np.concatenate([np.minimum(C._h[:n], cap), C._h[n:]]))
+    return basic_solutions(rows, np.concatenate([np.minimum(C._upper, cap), np.zeros(n), C._b]))
 
 
 def lmo_bruteforce(C: ConvexBody, g, cap=None) -> tuple[float, np.ndarray]:

@@ -88,7 +88,8 @@ class DrFunction:
     ``value`` is ``values_fn`` on the one-row batch, so ``values`` agrees
     bit for bit with ``value``.  A point inside the box reaches ``values_fn``
     and ``grad_fn`` as the caller's own array, not a copy, so neither may
-    write to its argument.
+    write to its argument.  The constructors below copy their array inputs,
+    so a caller's later edit changes neither the function nor its ``L``.
     """
 
     n: int
@@ -117,8 +118,9 @@ class SetFunction:
     """Set function on a ground set of size m, stored as a full value table.
 
     ``table[s]`` is the value of the subset whose bitmask is s (bit i set
-    means element i is in the subset).  Ground sets are capped at 20
-    elements so the table and all exhaustive checks stay exact.
+    means element i is in the subset), and the table is the instance's own
+    read-only copy of the values it was given.  Ground sets are capped at
+    20 elements so the table and all exhaustive checks stay exact.
     """
 
     m: int
@@ -127,45 +129,36 @@ class SetFunction:
     def __post_init__(self):
         if self.m < 0 or self.m > _MAX_GROUND_SET:
             raise CapacityError(f"ground-set size must be in [0, {_MAX_GROUND_SET}], got {self.m}")
-        if self.table.shape != (1 << self.m,):
+        table = np.array(self.table, dtype=float)
+        if table.shape != (1 << self.m,):
             raise InputError(f"value table must have length 2^{self.m}")
-        if not np.all(np.isfinite(self.table)):
+        if not np.all(np.isfinite(table)):
             raise InputError("value table contains NaN or infinity")
-        if np.any(self.table < 0):
+        if np.any(table < 0):
             raise InputError("set-function values must be nonnegative")
-
-    def value(self, subset) -> float:
-        """Value of a subset given as a bitmask or an iterable of indices."""
-        if isinstance(subset, (int, np.integer)):
-            mask = int(subset)
-        else:
-            mask = 0
-            for i in subset:
-                if not 0 <= int(i) < self.m:
-                    raise InputError(f"element {i} outside ground set of size {self.m}")
-                mask |= 1 << int(i)
-        if not 0 <= mask < (1 << self.m):
-            raise InputError("subset bitmask out of range")
-        return float(self.table[mask])
+        table.flags.writeable = False
+        object.__setattr__(self, "table", table)
 
     def max_value(self) -> float:
         return float(np.max(self.table)) if self.table.size else 0.0
 
     @cached_property
-    def second_differences(self) -> tuple[float, float]:
-        """Smallest and largest f(S+i+j) - f(S+i) - f(S+j) + f(S), i < j not in S.
+    def differences(self) -> tuple[float, float, float]:
+        """Smallest f(S+i) - f(S), then smallest and largest f(S+i+j) - f(S+i) - f(S+j) + f(S).
 
-        Both are 0 when there is no pair.  One O(m^2 2^m) pass, made once
-        for the submodularity check and the extension's L together.
+        Each is 0 when there is no element, or no pair.  One O(m^2 2^m)
+        pass, made once for the monotonicity and submodularity checks and
+        the extension's L together.
         """
         T = self.table.reshape((2,) * self.m)  # one axis per element
-        lo = hi = 0.0
+        first = lo = hi = 0.0
         for i in range(self.m):
             along_i = np.diff(T, axis=i)
+            first = min(first, float(along_i.min()))
             for j in range(i + 1, self.m):
                 D = np.diff(along_i, axis=j)
                 lo, hi = min(lo, float(D.min())), max(hi, float(D.max()))
-        return lo, hi
+        return first, lo, hi
 
 
 def set_function_from_table(values: Sequence[float]) -> SetFunction:
@@ -302,14 +295,12 @@ def mesh_chunks(axes: Sequence[np.ndarray]):
 
 def set_is_monotone(f: SetFunction) -> bool:
     """Exhaustive marginal check: adding any element never decreases f."""
-    T = f.table.reshape((2,) * f.m)  # one axis per element
-    tol = _MONOTONE_TOL * f.max_value()
-    return all(np.all(np.diff(T, axis=i) >= -tol) for i in range(f.m))
+    return f.differences[0] >= -_MONOTONE_TOL * f.max_value()
 
 
 def set_is_submodular(f: SetFunction) -> bool:
     """Pairwise marginal check, equivalent to the subset-chain definition."""
-    return f.second_differences[1] <= _SUBMODULAR_TOL * f.max_value()
+    return f.differences[2] <= _SUBMODULAR_TOL * f.max_value()
 
 
 def multilinear_extension(f: SetFunction) -> DrFunction:
@@ -323,10 +314,7 @@ def multilinear_extension(f: SetFunction) -> DrFunction:
     difference of f on i and j, and its diagonal is zero, so by Gershgorin
     L = (m - 1) * (largest |second difference|) bounds its norm.
     """
-    if f.m > _MAX_GROUND_SET:
-        raise CapacityError(f"multilinear extension supports m <= {_MAX_GROUND_SET}")
-    table = f.table.copy()
-    m = f.m
+    table, m = f.table, f.m
 
     def partials(X: np.ndarray) -> list[np.ndarray]:
         """partials[i][r] is the table with elements 0..i-1 averaged out at row r of X.
@@ -361,7 +349,8 @@ def multilinear_extension(f: SetFunction) -> DrFunction:
             weights = (weights[:, None] * (1.0 - x[k], x[k])).ravel()
         return g
 
-    L = max(m - 1, 0) * max(-f.second_differences[0], f.second_differences[1])
+    _, lo, hi = f.differences
+    L = max(m - 1, 0) * max(-lo, hi)
     return DrFunction(m, float(L), set_is_monotone(f), values, grad, name=f"multilinear(m={m})")
 
 
@@ -375,8 +364,8 @@ def make_quadratic(H, c) -> DrFunction:
     function is concave along every coordinate, that minimum sits at one
     of the 2^n box vertices and is found exactly by scoring them in blocks.
     """
-    H = np.asarray(H, dtype=float)
-    c = np.asarray(c, dtype=float)
+    H = np.array(H, dtype=float)
+    c = np.array(c, dtype=float)
     n = c.shape[0]
     if H.shape != (n, n):
         raise InputError(f"H must be {n}x{n} to match c")
@@ -425,7 +414,7 @@ def make_concave_modular(weights: Sequence[Sequence[float]], n: int | None = Non
         if not np.any(w > 0):
             raise InputError("weight vectors must be nonzero")
 
-    W = np.array(ws).reshape(len(ws), n) if ws else np.zeros((0, n))
+    W = np.array(ws).reshape(len(ws), n)
     base = len(ws) * np.sqrt(SQRT_FLOOR)
     L = float(np.sum(np.sum(W * W, axis=1)) / (4.0 * SQRT_FLOOR ** 1.5))
 
@@ -433,8 +422,6 @@ def make_concave_modular(weights: Sequence[Sequence[float]], n: int | None = Non
         return np.sqrt(SQRT_FLOOR + row_products(X, W)).sum(axis=1) - base
 
     def grad(x: np.ndarray) -> np.ndarray:
-        if W.shape[0] == 0:
-            return np.zeros(n)
         return (W / (2.0 * np.sqrt(SQRT_FLOOR + W @ x))[:, None]).sum(axis=0)
 
     return DrFunction(int(n), L, True, values, grad, name=f"concave_modular(k={len(ws)})")

@@ -2,6 +2,7 @@ import contextlib
 import dataclasses
 import io
 import json
+import pathlib
 import re
 import subprocess
 import sys
@@ -10,8 +11,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from drsub import (BoxBody, checks, coverage_function, desk, family_spec, oracle, preset, run,
-                   schedule, solver)
+from drsub import (BoxBody, InvariantError, checks, coverage_function, desk, family_spec,
+                   oracle, preset, run, schedule, solver)
 from drsub.cli import main
 
 COVERAGE = '{"kind":"coverage","subsets":[[0,1],[1,2],[2,3]]}'
@@ -66,7 +67,8 @@ class TestRunCommand:
         ("run", "0", "N must be >= 1, got 0"),
         ("run", "5,", "--iters must be an integer or comma list, got '5,'"),
         ("sweep", "16,,32,64", "--iters must be an integer or comma list, got '16,,32,64'"),
-    ], ids=["zero", "trailing-comma", "empty-entry"])
+        ("run", "5,10", "run takes a single --iters value; use sweep for lists"),
+    ], ids=["zero", "trailing-comma", "empty-entry", "run-list"])
     def test_bad_iters_is_input_error(self, tmp_path, capsys, command, iters, message):
         code = run_cli(command, "--instance", QUAD, "--constraint", BOX2,
                        "--family", "general", "--iters", iters, "--out", str(tmp_path))
@@ -121,6 +123,49 @@ class TestRunCommand:
                        "--family", "measured", "--iters", "10", "--out", str(tmp_path))
         assert code == 1
         assert "unknown field 'down_closed'" in capsys.readouterr().err
+
+    def test_missing_flag_is_input_error(self, tmp_path, capsys):
+        code = run_cli("run", "--instance", QUAD, "--constraint", BOX2, "--iters", "5",
+                       "--out", str(tmp_path))
+        assert code == 1
+        assert capsys.readouterr().err == "error: missing required flags: --family\n"
+
+    @pytest.mark.parametrize("instance,constraint,opt,message", [
+        (COVERAGE, '{"kind":"cardinality","n":4,"k":2}', "sets",
+         "ground-set size 3 != body dimension 4"),
+        (QUAD, '{"kind":"box","n":3}', "grid", "objective dimension 2 != body dimension 3"),
+    ], ids=["sets", "grid"])
+    def test_oracle_dimension_mismatch(self, tmp_path, capsys, instance, constraint, opt,
+                                       message):
+        code = run_cli("run", "--instance", instance, "--constraint", constraint,
+                       "--family", "general", "--iters", "5", "--opt", opt,
+                       "--out", str(tmp_path))
+        assert code == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+
+    def test_invariant_error_exits_2(self, tmp_path, capsys, monkeypatch):
+        def broken(*args):
+            raise InvariantError("the iterate left the body at step 3")
+        monkeypatch.setattr(solver, "run", broken)
+        code = run_cli("run", "--instance", QUAD, "--constraint", BOX2, "--family", "general",
+                       "--iters", "5", "--out", str(tmp_path))
+        assert code == 2
+        assert capsys.readouterr().err == \
+            "invariant violation: the iterate left the body at step 3\n"
+        assert not any(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("command,iters", [("run", "5"), ("sweep", "4,8,16")])
+    def test_unwritable_out_is_input_error(self, tmp_path, capsys, monkeypatch, command, iters):
+        def denied(self, *args, **kwargs):
+            raise PermissionError("permission denied")
+        monkeypatch.setattr(pathlib.Path, "mkdir", denied)
+        out = tmp_path / "out"
+        code = run_cli(command, "--instance", QUAD, "--constraint", BOX2,
+                       "--family", "general", "--iters", iters, "--out", str(out))
+        assert code == 1
+        assert capsys.readouterr().err == \
+            f"error: cannot create output directory {out}: permission denied\n"
+        assert not out.exists()
 
     def test_dimension_mismatch(self, tmp_path):
         code = run_cli("run", "--instance", QUAD, "--constraint", CARD,
@@ -595,18 +640,48 @@ class TestMalformedJson:
          "error: duplicate key 'subsets' in a JSON object"),
         (COVERAGE, '{"kind":"cardinality","n":3,"k":2,"k":1}',
          "error: duplicate key 'k' in a JSON object"),
+        ("{", BOX2, "error: invalid JSON"),
+        (QUAD, '{"kind":"box","upper":[]}', "box upper bounds must be a nonempty vector"),
+        (QUAD, '{"kind":"partition","n":2,"blocks":[[0,1]],"capacities":[-1]}',
+         "block capacities must be nonnegative integers"),
+        (QUAD, json.dumps({"kind": "packing", "A": [[1, 1]] * 65, "b": [1] * 65}),
+         "dense simplex supports at most 64 rows"),
+        (json.dumps({"kind": "quadratic", "H": [[0] * 21] * 21, "c": [1] * 21}), BOX2,
+         "vertex enumeration supports n <= 20"),
+        ('{"kind":"concave_modular","weights":[]}', BOX2,
+         "dimension n is required when the weight list is empty"),
+        ('{"kind":"concave_modular","weights":[[1,2]],"n":3}', BOX2,
+         "all weight vectors must share one dimension"),
     ], ids=["box-n-text", "box-n-fraction", "box-n-bool", "box-n-negative", "box-upper",
             "box-n-upper-disagree", "cardinality-k", "partition-capacities", "packing-A-text",
             "packing-A-ragged", "quadratic-c-inf", "coverage-L", "coverage-negative-element",
             "table-m", "table-empty", "concave-n-negative", "box-n-cap", "cardinality-n-cap",
             "partition-n-cap", "concave-n-cap", "coverage-n-elements-cap",
             "coverage-element-cap", "packing-no-columns", "instance-duplicate-key",
-            "constraint-duplicate-key"])
+            "constraint-duplicate-key", "instance-not-json", "box-upper-empty",
+            "partition-capacity-negative", "packing-row-cap", "quadratic-n-cap",
+            "concave-no-weights-no-n", "concave-n-disagrees"])
     def test_bad_field_value(self, tmp_path, capsys, instance, constraint, message):
         code = run_cli("run", "--instance", instance, "--constraint", constraint,
                        "--family", "general", "--iters", "5", "--out", str(tmp_path))
         assert code == 1
         assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize("schedule_json,message", [
+        ("[1]", "schedule JSON must be an object"),
+        ('{"a":1,"b":{"form":"poly","coeffs":[0,1]},"T":1}',
+         "schedule expression must be an object with a 'form' key"),
+        ('{"a":{"form":"poly","coeffs":[]},"b":{"form":"poly","coeffs":[0,1]},"T":1}',
+         "poly schedule needs at least one coefficient"),
+        ('{"a":{"form":"poly","coeffs":[1,1]},"b":{"form":"poly","coeffs":[0,1]},"T":0}',
+         "schedule horizon must be positive"),
+    ], ids=["not-an-object", "expression-not-an-object", "poly-no-coefficients", "zero-horizon"])
+    def test_bad_schedule_value(self, tmp_path, capsys, schedule_json, message):
+        assert run_cli("run", "--instance", QUAD, "--constraint", BOX2, "--family", "general",
+                       "--iters", "5", "--schedule", schedule_json,
+                       "--out", str(tmp_path)) == 1
+        assert capsys.readouterr().err.startswith(f"error: {message}")
+        assert not any(tmp_path.iterdir())
 
     @pytest.mark.parametrize("schedule_json,key", [
         ('{"a":{"form":"exp","rate":1},"a":{"form":"exp","rate":1},'

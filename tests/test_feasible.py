@@ -436,6 +436,38 @@ class TestDownClosed:
             body_from_json({"kind": "packing", "A": [[1, 1]], "b": [1.0], "down_closed": False})
 
 
+class TestOwnedArrays:
+    """A body keeps its own read-only copy of its caller's arrays."""
+
+    def test_box_ignores_a_later_edit_of_its_bounds(self):
+        u = np.ones(2)
+        B = BoxBody(u)
+        u[0] = 5.0
+        assert B.upper.tolist() == [1.0, 1.0]
+        assert B.diameter() == 2.0
+        v = B.lmo([1.0, 1.0])
+        assert v.tolist() == [1.0, 1.0] and B.contains(v)
+
+    def test_packing_ignores_a_later_edit_of_its_matrix(self):
+        A, b = np.array([[1.0, 1.0]]), np.array([1.0])
+        P = PackingBody(A, b)
+        A[0, 0], b[0] = -1.0, 5.0
+        assert P.A.tolist() == [[1.0, 1.0]] and P.b.tolist() == [1.0]
+        assert not P.contains([1.0, 1.0])
+
+    @pytest.mark.parametrize("body,name", [(BOX3, "upper"), (PACK, "A"), (PACK, "b")],
+                             ids=["box-upper", "packing-A", "packing-b"])
+    def test_public_arrays_are_read_only(self, body, name):
+        with pytest.raises(ValueError, match="read-only"):
+            getattr(body, name)[0] = 0.5
+
+    @pytest.mark.parametrize("body", all_bodies())
+    def test_membership_rows_are_read_only(self, body):
+        for name in ("_upper", "_A", "_b"):
+            with pytest.raises(ValueError, match="read-only"):
+                getattr(body, name)[...] = 0.0
+
+
 class TestIntegralBudgets:
     @pytest.mark.parametrize("make", [
         lambda: PartitionBody(2, ((0, 1),), (1.5,)),

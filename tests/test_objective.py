@@ -139,7 +139,7 @@ class TestMultilinearExtension:
         F = multilinear_extension(sf)
         for mask in range(1 << sf.m):
             x = np.array([(mask >> i) & 1 for i in range(sf.m)], dtype=float)
-            assert F.value(x) == pytest.approx(sf.value(mask), abs=1e-12)
+            assert F.value(x) == pytest.approx(sf.table[mask], abs=1e-12)
 
     def test_zero_function(self):
         F = multilinear_extension(set_function_from_table([0.0, 0.0, 0.0, 0.0]))
@@ -250,6 +250,7 @@ class TestConcaveModular:
     def test_empty_weight_list(self):
         F = make_concave_modular([], n=3)
         assert F.value([0.5, 0.5, 0.5]) == 0.0
+        assert F.grad([0.5, 0.5, 0.5]).tolist() == [0.0, 0.0, 0.0]
         assert F.L == 0.0
 
     def test_gradient(self):
@@ -386,6 +387,24 @@ class TestWorstOfKeepsNan:
     def test_nan_gradient(self, check, order):
         objectives = [self.NAN_GRAD] if order == "alone" else [QUAD, self.NAN_GRAD]
         assert math.isnan(check(objectives, np.random.default_rng(0)))
+
+
+class TestOwnedArrays:
+    """An instance keeps its own copy of its caller's arrays."""
+
+    def test_quadratic_ignores_a_later_edit_of_h_and_c(self):
+        H, c = np.array([[-2.0, 0.0], [0.0, -2.0]]), np.array([1.0, 0.5])
+        F = make_quadratic(H, c)
+        x = [0.5, 0.25]
+        value, grad = F.value(x), F.grad(x).tolist()
+        H[0, 1] = H[1, 0] = -50.0
+        c[0] = 9.0
+        assert F.value(x) == value and F.grad(x).tolist() == grad
+        assert F.L == pytest.approx(2.0)
+
+    def test_set_function_table_is_read_only(self):
+        with pytest.raises(ValueError, match="read-only"):
+            COVER2.table[1] = 10.0
 
 
 class TestSetFunctionChecks:
@@ -631,7 +650,7 @@ class TestInstanceJson:
 
     def test_table_kind(self):
         F, sf = instance_from_json({"kind": "table", "m": 2, "values": [0, 1, 1, 1.5]})
-        assert sf.value([0, 1]) == 1.5
+        assert sf.table[0b11] == 1.5
         assert F.value([1.0, 0.0]) == pytest.approx(1.0)
 
     def test_smoothness_override(self):

@@ -58,6 +58,14 @@ class TestSetBruteforce:
         with pytest.raises(ConfigurationError, match="use --opt grid"):
             set_bruteforce(set_function_from_table([0.0, 1.0, 1.0, 2.0]), body)
 
+    def test_certificate_ignores_a_later_edit_of_the_table(self):
+        values = np.array([0.0, 1.0, 1.0, 1.5])
+        sf = set_function_from_table(values)
+        F = multilinear_extension(sf)
+        values[1] = 10.0
+        assert set_bruteforce(sf, CardinalityBody(2, 1)).value == 1.0
+        assert grid_search(F, CardinalityBody(2, 1)).value == 1.0
+
     def test_capacity_limit(self):
         sf = set_function_from_table(np.zeros(1 << 17))
         with pytest.raises(CapacityError):
