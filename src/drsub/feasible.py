@@ -142,10 +142,17 @@ class ConvexBody:
         raise NotImplementedError
 
     def _check_cap(self, cap) -> np.ndarray:
-        cap = _as_vector(cap, self.n, "cap")
-        if np.any(cap < -FEASIBILITY_TOL) or np.any(cap > 1.0 + FEASIBILITY_TOL):
+        """cap itself if it lies in [0, 1]^n, a clipped copy if round-off puts it within
+        FEASIBILITY_TOL outside; the caller's array is never written."""
+        cap = np.asarray(cap, dtype=float)
+        if cap.shape != (self.n,):
+            raise InputError(f"cap must have dimension {self.n}, got shape {cap.shape}")
+        lo, hi = cap.min(), cap.max()
+        # one comparison per end: NaN fails both, and so do infinities and far-out values
+        if not (lo >= -FEASIBILITY_TOL and hi <= 1.0 + FEASIBILITY_TOL):
+            _as_vector(cap, self.n, "cap")  # names NaN or infinity first
             raise InputError("cap must lie in [0, 1]^n")
-        return np.clip(cap, 0.0, 1.0)
+        return cap if lo >= 0.0 and hi <= 1.0 else np.clip(cap, 0.0, 1.0)
 
 
 @dataclass(frozen=True, eq=False)
@@ -224,7 +231,8 @@ class PartitionBody(ConvexBody):
         self._set_inequalities(np.ones(self.n), sums, np.array(caps, dtype=float))
 
     def lmo(self, g, start=None) -> np.ndarray:
-        return self.masked_lmo(g, np.ones(self.n), start)
+        return _greedy_fill(_as_vector(g, self.n, "objective"), self._upper, self.blocks,
+                            self.capacities)
 
     def masked_lmo(self, g, cap, start=None) -> np.ndarray:
         g = _as_vector(g, self.n, "objective")
@@ -275,11 +283,14 @@ class PackingBody(ConvexBody):
         return self.A.shape[1]
 
     def lmo(self, g, start=None) -> np.ndarray:
-        return self.masked_lmo(g, np.ones(self.n), start)
+        return self._solve(_as_vector(g, self.n, "objective"), self._upper, start)
 
     def masked_lmo(self, g, cap, start=None) -> np.ndarray:
         g = _as_vector(g, self.n, "objective")
-        cap = self._check_cap(cap)
+        return self._solve(g, self._check_cap(cap), start)
+
+    def _solve(self, g: np.ndarray, cap: np.ndarray, start) -> np.ndarray:
+        """Maximize <g, v> over the body and {v <= cap}, for a checked g and cap in [0, 1]^n."""
         start = None if start is None else _as_vector(start, self.n, "start")
         # coordinates with nonpositive payoff (or a zero cap) stay at zero;
         # this keeps the output minimal and the subproblem bounds positive

@@ -15,6 +15,12 @@ at runtime: G_j measures how far the step violates the schedule coupling
 (zero or negative for the presets), B_j bounds the per-step drop of the
 potential a_j F(x_j) - b_j OPT, and the infinity-norm margins certify that
 the masked and offset families keep enough headroom below the box ceiling.
+
+A step makes exactly three oracle calls: one gradient, one LMO (masked with
+the cap 1 - x_j for the masked direction) and one value of the new iterate.
+Membership of the iterates is checked once, over the whole trajectory, in
+one ``contains_batch`` after the loop; an iterate that leaves the body
+still fails the run with an InvariantError naming its step.
 """
 
 from __future__ import annotations
@@ -37,7 +43,9 @@ class Trajectory:
 
     State arrays have length N+1; step arrays (rho, G, B) have length N.
     ``gronwall_margin`` is None for the plain direction (the monotone family),
-    which needs no headroom below the box ceiling.
+    which needs no headroom below the box ceiling.  The counters are counted,
+    not assumed: value_calls = N + 1 (one value per iterate, one at a time)
+    and grad_calls = lmo_calls = N.
     """
 
     N: int
@@ -93,6 +101,11 @@ class GuaranteeBound:
 def g_series(s: Schedule, spec: FamilySpec, N: int) -> np.ndarray:
     """Coupling terms G_j = c_j (b_{j+1} - b_j) - (a_{j+1} - a_j), j = 0..N-1."""
     _, a, b = on_grid(s, N)
+    return _coupling(spec, a, b)
+
+
+def _coupling(spec: FamilySpec, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The coupling terms G_j of ``g_series`` from the grid weights a_j and b_j."""
     return spec.c(a[:-1]) * np.diff(b) - np.diff(a)
 
 
@@ -152,7 +165,7 @@ def run(f: DrFunction, C: ConvexBody, s: Schedule, spec: FamilySpec, N: int,
     if not mass <= 1.0 + _STEP_MASS_TOL:
         raise ValidationError(
             f"schedule steps are too long: {what} = {mass:.6g} exceeds 1 at N={N}")
-    G = g_series(s, spec, N)
+    G = _coupling(spec, a, b)
     B_exact = np.zeros(N)
     B_bound = _step_bounds(spec, a, b, L, D)
 
@@ -161,25 +174,29 @@ def run(f: DrFunction, C: ConvexBody, s: Schedule, spec: FamilySpec, N: int,
     xs[0] = x
     Fs[0] = f.value(x)
     value_calls += 1
+    masked = spec.direction == "masked"
     v = None  # the previous step's vertex starts the next oracle call
-    for j in range(N):
-        g = f.grad(x)
-        grad_calls += 1
-        if spec.direction == "masked":
-            v = C.masked_lmo(g, np.clip(1.0 - x, 0.0, 1.0), v)
-        else:
-            v = C.lmo(g, v)
-        lmo_calls += 1
-        x_next = x + rho[j] * (v - x if offset else v)
-        if not C.contains(x_next):
-            raise InvariantError(
-                f"iterate left the body at step {j}: x={x_next!r} (family {spec.name})")
-        dx = x_next - x
-        B_exact[j] = a[j + 1] * 0.5 * L * float(np.dot(dx, dx))
-        x = x_next
-        xs[j + 1] = x
-        Fs[j + 1] = f.value(x)
-        value_calls += 1
+    try:
+        for j in range(N):
+            g = f.grad(x)
+            grad_calls += 1
+            v = C.masked_lmo(g, 1.0 - x, v) if masked else C.lmo(g, v)
+            lmo_calls += 1
+            x_next = x + rho[j] * (v - x if offset else v)
+            dx = x_next - x
+            B_exact[j] = a[j + 1] * 0.5 * L * float(np.dot(dx, dx))
+            x = x_next
+            xs[j + 1] = x
+            Fs[j + 1] = f.value(x)
+            value_calls += 1
+    except InputError:
+        # an iterate outside the unit box reaches the objective before the body
+        # check.  Only the last row written, x_{j+1}, can be NaN or infinite, and
+        # the batch check refuses such a row first, so x_0..x_j go alone before it
+        _check_iterates(C, xs[:j + 1], spec)
+        _check_iterates(C, xs[:j + 2], spec)
+        raise
+    _check_iterates(C, xs, spec)
 
     infnorm = np.max(np.abs(xs), axis=1)
     start_slack = 1.0 - infnorm[0]
@@ -197,6 +214,15 @@ def run(f: DrFunction, C: ConvexBody, s: Schedule, spec: FamilySpec, N: int,
         value_calls=value_calls, grad_calls=grad_calls, lmo_calls=lmo_calls)
 
 
+def _check_iterates(C: ConvexBody, xs: np.ndarray, spec: FamilySpec) -> None:
+    """Raise InvariantError naming the first row of xs (the iterates x_0, x_1, ...) outside C."""
+    inside = C.contains_batch(xs)
+    if not inside.all():
+        k = int(np.argmin(inside))
+        raise InvariantError(
+            f"iterate left the body at step {k - 1}: x={xs[k]!r} (family {spec.name})")
+
+
 def guarantee(s: Schedule, spec: FamilySpec, N: int, L: float, D: float) -> GuaranteeBound:
     """A-priori bound for an N-step run from the origin: F(x_N) >= coefficient*OPT - additive.
 
@@ -205,7 +231,7 @@ def guarantee(s: Schedule, spec: FamilySpec, N: int, L: float, D: float) -> Guar
     if L < 0 or D < 0:
         raise InputError("L and D must be nonnegative")
     _, a, b = on_grid(s, N)
-    return _bound(a, b, g_series(s, spec, N), _step_bounds(spec, a, b, L, D), 1.0)
+    return _bound(a, b, _coupling(spec, a, b), _step_bounds(spec, a, b, L, D), 1.0)
 
 
 # --- trajectory CSV ------------------------------------------------------------

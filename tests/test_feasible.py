@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 from drsub import (BoxBody, CardinalityBody, InputError, InvariantError, PackingBody,
                    PartitionBody, body_from_json, lmo_bruteforce)
 from drsub.errors import CapacityError
-from drsub.feasible import simplex_solve, vertices
+from drsub.feasible import FEASIBILITY_TOL, simplex_solve, vertices
 
 from conftest import bland_simplex, vertex_pairs_diameter
 
@@ -513,27 +513,68 @@ def test_cardinality_is_a_one_block_partition(seed, n, data):
         assert np.array_equal(card.masked_lmo(g, cap), part.masked_lmo(g, cap))
 
 
-@settings(max_examples=30, deadline=None)
-@given(seed=st.integers(0, 10_000),
-       kind=st.sampled_from(["box", "cardinality", "partition", "packing"]))
-def test_random_bodies_oracles_agree_with_enumeration(seed, kind):
-    rng = np.random.default_rng(seed)
+BODY_KINDS = ("box", "cardinality", "partition", "packing")
+
+
+def random_body(rng, kind):
     n = int(rng.integers(2, 7))
     if kind == "box":
-        body = BoxBody(rng.uniform(0.3, 1.0, size=n))
-    elif kind == "cardinality":
-        body = CardinalityBody(n, int(rng.integers(1, n + 1)))
-    elif kind == "partition":
+        return BoxBody(rng.uniform(0.3, 1.0, size=n))
+    if kind == "cardinality":
+        return CardinalityBody(n, int(rng.integers(1, n + 1)))
+    if kind == "partition":
         cut = int(rng.integers(1, n))
-        blocks = (tuple(range(cut)), tuple(range(cut, n)))
-        body = PartitionBody(n, blocks, (1, 1))
-    else:
-        m = int(rng.integers(1, 4))
-        body = PackingBody(rng.uniform(0.0, 1.0, size=(m, n)),
-                           rng.uniform(0.5, 2.0, size=m))
+        return PartitionBody(n, (tuple(range(cut)), tuple(range(cut, n))), (1, 1))
+    m = int(rng.integers(1, 4))
+    return PackingBody(rng.uniform(0.0, 1.0, size=(m, n)), rng.uniform(0.5, 2.0, size=m))
+
+
+@settings(max_examples=30, deadline=None)
+@given(seed=st.integers(0, 10_000), kind=st.sampled_from(BODY_KINDS))
+def test_random_bodies_oracles_agree_with_enumeration(seed, kind):
+    rng = np.random.default_rng(seed)
+    body = random_body(rng, kind)
+    n = body.n
     g = rng.normal(size=n)
     cap = rng.uniform(size=n)
     ref, _ = lmo_bruteforce(body, g)
     assert float(g @ body.lmo(g)) == pytest.approx(ref, abs=1e-9)
     ref_m, _ = lmo_bruteforce(body, g, cap)
     assert float(g @ body.masked_lmo(g, cap)) == pytest.approx(ref_m, abs=1e-9)
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 10_000), kind=st.sampled_from(BODY_KINDS))
+def test_plain_lmo_is_the_masked_lmo_under_an_all_ones_cap(seed, kind):
+    # the plain LMO reads the body's stored upper bounds; a read-only cap shows
+    # that the masked oracle never writes to the caller's array
+    rng = np.random.default_rng(seed)
+    body = random_body(rng, kind)
+    ones = np.ones(body.n)
+    ones.flags.writeable = False
+    for _ in range(5):
+        g = rng.normal(size=body.n)
+        start = body.lmo(rng.normal(size=body.n))  # a vertex, as a Frank-Wolfe run passes
+        assert body.lmo(g).tobytes() == body.masked_lmo(g, ones).tobytes()
+        assert body.lmo(g, start).tobytes() == body.masked_lmo(g, ones, start).tobytes()
+
+
+_NEAR_UNIT = st.floats(-FEASIBILITY_TOL, 1.0 + FEASIBILITY_TOL)
+_FAR_OUT = st.one_of(st.floats(max_value=-FEASIBILITY_TOL, exclude_max=True),
+                     st.floats(min_value=1.0 + FEASIBILITY_TOL, exclude_min=True),
+                     st.just(np.nan))
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(1, 6), data=st.data())
+def test_cap_round_off_is_clipped_and_the_rest_refused(n, data):
+    body = BoxBody(np.ones(n))
+    cap = np.array(data.draw(st.lists(_NEAR_UNIT, min_size=n, max_size=n)))
+    before = cap.copy()
+    assert np.array_equal(body._check_cap(cap), np.clip(cap, 0.0, 1.0))
+    assert np.array_equal(cap, before)
+    cap[data.draw(st.integers(0, n - 1))] = data.draw(_FAR_OUT)
+    before = cap.copy()
+    with pytest.raises(InputError, match="cap"):
+        body._check_cap(cap)
+    assert np.array_equal(cap, before, equal_nan=True)

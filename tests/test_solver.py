@@ -1,15 +1,17 @@
 import dataclasses
+import itertools
 import math
+import re
 
 import numpy as np
 import pytest
 
-from drsub import (BoxBody, CardinalityBody, ConfigurationError,
-                   InputError, PackingBody, PartitionBody, coupling_residual, family_spec,
+from drsub import (BoxBody, CardinalityBody, ConfigurationError, InputError,
+                   InvariantError, PackingBody, PartitionBody, coupling_residual, family_spec,
                    g_series, guarantee, make_concave_modular, make_quadratic,
                    multilinear_extension, preset, run, set_bruteforce,
                    trajectory_csv)
-from drsub import checks, desk
+from drsub import checks, cli, desk
 from drsub.schedule import FAMILIES as PRESET_FAMILIES
 
 COVER3 = desk.coverage_three_sets()
@@ -97,6 +99,53 @@ class TestUpdateRule:
         assert traj.grad_calls == 13
         assert traj.lmo_calls == 13
         assert traj.value_calls == 14
+
+
+SMALL_BOX = BoxBody(np.full(3, 0.05))
+
+
+def leave_the_body(monkeypatch, bad, first_bad=3):
+    """Make every BoxBody's lmo and masked_lmo return the vertex ``bad`` from step first_bad on."""
+    calls = itertools.count()
+    lmo, masked_lmo = BoxBody.lmo, BoxBody.masked_lmo
+
+    def vertex(v):
+        return np.asarray(bad, dtype=float) if next(calls) >= first_bad else v
+
+    monkeypatch.setattr(BoxBody, "lmo", lambda self, g, start=None: vertex(lmo(self, g, start)))
+    monkeypatch.setattr(BoxBody, "masked_lmo", lambda self, g, cap, start=None:
+                        vertex(masked_lmo(self, g, cap, start)))
+
+
+class TestLeftTheBodyGuard:
+    @pytest.mark.parametrize("bad", [np.ones(3), np.full(3, 50.0)], ids=["in-box", "out-of-box"])
+    @pytest.mark.parametrize("family", FAMILIES)
+    def test_first_bad_iterate_is_named(self, family, bad, monkeypatch):
+        # x_4 leaves the body; an x_4 outside the unit box reaches the objective's
+        # InputError first, and the run still reports the invariant
+        clean = run(COVER3_F, SMALL_BOX, preset(family), family_spec(family), 6)
+        x3, rho3 = clean.x[3], clean.rho[3]
+        x4 = x3 + rho3 * (bad - x3 if family == "general" else bad)
+        expected = f"iterate left the body at step 3: x={x4!r} (family {family})"
+        leave_the_body(monkeypatch, bad)
+        with pytest.raises(InvariantError, match=re.escape(expected)):
+            run(COVER3_F, SMALL_BOX, preset(family), family_spec(family), 6)
+
+    @pytest.mark.parametrize("family", FAMILIES)
+    def test_nan_vertex_is_an_input_error(self, family, monkeypatch):
+        leave_the_body(monkeypatch, np.full(3, np.nan))
+        with pytest.raises(InputError, match="points contain NaN or infinity"):
+            run(COVER3_F, SMALL_BOX, preset(family), family_spec(family), 6)
+
+    @pytest.mark.parametrize("bad,code", [(1.0, 2), (50.0, 2), (np.nan, 1)])
+    def test_cli_exit_codes(self, bad, code, monkeypatch, tmp_path, capsys):
+        leave_the_body(monkeypatch, np.full(3, bad))
+        argv = ["run", "--instance", '{"kind": "coverage", "subsets": [[0,1],[1,2],[2,3]]}',
+                "--constraint", '{"kind": "box", "upper": [0.05, 0.05, 0.05]}',
+                "--family", "measured", "--iters", "6", "--out", str(tmp_path / "out")]
+        assert cli.main(argv) == code
+        expected = "invariant violation: iterate left the body at step 3" if code == 2 else "error:"
+        assert capsys.readouterr().err.startswith(expected)
 
 
 def run_without_starts(monkeypatch, f, body, family, N):
