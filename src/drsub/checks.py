@@ -109,13 +109,16 @@ def max_simplex_gap(rng: np.random.Generator) -> float:
     its tied ratios make degenerate pivots, and its tied costs make the Bland fallback
     after them enter other columns than Dantzig's rule would.  Each LP is solved again
     from a start: the vertex of the reversed costs for the continuous LPs, and another
-    optimal vertex, where there is one, for the 0/1 LPs.  The warm gap adds the distance
-    to the cold vertex, and is infinite when a tied LP's warm answer is not the cold
-    vertex bit for bit.
+    optimal vertex, where there is one, for the 0/1 LPs.  Then each is solved at the cap
+    u - x/2, cold and from its own vertex x, which breaks that cap wherever it sat at u,
+    as a masked Frank-Wolfe step lowers the cap: that start is repaired by dual pivots.
+    A warm gap adds the distance to the cold vertex, and is infinite when a 0/1 LP with
+    tied optima gives a warm answer other than the cold vertex bit for bit.
     """
     gaps = []
     for i in range(50):
-        if i % 2:
+        ties = bool(i % 2)
+        if ties:
             n, m = int(rng.integers(3, 5)), int(rng.integers(4, 7))
             A = rng.integers(0, 2, size=(m, n)).astype(float)
             b, u = np.ones(m), np.ones(n)
@@ -126,21 +129,37 @@ def max_simplex_gap(rng: np.random.Generator) -> float:
             b = rng.uniform(0.5, 2.0, size=m)
             u = rng.uniform(0.2, 1.0, size=n)
             c = rng.normal(size=n)
-        x, val = feasible.simplex_solve(c, A, b, u)
         body = feasible.PackingBody(A, b)
-        ref = feasible.lmo_bruteforce(body, c, u)[0]
-        tied = False
-        if i % 2:
-            V = feasible.vertices(body, u)
-            others = V[(V @ c >= ref - 1e-9) & (np.max(np.abs(V - x), axis=1) > 1e-9)]
-            tied = others.size > 0
-            start = others[0] if tied else x
+        x, val = feasible.simplex_solve(c, A, b, u)
+        ref, others = _optima(body, c, u, x)
+        if ties:
+            start = others[0] if others.size else x
         else:
             start = feasible.simplex_solve(c[::-1], A, b, u)[0]
-        x_warm, val_warm = feasible.simplex_solve(c, A, b, u, start)
-        warm_gap = max(abs(val_warm - ref), float(np.max(np.abs(x_warm - x))))
-        gaps += [abs(val - ref), np.inf if tied and not np.array_equal(x_warm, x) else warm_gap]
+        gaps += [abs(val - ref), _warm_gap(c, A, b, u, start, x, ref, ties and others.size > 0)]
+        low = u - 0.5 * x
+        x_low, val_low = feasible.simplex_solve(c, A, b, low)
+        ref, others = _optima(body, c, low, x_low)
+        gaps += [abs(val_low - ref),
+                 _warm_gap(c, A, b, low, x, x_low, ref, ties and others.size > 0)]
     return float(np.max(gaps))
+
+
+def _optima(body: ConvexBody, c: np.ndarray, u: np.ndarray,
+            x: np.ndarray) -> tuple[float, np.ndarray]:
+    """Enumerated optimum of max c.x over the body and {x <= u}, and its optimal vertices off x."""
+    V = feasible.vertices(body, u)
+    values = V @ c
+    best = float(np.max(values))  # the origin is one of the vertices
+    return best, V[(values >= best - 1e-9) & (np.max(np.abs(V - x), axis=1) > 1e-9)]
+
+
+def _warm_gap(c, A, b, u, start, x: np.ndarray, ref: float, tied: bool) -> float:
+    """Gap of the solve from ``start`` to the optimum ref, plus its distance to the cold x."""
+    x_warm, val_warm = feasible.simplex_solve(c, A, b, u, start)
+    if tied and not np.array_equal(x_warm, x):
+        return np.inf
+    return max(abs(val_warm - ref), float(np.max(np.abs(x_warm - x))))
 
 
 def _presets():

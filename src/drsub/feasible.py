@@ -11,8 +11,9 @@ run on a small dense simplex that enters the largest reduced cost, or the
 lowest improving column right after a degenerate pivot, so a cycle (which
 holds only degenerate pivots) would follow Bland's rule throughout and
 cannot occur.  It can start from the basis of a given vertex, such as the
-previous Frank-Wolfe step's, and keeps that answer only when the optimum
-is unique.  The other kinds (box, partition) use closed-form greedy fills.
+previous Frank-Wolfe step's, repairing by dual pivots a vertex that breaks
+a lowered cap, and keeps that answer only when the optimum is unique.  The
+other kinds (box, partition) use closed-form greedy fills.
 The exhaustive reference oracle at the bottom of the module, used for
 cross-checking, enumerates the vertices of the inequality system every
 body stores.
@@ -127,9 +128,12 @@ class ConvexBody:
         stay at zero.  ``start``, a point of the body's dimension such as the
         previous Frank-Wolfe vertex, is a hint that only saves work: packing
         bodies start the simplex from it when it is a nondegenerate vertex
-        of the LP (see simplex_solve) and keep that answer only when the
-        optimum is unique, so the tie rule above holds with or without it;
-        box and partition bodies ignore it.
+        of the LP, or a vertex of a higher cap that breaks the masked
+        oracle's lower one, whose basis dual pivots then repair (see
+        simplex_solve).  They keep that answer only when the optimum is
+        unique and otherwise solve from the all-slack basis, so the tie
+        rule above holds with or without a start; box and partition bodies
+        ignore it.
         """
         raise NotImplementedError
 
@@ -328,11 +332,15 @@ def simplex_solve(c: np.ndarray, A: np.ndarray, b: np.ndarray, u: np.ndarray,
     ``start`` (a point of shape (len(c),), or None) only saves pivots.  When
     it is a nondegenerate vertex of this LP (feasible, with exactly as many
     positive coordinates and loose rows of A x <= b, x <= u as there are
-    rows), the pivots start from its basis, rebuilt by one solve.  That
-    answer is kept only when every nonbasic reduced cost ends below
-    -_PIVOT_TOL: the optimum is then unique, so it is the vertex the
-    all-slack start reaches, up to round-off.  Any other start, and a warm
-    answer that fails the test, give the all-slack solve bit for bit.
+    rows), the pivots start from its basis, rebuilt by one solve.  When it
+    meets x >= 0 and A x <= b but breaks the cap u, as the previous vertex
+    of a masked oracle does once the cap is lowered, the same solve rebuilds
+    the basis it had under its own cap, and dual pivots first restore
+    x <= u (see _warm_tableau).  A warm answer is kept only when every
+    nonbasic reduced cost ends below -_PIVOT_TOL: the optimum is then
+    unique, so it is the vertex the all-slack start reaches, up to
+    round-off.  Any other start, and a warm start that cannot be rebuilt,
+    repaired or kept, give the all-slack solve bit for bit.
     """
     n = c.size
     G = np.vstack([A, np.eye(n)])
@@ -358,26 +366,100 @@ def simplex_solve(c: np.ndarray, A: np.ndarray, b: np.ndarray, u: np.ndarray,
 
 
 def _warm_tableau(tab: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
-    """The all-slack tableau ``tab`` rewritten in the basis of the vertex x, or None.
+    """The all-slack tableau ``tab`` in a primal feasible basis built from the start x, or None.
 
-    None unless x is a nondegenerate vertex: its coordinates and slacks z are
-    all >= -_PIVOT_TOL and exactly m of them exceed _PIVOT_TOL.  Feasibility
-    costs one matvec, so a rejected start adds no factorization.
+    z holds x, then the slacks of A x <= b, then those of x <= u.  The start
+    must meet x >= 0 and A x <= b: the first m entries of z are at least
+    -_PIVOT_TOL.  If the bound slacks are too, x must be a nondegenerate
+    vertex: exactly m entries of z exceed _PIVOT_TOL, and they form the
+    basis.  A start that breaks the cap gets the basis of _capped_basis,
+    and _dual_pivots restore x <= u on it.  The checks cost one matvec, so
+    a rejected start adds no factorization; a singular basis gives None.
     """
     m, n = tab.shape[0] - 1, x.size
     z = np.concatenate([x, tab[:m, -1] - tab[:m, :n] @ x])
-    if np.any(z < -_PIVOT_TOL):
+    if np.any(z[:m] < -_PIVOT_TOL):
         return None
-    basis = np.flatnonzero(z > _PIVOT_TOL)
-    if basis.size != m:
+    broken = bool(np.any(z[m:] < -_PIVOT_TOL))
+    basis = _capped_basis(z, n) if broken else np.flatnonzero(z > _PIVOT_TOL)
+    if basis is None or basis.size != m:
         return None
     try:
         rows = np.linalg.solve(tab[:m, basis], tab[:m])
     except np.linalg.LinAlgError:  # a singular basis matrix
         return None
+    cost = tab[m] - tab[m, basis] @ rows
+    if broken:
+        return _dual_pivots(np.vstack([rows, cost, np.minimum(cost, 0.0)]), basis)
     if not np.all(rows[:, -1] >= 0.0):
         return None
-    return np.vstack([rows, tab[m] - tab[m, basis] @ rows]), basis
+    return np.vstack([rows, cost]), basis
+
+
+def _capped_basis(z: np.ndarray, n: int) -> np.ndarray | None:
+    """The basis a start x that breaks the cap had under its own, higher cap, or None.
+
+    z is as in _warm_tableau.  The basis holds the positive coordinates, the
+    loose rows of A x <= b and the loose bound rows, so exactly t = (positive
+    coordinates) + (loose rows of A) - (rows of A) bound rows are tight:
+    those of the positive coordinates with the least relative headroom
+    (u_i - x_i) / x_i.  When a masked Frank-Wolfe step lowers the cap from
+    u to u - rho x, these are the coordinates that sat at u, each now rho
+    below its cap in relative terms, and the others keep more.  Each tight
+    row must be at or above its cap, and no other bound row within
+    _PIVOT_TOL of tight.
+    """
+    m = z.size - n
+    x, headroom = z[:n], z[m:]
+    positive = np.flatnonzero(x > _PIVOT_TOL)
+    loose_rows = n + np.flatnonzero(z[n:m] > _PIVOT_TOL)
+    t = positive.size + loose_rows.size - (m - n)
+    if t < 0:
+        return None
+    # Python's sort over at most 64 keys pages in none of numpy's sort code
+    relative = (headroom[positive] / x[positive]).tolist()
+    tight = positive[sorted(range(positive.size), key=relative.__getitem__)[:t]]
+    loose = np.ones(n, dtype=bool)
+    loose[tight] = False
+    if np.any(headroom[tight] > _PIVOT_TOL) or np.any(np.abs(headroom[loose]) <= _PIVOT_TOL):
+        return None
+    return np.concatenate([positive, loose_rows, m + np.flatnonzero(loose)])
+
+
+def _dual_pivots(tab: np.ndarray, basis: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
+    """Dual simplex pivots from ``basis`` until every rhs is at least -_PIVOT_TOL, or None.
+
+    ``tab`` carries two cost rows: the reduced costs, then a copy with its
+    positive entries set to zero.  The dual simplex runs on the copy, for
+    which every basis is dual feasible, so a start that is neither primal
+    nor dual feasible needs no special case: the row of the most negative
+    rhs leaves, and the column of least ratio (shifted cost over negative
+    row entry) enters, which keeps the copy nonpositive.  When x was
+    optimal at its own cap and the costs did not move, the copy is the
+    reduced costs themselves.  The true reduced costs are carried along
+    for the primal pivots that finish.  A row with no negative entry, or
+    more than m pivots, gives None.
+    """
+    m = basis.size
+    for _ in range(m + 1):
+        leave = int(np.argmin(tab[:m, -1]))
+        if tab[leave, -1] >= -_PIVOT_TOL:
+            return tab[:m + 1], basis
+        cols = np.flatnonzero(tab[leave, :-1] < -_PIVOT_TOL)
+        if cols.size == 0:
+            return None
+        enter = cols[np.argmin(tab[m + 1, cols] / tab[leave, cols])]
+        _exchange(tab, basis, leave, enter)
+    return None
+
+
+def _exchange(tab: np.ndarray, basis: np.ndarray, leave: int, enter: int) -> None:
+    """Pivot ``tab`` in place on (leave, enter): column ``enter`` turns basic in row ``leave``."""
+    tab[leave] /= tab[leave, enter]
+    col = tab[:, enter].copy()
+    col[leave] = 0.0
+    tab -= np.outer(col, tab[leave])
+    basis[leave] = enter
 
 
 def _pivot(tab: np.ndarray, basis: np.ndarray) -> None:
@@ -396,11 +478,7 @@ def _pivot(tab: np.ndarray, basis: np.ndarray) -> None:
         tied = rows[ratios - ratios.min() <= _PIVOT_TOL]
         leave = tied[np.argmin(basis[tied])]
         degenerate = tab[leave, -1] <= _PIVOT_TOL
-        tab[leave] /= tab[leave, enter]
-        col = tab[:, enter].copy()
-        col[leave] = 0.0
-        tab -= np.outer(col, tab[leave])
-        basis[leave] = enter
+        _exchange(tab, basis, leave, enter)
     raise InvariantError("simplex failed to terminate")
 
 

@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from drsub import (BoxBody, CardinalityBody, InputError, InvariantError, PackingBody,
                    PartitionBody, body_from_json, lmo_bruteforce)
+from drsub import feasible
 from drsub.errors import CapacityError
 from drsub.feasible import FEASIBILITY_TOL, simplex_solve, vertices
 
@@ -336,8 +337,7 @@ class TestSimplex:
         ([0.8, 0.8], [1.0, 1.0]),    # infeasible: breaks both rows
         ([0.2, 0.2], [1.0, 1.0]),    # interior: every coordinate and row loose
         ([0.75, 0.0], [0.75, 1.0]),  # degenerate vertex: x_1 = u_1 and x_2 = 0 on a tight row
-        ([0.5, 0.5], [0.4, 1.0]),    # a vertex of cap 1 that breaks the new cap 0.4
-    ], ids=["infeasible", "interior", "degenerate", "new-cap"])
+    ], ids=["infeasible", "interior", "degenerate"])
     def test_rejected_start_is_the_cold_solve_without_a_factorization(self, start, u,
                                                                        monkeypatch):
         c, A, b = np.array([1.0, 1.0]), np.array([[2.0, 1.0], [1.0, 2.0]]), np.array([1.5, 1.5])
@@ -352,6 +352,75 @@ class TestSimplex:
         assert np.array_equal(x, cold[0]) and val == cold[1]
         body = PackingBody(A, b)
         assert np.array_equal(body.masked_lmo(c, u, start), body.masked_lmo(c, u))
+
+    def test_start_that_breaks_the_new_cap_is_taken_with_one_factorization(self, monkeypatch,
+                                                                              warm_tableaus):
+        # the vertex (0.5, 0.5) of cap 1 breaks the new cap 0.4 on x_1: its basis is
+        # rebuilt, and a dual pivot moves it to the cold vertex
+        c, A, b = np.array([1.0, 1.0]), np.array([[2.0, 1.0], [1.0, 2.0]]), np.array([1.5, 1.5])
+        u = np.array([0.4, 1.0])
+        cold = simplex_solve(c, A, b, u)
+        solves = []
+        solve_ = np.linalg.solve
+        monkeypatch.setattr(np.linalg, "solve", lambda *a: solves.append(1) or solve_(*a))
+        x, val = simplex_solve(c, A, b, u, np.array([0.5, 0.5]))
+        assert len(solves) == 1 and warm_tableaus[-1] is not None
+        assert np.max(np.abs(x - cold[0])) <= 1e-15 and abs(val - cold[1]) <= 1e-15
+
+    def test_lowered_cap_start_matches_bland_reference_at_benchmark_scale(self, rng, monkeypatch,
+                                                                         warm_tableaus):
+        # a measured step at benchmark scale: the vertex at cap u starts the LP of nearby
+        # costs at the cap u - rho v, which it breaks where it sat at its own cap
+        pivots, shifted = [], []
+        exchange = feasible._exchange
+
+        def watched(tab, basis, leave, enter):
+            exchange(tab, basis, leave, enter)
+            pivots.append(enter)
+            if tab.shape[0] == basis.size + 2:  # a dual pivot, whose last row is the shifted costs
+                shifted.append(float(np.max(tab[-1, :-1])))
+
+        for _ in range(100):
+            A = rng.uniform(0.0, 1.0, size=(20, 30))
+            b = 0.2 * A.sum(axis=1)
+            c = rng.normal(size=30)
+            u = 1.0 - rng.uniform(size=30)
+            v = simplex_solve(c, A, b, u)[0]
+            c2 = c + rng.normal(scale=0.1, size=30)
+            u2 = u - rng.uniform(0.05, 0.5) * v
+            x, val = simplex_solve(c2, A, b, u2)
+            x_ref, val_ref = bland_simplex(c2, A, b, u2)
+            with monkeypatch.context() as patch:
+                patch.setattr(feasible, "_exchange", watched)
+                x_warm, val_warm = simplex_solve(c2, A, b, u2, v)
+            for y, y_val in ((x, val), (x_ref, val_ref)):
+                assert np.max(np.abs(x_warm - y)) <= 1e-12
+                assert abs(val_warm - y_val) <= 1e-12 * max(1.0, abs(y_val))
+        assert len(warm_tableaus) == 100
+        assert sum(t is not None for t in warm_tableaus) >= 95
+        # each dual pivot keeps the shifted costs dual feasible, so few pivots repair a start
+        assert shifted and max(shifted) <= 1e-10
+        assert len(pivots) <= 8 * 100
+
+    def test_tied_lp_at_a_lowered_cap_gives_the_cold_vertex(self, rng, warm_tableaus):
+        # 0/1 rows, unit budgets and costs in {1, 2, 3} tie many optima; a warm answer
+        # is kept only when the optimum is unique, so it is the cold vertex bit for bit
+        tied = 0
+        for _ in range(200):
+            n, m = int(rng.integers(3, 6)), int(rng.integers(3, 7))
+            A = rng.integers(0, 2, size=(m, n)).astype(float)
+            b, u = np.ones(m), np.ones(n)
+            c = rng.integers(1, 4, size=n).astype(float)
+            v = simplex_solve(c, A, b, u)[0]
+            u2 = u - 0.5 * v
+            cold = simplex_solve(c, A, b, u2)
+            V = vertices(PackingBody(A, b), u2)
+            optimal = V[V @ c >= cold[1] - 1e-9]
+            warm = simplex_solve(c, A, b, u2, v)
+            assert np.array_equal(warm[0], cold[0]) and warm[1] == cold[1]
+            seen = warm_tableaus.pop()
+            tied += seen is not None and np.ptp(optimal, axis=0).max() > 1e-9
+        assert tied >= 10  # degenerate 0/1 vertices are mostly refused as starts
 
     def test_vertex_start_is_taken(self, monkeypatch):
         # the optimal vertex itself: one factorization, no pivot

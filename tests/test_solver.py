@@ -170,8 +170,23 @@ class TestWarmStartedOracles:
         assert np.max(np.abs(traj.x - cold.x)) <= 1e-12
         assert np.max(np.abs(traj.F - cold.F)) <= 1e-12 * np.max(cold.F)
         assert traj.lmo_calls == cold.lmo_calls == 20
-        if family != "measured":  # a masked start mostly breaks the next, lower cap
-            assert sum(t is not None for t in warm_tableaus) >= 15
+        assert sum(t is not None for t in warm_tableaus) >= 15
+
+    def test_measured_packing_run_repairs_its_starts_and_keeps_its_certificate(
+            self, rng, monkeypatch, warm_tableaus):
+        # each masked call's start breaks the lowered cap 1 - x and is repaired by dual pivots
+        A = rng.uniform(0.0, 1.0, size=(20, 30))
+        body = PackingBody(A, 0.2 * A.sum(axis=1))
+        f = make_concave_modular(rng.uniform(0.0, 1.0, size=(8, 30)))
+        cold = run_without_starts(monkeypatch, f, body, "measured", 20)
+        traj = run(f, body, preset("measured"), family_spec("measured"), 20)
+        assert np.max(np.abs(traj.x - cold.x)) <= 1e-12
+        assert np.max(np.abs(traj.F - cold.F)) <= 1e-12
+        assert sum(t is not None for t in warm_tableaus) == 19  # every step after the first
+        opt = float(np.max(cold.F))  # a lower bound on OPT keeps every margin true
+        assert checks.gate(checks.run_margins(traj, opt), "measured") == []
+        assert ((traj.value_calls, traj.grad_calls, traj.lmo_calls)
+                == (cold.value_calls, cold.grad_calls, cold.lmo_calls) == (21, 20, 20))
 
     @pytest.mark.parametrize("body", [BOX2, CardinalityBody(2, 1),
                                       PartitionBody(2, ((0,), (1,)), (1, 1))],
