@@ -59,8 +59,13 @@ def _load_json_arg(value: str, what: str):
 
 def _atomic_write(path: Path, text: str) -> None:
     tmp = path.with_name(f"{path.name}.tmp-{os.getpid()}")
-    tmp.write_text(text)
-    os.replace(tmp, path)
+    try:
+        tmp.write_text(text)
+        os.replace(tmp, path)
+    except OSError as e:
+        with contextlib.suppress(OSError):
+            tmp.unlink(missing_ok=True)
+        raise InputError(f"cannot write {path}: {e}") from e
 
 
 def _make_out_dir(path: Path) -> None:

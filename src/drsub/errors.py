@@ -38,6 +38,11 @@ class InvariantError(DrsubError):
     """A runtime invariant that should hold by construction was violated."""
 
 
+def is_int(v) -> bool:
+    """An integer, numpy's included; a bool is not one."""
+    return isinstance(v, (int, np.integer)) and not isinstance(v, bool)
+
+
 #: expected kinds of JSON field: (description, leaf type, array depth)
 _EXPECTED = {
     "int": ("an integer", "int", 0),

@@ -10,10 +10,11 @@ case), and packing polytopes A x <= b with nonnegative A.  Packing oracles
 run on a small dense simplex that enters the largest reduced cost, or the
 lowest improving column right after a degenerate pivot, so a cycle (which
 holds only degenerate pivots) would follow Bland's rule throughout and
-cannot occur.  It can start from the basis of a given vertex, such as the
-previous Frank-Wolfe step's, repairing by dual pivots a vertex that breaks
-a lowered cap, and keeps that answer only when the optimum is unique.  The
-other kinds (box, partition) use closed-form greedy fills.
+cannot occur.  It can start from a given vertex, such as the previous
+Frank-Wolfe step's: one rule rebuilds the vertex's basis at its own cap,
+dual pivots restore a lowered cap it breaks (none if it meets the cap),
+and the answer is kept only when the optimum is unique.  The other kinds
+(box, partition) use closed-form greedy fills.
 The exhaustive reference oracle at the bottom of the module, used for
 cross-checking, enumerates the vertices of the inequality system every
 body stores.
@@ -27,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import CapacityError, InputError, InvariantError, fields
+from .errors import CapacityError, InputError, InvariantError, fields, is_int
 
 #: single membership tolerance used across the toolkit
 FEASIBILITY_TOL = 1e-9
@@ -37,10 +38,6 @@ MAX_DIMENSION = 64
 
 #: pivot tolerance of the dense simplex: reduced costs, pivot entries, ratio ties and degenerate pivots
 _PIVOT_TOL = 1e-10
-
-
-def _is_int(v) -> bool:
-    return isinstance(v, (int, np.integer)) and not isinstance(v, bool)
 
 
 def checked_dimension(n: int, what: str) -> int:
@@ -59,6 +56,21 @@ def _as_vector(x, n: int, name: str = "point") -> np.ndarray:
     if not np.isfinite(x).all():
         raise InputError(f"{name} contains NaN or infinity")
     return x
+
+
+def clipped_to_unit_box(X: np.ndarray, tol: float, name: str) -> np.ndarray:
+    """X if it lies in the unit box, a clipped copy if it lies within ``tol`` outside.
+
+    Anything farther out is refused by ``name``, a vector with its entries.
+    """
+    if not X.size:
+        return X
+    lo, hi = X.min(), X.max()
+    # one comparison per end: NaN fails both, and so do infinities and far-out values
+    if not (lo >= -tol and hi <= 1.0 + tol):
+        what = f"{name} {X!r}" if X.ndim == 1 else name
+        raise InputError(f"{what} is NaN, infinite or outside the unit box")
+    return X if lo >= 0.0 and hi <= 1.0 else np.clip(X, 0.0, 1.0)
 
 
 def _as_rows(X, n: int) -> np.ndarray:
@@ -127,13 +139,12 @@ class ConvexBody:
         pivot rule reaches, and coordinates with nonpositive coefficients
         stay at zero.  ``start``, a point of the body's dimension such as the
         previous Frank-Wolfe vertex, is a hint that only saves work: packing
-        bodies start the simplex from it when it is a nondegenerate vertex
-        of the LP, or a vertex of a higher cap that breaks the masked
-        oracle's lower one, whose basis dual pivots then repair (see
-        simplex_solve).  They keep that answer only when the optimum is
-        unique and otherwise solve from the all-slack basis, so the tie
-        rule above holds with or without a start; box and partition bodies
-        ignore it.
+        bodies start the simplex from its basis when it is a nondegenerate
+        vertex of the LP at its own cap, and dual pivots restore a lower cap
+        of the masked oracle that it breaks (see simplex_solve).  They keep
+        that answer only when the optimum is unique and otherwise solve from
+        the all-slack basis, so the tie rule above holds with or without a
+        start; box and partition bodies ignore it.
         """
         raise NotImplementedError
 
@@ -146,17 +157,11 @@ class ConvexBody:
         raise NotImplementedError
 
     def _check_cap(self, cap) -> np.ndarray:
-        """cap itself if it lies in [0, 1]^n, a clipped copy if round-off puts it within
-        FEASIBILITY_TOL outside; the caller's array is never written."""
+        """cap in [0, 1]^n, clipped within FEASIBILITY_TOL (see clipped_to_unit_box)."""
         cap = np.asarray(cap, dtype=float)
         if cap.shape != (self.n,):
             raise InputError(f"cap must have dimension {self.n}, got shape {cap.shape}")
-        lo, hi = cap.min(), cap.max()
-        # one comparison per end: NaN fails both, and so do infinities and far-out values
-        if not (lo >= -FEASIBILITY_TOL and hi <= 1.0 + FEASIBILITY_TOL):
-            _as_vector(cap, self.n, "cap")  # names NaN or infinity first
-            raise InputError("cap must lie in [0, 1]^n")
-        return cap if lo >= 0.0 and hi <= 1.0 else np.clip(cap, 0.0, 1.0)
+        return clipped_to_unit_box(cap, FEASIBILITY_TOL, "cap")
 
 
 @dataclass(frozen=True, eq=False)
@@ -216,7 +221,7 @@ class PartitionBody(ConvexBody):
 
     def __post_init__(self):
         checked_dimension(self.n, "partition")
-        if not all(map(_is_int, [*self.capacities, *(i for blk in self.blocks for i in blk)])):
+        if not all(map(is_int, [*self.capacities, *(i for blk in self.blocks for i in blk)])):
             raise InputError("block indices and capacities must be integers")
         blocks = tuple(tuple(int(i) for i in blk) for blk in self.blocks)
         caps = tuple(int(k) for k in self.capacities)
@@ -330,17 +335,14 @@ def simplex_solve(c: np.ndarray, A: np.ndarray, b: np.ndarray, u: np.ndarray,
     against A x <= b.
 
     ``start`` (a point of shape (len(c),), or None) only saves pivots.  When
-    it is a nondegenerate vertex of this LP (feasible, with exactly as many
-    positive coordinates and loose rows of A x <= b, x <= u as there are
-    rows), the pivots start from its basis, rebuilt by one solve.  When it
-    meets x >= 0 and A x <= b but breaks the cap u, as the previous vertex
-    of a masked oracle does once the cap is lowered, the same solve rebuilds
-    the basis it had under its own cap, and dual pivots first restore
-    x <= u (see _warm_tableau).  A warm answer is kept only when every
-    nonbasic reduced cost ends below -_PIVOT_TOL: the optimum is then
-    unique, so it is the vertex the all-slack start reaches, up to
-    round-off.  Any other start, and a warm start that cannot be rebuilt,
-    repaired or kept, give the all-slack solve bit for bit.
+    it is a nondegenerate vertex of this LP at its own cap, which may lie
+    above u (a masked oracle's previous vertex once the cap is lowered), one
+    solve rebuilds that basis and dual pivots restore x <= u before the
+    primal pivots (see _warm_tableau).  A warm answer is kept only when every nonbasic reduced
+    cost ends below -_PIVOT_TOL: the optimum is then unique, so it is the
+    vertex the all-slack start reaches, up to round-off.  Any other start,
+    and a warm start that cannot be rebuilt, repaired or kept, give the
+    all-slack solve bit for bit.
     """
     n = c.size
     G = np.vstack([A, np.eye(n)])
@@ -368,62 +370,52 @@ def simplex_solve(c: np.ndarray, A: np.ndarray, b: np.ndarray, u: np.ndarray,
 def _warm_tableau(tab: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
     """The all-slack tableau ``tab`` in a primal feasible basis built from the start x, or None.
 
-    z holds x, then the slacks of A x <= b, then those of x <= u.  The start
-    must meet x >= 0 and A x <= b: the first m entries of z are at least
-    -_PIVOT_TOL.  If the bound slacks are too, x must be a nondegenerate
-    vertex: exactly m entries of z exceed _PIVOT_TOL, and they form the
-    basis.  A start that breaks the cap gets the basis of _capped_basis,
-    and _dual_pivots restore x <= u on it.  The checks cost one matvec, so
-    a rejected start adds no factorization; a singular basis gives None.
+    z holds x, then the slacks of A x <= b, then those of x <= u.  The basis
+    of _start_basis is factorized once, and _dual_pivots restore x <= u on
+    it, with no pivot if x meets the cap.  The basis rule costs one matvec
+    and no factorization, so a refused start adds none; a singular basis
+    gives None.
     """
     m, n = tab.shape[0] - 1, x.size
-    z = np.concatenate([x, tab[:m, -1] - tab[:m, :n] @ x])
-    if np.any(z[:m] < -_PIVOT_TOL):
-        return None
-    broken = bool(np.any(z[m:] < -_PIVOT_TOL))
-    basis = _capped_basis(z, n) if broken else np.flatnonzero(z > _PIVOT_TOL)
-    if basis is None or basis.size != m:
+    basis = _start_basis(np.concatenate([x, tab[:m, -1] - tab[:m, :n] @ x]), n)
+    if basis is None:
         return None
     try:
         rows = np.linalg.solve(tab[:m, basis], tab[:m])
     except np.linalg.LinAlgError:  # a singular basis matrix
         return None
     cost = tab[m] - tab[m, basis] @ rows
-    if broken:
-        return _dual_pivots(np.vstack([rows, cost, np.minimum(cost, 0.0)]), basis)
-    if not np.all(rows[:, -1] >= 0.0):
-        return None
-    return np.vstack([rows, cost]), basis
+    return _dual_pivots(np.vstack([rows, cost, np.minimum(cost, 0.0)]), basis)
 
 
-def _capped_basis(z: np.ndarray, n: int) -> np.ndarray | None:
-    """The basis a start x that breaks the cap had under its own, higher cap, or None.
+def _start_basis(z: np.ndarray, n: int) -> np.ndarray | None:
+    """The basis of the start x as a nondegenerate vertex at its own cap, or None.
 
-    z is as in _warm_tableau.  The basis holds the positive coordinates, the
-    loose rows of A x <= b and the loose bound rows, so exactly t = (positive
-    coordinates) + (loose rows of A) - (rows of A) bound rows are tight:
-    those of the positive coordinates with the least relative headroom
-    (u_i - x_i) / x_i.  When a masked Frank-Wolfe step lowers the cap from
-    u to u - rho x, these are the coordinates that sat at u, each now rho
-    below its cap in relative terms, and the others keep more.  Each tight
-    row must be at or above its cap, and no other bound row within
-    _PIVOT_TOL of tight.
+    z is as in _warm_tableau; x must meet x >= 0 and A x <= b up to
+    _PIVOT_TOL.  Every entry of z above _PIVOT_TOL is basic and every entry
+    within _PIVOT_TOL of zero is not, so a vertex that meets the cap has m
+    basic entries.  Bound rows below -_PIVOT_TOL break the cap: of these,
+    the (entries above) + (rows below) - m of least relative headroom
+    (u_i - x_i) / x_i are tight at x's own cap and the others stay basic.
+    When a masked Frank-Wolfe step lowers the cap from u to u - rho x, the
+    tight ones are the coordinates that sat at u, each rho below its cap in
+    relative terms, and the others keep more.  A start with too few or too
+    many entries for that, such as an interior or a degenerate one, gives
+    None.  The sort is Python's, over at most 64 keys, which pages in none
+    of numpy's sort code.
     """
     m = z.size - n
-    x, headroom = z[:n], z[m:]
-    positive = np.flatnonzero(x > _PIVOT_TOL)
-    loose_rows = n + np.flatnonzero(z[n:m] > _PIVOT_TOL)
-    t = positive.size + loose_rows.size - (m - n)
-    if t < 0:
+    if z[:m].min() < -_PIVOT_TOL:
         return None
-    # Python's sort over at most 64 keys pages in none of numpy's sort code
-    relative = (headroom[positive] / x[positive]).tolist()
-    tight = positive[sorted(range(positive.size), key=relative.__getitem__)[:t]]
-    loose = np.ones(n, dtype=bool)
-    loose[tight] = False
-    if np.any(headroom[tight] > _PIVOT_TOL) or np.any(np.abs(headroom[loose]) <= _PIVOT_TOL):
+    basic = z > _PIVOT_TOL
+    below = np.flatnonzero(z[m:] < -_PIVOT_TOL)
+    tight = np.count_nonzero(basic) + below.size - m
+    if not 0 <= tight <= below.size:
         return None
-    return np.concatenate([positive, loose_rows, m + np.flatnonzero(loose)])
+    if below.size:
+        relative = (z[m + below] / z[below]).tolist()
+        basic[m + below[sorted(range(below.size), key=relative.__getitem__)[tight:]]] = True
+    return np.flatnonzero(basic)
 
 
 def _dual_pivots(tab: np.ndarray, basis: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:

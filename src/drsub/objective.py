@@ -21,7 +21,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import CapacityError, InputError, fields
-from .feasible import checked_dimension, row_products
+from .feasible import checked_dimension, clipped_to_unit_box, row_products
 
 #: round-off up to this far outside the unit box is clamped; farther points are rejected
 CLAMP_TOL = 1e-12
@@ -50,30 +50,18 @@ _COVERAGE_BLOCK = 1 << 16
 MESH_CHUNK = 4096
 
 
-def _in_box(X: np.ndarray) -> np.ndarray:
-    """X itself inside the unit box, X clamped into it when round-off puts it just outside."""
-    if not X.size:
-        return X
-    lo, hi = X.min(), X.max()
-    # one comparison per end: NaN fails both, so it is rejected with inf and far-out points
-    if not (lo >= -CLAMP_TOL and hi <= 1.0 + CLAMP_TOL):
-        what = f"point {X!r}" if X.ndim == 1 else "a row of the batch"
-        raise InputError(f"{what} is NaN, infinite or outside the unit box")
-    return X if lo >= 0.0 and hi <= 1.0 else np.clip(X, 0.0, 1.0)
-
-
 def _as_point(x, n: int) -> np.ndarray:
     x = np.asarray(x, dtype=float)
     if x.shape != (n,):
         raise InputError(f"expected a point of dimension {n}, got shape {x.shape}")
-    return _in_box(x)
+    return clipped_to_unit_box(x, CLAMP_TOL, "point")
 
 
 def _as_batch(X, n: int) -> np.ndarray:
     X = np.asarray(X, dtype=float)
     if X.ndim != 2 or X.shape[1] != n:
         raise InputError(f"expected a (k, {n}) batch of points, got shape {X.shape}")
-    return _in_box(X)
+    return clipped_to_unit_box(X, CLAMP_TOL, "a row of the batch")
 
 
 @dataclass(frozen=True)

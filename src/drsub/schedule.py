@@ -27,7 +27,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import CapacityError, InputError, ValidationError, fields
+from .errors import CapacityError, InputError, ValidationError, fields, is_int
 
 #: desk-scale cap on the step count N
 _MAX_STEPS = 100_000
@@ -50,8 +50,8 @@ class Schedule:
     b: Callable
 
     def __post_init__(self):
-        if self.T <= 0:
-            raise InputError(f"schedule horizon must be positive, got {self.T}")
+        if not 0 < self.T < math.inf:  # NaN fails too
+            raise InputError(f"schedule horizon must be positive and finite, got {self.T}")
 
 
 @dataclass(frozen=True)
@@ -153,7 +153,9 @@ def ratio(s: Schedule, spec: FamilySpec) -> float:
 
 
 def checked_steps(N: int) -> int:
-    """``N`` if it is a step count the grid supports: 1 <= N <= 100,000."""
+    """``N`` if it is a step count the grid supports: an integer 1 <= N <= 100,000."""
+    if not is_int(N):
+        raise InputError(f"N must be an integer, got {N!r}")
     if N < 1:
         raise InputError(f"N must be >= 1, got {N}")
     if N > _MAX_STEPS:

@@ -228,7 +228,7 @@ def guarantee(s: Schedule, spec: FamilySpec, N: int, L: float, D: float) -> Guar
 
     ``run`` attaches the same bound, for its own start, as ``Trajectory.bound``.
     """
-    if L < 0 or D < 0:
+    if not (L >= 0 and D >= 0):  # NaN fails too
         raise InputError("L and D must be nonnegative")
     _, a, b = on_grid(s, N)
     return _bound(a, b, _coupling(spec, a, b), _step_bounds(spec, a, b, L, D), 1.0)

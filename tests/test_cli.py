@@ -92,6 +92,19 @@ class TestRunCommand:
         assert code == 1
         assert "error: cannot create output directory" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command,iters,name", [
+        ("run", "5", "trajectory.csv"), ("run", "5", "summary.json"),
+        ("sweep", "4,8,16", "sweep.csv"), ("sweep", "4,8,16", "trajectory_N8.csv")])
+    def test_output_name_taken_by_a_directory(self, tmp_path, capsys, command, iters, name):
+        (tmp_path / name).mkdir()
+        code = run_cli(command, "--instance", QUAD, "--constraint", BOX2,
+                       "--family", "general", "--iters", iters, "--out", str(tmp_path))
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: cannot write {tmp_path / name}: ")
+        assert err.count("\n") == 1 and "Traceback" not in err
+        assert not list(tmp_path.glob("*.tmp-*"))
+
     @pytest.mark.parametrize("command,iters,too_many", [("run", "5", "1000000000000"),
                                                          ("sweep", "4,8,16", "4,8,1000000000000")])
     @pytest.mark.parametrize("bad", ["iters", "out", "out-below-a-file"])

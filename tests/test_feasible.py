@@ -227,10 +227,10 @@ class TestVertices:
         with pytest.raises(CapacityError, match="at most 100000 subsystems"):
             lmo_bruteforce(BoxBody(np.ones(20)), np.ones(20))
 
-    @pytest.mark.parametrize("cap,message", [([5.0, np.nan], "NaN or infinity"),
-                                             ([-3.0, -3.0], r"cap must lie in \[0, 1\]\^n")])
-    def test_bad_cap_is_refused_like_masked_lmo(self, cap, message):
+    @pytest.mark.parametrize("cap", [[5.0, np.nan], [-3.0, -3.0]], ids=["nan", "far-out"])
+    def test_bad_cap_is_refused_like_masked_lmo(self, cap):
         body = BoxBody(np.ones(2))
+        message = r"cap array\(.*\) is NaN, infinite or outside the unit box"
         with pytest.raises(InputError, match=message):
             body.masked_lmo([1.0, 1.0], cap)
         with pytest.raises(InputError, match=message):
@@ -304,10 +304,18 @@ class TestSimplex:
         assert val == pytest.approx(1.25, abs=1e-12)
         assert x == pytest.approx([1.0, 0.0, 1.0, 0.0], abs=1e-12)
 
-    def test_matches_bland_reference_at_benchmark_scale(self, rng, warm_tableaus):
+    def test_matches_bland_reference_at_benchmark_scale(self, rng, monkeypatch, warm_tableaus):
         # 20x30 packing LPs drawn like the packing benchmark; the optimum is unique
         # almost surely, so every correct pivot rule lands on the same vertex, and so
         # does a warm start from the vertex of nearby costs, as a Frank-Wolfe step has
+        dual_pivots = []
+        exchange = feasible._exchange
+
+        def watched(tab, basis, leave, enter):
+            dual_pivots.append(tab.shape[0] == basis.size + 2)  # the dual phase's tableau
+            exchange(tab, basis, leave, enter)
+
+        monkeypatch.setattr(feasible, "_exchange", watched)
         for _ in range(100):
             A = rng.uniform(0.0, 1.0, size=(20, 30))
             b = 0.2 * A.sum(axis=1)
@@ -323,6 +331,8 @@ class TestSimplex:
                 assert abs(val_warm - val) <= 1e-12 * max(1.0, abs(val))
         assert len(warm_tableaus) == 200
         assert sum(t is not None for t in warm_tableaus) >= 190
+        # a start at the same cap is primal feasible: the dual phase makes no pivot
+        assert dual_pivots and not any(dual_pivots)
 
     def test_tied_lp_gives_the_cold_vertex_from_another_optimal_vertex(self):
         # c is parallel to the first row: the optimal edge runs from (0.5, 0.5) to (0.75, 0)
@@ -423,14 +433,15 @@ class TestSimplex:
         assert tied >= 10  # degenerate 0/1 vertices are mostly refused as starts
 
     def test_vertex_start_is_taken(self, monkeypatch):
-        # the optimal vertex itself: one factorization, no pivot
+        # the optimal vertex itself: one factorization, no pivot, primal or dual
         c, A, b, u = (np.array(v, dtype=float) for v in
                       ([1.0, 1.0], [[2.0, 1.0], [1.0, 2.0]], [1.5, 1.5], [1.0, 1.0]))
-        solves = []
+        solves, pivots = [], []
         solve_ = np.linalg.solve
         monkeypatch.setattr(np.linalg, "solve", lambda *a: solves.append(1) or solve_(*a))
+        monkeypatch.setattr(feasible, "_exchange", lambda *a: pivots.append(a))
         x, val = simplex_solve(c, A, b, u, np.array([0.5, 0.5]))
-        assert len(solves) == 1
+        assert len(solves) == 1 and not pivots
         assert x == pytest.approx([0.5, 0.5], abs=1e-15) and val == pytest.approx(1.0, abs=1e-15)
 
     @pytest.mark.parametrize("start", [[0.5], [0.5, 0.5, 0.0], [[0.5, 0.5]], [np.nan, 0.0],

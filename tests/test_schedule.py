@@ -75,6 +75,11 @@ class TestFamilyTable:
 
 
 class TestValidate:
+    @pytest.mark.parametrize("T", [0.0, -1.0, np.nan, np.inf])
+    def test_horizon_must_be_positive_and_finite(self, T):
+        with pytest.raises(InputError, match="schedule horizon must be positive"):
+            Schedule(T, np.exp, np.exp)
+
     def test_decreasing_a_fails(self):
         s = Schedule(1.0, lambda t: np.exp(-np.asarray(t, dtype=float)),
                      lambda t: np.exp(-np.asarray(t, dtype=float)))

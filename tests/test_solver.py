@@ -12,7 +12,7 @@ from drsub import (BoxBody, CardinalityBody, ConfigurationError, InputError,
                    multilinear_extension, preset, run, set_bruteforce,
                    trajectory_csv)
 from drsub import checks, cli, desk
-from drsub.schedule import FAMILIES as PRESET_FAMILIES
+from drsub.schedule import FAMILIES as PRESET_FAMILIES, checked_steps
 
 COVER3 = desk.coverage_three_sets()
 COVER3_F = multilinear_extension(COVER3)
@@ -207,6 +207,19 @@ class TestScheduleGrid:
                      lambda: coupling_residual(s, spec, 0)):
             with pytest.raises(InputError, match="N must be >= 1"):
                 call()
+
+    @pytest.mark.parametrize("N", [5.0, True, "5", None])
+    def test_non_integer_steps_rejected(self, N):
+        s, spec = preset("general"), family_spec("general")
+        for call in (lambda: checked_steps(N), lambda: guarantee(s, spec, N, 1.0, 1.0),
+                     lambda: run(QUAD, BOX2, s, spec, N)):
+            with pytest.raises(InputError, match="N must be an integer"):
+                call()
+
+    @pytest.mark.parametrize("L, D", [(np.nan, 1.0), (1.0, np.nan), (-1.0, 1.0), (1.0, -1.0)])
+    def test_guarantee_needs_nonnegative_constants(self, L, D):
+        with pytest.raises(InputError, match="L and D must be nonnegative"):
+            guarantee(preset("general"), family_spec("general"), 5, L, D)
 
     def test_endpoints_exact_for_irrational_horizon(self):
         s = preset("general-exp")  # T = 2 ln 2
