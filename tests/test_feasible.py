@@ -455,6 +455,19 @@ class TestSimplex:
         with pytest.raises(InputError, match="start"):
             body.masked_lmo(np.ones(2), np.ones(2), start)
 
+    @pytest.mark.parametrize("entry", ["lmo", "masked_lmo", "simplex_solve"])
+    def test_a_nan_outside_the_lp_is_refused(self, entry):
+        # g = (1, 0) leaves coordinate 1 out of the oracles' LP, so only the check
+        # of the whole start can refuse the NaN there
+        g, A, b = np.array([1.0, 0.0]), np.ones((1, 2)), np.ones(1)
+        body = PackingBody(A, b)
+        call = {"lmo": lambda start: body.lmo(g, start),
+                "masked_lmo": lambda start: body.masked_lmo(g, np.ones(2), start),
+                "simplex_solve": lambda start: simplex_solve(g, A, b, np.ones(2), start)[0]}[entry]
+        assert call([0.5, 0.0]) == pytest.approx([1.0, 0.0])
+        with pytest.raises(InputError, match="start"):
+            call([0.5, np.nan])
+
     def test_result_is_checked_against_the_rows(self):
         # b < 0 breaks the precondition: the all-slack start is infeasible
         with pytest.raises(InvariantError, match="violates A x <= b"):

@@ -1,17 +1,18 @@
+import dataclasses
 import time
 from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from drsub import (BoxBody, CapacityError, CardinalityBody, ConfigurationError, ConvexBody,
                    InputError, PackingBody, PartitionBody, coverage_function, grid_search,
                    make_concave_modular, make_quadratic, multilinear_extension, oracle,
                    set_bruteforce, set_function_from_table)
-from drsub import desk
+from drsub import desk, objective
 
-from conftest import brute_grid_search, filtered_mesh, full_mesh_grid_search
+from conftest import brute_grid_search, cut_table, filtered_mesh, full_mesh_grid_search
 from drsub.objective import MESH_CHUNK
 
 COVER2 = desk.coverage_two_sets()
@@ -288,21 +289,134 @@ def test_feasible_mesh_is_the_filtered_mesh(case):
     assert np.array_equal(got, expected)
 
 
-@pytest.mark.parametrize("body", ["cardinality", "packing"])
-def test_certificates_equal_the_full_mesh_reference_at_benchmark_scale(body):
-    # an n=5 cardinality quadratic sweeps 17^5 points and an n=4 packing one 33^4,
-    # at the default full-sweep cap, then refines in windows, as --opt grid does
-    rng = np.random.default_rng(18)
+@st.composite
+def bound_cases(draw):
+    """An objective, a body and mesh axes (as mesh_cases draws them), a level and prefix rows
+    at that level."""
+    C, axes = draw(mesh_cases())
+    n = C.n
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    kind = draw(st.sampled_from(["quadratic", "concave_modular", "coverage", "table"]))
+    if kind == "quadratic":  # often decreasing along an axis, so both signs of gain occur
+        H = -np.abs(rng.normal(size=(n, n)))
+        F = make_quadratic((H + H.T) / 2.0, rng.uniform(0.0, 2.0, size=n))
+    elif kind == "concave_modular":
+        F = make_concave_modular(rng.uniform(0.1, 2.0, size=(2, n)))
+    elif kind == "coverage":
+        F = multilinear_extension(coverage_function(
+            [sorted(rng.choice(4, size=2, replace=False).tolist()) for _ in range(n)], None, 4))
+    else:  # a graph cut: submodular and not monotone
+        W = np.triu(rng.uniform(0.0, 1.0, size=(n, n)), 1)
+        F = multilinear_extension(set_function_from_table(cut_table(W + W.T)))
+    i = draw(st.integers(0, n - 1))
+    # prefixes the walk can meet: points of the feasible mesh, with the later
+    # coordinates lowered to their axes' first values
+    points = filtered_mesh(C, axes)
+    assume(points.shape[0] > 0)
+    P = points[rng.integers(0, points.shape[0], size=4)]
+    P[:, i:] = [a[0] for a in axes[i:]]
+    return F, C, axes, i, P
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(case=bound_cases())
+def test_corner_bounds_hold_over_every_feasible_completion_on_the_mesh(case):
+    F, C, axes, i, P = case
+    runs = oracle._leading_runs(C, P, i, axes[i:])
+    lower = oracle._corner_bound(F, axes, P, i, runs, False)
+    upper = oracle._corner_bound(F, axes, P, i, runs, True)
+    for row, run, low, up in zip(P, runs, lower, upper):
+        for k, a in enumerate(axes[i:]):  # the run along each later axis, counted point by point
+            probes = np.repeat(row[None], a.size, axis=0)
+            probes[:, i + k] = a
+            assert run[k] == C.contains_batch(probes).sum()
+        best = F.values(filtered_mesh(C, [*row[:i, None], *axes[i:]])).max()
+        margin = oracle._PRUNE_TOL * (abs(best) + 1.0)
+        assert low >= best - margin
+        assert up >= best - margin
+
+
+def _benchmark_scale_case(body, draw):
+    """A quadratic on an n=5 cardinality body (17^5 points), or an n=4 packing or box one (33^4)."""
+    rng = np.random.default_rng(draw)
     n = 5 if body == "cardinality" else 4
     H = -rng.uniform(0.0, 1.0, size=(n, n))
     F = make_quadratic((H + H.T) / 2.0, rng.uniform(0.2, 1.5, size=n))
     if body == "cardinality":
-        C = CardinalityBody(5, 2)
-    else:
-        A = rng.uniform(0.0, 1.0, size=(2, 4))
-        C = PackingBody(A, 0.5 * A.sum(axis=1))
+        return F, CardinalityBody(5, 2)
+    if body == "box":
+        return F, BoxBody(np.ones(4))
+    A = rng.uniform(0.0, 1.0, size=(2, 4))
+    return F, PackingBody(A, 0.5 * A.sum(axis=1))
+
+
+def _full_mesh_maximizer(F, C):
+    """The maximizer of full_mesh_grid_search, after checking grid_search's certificate against it."""
     cert = grid_search(F, C)
     value, maximizer, slack, resolution = full_mesh_grid_search(F, C)
     assert cert.value == value
     assert cert.maximizer.tolist() == maximizer.tolist()
     assert (cert.slack, cert.resolution) == (slack, resolution)
+    return maximizer.tolist()
+
+
+@pytest.mark.parametrize("body", ["cardinality", "packing", "box", "sqrt4-partition"])
+def test_certificates_equal_the_full_mesh_reference_at_benchmark_scale(body):
+    # at the default full-sweep cap, then refining in windows, as --opt grid does;
+    # the unit box keeps all 1,185,921 points of its mesh, and the desk's concave-modular
+    # partition instance is the one drsub check certifies
+    if body == "sqrt4-partition":
+        desk_case = next(i for i in desk.bundled_instances() if i.name == body)
+        cases = [(desk_case.objective, desk_case.body)]
+    else:
+        cases = [_benchmark_scale_case(body, draw) for draw in (18, 19, 20)]
+    for F, C in cases:
+        _full_mesh_maximizer(F, C)
+
+
+@pytest.mark.parametrize("body, draw, unpruned", [
+    # the unpruned walk passes 1,185,921 rows here; the stride-2 seed and the corner bounds
+    # pass 162,120 (84,610 scored, 77,510 probes, as measured when this test was written).
+    # The bounds are separable, so strongly coupled coordinates loosen them: draw 18 passes
+    # 775,280 rows
+    ("box", 19, 33 ** 4),
+    # the unpruned walk passes 376,357 rows; the bounds, which range each coordinate over
+    # its feasible run only, pass 99,500 (28,586 scored, 70,914 probes).  Bounds over the
+    # whole box passed 438,977 here
+    ("packing", 18, 376_357),
+])
+def test_the_sweep_passes_under_half_the_rows_of_the_unpruned_walk(body, draw, unpruned):
+    F, C = _benchmark_scale_case(body, draw)
+    rows = []
+    counted = dataclasses.replace(F, values_fn=lambda X: rows.append(X.shape[0]) or F.values_fn(X))
+    grid_search(counted, C)
+    assert sum(rows) < unpruned // 2
+
+
+def _supermodular_by_delta(w0, w1, w2):
+    """f = w0 [0 in S] + w1 [1 in S] + w2 [2 in S] + delta [{1, 2} <= S], with delta just
+    under the 1e-9 max f of second difference that instance_from_json admits in a table."""
+    delta = 0.999 * objective._SUBMODULAR_TOL * (w0 + w1 + w2)
+    return [w0 * (s & 1) + w1 * (s >> 1 & 1) + w2 * (s >> 2 & 1) + delta * (s >> 1 == 3)
+            for s in range(8)]
+
+
+@pytest.mark.parametrize("table, body, winner", [
+    # the extension's winner (21/32, 1, 1) lies off the stride-2 seed, whose best
+    # (5/8, 1, 1) trails it by w0/32 < delta, and the lower corner of the prefix
+    # x_0 = 21/32 bounds its completions only up to delta: without a margin that prefix
+    # would be dropped (w0 = 20e-9, delta ~ 2e-9)
+    (_supermodular_by_delta(20e-9, 1.0, 1.0), BoxBody(np.array([0.66, 1.0, 1.0])),
+     [21 / 32, 1.0, 1.0]),
+    # x_0 stays at 0, so max f = 1e6 dwarfs the incumbent ~0.5 and delta ~ 1e-3; the
+    # seed's best (0, 5/8, 1) trails the winner (0, 21/32, 1) by 6e-5, and the lower
+    # corner of the prefix x_0 = 0 falls below the seed's best by 2.5e-4: a margin of
+    # 1e-6 (|incumbent| + 1) would drop it, the box-wide ascent in the margin keeps it
+    (_supermodular_by_delta(1e6, 1e-3, 0.5),
+     PackingBody(np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]]), np.array([1e-3, 0.66])),
+     [0.0, 21 / 32, 1.0]),
+], ids=["flat", "large-scale"])
+def test_a_table_just_inside_the_submodular_tolerance_keeps_its_certificate(table, body, winner):
+    F, sf = objective.instance_from_json({"kind": "table", "values": table})
+    assert sf.differences[2] > 0.99 * objective._SUBMODULAR_TOL * sf.max_value()
+    assert _full_mesh_maximizer(F, body) == winner
