@@ -218,17 +218,25 @@ def gate(margins: Mapping[str, Margin], where: str) -> list[str]:
             for name, (value, step) in margins.items() if not value >= -MARGIN_TOL]
 
 
-def worst_run_margins(runs: Iterable[tuple[DrFunction, ConvexBody, float]]) -> dict[str, float]:
-    """Smallest of each ``run_margins`` value over every (f, C, opt), family and N in RUN_STEPS."""
-    found: dict[str, list[float]] = {}
-    for f, C, opt in runs:
+def worst_run_margins(runs: Iterable[tuple[str, DrFunction, ConvexBody, float]]
+                      ) -> dict[str, tuple[str, Margin]]:
+    """Smallest of each ``run_margins`` margin over every (instance, f, C, opt), family and
+    N in RUN_STEPS, with the run it comes from as "instance ..., family ..., N=...".
+
+    The first run to reach the smallest value is kept, and a NaN margin, once
+    met, is kept over every number.
+    """
+    worst: dict[str, tuple[str, Margin]] = {}
+    for instance, f, C, opt in runs:
         for s, spec in _presets():
             if spec.direction == "plain" and not f.monotone:
                 continue  # its guarantee needs a monotone f
             for N in RUN_STEPS:
                 for name, margin in run_margins(solver.run(f, C, s, spec, N), opt).items():
-                    found.setdefault(name, []).append(margin.value)
-    return {name: float(np.min(values)) for name, values in found.items()}
+                    kept = worst[name][1].value if name in worst else np.inf
+                    if margin.value < kept or np.isnan(margin.value) and not np.isnan(kept):
+                        worst[name] = (f"instance {instance}, family {spec.name}, N={N}", margin)
+    return worst
 
 
 def max_additive_ratio() -> float:

@@ -99,7 +99,7 @@ class _Experiment:
             raise InputError(f"cannot create output directory {self.out_dir}: "
                              f"{existing} is not a directory")
 
-        self.objective, self.set_function = objective.instance_from_json(
+        self.objective, self.build_set_function = objective.instance_from_json(
             _load_json_arg(parsed.instance, "instance"))
         self.body = feasible.body_from_json(_load_json_arg(parsed.constraint, "constraint"))
         if parsed.schedule is None:
@@ -113,9 +113,10 @@ class _Experiment:
 
     def certificate(self) -> oracle.OptCertificate | None:
         if self.opt_mode == "sets":
-            if self.set_function is None:
+            if self.build_set_function is None:
                 raise InputError("--opt sets needs a coverage or table instance")
-            return oracle.set_bruteforce(self.set_function, self.body)
+            oracle.check_set_bruteforce(self.objective.n, self.body)  # before the 2^m table
+            return oracle.set_bruteforce(self.build_set_function(), self.body)
         if self.opt_mode == "grid":
             return oracle.grid_search(self.objective, self.body)
         return None
@@ -218,7 +219,7 @@ def cmd_check(args) -> int:
         np.array([[1.0, 1.0], [2.0, 1.0]]), np.array([1.0, 2.0]))]
     optima = [oracle.set_bruteforce(i.set_function, i.body) if i.set_function is not None
               else oracle.grid_search(i.objective, i.body) for i in instances]
-    runs = [(i.objective, i.body, c.value) for i, c in zip(instances, optima)]
+    runs = [(i.name, i.objective, i.body, c.value) for i, c in zip(instances, optima)]
     worst = functools.cache(lambda: checks.worst_run_margins(runs))
     # the desk's own objectives, and the table route on the same set functions
     lattice = [(i.objective, i.set_function) for i in instances if i.set_function is not None]
@@ -227,7 +228,13 @@ def cmd_check(args) -> int:
     ratios = ", ".join(f"{schedule.FAMILIES[f].ratio:.6f}" for f in checks.FAMILIES)
 
     def run_gate(margin):  # one measurement of all runs serves every run margin
-        return f"min {margin}", lambda: worst().get(margin, np.inf), -checks.MARGIN_TOL
+        def measure():
+            where, smallest = worst().get(margin, ("", checks.Margin(np.inf, 0)))
+            problems = checks.gate({margin: smallest}, where)
+            if problems:  # the line names the worst run and its step
+                raise InvariantError(problems[0])
+            return smallest.value
+        return f"min {margin}", measure, -checks.MARGIN_TOL
 
     # name, PASS detail (default: the first gate's value), gates (quantity, measure, limit);
     # a "min ..." quantity must stay at or above its limit, any other at or below it

@@ -474,13 +474,16 @@ def empirical_smoothness(f: DrFunction, samples: int = 100, seed: int = 0) -> fl
 INSTANCE_KINDS = ("coverage", "quadratic", "concave_modular", "table")
 
 
-def instance_from_json(obj: dict) -> tuple[DrFunction, SetFunction | None]:
+def instance_from_json(obj: dict) -> tuple[DrFunction, Callable[[], SetFunction] | None]:
     """Build an instance from its JSON description.
 
-    Returns the objective together with the underlying set function for
-    the coverage and table kinds (None for the smooth families).  A coverage
-    objective is its closed form; the table serves the subset oracles.  Fields are
-    typed and closed: a mistyped, missing or unknown field raises InputError.
+    Returns the objective together with a zero-argument builder of the
+    underlying set function for the coverage and table kinds (None for the
+    smooth families).  A coverage objective is its closed form, validated here;
+    its 2^m table is built only when the builder is called, as the subset
+    oracle does.  A table's builder returns the table already checked here.
+    Fields are typed and closed: a mistyped, missing or unknown field raises
+    InputError.
     """
     if not isinstance(obj, dict) or "kind" not in obj:
         raise InputError("instance JSON must be an object with a 'kind' key")
@@ -489,7 +492,7 @@ def instance_from_json(obj: dict) -> tuple[DrFunction, SetFunction | None]:
         v = fields(obj, kind, kind=None, subsets="int lists", weights="reals?",
                    n_elements="int?")
         cover = (v["subsets"], v.get("weights"), v.get("n_elements"))
-        return make_coverage(*cover), coverage_function(*cover)
+        return make_coverage(*cover), lambda: coverage_function(*cover)
     if kind == "table":
         v = fields(obj, kind, kind=None, values="reals", m="int?")
         sf = set_function_from_table(v["values"])
@@ -497,7 +500,7 @@ def instance_from_json(obj: dict) -> tuple[DrFunction, SetFunction | None]:
             raise InputError(f"declared m={v['m']} does not match table length 2^{sf.m}")
         if not set_is_submodular(sf):  # coverage is submodular by construction
             raise InputError("table values are not submodular")
-        return multilinear_extension(sf), sf
+        return multilinear_extension(sf), lambda: sf
     if kind == "quadratic":
         v = fields(obj, kind, kind=None, H="matrix", c="reals")
         return make_quadratic(v["H"], v["c"]), None

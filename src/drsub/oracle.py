@@ -65,6 +65,25 @@ class OptCertificate:
         }
 
 
+def check_set_bruteforce(m: int, C: ConvexBody) -> None:
+    """Raise unless set_bruteforce can certify a set function on m elements over C.
+
+    It enumerates at most 2^_MAX_BRUTEFORCE_M subsets of a ground set that
+    matches the body's dimension, and certifies slack 0 only on partition
+    bodies and on the unit box (see set_bruteforce).  They need m, not the
+    table, so a caller can refuse before it builds one.
+    """
+    if m > _MAX_BRUTEFORCE_M:
+        raise CapacityError(f"subset brute force supports m <= {_MAX_BRUTEFORCE_M}, got m={m}")
+    if m != C.n:
+        raise InputError(f"ground-set size {m} != body dimension {C.n}")
+    if not (isinstance(C, PartitionBody)
+            or isinstance(C, BoxBody) and np.all(C.upper == 1.0)):
+        raise ConfigurationError(f"--opt sets certifies slack 0 only on cardinality and partition "
+                                 f"bodies and on boxes whose upper bounds are all 1, not on this "
+                                 f"{type(C).__name__}; use --opt grid")
+
+
 def set_bruteforce(f: SetFunction, C: ConvexBody) -> OptCertificate:
     """Exact maximum of a submodular set function over the feasible subsets of C.
 
@@ -73,18 +92,10 @@ def set_bruteforce(f: SetFunction, C: ConvexBody) -> OptCertificate:
     multilinear extension.  It is the continuous optimum itself (slack 0)
     only where that optimum sits at a 0/1 point: on partition bodies, by
     pipage rounding, and on the unit box, where F is linear in each
-    coordinate.  Every other body, and a set function that is not
-    submodular (pipage rounding needs it), raises.
+    coordinate.  Every other body (check_set_bruteforce), and a set function
+    that is not submodular (pipage rounding needs it), raises.
     """
-    if f.m > _MAX_BRUTEFORCE_M:
-        raise CapacityError(f"subset brute force supports m <= {_MAX_BRUTEFORCE_M}")
-    if f.m != C.n:
-        raise InputError(f"ground-set size {f.m} != body dimension {C.n}")
-    if not (isinstance(C, PartitionBody)
-            or isinstance(C, BoxBody) and np.all(C.upper == 1.0)):
-        raise ConfigurationError(f"--opt sets certifies slack 0 only on cardinality and partition "
-                                 f"bodies and on boxes whose upper bounds are all 1, not on this "
-                                 f"{type(C).__name__}; use --opt grid")
+    check_set_bruteforce(f.m, C)
     if not set_is_submodular(f):
         raise InputError("subset enumeration certifies slack 0 only for submodular set functions")
     X = corners(f.m)  # the origin is a row, and every body above contains it

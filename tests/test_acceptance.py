@@ -78,7 +78,8 @@ def test_criterion_03_potential_increments():
     F = multilinear_extension(cover)
     body = CardinalityBody(3, 2)
     opt = set_bruteforce(cover, body).value
-    worst = checks.worst_run_margins([(F, body, opt)])["potential increment margin"]
+    margins = checks.worst_run_margins([("coverage3", F, body, opt)])
+    worst = margins["potential increment margin"][1].value
     elapsed = time.perf_counter() - start
     _verdict(3, "potential increments", worst >= -1e-9 and elapsed < 5.0,
              f"min margin {worst:.3e}, {elapsed:.2f}s")

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from drsub import (BoxBody, InvariantError, checks, coverage_function, desk, family_spec,
-                   oracle, preset, run, schedule, solver)
+                   objective, oracle, preset, run, schedule, solver)
 from drsub.cli import main
 
 COVERAGE = '{"kind":"coverage","subsets":[[0,1],[1,2],[2,3]]}'
@@ -495,6 +495,50 @@ class TestSweepCommand:
         assert code == 1
 
 
+class TestCoverageTable:
+    """A coverage load builds its closed form; only --opt sets builds the 2^m table."""
+
+    @pytest.fixture
+    def built(self, monkeypatch):
+        calls, table = [], objective.coverage_function
+        monkeypatch.setattr(objective, "coverage_function",
+                            lambda *cover: calls.append(cover) or table(*cover))
+        return calls
+
+    @pytest.mark.parametrize("opt", ["none", "grid"])
+    @pytest.mark.parametrize("command,iters", [("run", "20"), ("sweep", "4,8,16")])
+    def test_never_built_without_opt_sets(self, tmp_path, built, command, iters, opt):
+        assert run_cli(command, "--instance", COVERAGE, "--constraint", CARD,
+                       "--family", "measured", "--iters", iters, "--opt", opt,
+                       "--out", str(tmp_path)) == 0
+        assert built == []
+
+    def test_sweep_builds_it_once(self, tmp_path, built):
+        assert run_cli("sweep", "--instance", COVERAGE, "--constraint", CARD,
+                       "--family", "measured", "--iters", "4,8,16", "--opt", "sets",
+                       "--out", str(tmp_path)) == 0
+        assert len(built) == 1
+        assert len(list(tmp_path.glob("trajectory_N*.csv"))) == 3
+
+    @pytest.mark.parametrize("instance,constraint,message", [
+        (json.dumps({"kind": "coverage", "subsets": [[i] for i in range(20)]}),
+         '{"kind":"cardinality","n":20,"k":2}', "subset brute force supports m <= 16, got m=20"),
+        (COVERAGE, '{"kind":"cardinality","n":4,"k":2}', "ground-set size 3 != body dimension 4"),
+        (COVERAGE, '{"kind":"packing","A":[[1,1,1]],"b":[2]}',
+         "--opt sets certifies slack 0 only on cardinality and partition bodies and on boxes "
+         "whose upper bounds are all 1, not on this PackingBody; use --opt grid"),
+    ], ids=["cap", "dimension", "body"])
+    @pytest.mark.parametrize("command,iters", [("run", "20"), ("sweep", "4,8,16")])
+    def test_refused_before_it_is_built(self, tmp_path, capsys, built, command, iters,
+                                        instance, constraint, message):
+        assert run_cli(command, "--instance", instance, "--constraint", constraint,
+                       "--family", "measured", "--iters", iters, "--opt", "sets",
+                       "--out", str(tmp_path)) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert built == []
+        assert not any(tmp_path.iterdir())
+
+
 def linear(c: float) -> str:
     """The linear instance c x_1 + c x_2: L = 0, so every B_exact_j is 0."""
     return json.dumps({"kind": "quadratic", "H": [[0, 0], [0, 0]], "c": [c, c]})
@@ -811,6 +855,25 @@ class TestCheckCommand:
         assert run_cli("check") == 0
         assert len(calls) == 42
         assert sum(calls) == 6210
+
+    def test_fail_line_names_the_worst_run(self, capsys, monkeypatch):
+        # one mutant margin, on one run of one instance: the monotone N=100 run on the
+        # coverage, the only instance whose optimum is 4
+        margins = checks.run_margins
+
+        def mutant(traj, opt):
+            found = margins(traj, opt)
+            if traj.N == 100 and opt == 4.0 and traj.gronwall_margin is None:
+                found["potential increment margin"] = checks.Margin(-1e-3, 7)
+            return found
+
+        monkeypatch.setattr(checks, "run_margins", mutant)
+        assert run_cli("check") == 2
+        lines = capsys.readouterr().out.strip().split("\n")
+        assert [l for l in lines if l.startswith("FAIL")] == [
+            "FAIL solver-potential: instance coverage3-card2, family monotone, N=100, step 7: "
+            "potential increment margin -1.000e-03 misses its limit -1e-09"]
+        assert len(lines) == 11
 
     def test_negative_seed_is_input_error(self, capsys):
         assert run_cli("check", "--seed", "-1") == 1

@@ -641,19 +641,49 @@ def test_random_quadratics_are_dr(seed, n):
 
 class TestInstanceJson:
     def test_coverage_roundtrip(self):
-        F, sf = instance_from_json({"kind": "coverage", "subsets": [[0, 1], [1, 2]]})
-        assert sf is not None
+        F, build = instance_from_json({"kind": "coverage", "subsets": [[0, 1], [1, 2]]})
+        sf = build()
+        assert sf is not None and sf.table.tolist() == COVER2.table.tolist()
         assert F.value([1.0, 1.0]) == pytest.approx(3.0)
 
     def test_coverage_is_evaluated_in_closed_form(self):
-        F, sf = instance_from_json({"kind": "coverage", "subsets": [[0, 1], [1, 2]],
-                                    "weights": [1.0, 2.0, 0.5]})
+        F, build = instance_from_json({"kind": "coverage", "subsets": [[0, 1], [1, 2]],
+                                       "weights": [1.0, 2.0, 0.5]})
         assert F.name == "coverage(m=2)" and F.L == pytest.approx(2.0, rel=1e-11)
-        assert F.values(objective.corners(2)).tolist() == sf.table.tolist()
+        assert F.values(objective.corners(2)).tolist() == build().table.tolist()
+
+    def test_coverage_table_is_built_on_call(self, monkeypatch):
+        built = []
+        table = objective.coverage_function
+        monkeypatch.setattr(objective, "coverage_function",
+                            lambda *cover: built.append(cover) or table(*cover))
+        F, build = instance_from_json({"kind": "coverage", "subsets": [[0, 1], [1, 2]]})
+        assert built == []
+        assert build().table.tolist() == COVER2.table.tolist()
+        assert built == [([[0, 1], [1, 2]], None, None)]
+
+    @pytest.mark.parametrize("instance,message", [
+        ({"subsets": [[0]] * 21}, "at most 20 covering sets supported, got 21"),
+        ({"subsets": [[0], [4096]]}, "universe of 4097 elements exceeds"),
+        ({"subsets": [[0], [-1]]}, "subset elements must be nonnegative indices"),
+        ({"subsets": [[0], [3]], "n_elements": 2},
+         "subset references an element outside the universe"),
+        ({"subsets": [[0]], "weights": [1.0, 1.0]}, r"need one weight per universe element \(1\)"),
+        ({"subsets": [[0], [1]], "weights": [-1.0, 1.0]},
+         "element weights must be finite and nonnegative"),
+        ({"subsets": [[0], [1]], "weights": [1e308, 1e308]},
+         "the total element weight overflows float64"),
+    ], ids=["sets", "universe", "negative", "outside", "weights", "negative-weight", "overflow"])
+    def test_malformed_coverage_is_refused_at_load(self, monkeypatch, instance, message):
+        monkeypatch.setattr(objective, "coverage_function", None)  # never called
+        with pytest.raises((InputError, CapacityError), match=message):
+            instance_from_json({"kind": "coverage", **instance})
 
     def test_table_kind(self):
-        F, sf = instance_from_json({"kind": "table", "m": 2, "values": [0, 1, 1, 1.5]})
+        F, build = instance_from_json({"kind": "table", "m": 2, "values": [0, 1, 1, 1.5]})
+        sf = build()
         assert sf.table[0b11] == 1.5
+        assert build() is sf  # the table checked at load
         assert F.value([1.0, 0.0]) == pytest.approx(1.0)
 
     def test_smoothness_override(self):
@@ -662,9 +692,9 @@ class TestInstanceJson:
             instance_from_json({"kind": "coverage", "subsets": [[0], [1]], "L": 7.5})
 
     def test_quadratic_kind(self):
-        F, sf = instance_from_json(
+        F, build = instance_from_json(
             {"kind": "quadratic", "H": [[-2, 0], [0, -2]], "c": [1, 0.5]})
-        assert sf is None
+        assert build is None
         assert F.value([0.5, 0.25]) == pytest.approx(0.8125)
 
     def test_unknown_kind(self):

@@ -69,7 +69,7 @@ class TestSetBruteforce:
 
     def test_capacity_limit(self):
         sf = set_function_from_table(np.zeros(1 << 17))
-        with pytest.raises(CapacityError):
+        with pytest.raises(CapacityError, match=r"supports m <= 16, got m=17$"):
             set_bruteforce(sf, CardinalityBody(17, 2))
 
     def test_rejects_a_set_function_that_is_not_submodular(self):
@@ -417,6 +417,7 @@ def _supermodular_by_delta(w0, w1, w2):
      [0.0, 21 / 32, 1.0]),
 ], ids=["flat", "large-scale"])
 def test_a_table_just_inside_the_submodular_tolerance_keeps_its_certificate(table, body, winner):
-    F, sf = objective.instance_from_json({"kind": "table", "values": table})
+    F, build = objective.instance_from_json({"kind": "table", "values": table})
+    sf = build()
     assert sf.differences[2] > 0.99 * objective._SUBMODULAR_TOL * sf.max_value()
     assert _full_mesh_maximizer(F, body) == winner

@@ -411,10 +411,13 @@ class TestRunMargins:
     def test_worst_keeps_a_nan_margin(self):
         # a NaN value oracle makes every potential and guarantee margin of its runs NaN
         nan_values = dataclasses.replace(QUAD, values_fn=lambda X: np.full(len(X), np.nan))
-        worst = checks.worst_run_margins([(QUAD, BOX2, 0.8125), (nan_values, BOX2, 0.8125)])
-        assert math.isnan(worst["potential increment margin"])
-        assert math.isnan(worst["guarantee slack"])
-        assert worst["headroom margin"] >= -1e-9
+        worst = checks.worst_run_margins([("quad", QUAD, BOX2, 0.8125),
+                                          ("nan", nan_values, BOX2, 0.8125)])
+        assert math.isnan(worst["potential increment margin"][1].value)
+        assert math.isnan(worst["guarantee slack"][1].value)
+        assert worst["headroom margin"][1].value >= -1e-9
+        # the first NaN met is kept: the first family of the NaN instance at its smallest N
+        assert worst["potential increment margin"][0] == "instance nan, family measured, N=1"
 
 
 def run_from(x0, family="general", body=BOX2, N=10):
