@@ -3,8 +3,10 @@
 The CLI maps these onto exit codes: anything a user can fix in their
 inputs (InputError, CapacityError, ConfigurationError, ValidationError)
 exits with code 1, while InvariantError signals that a run violated an
-internal contract and exits with code 2.  ``fields`` reads one JSON object
-against its typed, closed schema.
+internal contract and exits with code 2.  Caller input is read here:
+``fields`` reads one JSON object against its typed, closed schema, and
+``checked_array`` reads every point, gradient, cap, start and batch that a
+caller passes to the oracles.
 """
 
 import itertools
@@ -109,3 +111,35 @@ def fields(obj, what: str, **expected) -> dict:
                 raise InputError(f"{what} field {key!r} must be {description}, "
                                  f"got {reprlib.repr(obj[key])}")
     return out
+
+
+def checked_array(X, shape: tuple, name: str, box_tol: float | None = None) -> np.ndarray:
+    """X as a float array of ``shape``, (n,) or (k, n), else InputError naming it ``name``.
+
+    A None in ``shape`` matches any length.  With no ``box_tol`` every entry
+    must be finite.  With one, X must lie in the unit box: within ``box_tol``
+    outside it is clipped into a copy, and farther out (NaN and infinities
+    included) it is refused.  X itself is returned when it needs no
+    conversion or clipping, so the caller must not write to the result.
+    """
+    try:
+        X = np.asarray(X, dtype=float)
+    except (TypeError, ValueError, OverflowError):  # not numbers, ragged, huge int
+        raise InputError(f"{name} must be an array of real numbers, "
+                         f"got {reprlib.repr(X)}") from None
+    if X.shape != shape and (X.ndim != len(shape)
+                             or any(k not in (None, size) for k, size in zip(shape, X.shape))):
+        expected = str(shape).replace("None", "k")
+        raise InputError(f"{name} must have shape {expected}, got shape {X.shape}")
+    if box_tol is None:
+        if not np.isfinite(X).all():
+            raise InputError(f"{name} contains NaN or infinity")
+        return X
+    if not X.size:
+        return X
+    lo, hi = X.min(), X.max()
+    # one comparison per end: NaN fails both, and so do infinities and far-out values
+    if not (lo >= -box_tol and hi <= 1.0 + box_tol):
+        what = f"{name} {X!r}" if X.ndim == 1 else f"a row of {name}"
+        raise InputError(f"{what} is NaN, infinite or outside the unit box")
+    return X if lo >= 0.0 and hi <= 1.0 else np.clip(X, 0.0, 1.0)

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import CapacityError, InputError, InvariantError, fields, is_int
+from .errors import CapacityError, InputError, InvariantError, checked_array, fields, is_int
 
 #: single membership tolerance used across the toolkit
 FEASIBILITY_TOL = 1e-9
@@ -41,45 +41,14 @@ _PIVOT_TOL = 1e-10
 
 
 def checked_dimension(n: int, what: str) -> int:
-    """``n`` if it is a positive dimension within the desk-scale cap."""
+    """``n`` if it is a positive integer dimension within the desk-scale cap."""
+    if not is_int(n):
+        raise InputError(f"{what} dimension n must be an integer, got {n!r}")
     if n < 1:
         raise InputError(f"{what} dimension n must be positive, got {n}")
     if n > MAX_DIMENSION:
         raise CapacityError(f"{what} dimension {n} exceeds the desk-scale cap of {MAX_DIMENSION}")
     return n
-
-
-def _as_vector(x, n: int, name: str = "point") -> np.ndarray:
-    x = np.asarray(x, dtype=float)
-    if x.shape != (n,):
-        raise InputError(f"{name} must have dimension {n}, got shape {x.shape}")
-    if not np.isfinite(x).all():
-        raise InputError(f"{name} contains NaN or infinity")
-    return x
-
-
-def clipped_to_unit_box(X: np.ndarray, tol: float, name: str) -> np.ndarray:
-    """X if it lies in the unit box, a clipped copy if it lies within ``tol`` outside.
-
-    Anything farther out is refused by ``name``, a vector with its entries.
-    """
-    if not X.size:
-        return X
-    lo, hi = X.min(), X.max()
-    # one comparison per end: NaN fails both, and so do infinities and far-out values
-    if not (lo >= -tol and hi <= 1.0 + tol):
-        what = f"{name} {X!r}" if X.ndim == 1 else name
-        raise InputError(f"{what} is NaN, infinite or outside the unit box")
-    return X if lo >= 0.0 and hi <= 1.0 else np.clip(X, 0.0, 1.0)
-
-
-def _as_rows(X, n: int) -> np.ndarray:
-    X = np.asarray(X, dtype=float)
-    if X.ndim != 2 or X.shape[1] != n:
-        raise InputError(f"points must form a (k, {n}) batch, got shape {X.shape}")
-    if not np.isfinite(X).all():
-        raise InputError("points contain NaN or infinity")
-    return X
 
 
 def row_products(X: np.ndarray, M: np.ndarray) -> np.ndarray:
@@ -115,11 +84,11 @@ class ConvexBody:
 
     def contains(self, x) -> bool:
         """Membership up to FEASIBILITY_TOL."""
-        return bool(self._inside(_as_vector(x, self.n)[None])[0])
+        return bool(self._inside(checked_array(x, (self.n,), "point")[None])[0])
 
     def contains_batch(self, X) -> np.ndarray:
         """(k,) membership mask of the rows of a (k, n) batch, by the rule of contains."""
-        return self._inside(_as_rows(X, self.n))
+        return self._inside(checked_array(X, (None, self.n), "the batch"))
 
     def _inside(self, X: np.ndarray) -> np.ndarray:
         inside = ((X <= self._upper + FEASIBILITY_TOL) & (X >= -FEASIBILITY_TOL)).all(axis=1)
@@ -156,13 +125,6 @@ class ConvexBody:
         """Upper bound on max ||x - y||_2^2 over the body (exact where noted)."""
         raise NotImplementedError
 
-    def _check_cap(self, cap) -> np.ndarray:
-        """cap in [0, 1]^n, clipped within FEASIBILITY_TOL (see clipped_to_unit_box)."""
-        cap = np.asarray(cap, dtype=float)
-        if cap.shape != (self.n,):
-            raise InputError(f"cap must have dimension {self.n}, got shape {cap.shape}")
-        return clipped_to_unit_box(cap, FEASIBILITY_TOL, "cap")
-
 
 @dataclass(frozen=True, eq=False)
 class BoxBody(ConvexBody):
@@ -185,12 +147,11 @@ class BoxBody(ConvexBody):
         return self.upper.size
 
     def lmo(self, g, start=None) -> np.ndarray:
-        g = _as_vector(g, self.n, "objective")
-        return np.where(g > 0.0, self.upper, 0.0)
+        return np.where(checked_array(g, (self.n,), "objective") > 0.0, self.upper, 0.0)
 
     def masked_lmo(self, g, cap, start=None) -> np.ndarray:
-        g = _as_vector(g, self.n, "objective")
-        cap = self._check_cap(cap)
+        g = checked_array(g, (self.n,), "objective")
+        cap = checked_array(cap, (self.n,), "cap", FEASIBILITY_TOL)
         return np.where(g > 0.0, np.minimum(self.upper, cap), 0.0)
 
     def diameter(self) -> float:
@@ -240,12 +201,13 @@ class PartitionBody(ConvexBody):
         self._set_inequalities(np.ones(self.n), sums, np.array(caps, dtype=float))
 
     def lmo(self, g, start=None) -> np.ndarray:
-        return _greedy_fill(_as_vector(g, self.n, "objective"), self._upper, self.blocks,
+        return _greedy_fill(checked_array(g, (self.n,), "objective"), self._upper, self.blocks,
                             self.capacities)
 
     def masked_lmo(self, g, cap, start=None) -> np.ndarray:
-        g = _as_vector(g, self.n, "objective")
-        return _greedy_fill(g, self._check_cap(cap), self.blocks, self.capacities)
+        return _greedy_fill(checked_array(g, (self.n,), "objective"),
+                            checked_array(cap, (self.n,), "cap", FEASIBILITY_TOL),
+                            self.blocks, self.capacities)
 
     def diameter(self) -> float:
         # exact: a block's vertices are 0/1 points with at most k ones, so two of
@@ -292,15 +254,15 @@ class PackingBody(ConvexBody):
         return self.A.shape[1]
 
     def lmo(self, g, start=None) -> np.ndarray:
-        return self._solve(_as_vector(g, self.n, "objective"), self._upper, start)
+        return self._solve(checked_array(g, (self.n,), "objective"), self._upper, start)
 
     def masked_lmo(self, g, cap, start=None) -> np.ndarray:
-        g = _as_vector(g, self.n, "objective")
-        return self._solve(g, self._check_cap(cap), start)
+        return self._solve(checked_array(g, (self.n,), "objective"),
+                           checked_array(cap, (self.n,), "cap", FEASIBILITY_TOL), start)
 
     def _solve(self, g: np.ndarray, cap: np.ndarray, start) -> np.ndarray:
         """Maximize <g, v> over the body and {v <= cap}, for a checked g and cap in [0, 1]^n."""
-        start = None if start is None else _as_vector(start, self.n, "start")
+        start = None if start is None else checked_array(start, (self.n,), "start")
         # coordinates with nonpositive payoff (or a zero cap) stay at zero;
         # this keeps the output minimal and the subproblem bounds positive
         active = np.flatnonzero((g > 0.0) & (cap > 0.0))
@@ -356,7 +318,7 @@ def simplex_solve(c: np.ndarray, A: np.ndarray, b: np.ndarray, u: np.ndarray,
     tab[m, :n] = c  # reduced-cost row; positive entry means improvement
 
     if start is not None:
-        warm = _warm_tableau(tab, _as_vector(start, n, "start"))
+        warm = _warm_tableau(tab, checked_array(start, (n,), "start"))
         if warm is not None:
             warm_tab, basis = warm
             _pivot(warm_tab, basis)
@@ -521,14 +483,14 @@ def vertices(C: ConvexBody, cap=None) -> np.ndarray:
     needs no code of its own.
     """
     n = C.n
-    cap = np.ones(n) if cap is None else C._check_cap(cap)
+    cap = np.ones(n) if cap is None else checked_array(cap, (n,), "cap", FEASIBILITY_TOL)
     rows = np.vstack([np.eye(n), -np.eye(n), C._A])
     return basic_solutions(rows, np.concatenate([np.minimum(C._upper, cap), np.zeros(n), C._b]))
 
 
 def lmo_bruteforce(C: ConvexBody, g, cap=None) -> tuple[float, np.ndarray]:
     """Best objective value and witness over the origin and the vertices; first best wins."""
-    g = _as_vector(g, C.n, "objective")
+    g = checked_array(g, (C.n,), "objective")
     V = vertices(C, cap)  # the origin is always one of them
     values = V @ g
     best = int(np.argmax(values))

@@ -20,8 +20,8 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import CapacityError, InputError, fields
-from .feasible import checked_dimension, clipped_to_unit_box, row_products
+from .errors import CapacityError, InputError, checked_array, fields, is_int
+from .feasible import checked_dimension, row_products
 
 #: round-off up to this far outside the unit box is clamped; farther points are rejected
 CLAMP_TOL = 1e-12
@@ -50,20 +50,6 @@ _COVERAGE_BLOCK = 1 << 16
 MESH_CHUNK = 4096
 
 
-def _as_point(x, n: int) -> np.ndarray:
-    x = np.asarray(x, dtype=float)
-    if x.shape != (n,):
-        raise InputError(f"expected a point of dimension {n}, got shape {x.shape}")
-    return clipped_to_unit_box(x, CLAMP_TOL, "point")
-
-
-def _as_batch(X, n: int) -> np.ndarray:
-    X = np.asarray(X, dtype=float)
-    if X.ndim != 2 or X.shape[1] != n:
-        raise InputError(f"expected a (k, {n}) batch of points, got shape {X.shape}")
-    return clipped_to_unit_box(X, CLAMP_TOL, "a row of the batch")
-
-
 @dataclass(frozen=True)
 class DrFunction:
     """Value/gradient oracle pair for one objective instance.
@@ -88,14 +74,16 @@ class DrFunction:
     name: str = ""
 
     def value(self, x) -> float:
-        return float(self.values_fn(_as_point(x, self.n)[None])[0])
+        return float(self.values_fn(checked_array(x, (self.n,), "point", CLAMP_TOL)[None])[0])
 
     def values(self, X) -> np.ndarray:
         """The k values of a (k, n) batch; row i equals value(X[i]) exactly."""
-        return np.asarray(self.values_fn(_as_batch(X, self.n)), dtype=float)
+        return np.asarray(self.values_fn(checked_array(X, (None, self.n), "the batch", CLAMP_TOL)),
+                          dtype=float)
 
     def grad(self, x) -> np.ndarray:
-        return np.asarray(self.grad_fn(_as_point(x, self.n)), dtype=float)
+        return np.asarray(self.grad_fn(checked_array(x, (self.n,), "point", CLAMP_TOL)),
+                          dtype=float)
 
 
 # --- set functions and their multilinear extensions ---------------------------
@@ -169,6 +157,8 @@ def _coverage_groups(subsets: Sequence[Sequence[int]], weights: Sequence[float] 
     m = len(subsets)
     if m > _MAX_GROUND_SET:
         raise CapacityError(f"at most {_MAX_GROUND_SET} covering sets supported, got {m}")
+    if not all(is_int(e) for s in subsets for e in s):
+        raise InputError("subset elements must be integer indices")
     if any(e < 0 for s in subsets for e in s):
         raise InputError("subset elements must be nonnegative indices")
     max_elt = max((max(s) for s in subsets if len(s) > 0), default=-1)
@@ -352,13 +342,9 @@ def make_quadratic(H, c) -> DrFunction:
     function is concave along every coordinate, that minimum sits at one
     of the 2^n box vertices and is found exactly by scoring them in blocks.
     """
-    H = np.array(H, dtype=float)
-    c = np.array(c, dtype=float)
-    n = c.shape[0]
-    if H.shape != (n, n):
-        raise InputError(f"H must be {n}x{n} to match c")
-    if not np.all(np.isfinite(H)) or not np.all(np.isfinite(c)):
-        raise InputError("H and c must be finite")
+    c = checked_array(c, (None,), "c").copy()
+    n = c.size
+    H = checked_array(H, (n, n), "H").copy()
     if np.any(H > 0):
         raise InputError("H must be entrywise nonpositive")
     if not np.allclose(H, H.T, atol=1e-12):
@@ -388,7 +374,7 @@ def make_quadratic(H, c) -> DrFunction:
 
 def make_concave_modular(weights: Sequence[Sequence[float]], n: int | None = None) -> DrFunction:
     """Sum of sqrt(floor + w_k . x) terms, shifted to vanish at the origin."""
-    ws = [np.asarray(w, dtype=float) for w in weights]
+    ws = [checked_array(w, (None,), "weight vector") for w in weights]
     if ws:
         n = ws[0].shape[0] if n is None else n
     elif n is None:
@@ -397,7 +383,7 @@ def make_concave_modular(weights: Sequence[Sequence[float]], n: int | None = Non
     for w in ws:
         if w.shape != (n,):
             raise InputError("all weight vectors must share one dimension")
-        if np.any(w < 0) or not np.all(np.isfinite(w)):
+        if np.any(w < 0):
             raise InputError("weight vectors must be finite and nonnegative")
         if not np.any(w > 0):
             raise InputError("weight vectors must be nonzero")
@@ -424,8 +410,8 @@ def check_dr_inequality(f: DrFunction, x, y) -> float:
     Returns <grad F(x), y - x> - [F(max(x,y)) + F(min(x,y)) - 2 F(x)],
     which is nonnegative (up to round-off) for every valid instance.
     """
-    x = _as_point(x, f.n)
-    y = _as_point(y, f.n)
+    x = checked_array(x, (f.n,), "x", CLAMP_TOL)
+    y = checked_array(y, (f.n,), "y", CLAMP_TOL)
     lhs = float(f.grad(x) @ (y - x))
     upper, lower, at_x = f.values(np.stack([np.maximum(x, y), np.minimum(x, y), x]))
     return lhs - float(upper + lower - 2.0 * at_x)
@@ -439,9 +425,9 @@ def finite_diff_grad(f: DrFunction, x, h: float = 1e-4) -> np.ndarray:
     which dominates where the curvature is steep, as just above SQRT_FLOOR.
     All 4n stencil points are scored by one ``values`` call.
     """
-    if h <= 0:
+    if not h > 0:  # NaN fails too
         raise InputError(f"finite-difference step must be positive, got {h}")
-    x = _as_point(x, f.n)
+    x = checked_array(x, (f.n,), "x", CLAMP_TOL)
     diag = np.arange(f.n)
     ends = []  # for h, then 2h: every coordinate moved up, then every coordinate moved down
     for full in (h, 2.0 * h):
@@ -453,20 +439,6 @@ def finite_diff_grad(f: DrFunction, x, h: float = 1e-4) -> np.ndarray:
     hi_h, lo_h, hi_2h, lo_2h = f.values(rows.reshape(-1, f.n)).reshape(4, f.n)
     return (4.0 * ((hi_h - lo_h) / (ends[0] - ends[1]))
             - (hi_2h - lo_2h) / (ends[2] - ends[3])) / 3.0
-
-
-def empirical_smoothness(f: DrFunction, samples: int = 100, seed: int = 0) -> float:
-    """Largest observed gradient-difference ratio over random pairs in the box."""
-    rng = np.random.default_rng(seed)
-    best = 0.0
-    for _ in range(samples):
-        x = rng.uniform(size=f.n)
-        y = rng.uniform(size=f.n)
-        dist = float(np.linalg.norm(y - x))
-        if dist < 1e-12:
-            continue
-        best = max(best, float(np.linalg.norm(f.grad(y) - f.grad(x))) / dist)
-    return best
 
 
 # --- JSON loading ----------------------------------------------------------------

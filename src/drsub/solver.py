@@ -29,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigurationError, InputError, InvariantError, ValidationError
+from .errors import ConfigurationError, InputError, InvariantError, ValidationError, checked_array
 from .feasible import ConvexBody
 from .objective import DrFunction
 from .schedule import FamilySpec, Schedule, family_spec, on_grid  # noqa: F401 (re-exported)
@@ -147,7 +147,7 @@ def run(f: DrFunction, C: ConvexBody, s: Schedule, spec: FamilySpec, N: int,
         x0 = np.zeros(C.n)
     elif spec.direction != "offset":
         raise ConfigurationError("arbitrary starts are supported by the general family only")
-    elif not C.contains(x0):  # also refuses a wrong shape, NaN or infinity
+    elif not C.contains(x0 := checked_array(x0, (C.n,), "start point")):
         raise InputError("start point is not feasible")
 
     t, a, b = on_grid(s, N)

@@ -21,6 +21,20 @@ def warm_tableaus(monkeypatch):
     return seen
 
 
+def empirical_smoothness(f, samples: int = 100, seed: int = 0) -> float:
+    """Largest observed gradient-difference ratio over random pairs in the box."""
+    rng = np.random.default_rng(seed)
+    best = 0.0
+    for _ in range(samples):
+        x = rng.uniform(size=f.n)
+        y = rng.uniform(size=f.n)
+        dist = float(np.linalg.norm(y - x))
+        if dist < 1e-12:
+            continue
+        best = max(best, float(np.linalg.norm(f.grad(y) - f.grad(x))) / dist)
+    return best
+
+
 def brute_multilinear(table, x):
     """Literal sum over all subsets; the reference for multilinear values."""
     m = len(x)

@@ -1,0 +1,84 @@
+import re
+
+import numpy as np
+import pytest
+
+from drsub import (BoxBody, CardinalityBody, InputError, PackingBody, check_dr_inequality,
+                   family_spec, finite_diff_grad, lmo_bruteforce, make_concave_modular,
+                   make_coverage, make_quadratic, preset, run)
+from drsub.feasible import simplex_solve, vertices
+
+QUAD = make_quadratic([[-2.0, 0.0], [0.0, -2.0]], [1.0, 0.5])
+OK = np.full(2, 0.5)
+BODIES = {"box": BoxBody(np.ones(2)), "cardinality": CardinalityBody(2, 1),
+          "packing": PackingBody(np.ones((1, 2)), np.ones(1))}
+
+#: (entry point, call with the argument under test, the argument's name in messages,
+#:  batch argument, unit-box rule): every array argument a caller passes in
+ENTRY_POINTS = [
+    ("contains", lambda a: BODIES["box"].contains(a), "point", False, False),
+    ("contains_batch", lambda a: BODIES["box"].contains_batch(a), "the batch", True, False),
+    *[entry for kind, C in BODIES.items() for entry in [
+        (f"{kind}.lmo", lambda a, C=C: C.lmo(a), "objective", False, False),
+        (f"{kind}.masked_lmo", lambda a, C=C: C.masked_lmo(a, OK), "objective", False, False),
+        (f"{kind}.masked_lmo.cap", lambda a, C=C: C.masked_lmo(OK, a), "cap", False, True)]],
+    ("packing.lmo.start", lambda a: BODIES["packing"].lmo(OK, a), "start", False, False),
+    ("packing.masked_lmo.start", lambda a: BODIES["packing"].masked_lmo(OK, OK, a), "start",
+     False, False),
+    ("simplex_solve.start",
+     lambda a: simplex_solve(np.ones(2), np.ones((1, 2)), np.ones(1), np.ones(2), a), "start",
+     False, False),
+    ("vertices.cap", lambda a: vertices(BODIES["cardinality"], a), "cap", False, True),
+    ("lmo_bruteforce", lambda a: lmo_bruteforce(BODIES["cardinality"], a), "objective",
+     False, False),
+    ("lmo_bruteforce.cap", lambda a: lmo_bruteforce(BODIES["cardinality"], OK, a), "cap",
+     False, True),
+    ("value", QUAD.value, "point", False, True),
+    ("values", QUAD.values, "the batch", True, True),
+    ("grad", QUAD.grad, "point", False, True),
+    ("check_dr_inequality.x", lambda a: check_dr_inequality(QUAD, a, OK), "x", False, True),
+    ("check_dr_inequality.y", lambda a: check_dr_inequality(QUAD, OK, a), "y", False, True),
+    ("finite_diff_grad", lambda a: finite_diff_grad(QUAD, a), "x", False, True),
+    ("run.x0", lambda a: run(QUAD, BODIES["box"], preset("general"), family_spec("general"), 5,
+                             x0=a), "start point", False, False),
+]
+
+
+#: the phrase each kind of malformed argument is refused with
+PHRASES = {"shape": "must have shape", "nan": "NaN", "far": "NaN",
+           "string": "must be an array of real numbers", "ragged": "must be an array of real numbers"}
+
+
+def _malformed(case: str, batch: bool, box: bool):
+    """The malformed argument of ``case``, for a point of 2 coordinates or a (k, 2) batch."""
+    if case == "shape":
+        return np.zeros(2 if batch else 3)
+    if case == "ragged":
+        return [[0.5, 0.5], [0.5]] if batch else [[0.5], [0.5, 0.5]]
+    # far outside the box for the box rule, infinite for the finiteness rule
+    row = {"nan": [np.nan, 0.5], "far": [5.0 if box else np.inf, 0.5], "string": ["a", 0.5]}[case]
+    return [OK, row] if batch else row
+
+
+@pytest.mark.parametrize("case", PHRASES)
+@pytest.mark.parametrize("entry,call,name,batch,box", ENTRY_POINTS,
+                         ids=[e[0] for e in ENTRY_POINTS])
+def test_every_array_argument_is_read_by_one_rule(entry, call, name, batch, box, case):
+    # the message opens with the argument's name; the unit-box rule names a bad row of a batch
+    with pytest.raises(InputError, match=rf"^(a row of )?{re.escape(name)} .*{PHRASES[case]}"):
+        call(_malformed(case, batch, box))
+
+
+@pytest.mark.parametrize("build,args,message", [
+    (make_quadratic, ([[-1.0]], 5.0), r"^c must have shape \(k,\), got shape \(\)"),
+    (make_concave_modular, ([1.0, 2.0],), r"^weight vector must have shape \(k,\), got shape \(\)"),
+    (make_coverage, ([[0, 1.5]],), "^subset elements must be integer indices"),
+    (make_coverage, ([[0, "a"]],), "^subset elements must be integer indices"),
+    (CardinalityBody, (2.0, 1), "^cardinality dimension n must be an integer, got 2.0"),
+    (lambda *a: finite_diff_grad(*a, h=np.nan), (QUAD, OK),
+     "^finite-difference step must be positive, got nan"),
+], ids=["quadratic-scalar-c", "concave-modular-flat", "coverage-fraction", "coverage-string",
+        "cardinality-float-n", "finite-diff-nan-step"])
+def test_malformed_builder_arguments_are_input_errors(build, args, message):
+    with pytest.raises(InputError, match=message):
+        build(*args)

@@ -661,13 +661,13 @@ _FAR_OUT = st.one_of(st.floats(max_value=-FEASIBILITY_TOL, exclude_max=True),
 @settings(max_examples=60, deadline=None)
 @given(n=st.integers(1, 6), data=st.data())
 def test_cap_round_off_is_clipped_and_the_rest_refused(n, data):
-    body = BoxBody(np.ones(n))
+    body, g = BoxBody(np.ones(n)), np.ones(n)  # the box's masked LMO with g > 0 is the read cap
     cap = np.array(data.draw(st.lists(_NEAR_UNIT, min_size=n, max_size=n)))
     before = cap.copy()
-    assert np.array_equal(body._check_cap(cap), np.clip(cap, 0.0, 1.0))
+    assert np.array_equal(body.masked_lmo(g, cap), np.clip(cap, 0.0, 1.0))
     assert np.array_equal(cap, before)
     cap[data.draw(st.integers(0, n - 1))] = data.draw(_FAR_OUT)
     before = cap.copy()
-    with pytest.raises(InputError, match="cap"):
-        body._check_cap(cap)
+    with pytest.raises(InputError, match=r"^cap array\("):
+        body.masked_lmo(g, cap)
     assert np.array_equal(cap, before, equal_nan=True)

@@ -12,10 +12,9 @@ from drsub import (CapacityError, CardinalityBody, InputError, check_dr_inequali
                    make_concave_modular, make_coverage, make_quadratic, multilinear_extension,
                    preset, run, set_function_from_table)
 from drsub import checks, desk, objective
-from drsub.objective import (empirical_smoothness, set_is_monotone,
-                             set_is_submodular)
+from drsub.objective import set_is_monotone, set_is_submodular
 
-from conftest import (brute_coverage_table, brute_multilinear, cut_table,
+from conftest import (brute_coverage_table, brute_multilinear, cut_table, empirical_smoothness,
                       exhaustive_monotonicity_ok, exhaustive_submodularity_ok)
 
 COVER2 = coverage_function([[0, 1], [1, 2]])  # extension is 2x1 + 2x2 - x1 x2
