@@ -6,7 +6,7 @@ exits with code 1, while InvariantError signals that a run violated an
 internal contract and exits with code 2.  Caller input is read here:
 ``fields`` reads one JSON object against its typed, closed schema, and
 ``checked_array`` reads every point, gradient, cap, start and batch that a
-caller passes to the oracles.
+caller passes to the oracles, and every array a builder takes.
 """
 
 import itertools
@@ -113,6 +113,19 @@ def fields(obj, what: str, **expected) -> dict:
     return out
 
 
+def real_array(X, name: str) -> np.ndarray:
+    """X as a float array of any shape, else InputError naming it ``name``.
+
+    The first step of ``checked_array``, for a builder that checks the
+    shape and the values itself; X itself is returned when it needs no conversion.
+    """
+    try:
+        return np.asarray(X, dtype=float)
+    except (TypeError, ValueError, OverflowError):  # not numbers, ragged, huge int
+        raise InputError(f"{name} must be an array of real numbers, "
+                         f"got {reprlib.repr(X)}") from None
+
+
 def checked_array(X, shape: tuple, name: str, box_tol: float | None = None) -> np.ndarray:
     """X as a float array of ``shape``, (n,) or (k, n), else InputError naming it ``name``.
 
@@ -122,11 +135,7 @@ def checked_array(X, shape: tuple, name: str, box_tol: float | None = None) -> n
     included) it is refused.  X itself is returned when it needs no
     conversion or clipping, so the caller must not write to the result.
     """
-    try:
-        X = np.asarray(X, dtype=float)
-    except (TypeError, ValueError, OverflowError):  # not numbers, ragged, huge int
-        raise InputError(f"{name} must be an array of real numbers, "
-                         f"got {reprlib.repr(X)}") from None
+    X = real_array(X, name)
     if X.shape != shape and (X.ndim != len(shape)
                              or any(k not in (None, size) for k, size in zip(shape, X.shape))):
         expected = str(shape).replace("None", "k")

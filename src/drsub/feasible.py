@@ -133,11 +133,11 @@ class BoxBody(ConvexBody):
     upper: np.ndarray
 
     def __post_init__(self):
-        u = np.array(self.upper, dtype=float)
-        if u.ndim != 1 or u.size == 0:
+        u = checked_array(self.upper, (None,), "box upper bounds").copy()
+        if u.size == 0:
             raise InputError("box upper bounds must be a nonempty vector")
         checked_dimension(u.size, "box")
-        if np.any(u <= 0) or np.any(u > 1.0) or not np.all(np.isfinite(u)):
+        if np.any(u <= 0) or np.any(u > 1.0):
             raise InputError("box upper bounds must lie in (0, 1]")
         object.__setattr__(self, "upper", u)
         self._set_inequalities(u, np.zeros((0, u.size)), np.zeros(0))
@@ -232,13 +232,9 @@ class PackingBody(ConvexBody):
     b: np.ndarray
 
     def __post_init__(self):
-        A = np.atleast_2d(np.array(self.A, dtype=float))
-        b = np.array(self.b, dtype=float)
-        if A.ndim != 2 or b.ndim != 1 or A.shape[0] != b.size:
-            raise InputError("A must be a matrix with one rhs entry per row")
+        b = checked_array(self.b, (None,), "b").copy()
+        A = checked_array(self.A, (b.size, None), "A").copy()  # one row per rhs entry
         checked_dimension(A.shape[1], "packing")
-        if not np.all(np.isfinite(A)) or not np.all(np.isfinite(b)):
-            raise InputError("A and b must be finite")
         if np.any(A < 0):
             raise InputError("packing matrix must be entrywise nonnegative")
         if np.any(b <= 0):

@@ -14,13 +14,14 @@ a diminishing-returns residual and a finite-difference gradient.
 from __future__ import annotations
 
 import math
+import reprlib
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import CapacityError, InputError, checked_array, fields, is_int
+from .errors import CapacityError, InputError, checked_array, fields, is_int, real_array
 from .feasible import checked_dimension, row_products
 
 #: round-off up to this far outside the unit box is clamped; farther points are rejected
@@ -138,7 +139,7 @@ class SetFunction:
 
 
 def set_function_from_table(values: Sequence[float]) -> SetFunction:
-    table = np.asarray(values, dtype=float)
+    table = checked_array(values, (None,), "value table")
     m = int(table.size).bit_length() - 1
     if table.size != (1 << max(m, 0)):
         raise InputError(f"table length {table.size} is not a power of two")
@@ -154,6 +155,8 @@ def _coverage_groups(subsets: Sequence[Sequence[int]], weights: Sequence[float] 
     Uncovered elements (mask 0) and groups of weight 0 add nothing anywhere
     and are dropped.
     """
+    if not np.iterable(subsets) or not all(map(np.iterable, subsets)):
+        raise InputError(f"subsets must be a list of integer lists, got {reprlib.repr(subsets)}")
     m = len(subsets)
     if m > _MAX_GROUND_SET:
         raise CapacityError(f"at most {_MAX_GROUND_SET} covering sets supported, got {m}")
@@ -169,7 +172,8 @@ def _coverage_groups(subsets: Sequence[Sequence[int]], weights: Sequence[float] 
     if n_elements > _MAX_UNIVERSE:
         raise CapacityError(f"coverage universe of {n_elements} elements exceeds "
                             f"the desk-scale cap of {_MAX_UNIVERSE}")
-    w = np.ones(n_elements) if weights is None else np.asarray(weights, dtype=float)
+    # the checks below give the weights their own shape and value messages
+    w = np.ones(n_elements) if weights is None else real_array(weights, "element weights")
     if w.shape != (n_elements,):
         raise InputError(f"need one weight per universe element ({n_elements})")
     if np.any(w < 0) or not np.all(np.isfinite(w)):
@@ -209,23 +213,35 @@ def coverage_function(subsets: Sequence[Sequence[int]],
 def make_coverage(subsets: Sequence[Sequence[int]],
                   weights: Sequence[float] | None = None,
                   n_elements: int | None = None) -> DrFunction:
-    """Multilinear extension of weighted coverage in closed form, O(m * groups) per point.
+    """Multilinear extension of weighted coverage in closed form.
 
     Takes the arguments of ``coverage_function``.  A group of elements
     covered by the same sets g, of total weight w_g, is missed by the random
     set with probability prod_{i in g} (1 - x_i), so
 
         F(x) = sum_g w_g (1 - prod_{i in g} (1 - x_i)),
-        dF/dx_i = sum_{g contains i} w_g prod_{l in g, l != i} (1 - x_l),
+        dF/dx_i = sum_{g contains i} w_g prod_{l in g, l != i} (1 - x_l).
 
-    the gradient taken from prefix and suffix products over each group's
-    members, with no division, so it is exact where some x_l = 1.  The
-    Hessian has a zero diagonal and |d2F/dx_i dx_j| <= P_ij, the weight of
-    the groups holding both i and j, so L = ||P||_2 bounds its norm.
+    A value costs O(m * groups).  The gradient lists each (group, member i)
+    pair once, with the group's other members padded to D - 1 by the index
+    m, whose factor is 1, for D the largest group: one gather, product and
+    scatter of O(pairs * (D - 1)), pairs = sum_g |g| <= m * groups.  It has
+    no division, so it is exact where some x_l = 1.  The Hessian has a zero
+    diagonal and |d2F/dx_i dx_j| <= P_ij, the weight of the groups holding
+    both i and j, so L = ||P||_2 bounds its norm.
     """
     m, masks, w = _coverage_groups(subsets, weights, n_elements)
     member = (masks[:, None] >> np.arange(m) & 1).astype(bool)  # (groups, m)
     rows = max(1, _COVERAGE_BLOCK // max(member.size, 1))
+    # each group's members in ascending order, padded with m to the largest group's D
+    D = int(member.sum(axis=1).max(initial=0))
+    slots = np.sort(np.where(member, np.arange(m), m), axis=1)[:, :D]
+    real = slots < m
+    skip = np.arange(D - 1) + (np.arange(D - 1) >= np.arange(D)[:, None])  # row j: all slots but j
+    pair_sets = slots[real]
+    # (D - 1, pairs) in C order: a product over axis 0 runs along contiguous rows
+    pair_others = slots[:, skip][real].T.copy()
+    pair_w = np.broadcast_to(w[:, None], real.shape)[real]
 
     def values(X: np.ndarray) -> np.ndarray:
         out = np.empty(X.shape[0])
@@ -237,11 +253,9 @@ def make_coverage(subsets: Sequence[Sequence[int]],
         return out
 
     def grad(x: np.ndarray) -> np.ndarray:
-        factors = np.where(member, 1.0 - x, 1.0)  # a non-member's factor is 1
-        before, after = np.ones_like(factors), np.ones_like(factors)
-        before[:, 1:] = np.cumprod(factors[:, :-1], axis=1)
-        after[:, :-1] = np.cumprod(factors[:, :0:-1], axis=1)[:, ::-1]
-        return w @ np.where(member, before * after, 0.0)
+        factors = np.append(1.0 - x, 1.0)  # the padding index m reads 1
+        return np.bincount(pair_sets, weights=pair_w * factors[pair_others].prod(axis=0),
+                           minlength=m)
 
     pair_weights = (member.T * w) @ member
     np.fill_diagonal(pair_weights, 0.0)
@@ -374,6 +388,8 @@ def make_quadratic(H, c) -> DrFunction:
 
 def make_concave_modular(weights: Sequence[Sequence[float]], n: int | None = None) -> DrFunction:
     """Sum of sqrt(floor + w_k . x) terms, shifted to vanish at the origin."""
+    if not np.iterable(weights):
+        raise InputError(f"weights must be a list of weight vectors, got {reprlib.repr(weights)}")
     ws = [checked_array(w, (None,), "weight vector") for w in weights]
     if ws:
         n = ws[0].shape[0] if n is None else n

@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 
 from drsub import (BoxBody, CardinalityBody, InputError, PackingBody, check_dr_inequality,
-                   family_spec, finite_diff_grad, lmo_bruteforce, make_concave_modular,
-                   make_coverage, make_quadratic, preset, run)
+                   coverage_function, family_spec, finite_diff_grad, lmo_bruteforce,
+                   make_concave_modular, make_coverage, make_quadratic, preset, run,
+                   set_function_from_table)
 from drsub.feasible import simplex_solve, vertices
 
 QUAD = make_quadratic([[-2.0, 0.0], [0.0, -2.0]], [1.0, 0.5])
@@ -67,6 +68,29 @@ def test_every_array_argument_is_read_by_one_rule(entry, call, name, batch, box,
     # the message opens with the argument's name; the unit-box rule names a bad row of a batch
     with pytest.raises(InputError, match=rf"^(a row of )?{re.escape(name)} .*{PHRASES[case]}"):
         call(_malformed(case, batch, box))
+
+
+#: a builder's array argument that is not an array of reals, each refused naming the argument
+NOT_REALS = {
+    "box-string": (BoxBody, (["a"],), "box upper bounds"),
+    "box-scalar": (BoxBody, (0.5,), "box upper bounds"),
+    "packing-A-string": (PackingBody, ([["a"]], [1.0]), "A"),
+    "packing-A-rows": (PackingBody, ([[1.0]], [1.0, 1.0]), "A"),
+    "packing-b-string": (PackingBody, ([[1.0]], ["a"]), "b"),
+    "table-string": (set_function_from_table, (["a", 1],), "value table"),
+    **{f"{build.__name__}-weights-{case}": (build, (subsets, weights), "element weights")
+       for build in (coverage_function, make_coverage)
+       for case, subsets, weights in (("string", [[0]], ["x"]),
+                                      ("ragged", [[0], [1]], [1.0, [2.0]]))},
+    "coverage-flat-subsets": (make_coverage, ([0, 1],), "subsets"),
+    "concave-modular-scalar": (make_concave_modular, (5.0,), "weights"),
+}
+
+
+@pytest.mark.parametrize("build,args,name", NOT_REALS.values(), ids=NOT_REALS)
+def test_builder_arrays_are_read_by_the_rule(build, args, name):
+    with pytest.raises(InputError, match=rf"^{re.escape(name)} must "):
+        build(*args)
 
 
 @pytest.mark.parametrize("build,args,message", [

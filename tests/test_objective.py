@@ -601,6 +601,65 @@ def test_coverage3_gradient_ties_exactly_on_the_diagonal():
     assert np.all(traj.x[:, 2] == 0.0)
 
 
+def _random_cover(m: int, n_elements: int, p: float, seed: int):
+    """(subsets, weights, n_elements): each set holds each element with probability p."""
+    rng = np.random.default_rng(seed)
+    cover = rng.random((m, n_elements)) < p
+    weights = rng.uniform(0.5, 2.0, n_elements).tolist()
+    return [np.flatnonzero(row).tolist() for row in cover], weights, n_elements
+
+
+@pytest.mark.parametrize("m,n_elements,p", [(3, 4, 0.5), (8, 20, 0.3), (12, 48, 0.25)])
+def test_coverage_gradient_matches_the_table_on_faces_and_corners(m, n_elements, p):
+    # every coordinate is 0, 1 or interior, so some members' factors are exactly 0 or 1
+    cover = _random_cover(m, n_elements, p, seed=m)
+    F, sf = make_coverage(*cover), coverage_function(*cover)
+    table = multilinear_extension(sf)
+    rng = np.random.default_rng(m)
+    X = rng.choice([0.0, 1.0], size=(40, m))
+    X[20:] = np.where(rng.random((20, m)) < 0.5, X[20:], rng.uniform(size=(20, m)))
+    tol = 1e-12 * (1.0 + sf.max_value())
+    for x in [*X, np.zeros(m), np.ones(m)]:
+        np.testing.assert_allclose(F.grad(x), table.grad(x), rtol=0.0, atol=tol)
+
+
+def test_coverage_gradient_of_one_member_groups():
+    # COVER2's elements 0 and 2 each lie in one set, padded to the largest group's 2 members
+    # by the factor 1: the extension is 2 x0 + 2 x1 - x0 x1
+    F = make_coverage([[0, 1], [1, 2]])
+    for x in ([0.0, 0.0], [1.0, 1.0], [0.25, 0.75], [1.0, 0.0]):
+        np.testing.assert_allclose(F.grad(x), [2.0 - x[1], 2.0 - x[0]], rtol=0.0, atol=1e-15)
+    # every group has one member: the product over no other member is 1, and F is modular
+    F = make_coverage([[0], [1, 2]], [2.0, 3.0, 0.5])
+    for x in ([0.0, 0.0], [1.0, 1.0], [0.3, 0.6]):
+        assert F.grad(x).tolist() == [2.0, 3.5]
+
+
+@pytest.mark.parametrize("subsets,expected", [([], []), ([[], []], [0.0, 0.0]),
+                                              ([[], [0]], [0.0, 1.0])])
+def test_coverage_gradient_without_groups_or_members(subsets, expected):
+    # no set, no group, or a set without elements: its partial is an empty sum
+    g = make_coverage(subsets).grad(np.full(len(subsets), 0.5))
+    assert g.shape == (len(subsets),) and g.tolist() == expected
+
+
+def test_coverage20_gradient_matches_a_direct_sum():
+    # 20 sets over the 4,096-element cap: each element's term, summed literally over its sets
+    subsets, weights, n_elements = _random_cover(20, 4096, 0.15, seed=0)
+    F = make_coverage(subsets, weights, n_elements)
+    covers = [[] for _ in range(n_elements)]
+    for i, s in enumerate(subsets):
+        for e in s:
+            covers[e].append(i)
+    rng = np.random.default_rng(1)
+    for x in [rng.uniform(size=20), np.round(rng.uniform(size=20)), np.zeros(20)]:
+        direct = np.zeros(20)
+        for w, members in zip(weights, covers):
+            for i in members:
+                direct[i] += w * math.prod(1.0 - x[l] for l in members if l != i)
+        np.testing.assert_allclose(F.grad(x), direct, rtol=1e-12, atol=1e-12)
+
+
 def test_coverage_closed_form_L_is_the_pair_weight_norm():
     # P = [[0, 1, 0], [1, 0, 1], [0, 1, 0]]: element 1 is in sets 0 and 1, element 2 in 1 and 2
     assert make_coverage([[0, 1], [1, 2], [2, 3]]).L == pytest.approx(math.sqrt(2.0), rel=1e-11)
