@@ -10,6 +10,7 @@ caller passes to the oracles, and every array a builder takes.
 """
 
 import itertools
+import math
 import reprlib
 import sys
 
@@ -132,7 +133,8 @@ def checked_array(X, shape: tuple, name: str, box_tol: float | None = None) -> n
     A None in ``shape`` matches any length.  With no ``box_tol`` every entry
     must be finite.  With one, X must lie in the unit box: within ``box_tol``
     outside it is clipped into a copy, and farther out (NaN and infinities
-    included) it is refused.  X itself is returned when it needs no
+    included) it is refused; a point is scanned as Python floats and a batch
+    with numpy, to one verdict.  X itself is returned when it needs no
     conversion or clipping, so the caller must not write to the result.
     """
     X = real_array(X, name)
@@ -146,7 +148,16 @@ def checked_array(X, shape: tuple, name: str, box_tol: float | None = None) -> n
         return X
     if not X.size:
         return X
-    lo, hi = X.min(), X.max()
+    if X.ndim == 1:
+        # a point or a cap has at most 64 entries, which Python floats scan faster
+        # than numpy's reductions.  min and max may pass over a NaN that is not
+        # first; the sum carries it and infinities, and overflows only far outside
+        values = X.tolist()
+        lo, hi = min(values), max(values)
+        if not math.isfinite(sum(values)):
+            lo = math.nan
+    else:
+        lo, hi = X.min(), X.max()
     # one comparison per end: NaN fails both, and so do infinities and far-out values
     if not (lo >= -box_tol and hi <= 1.0 + box_tol):
         what = f"{name} {X!r}" if X.ndim == 1 else f"a row of {name}"

@@ -161,6 +161,7 @@ class BoxBody(ConvexBody):
 def _greedy_fill(g: np.ndarray, cap: np.ndarray, blocks, budgets) -> np.ndarray:
     """Per block, fill the coordinates of largest positive g up to cap until the budget is spent."""
     v = np.zeros(g.size)
+    g, cap = g.tolist(), cap.tolist()  # Python floats index and compare faster than numpy's
     for blk, k in zip(blocks, budgets):
         budget = float(k)
         for i in sorted(blk, key=lambda i: (-g[i], i)):

@@ -222,7 +222,9 @@ def make_coverage(subsets: Sequence[Sequence[int]],
         F(x) = sum_g w_g (1 - prod_{i in g} (1 - x_i)),
         dF/dx_i = sum_{g contains i} w_g prod_{l in g, l != i} (1 - x_l).
 
-    A value costs O(m * groups).  The gradient lists each (group, member i)
+    A value costs O(m * groups): it multiplies the batch by the (groups, m)
+    0/1 membership, 1 - in_group * x, which is exactly 1 - x_i on a group's
+    members and 1 elsewhere.  The gradient lists each (group, member i)
     pair once, with the group's other members padded to D - 1 by the index
     m, whose factor is 1, for D the largest group: one gather, product and
     scatter of O(pairs * (D - 1)), pairs = sum_g |g| <= m * groups.  It has
@@ -243,17 +245,25 @@ def make_coverage(subsets: Sequence[Sequence[int]],
     pair_others = slots[:, skip][real].T.copy()
     pair_w = np.broadcast_to(w[:, None], real.shape)[real]
 
+    in_group = member.astype(float)
+
+    def covered(block: np.ndarray) -> np.ndarray:
+        # 1 - 0 * x_i is exactly 1 off the group, so this is np.where(member, 1 - x, 1)
+        missed = (1.0 - in_group * block[:, None, :]).prod(axis=2)
+        # einsum's row dot, unlike BLAS, is the same for any batch
+        return np.einsum("ij,j->i", 1.0 - missed, w)
+
     def values(X: np.ndarray) -> np.ndarray:
+        if X.shape[0] <= rows:
+            return covered(X)
         out = np.empty(X.shape[0])
         for start in range(0, X.shape[0], rows):
-            block = X[start:start + rows]
-            missed = np.where(member, 1.0 - block[:, None, :], 1.0).prod(axis=2)
-            # einsum's row dot, unlike BLAS, is the same for any batch
-            out[start:start + rows] = np.einsum("ij,j->i", 1.0 - missed, w)
+            out[start:start + rows] = covered(X[start:start + rows])
         return out
 
     def grad(x: np.ndarray) -> np.ndarray:
-        factors = np.append(1.0 - x, 1.0)  # the padding index m reads 1
+        factors = np.ones(m + 1)  # the padding index m reads 1
+        np.subtract(1.0, x, out=factors[:m])
         return np.bincount(pair_sets, weights=pair_w * factors[pair_others].prod(axis=0),
                            minlength=m)
 

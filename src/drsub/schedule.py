@@ -42,7 +42,10 @@ _BOUNDARY_TOL = 1e-12
 class Schedule:
     """Closed-form weight pair on the horizon [0, T].
 
-    The callables must accept scalars and numpy arrays alike.
+    The callables must accept scalars and numpy arrays alike, and must be
+    pure: the solver memoizes each N-step table of their values by
+    (schedule, family, N), so a callable whose values change between calls
+    would be read at its first values.
     """
 
     T: float

@@ -16,6 +16,10 @@ at runtime: G_j measures how far the step violates the schedule coupling
 potential a_j F(x_j) - b_j OPT, and the infinity-norm margins certify that
 the masked and offset families keep enough headroom below the box ceiling.
 
+The step sizes, the coupling terms, the step-bound factors and the bound's
+coefficient depend only on (schedule, family, N), so ``run``, ``guarantee``
+and ``g_series`` read one read-only table of them, memoized for N <= 1,000.
+
 A step makes exactly three oracle calls: one gradient, one LMO (masked with
 the cap 1 - x_j for the masked direction) and one value of the new iterate.
 Membership of the iterates is checked once, over the whole trajectory, in
@@ -25,6 +29,7 @@ still fails the run with an InvariantError naming its step.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -32,7 +37,8 @@ import numpy as np
 from .errors import ConfigurationError, InputError, InvariantError, ValidationError, checked_array
 from .feasible import ConvexBody
 from .objective import DrFunction
-from .schedule import FamilySpec, Schedule, family_spec, on_grid  # noqa: F401 (re-exported)
+from .schedule import (FamilySpec, Schedule, checked_steps, family_spec,  # noqa: F401 (re-exported)
+                       on_grid)
 
 _STEP_MASS_TOL = 1e-12
 
@@ -99,37 +105,75 @@ class GuaranteeBound:
 
 
 def g_series(s: Schedule, spec: FamilySpec, N: int) -> np.ndarray:
-    """Coupling terms G_j = c_j (b_{j+1} - b_j) - (a_{j+1} - a_j), j = 0..N-1."""
-    _, a, b = on_grid(s, N)
-    return _coupling(spec, a, b)
+    """Coupling terms G_j = c_j (b_{j+1} - b_j) - (a_{j+1} - a_j), j = 0..N-1 (read-only)."""
+    return _steps(s, spec, N)[4]
 
 
-def _coupling(spec: FamilySpec, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """The coupling terms G_j of ``g_series`` from the grid weights a_j and b_j."""
-    return spec.c(a[:-1]) * np.diff(b) - np.diff(a)
+#: step counts up to this one are memoized: 32 tables of at most 7 (N+1)-arrays, about 2 MB
+_MEMO_STEPS = 1000
 
 
-def _step_bounds(spec: FamilySpec, a: np.ndarray, b: np.ndarray, L: float,
-                 D: float) -> np.ndarray:
-    """Step-free bounds (D L / 2) (b_{j+1} - b_j)^2 d_j^2 / a_{j+1} >= B_exact_j.
+def _steps(s: Schedule, spec: FamilySpec, N: int) -> tuple:
+    """The read-only step table (t, a, b, rho, G, db2, d, coefficient) of an N-step run.
 
-    float_power rounds like a scalar ``x ** 2`` (C pow); an array ``** 2``
-    computes x * x, which can differ in the last ulp.
+    t, a and b are the grid nodes and weights; rho_j = (b_{j+1} - b_j) / a_{j+1}
+    * d_j the step sizes, whose mass must be at most 1; G_j the coupling terms
+    of ``g_series``; db2 = (b_{j+1} - b_j)^2, which float_power rounds like a
+    scalar ``x ** 2`` (C pow: an array ``** 2`` computes x * x, which can
+    differ in the last ulp); d = d(a_j) at every node, j = 0..N; and the
+    coefficient (b_N - b_0 - sum_j max(G_j, 0)) / a_N of the a-priori bound.
+    The table depends only on (s, spec, N), so one for N <= 1,000 is built
+    once and shared; a schedule whose callables cannot be hashed is built
+    on every call.
     """
-    d = np.asarray(spec.d(a[:-1]), dtype=float)
-    return 0.5 * D * L * np.float_power(np.diff(b), 2) * d * d / a[1:]
+    N = checked_steps(N)  # before hashing: 5.0 and True hash like integers
+    try:
+        hash((s, spec))
+    except TypeError:
+        return _build_steps(s, spec, N)
+    return (_memo_steps if N <= _MEMO_STEPS else _build_steps)(s, spec, N)
 
 
-def _bound(a: np.ndarray, b: np.ndarray, G: np.ndarray, B_bound: np.ndarray,
-           start_slack: float) -> GuaranteeBound:
-    """F(x_N) >= coefficient*OPT - additive from the grid weights, G_j and relaxed B_j.
-
-    The additive term is the exact sum of the relaxed per-step bounds and shrinks
-    like 1/N; the coefficient is the schedule ratio minus the (zero, for presets)
-    positive part of the coupling terms, scaled by the start headroom 1 - ||x_0||_inf.
-    """
+def _build_steps(s: Schedule, spec: FamilySpec, N: int) -> tuple:
+    t, a, b = on_grid(s, N)
+    db = np.diff(b)
+    d = np.asarray(spec.d(a), dtype=float)
+    rho = db / a[1:] * d[:-1]
+    # the body is convex and holds 0, so x_N = sum_j rho_j v_j stays in it when
+    # sum_j rho_j <= 1, and an offset step x + rho_j (v - x) when rho_j <= 1
+    offset = spec.direction == "offset"
+    what, mass = ("max rho_j", np.max(rho)) if offset else ("sum rho_j", np.sum(rho))
+    if not mass <= 1.0 + _STEP_MASS_TOL:
+        raise ValidationError(
+            f"schedule steps are too long: {what} = {mass:.6g} exceeds 1 at N={N}")
+    G = spec.c(a[:-1]) * db - np.diff(a)
+    # the schedule ratio minus the (zero, for presets) positive part of the coupling terms
     coefficient = float((b[-1] - b[0] - np.sum(np.maximum(G, 0.0))) / a[-1])
-    return GuaranteeBound(float(coefficient * start_slack), float(np.sum(B_bound) / a[-1]))
+    return (*map(_frozen, (t, a, b, rho, G, np.float_power(db, 2), d)), coefficient)
+
+
+_memo_steps = functools.lru_cache(maxsize=32)(_build_steps)
+
+
+def _frozen(arr: np.ndarray) -> np.ndarray:
+    """arr as a read-only view of a read-only owner, which no caller can make writeable again."""
+    owner = arr if arr.base is None else arr.copy()
+    owner.flags.writeable = False
+    return owner.view()
+
+
+def _bound(steps: tuple, L: float, D: float,
+           start_slack: float) -> tuple[np.ndarray, GuaranteeBound]:
+    """The relaxed step bounds B_j >= B_exact_j, and F(x_N) >= coefficient*OPT - additive.
+
+    B_j = (D L / 2) (b_{j+1} - b_j)^2 d_j^2 / a_{j+1} is step-free.  The
+    additive term is their exact sum over a_N and shrinks like 1/N; the
+    coefficient scales by the start headroom 1 - ||x_0||_inf.
+    """
+    _, a, _, _, _, db2, d, coefficient = steps
+    B_bound = 0.5 * D * L * db2 * d[:-1] * d[:-1] / a[1:]
+    return B_bound, GuaranteeBound(float(coefficient * start_slack),
+                                   float(np.sum(B_bound) / a[-1]))
 
 
 def run(f: DrFunction, C: ConvexBody, s: Schedule, spec: FamilySpec, N: int,
@@ -150,24 +194,14 @@ def run(f: DrFunction, C: ConvexBody, s: Schedule, spec: FamilySpec, N: int,
     elif not C.contains(x0 := checked_array(x0, (C.n,), "start point")):
         raise InputError("start point is not feasible")
 
-    t, a, b = on_grid(s, N)
-    n = C.n
-    D = C.diameter()
+    steps = _steps(s, spec, N)
+    t, a, b, rho, G, _, d, _ = steps
     L = f.L
 
-    xs = np.zeros((N + 1, n))
+    xs = np.zeros((N + 1, C.n))
     Fs = np.zeros(N + 1)
-    rho = np.diff(b) / a[1:] * np.asarray(spec.d(a[:-1]), dtype=float)
-    # the body is convex and holds 0, so x_N = sum_j rho_j v_j stays in it when
-    # sum_j rho_j <= 1, and an offset step x + rho_j (v - x) when rho_j <= 1
-    offset = spec.direction == "offset"
-    what, mass = ("max rho_j", np.max(rho)) if offset else ("sum rho_j", np.sum(rho))
-    if not mass <= 1.0 + _STEP_MASS_TOL:
-        raise ValidationError(
-            f"schedule steps are too long: {what} = {mass:.6g} exceeds 1 at N={N}")
-    G = _coupling(spec, a, b)
     B_exact = np.zeros(N)
-    B_bound = _step_bounds(spec, a, b, L, D)
+    offset = spec.direction == "offset"
 
     value_calls = grad_calls = lmo_calls = 0
     x = np.array(x0, dtype=float)
@@ -202,15 +236,16 @@ def run(f: DrFunction, C: ConvexBody, s: Schedule, spec: FamilySpec, N: int,
     start_slack = 1.0 - infnorm[0]
     # the headroom floor start_slack / d(a_j) that the masked and offset rules keep
     # below the box ceiling; the plain rule needs none
-    margins = None if spec.direction == "plain" else (1.0 - infnorm) - start_slack / spec.d(a)
+    margins = None if spec.direction == "plain" else (1.0 - infnorm) - start_slack / d
+    B_bound, bound = _bound(steps, L, C.diameter(), start_slack)
 
-    for arr in (t, a, b, xs, Fs, infnorm, rho, G, B_exact, B_bound, margins):
+    for arr in (xs, Fs, infnorm, B_exact, B_bound, margins):  # the step table is read-only
         if arr is not None:
             arr.flags.writeable = False
     return Trajectory(
         N=N, t=t, a=a, b=b, x=xs, F=Fs, infnorm=infnorm,
         rho=rho, G=G, B_exact=B_exact, B_bound=B_bound, gronwall_margin=margins,
-        bound=_bound(a, b, G, B_bound, start_slack),
+        bound=bound,
         value_calls=value_calls, grad_calls=grad_calls, lmo_calls=lmo_calls)
 
 
@@ -230,8 +265,7 @@ def guarantee(s: Schedule, spec: FamilySpec, N: int, L: float, D: float) -> Guar
     """
     if not (L >= 0 and D >= 0):  # NaN fails too
         raise InputError("L and D must be nonnegative")
-    _, a, b = on_grid(s, N)
-    return _bound(a, b, _coupling(spec, a, b), _step_bounds(spec, a, b, L, D), 1.0)
+    return _bound(_steps(s, spec, N), L, D, 1.0)[1]
 
 
 # --- trajectory CSV ------------------------------------------------------------

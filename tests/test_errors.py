@@ -2,12 +2,15 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from drsub import (BoxBody, CardinalityBody, InputError, PackingBody, check_dr_inequality,
                    coverage_function, family_spec, finite_diff_grad, lmo_bruteforce,
                    make_concave_modular, make_coverage, make_quadratic, preset, run,
                    set_function_from_table)
-from drsub.feasible import simplex_solve, vertices
+from drsub.errors import checked_array
+from drsub.feasible import FEASIBILITY_TOL, simplex_solve, vertices
+from drsub.objective import CLAMP_TOL
 
 QUAD = make_quadratic([[-2.0, 0.0], [0.0, -2.0]], [1.0, 0.5])
 OK = np.full(2, 0.5)
@@ -68,6 +71,45 @@ def test_every_array_argument_is_read_by_one_rule(entry, call, name, batch, box,
     # the message opens with the argument's name; the unit-box rule names a bad row of a batch
     with pytest.raises(InputError, match=rf"^(a row of )?{re.escape(name)} .*{PHRASES[case]}"):
         call(_malformed(case, batch, box))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+@pytest.mark.parametrize("entry,call,name,batch,box", ENTRY_POINTS,
+                         ids=[e[0] for e in ENTRY_POINTS])
+def test_a_non_finite_last_entry_is_refused(entry, call, name, batch, box, bad):
+    # _malformed puts NaN first; a point's scan must not stop at min and max,
+    # which may pass over a NaN that is not first
+    row = [0.5, bad]
+    with pytest.raises(InputError, match=rf"^(a row of )?{re.escape(name)} .*NaN"):
+        call([OK, row] if batch else row)
+
+
+#: point entries at the edges of the box rule: non-finite, signed zeros, huge and
+#: subnormal values, and values 1e-13 and 1e-11 outside the box
+EDGES = [np.nan, np.inf, -np.inf, 0.0, -0.0, 1e308, -1e308, 5e-324, 1.0, 0.5,
+         -1e-13, 1.0 + 1e-13, -1e-11, 1.0 + 1e-11]
+
+
+def _verdict(X, shape, tol):
+    try:
+        return "ok", checked_array(X, shape, "point", tol)
+    except InputError as e:
+        return "refused", str(e)
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.lists(st.sampled_from(EDGES) | st.floats(-0.5, 1.5), min_size=1, max_size=8),
+       st.sampled_from([CLAMP_TOL, FEASIBILITY_TOL]))
+def test_a_point_and_its_one_row_batch_get_one_verdict(values, tol):
+    # a point is scanned as Python floats and a batch with numpy's reductions
+    x = np.array(values)
+    point, batch = _verdict(x, (x.size,), tol), _verdict(x[None], (None, x.size), tol)
+    assert point[0] == batch[0], values
+    if point[0] == "ok":
+        assert point[1].tobytes() == batch[1][0].tobytes()
+    else:
+        tail = " is NaN, infinite or outside the unit box"
+        assert (point[1], batch[1]) == (f"point {x!r}{tail}", f"a row of point{tail}")
 
 
 #: a builder's array argument that is not an array of reals, each refused naming the argument

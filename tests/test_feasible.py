@@ -131,6 +131,10 @@ class TestLmo:
         v = PART.lmo([5.0, 4.0, 3.0, 2.0])
         assert v == pytest.approx([1.0, 0.0, 1.0, 0.0])
 
+    def test_lowest_index_wins_inside_unsorted_blocks(self):
+        v = PartitionBody(4, ((3, 1), (2, 0)), (1, 1)).lmo([1, 1, 1, 1])
+        assert v.tolist() == [1.0, 1.0, 0.0, 0.0]
+
     @pytest.mark.parametrize("body", all_bodies())
     def test_matches_enumeration(self, body, rng):
         for _ in range(100):
@@ -155,6 +159,13 @@ class TestMaskedLmo:
         v = CARD32.masked_lmo(g, [0.5, 1.0, 1.0])
         assert v == pytest.approx([0.5, 1.0, 0.0])
         assert float(g @ v) == pytest.approx(2.5)
+
+    def test_partition_fill_at_fractional_caps(self):
+        # ties go to the lowest index, and each block's budget binds partway
+        body = PartitionBody(6, ((5, 2, 0), (1, 3, 4)), (1, 1))
+        g = [0.5, 0.75, 0.5, -0.25, 0.75, 0.5]
+        v = body.masked_lmo(g, [0.25, 0.75, 0.75, 1.0, 0.5, 0.625])
+        assert v.tolist() == [0.25, 0.75, 0.75, 0.0, 0.25, 0.0]
 
     def test_zero_cap(self):
         assert CARD32.masked_lmo([5.0, 5.0, 5.0], np.zeros(3)) == pytest.approx([0.0] * 3)

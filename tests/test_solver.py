@@ -12,7 +12,8 @@ from drsub import (BoxBody, CardinalityBody, ConfigurationError, InputError,
                    multilinear_extension, preset, run, set_bruteforce,
                    trajectory_csv)
 from drsub import checks, cli, desk
-from drsub.schedule import FAMILIES as PRESET_FAMILIES, checked_steps
+from drsub.errors import ValidationError
+from drsub.schedule import FAMILIES as PRESET_FAMILIES, Schedule, checked_steps
 
 COVER3 = desk.coverage_three_sets()
 COVER3_F = multilinear_extension(COVER3)
@@ -227,6 +228,89 @@ class TestScheduleGrid:
         assert traj.t[0] == 0.0
         assert traj.t[-1] == s.T
         assert np.all(np.diff(traj.t) > 0)
+
+
+def _table(s, spec, N, L, D, x0):
+    """The step table and the run telemetry that depend on it, recomputed from their formulas."""
+    t = np.linspace(0.0, s.T, N + 1)
+    a, b = np.asarray(s.a(t), dtype=float), np.asarray(s.b(t), dtype=float)
+    d = np.asarray(spec.d(a[:-1]), dtype=float)
+    G = spec.c(a[:-1]) * np.diff(b) - np.diff(a)
+    B_bound = 0.5 * D * L * np.float_power(np.diff(b), 2) * d * d / a[1:]
+    coefficient = float((b[-1] - b[0] - np.sum(np.maximum(G, 0.0))) / a[-1])
+    start_slack = 1.0 - np.max(np.abs(x0))
+    return dict(t=t, a=a, b=b, rho=np.diff(b) / a[1:] * d, G=G, B_bound=B_bound,
+                bound=(float(coefficient * start_slack), float(np.sum(B_bound) / a[-1])),
+                guarantee=(coefficient, float(np.sum(B_bound) / a[-1])))
+
+
+def _same_bytes(x, y) -> bool:
+    return x.dtype == y.dtype and x.shape == y.shape and x.tobytes() == y.tobytes()
+
+
+class TestStepTable:
+    """run, guarantee and g_series read one memoized table per (schedule, family, N)."""
+
+    @pytest.mark.parametrize("family", PRESET_FAMILIES)
+    @pytest.mark.parametrize("N", [1, 7, 30, 500, 1001])
+    def test_run_and_guarantee_match_the_formulas(self, family, N):
+        s, spec = preset(family), family_spec(family)
+        x0 = np.array([0.25, 0.0]) if spec.direction == "offset" else None
+        # two objectives with different L share one table; the second run reads it
+        for f in (QUAD, dataclasses.replace(QUAD, L=2.5 * QUAD.L)):
+            traj = run(f, BOX2, s, spec, N, x0=x0)
+            want = _table(s, spec, N, f.L, BOX2.diameter(), np.zeros(2) if x0 is None else x0)
+            for name in ("t", "a", "b", "rho", "G", "B_bound"):
+                assert _same_bytes(getattr(traj, name), want[name]), name
+            if spec.direction != "plain":
+                margins = (1.0 - traj.infnorm) - (1.0 - traj.infnorm[0]) / spec.d(want["a"])
+                assert _same_bytes(traj.gronwall_margin, margins)
+            assert (traj.bound.coefficient, traj.bound.additive) == want["bound"]
+            bound = guarantee(s, spec, N, f.L, BOX2.diameter())
+            assert (bound.coefficient, bound.additive) == want["guarantee"]
+            assert _same_bytes(g_series(s, spec, N), want["G"])
+
+    def test_tables_are_shared_and_refuse_writes(self):
+        s, spec = preset("measured"), family_spec("measured")
+        first, second = run_family("measured", N=20), run_family("measured", N=20)
+        assert first.rho is second.rho and first.t is second.t
+        assert run_family("measured", N=1001).rho is not run_family("measured", N=1001).rho
+        for arr in (first.t, first.a, first.b, first.rho, first.G, g_series(s, spec, 20)):
+            with pytest.raises(ValueError):
+                arr[0] = 1.0
+            with pytest.raises(ValueError):  # the memo hands out views of read-only arrays
+                arr.flags.writeable = True
+
+    @pytest.mark.parametrize("N", [5.0, np.float64(5.0), True],
+                             ids=["float", "numpy-float", "bool"])
+    def test_steps_are_checked_before_the_memo_is_read(self, N):
+        s, spec = preset("general"), family_spec("general")
+        g_series(s, spec, int(N))  # memoizes the table of the equal integer
+        for call in (lambda: g_series(s, spec, N), lambda: guarantee(s, spec, N, 1.0, 1.0),
+                     lambda: run(QUAD, BOX2, s, spec, N)):
+            with pytest.raises(InputError, match="N must be an integer"):
+                call()
+
+    @pytest.mark.parametrize("N", [1, 30, 1001])
+    def test_a_too_long_step_is_refused_on_every_call(self, N):
+        s, spec = Schedule(1.0, np.exp, lambda t: 3.0 * np.exp(t)), family_spec("monotone")
+        for call in [lambda: run(QUAD, BOX2, s, spec, N),
+                     lambda: guarantee(s, spec, N, 1.0, 1.0), lambda: g_series(s, spec, N)] * 2:
+            with pytest.raises(ValidationError, match=rf"sum rho_j = .* exceeds 1 at N={N}$"):
+                call()
+
+    def test_an_unhashable_schedule_still_runs(self):
+        s = Schedule(1.0, np.polynomial.Polynomial([1.0, 2.0, 1.0]), lambda t: t)
+        spec = family_spec("general")
+        with pytest.raises(TypeError):
+            hash(s)
+        first, second = run(QUAD, BOX2, s, spec, 30), run(QUAD, BOX2, s, spec, 30)
+        assert first.rho is not second.rho
+        assert _same_bytes(first.x, second.x)
+        want = _table(s, spec, 30, QUAD.L, BOX2.diameter(), np.zeros(2))
+        for name in ("t", "a", "b", "rho", "G", "B_bound"):
+            assert _same_bytes(getattr(first, name), want[name]), name
+        assert guarantee(s, spec, 30, QUAD.L, BOX2.diameter()) == first.bound
 
 
 class TestGTerms:
