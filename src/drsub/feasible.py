@@ -159,12 +159,16 @@ class BoxBody(ConvexBody):
 
 
 def _greedy_fill(g: np.ndarray, cap: np.ndarray, blocks, budgets) -> np.ndarray:
-    """Per block, fill the coordinates of largest positive g up to cap until the budget is spent."""
+    """Per block, fill the coordinates of largest positive g up to cap until the budget is spent.
+
+    Each block's indices are sorted, and Python's sort is stable under
+    reverse=True, so among equal g the lowest index is filled first.
+    """
     v = np.zeros(g.size)
     g, cap = g.tolist(), cap.tolist()  # Python floats index and compare faster than numpy's
     for blk, k in zip(blocks, budgets):
         budget = float(k)
-        for i in sorted(blk, key=lambda i: (-g[i], i)):
+        for i in sorted(blk, key=g.__getitem__, reverse=True):
             if g[i] <= 0.0 or budget <= 0.0:
                 break
             take = min(cap[i], budget)
@@ -185,7 +189,7 @@ class PartitionBody(ConvexBody):
         checked_dimension(self.n, "partition")
         if not all(map(is_int, [*self.capacities, *(i for blk in self.blocks for i in blk)])):
             raise InputError("block indices and capacities must be integers")
-        blocks = tuple(tuple(int(i) for i in blk) for blk in self.blocks)
+        blocks = tuple(tuple(sorted(int(i) for i in blk)) for blk in self.blocks)
         caps = tuple(int(k) for k in self.capacities)
         if len(blocks) != len(caps):
             raise InputError("need one capacity per block")
@@ -296,22 +300,26 @@ def simplex_solve(c: np.ndarray, A: np.ndarray, b: np.ndarray, u: np.ndarray,
     ``start`` (a point of shape (len(c),), or None) only saves pivots.  When
     it is a nondegenerate vertex of this LP at its own cap, which may lie
     above u (a masked oracle's previous vertex once the cap is lowered), one
-    solve rebuilds that basis and dual pivots restore x <= u before the
-    primal pivots (see _warm_tableau).  A warm answer is kept only when every nonbasic reduced
-    cost ends below -_PIVOT_TOL: the optimum is then unique, so it is the
-    vertex the all-slack start reaches, up to round-off.  Any other start,
-    and a warm start that cannot be rebuilt, repaired or kept, give the
-    all-slack solve bit for bit.
+    solve over the nonbasic columns and the rhs rebuilds that basis, and
+    dual pivots restore x <= u before the primal pivots (see _warm_tableau).
+    A warm answer is kept only when every nonbasic reduced cost ends below
+    -_PIVOT_TOL: the optimum is then unique, so it is the vertex the
+    all-slack start reaches, up to round-off.  Any other start, and a warm
+    start that cannot be rebuilt, repaired or kept, give the all-slack solve
+    bit for bit.
     """
     n = c.size
-    G = np.vstack([A, np.eye(n)])
-    m = G.shape[0]
+    k = b.size
+    m = k + n
 
     # columns: n structural variables then m slacks; last column is the rhs
     tab = np.zeros((m + 1, n + m + 1))
-    tab[:m, :n] = G
-    tab[:m, n:n + m] = np.eye(m)
-    tab[:m, -1] = np.concatenate([b, u])
+    rows = np.arange(m)
+    tab[:k, :n] = A
+    tab[rows[k:], rows[:n]] = 1.0  # the bound rows x <= u
+    tab[rows, n + rows] = 1.0
+    tab[:k, -1] = b
+    tab[k:m, -1] = u
     tab[m, :n] = c  # reduced-cost row; positive entry means improvement
 
     if start is not None:
@@ -319,7 +327,9 @@ def simplex_solve(c: np.ndarray, A: np.ndarray, b: np.ndarray, u: np.ndarray,
         if warm is not None:
             warm_tab, basis = warm
             _pivot(warm_tab, basis)
-            if np.all(np.delete(warm_tab[m, :-1], basis) < -_PIVOT_TOL):
+            cost = warm_tab[m, :-1].copy()
+            cost[basis] = -np.inf  # only the nonbasic reduced costs decide
+            if cost.max() < -_PIVOT_TOL:
                 return _vertex(warm_tab, basis, c, A, b, u)
     basis = np.arange(n, n + m)
     _pivot(tab, basis)
@@ -330,21 +340,29 @@ def _warm_tableau(tab: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, np.ndarra
     """The all-slack tableau ``tab`` in a primal feasible basis built from the start x, or None.
 
     z holds x, then the slacks of A x <= b, then those of x <= u.  The basis
-    of _start_basis is factorized once, and _dual_pivots restore x <= u on
-    it, with no pivot if x meets the cap.  The basis rule costs one matvec
-    and no factorization, so a refused start adds none; a singular basis
-    gives None.
+    B of _start_basis is factorized once, against only the nonbasic columns
+    and the rhs: the basic columns are written as the exact unit vectors a
+    pivot keeps, so their reduced costs are exactly 0.  _dual_pivots then
+    restore x <= u, with no pivot if x meets the cap.  The basis rule costs
+    one matvec and no factorization, so a refused start adds none; a
+    singular basis gives None.
     """
     m, n = tab.shape[0] - 1, x.size
     basis = _start_basis(np.concatenate([x, tab[:m, -1] - tab[:m, :n] @ x]), n)
     if basis is None:
         return None
+    other = np.ones(tab.shape[1], dtype=bool)  # the nonbasic columns and the rhs
+    other[basis] = False
     try:
-        rows = np.linalg.solve(tab[:m, basis], tab[:m])
+        rows = np.linalg.solve(tab[:m, basis], tab[:m, other])
     except np.linalg.LinAlgError:  # a singular basis matrix
         return None
-    cost = tab[m] - tab[m, basis] @ rows
-    return _dual_pivots(np.vstack([rows, cost, np.minimum(cost, 0.0)]), basis)
+    warm = np.zeros((m + 2, tab.shape[1]))  # the rows, the reduced costs, the shifted costs
+    warm[np.arange(m), basis] = 1.0
+    warm[:m, other] = rows
+    warm[m, other] = tab[m, other] - tab[m, basis] @ rows
+    np.minimum(warm[m], 0.0, out=warm[m + 1])
+    return _dual_pivots(warm, basis)
 
 
 def _start_basis(z: np.ndarray, n: int) -> np.ndarray | None:
@@ -392,14 +410,16 @@ def _dual_pivots(tab: np.ndarray, basis: np.ndarray) -> tuple[np.ndarray, np.nda
     more than m pivots, gives None.
     """
     m = basis.size
+    rhs, shifted = tab[:m, -1], tab[m + 1, :-1]
     for _ in range(m + 1):
-        leave = int(np.argmin(tab[:m, -1]))
-        if tab[leave, -1] >= -_PIVOT_TOL:
+        leave = int(rhs.argmin())
+        if rhs[leave] >= -_PIVOT_TOL:
             return tab[:m + 1], basis
-        cols = np.flatnonzero(tab[leave, :-1] < -_PIVOT_TOL)
-        if cols.size == 0:
+        row = tab[leave, :-1]
+        ratios = np.divide(shifted, row, out=np.full(row.size, np.inf), where=row < -_PIVOT_TOL)
+        enter = int(ratios.argmin())
+        if ratios[enter] == np.inf:  # no negative entry: the shifted ratios are finite
             return None
-        enter = cols[np.argmin(tab[m + 1, cols] / tab[leave, cols])]
         _exchange(tab, basis, leave, enter)
     return None
 
@@ -409,26 +429,27 @@ def _exchange(tab: np.ndarray, basis: np.ndarray, leave: int, enter: int) -> Non
     tab[leave] /= tab[leave, enter]
     col = tab[:, enter].copy()
     col[leave] = 0.0
-    tab -= np.outer(col, tab[leave])
+    tab -= col[:, None] * tab[leave]
     basis[leave] = enter
 
 
 def _pivot(tab: np.ndarray, basis: np.ndarray) -> None:
     """Pivot ``tab`` and ``basis`` in place from a feasible basis to an optimal one."""
     m = basis.size
+    cost, rhs = tab[m, :-1], tab[:m, -1]
+    past = tab.shape[1]  # above every basic index, so argmin picks the lowest one among the tied
     degenerate = False
     for _ in range(100000):
-        improving = np.flatnonzero(tab[m, :-1] > _PIVOT_TOL)
-        if improving.size == 0:
+        enter = int((cost > _PIVOT_TOL).argmax() if degenerate else cost.argmax())
+        if cost[enter] <= _PIVOT_TOL:  # no improving column
             return
-        enter = improving[0] if degenerate else np.argmax(tab[m, :-1])
-        rows = np.flatnonzero(tab[:m, enter] > _PIVOT_TOL)
-        if rows.size == 0:
+        col = tab[:m, enter]
+        ratios = np.divide(rhs, col, out=np.full(m, np.inf), where=col > _PIVOT_TOL)
+        least = ratios.min()
+        if least == np.inf:
             raise InvariantError("unbounded packing LP; bounds rows should prevent this")
-        ratios = tab[rows, -1] / tab[rows, enter]
-        tied = rows[ratios - ratios.min() <= _PIVOT_TOL]
-        leave = tied[np.argmin(basis[tied])]
-        degenerate = tab[leave, -1] <= _PIVOT_TOL
+        leave = int(np.where(ratios - least <= _PIVOT_TOL, basis, past).argmin())
+        degenerate = rhs[leave] <= _PIVOT_TOL
         _exchange(tab, basis, leave, enter)
     raise InvariantError("simplex failed to terminate")
 

@@ -256,6 +256,43 @@ def enumerated_optimum(c, A, b, u):
     return lmo_bruteforce(PackingBody(A, b), c, u)[0]
 
 
+def drawn_lp(rng):
+    """A 20x30 packing LP drawn as the packing benchmark draws its bodies, with positive costs."""
+    A = rng.uniform(0.0, 1.0, size=(20, 30))
+    return rng.uniform(0.1, 1.0, size=30), A, 0.2 * A.sum(axis=1), np.ones(30)
+
+
+#: (leave, enter) of every pivot of three cold solves, as the dense simplex makes them
+COLD_PIVOTS = {
+    # the third pivot leaves a zero rhs, so the lowest improving column 0 enters
+    # next (Bland), where the largest reduced cost would pick column 3 (Dantzig)
+    "degenerate": (([3.0, 4.0, 4.0, 3.0], [[1.0, 2.0, 1.0, 0.0]], [3.0], np.ones(4)),
+                   [(2, 1), (0, 2), (3, 6), (1, 0), (4, 3)]),
+    # the second pivot ties rows 0, 1, 2 and 5; row 1 leaves, its basic x_0 the lowest index
+    "ratio-tie": (([4.0, 1.0, 4.0, 1.0],
+                   [[0.0, 2.0, 1.0, 0.0], [2.0, 0.0, 1.0, 0.0], [0.0, 1.0, 1.0, 1.0]],
+                   [1.0, 1.0, 1.0], np.ones(4)),
+                  [(1, 0), (1, 2), (0, 1), (2, 3)]),
+    "drawn-20x30": (drawn_lp(np.random.default_rng(2030)),
+                    [(36, 16), (46, 26), (38, 18), (13, 7), (11, 11), (31, 43), (1, 12), (12, 66),
+                     (31, 4), (18, 24), (16, 9), (8, 31), (10, 61), (10, 68), (1, 38), (10, 17),
+                     (5, 61), (1, 8), (31, 12), (3, 41), (31, 13), (8, 29), (3, 48)]),
+}
+
+
+def warm_lp(rng, size, cap):
+    """(c, A, b, u, start): a start from the vertex of nearby costs, at its own cap or a lowered one."""
+    if size == "2x2":  # the vertex (1, 0.5); the new costs move the optimum to (0.5, 1)
+        c, A, b = np.array([2.0, 1.0]), np.array([[1.0, 1.0], [1.0, 2.0]]), np.array([1.5, 2.5])
+        u, c2 = np.ones(2), np.array([1.0, 1.5])
+    else:
+        c, A, b, u = drawn_lp(rng)
+        c2 = c + rng.normal(scale=0.1, size=30)
+    v = simplex_solve(c, A, b, u)[0]
+    # a masked Frank-Wolfe step lowers the cap to 1 - x, which v breaks where it sat at u
+    return c2, A, b, (u - 0.6 * v if cap == "lowered" else u), v
+
+
 class TestSimplex:
     def test_unit_budget(self):
         x, val = solve([3.0, 1.0], [[1.0, 1.0]], [1.0], [1.0, 1.0])
@@ -344,6 +381,46 @@ class TestSimplex:
         assert sum(t is not None for t in warm_tableaus) >= 190
         # a start at the same cap is primal feasible: the dual phase makes no pivot
         assert dual_pivots and not any(dual_pivots)
+
+    @pytest.mark.parametrize("case", COLD_PIVOTS)
+    def test_cold_pivots_are_pinned(self, case, monkeypatch):
+        lp, expected = COLD_PIVOTS[case]
+        pivots = []
+        exchange = feasible._exchange
+
+        def watched(tab, basis, leave, enter):
+            pivots.append((int(leave), int(enter)))
+            exchange(tab, basis, leave, enter)
+
+        monkeypatch.setattr(feasible, "_exchange", watched)
+        solve(*lp)
+        assert pivots == expected
+
+    @pytest.mark.parametrize("cap", ["own", "lowered"])
+    @pytest.mark.parametrize("size", ["2x2", "20x30"])
+    def test_warm_tableau_is_exact_in_its_basis(self, size, cap, rng, monkeypatch):
+        c, A, b, u, start = warm_lp(rng, size, cap)
+        assert np.any(start > u) == (cap == "lowered")  # a lowered cap takes dual pivots
+        seen = []
+        tableau = feasible._warm_tableau
+
+        def watched(tab, x):
+            warm = tableau(tab, x)
+            seen.append((tab.copy(), warm[0].copy(), warm[1].copy()))
+            return warm
+
+        monkeypatch.setattr(feasible, "_warm_tableau", watched)
+        x, val = simplex_solve(c, A, b, u, start)
+        [(tab, warm, basis)] = seen
+        m = basis.size
+        assert np.array_equal(warm[:m, basis], np.eye(m))
+        assert np.array_equal(warm[m, basis], np.zeros(m))
+        rows = np.linalg.solve(tab[:m, basis], tab[:m])
+        expected = np.vstack([rows, tab[m] - tab[m, basis] @ rows])
+        assert np.max(np.abs(warm - expected)) <= 1e-12 * np.max(np.abs(expected))
+        cold = simplex_solve(c, A, b, u)
+        assert np.max(np.abs(x - cold[0])) <= 1e-12
+        assert abs(val - cold[1]) <= 1e-12 * max(1.0, abs(cold[1]))
 
     def test_tied_lp_gives_the_cold_vertex_from_another_optimal_vertex(self):
         # c is parallel to the first row: the optimal edge runs from (0.5, 0.5) to (0.75, 0)
