@@ -115,8 +115,9 @@ def max_simplex_gap(rng: np.random.Generator) -> float:
     after them enter other columns than Dantzig's rule would.  Each LP is solved again
     from a start: the vertex of the reversed costs for the continuous LPs, and another
     optimal vertex, where there is one, for the 0/1 LPs.  Then each is solved at the cap
-    u - x/2, cold and from its own vertex x, which breaks that cap wherever it sat at u,
-    as a masked Frank-Wolfe step lowers the cap: that start is repaired by dual pivots.
+    u - x/2, cold, from its own vertex x, which breaks that cap wherever it sat at u,
+    as a masked Frank-Wolfe step lowers the cap (that start is repaired by dual pivots),
+    and from the tableau the first cold solve kept, as a run's next LMO call reuses it.
     A warm gap adds the distance to the cold vertex, and is infinite when a 0/1 LP with
     tied optima gives a warm answer other than the cold vertex bit for bit.
     """
@@ -135,7 +136,8 @@ def max_simplex_gap(rng: np.random.Generator) -> float:
             u = rng.uniform(0.2, 1.0, size=n)
             c = rng.normal(size=n)
         body = feasible.PackingBody(A, b)
-        x, val = feasible.simplex_solve(c, A, b, u)
+        kept = feasible.WarmStart()
+        x, val = feasible.simplex_solve(c, A, b, u, kept)  # cold: the state is empty
         ref, others = _optima(body, c, u, x)
         if ties:
             start = others[0] if others.size else x
@@ -145,8 +147,9 @@ def max_simplex_gap(rng: np.random.Generator) -> float:
         low = u - 0.5 * x
         x_low, val_low = feasible.simplex_solve(c, A, b, low)
         ref, others = _optima(body, c, low, x_low)
-        gaps += [abs(val_low - ref),
-                 _warm_gap(c, A, b, low, x, x_low, ref, ties and others.size > 0)]
+        tied = ties and others.size > 0
+        gaps += [abs(val_low - ref), _warm_gap(c, A, b, low, x, x_low, ref, tied),
+                 _warm_gap(c, A, b, low, kept, x_low, ref, tied)]
     return float(np.max(gaps))
 
 
@@ -160,7 +163,8 @@ def _optima(body: ConvexBody, c: np.ndarray, u: np.ndarray,
 
 
 def _warm_gap(c, A, b, u, start, x: np.ndarray, ref: float, tied: bool) -> float:
-    """Gap of the solve from ``start`` to the optimum ref, plus its distance to the cold x."""
+    """Gap of the solve from ``start`` (a point or a WarmStart) to the optimum ref, plus its
+    distance to the cold x."""
     x_warm, val_warm = feasible.simplex_solve(c, A, b, u, start)
     if tied and not np.array_equal(x_warm, x):
         return np.inf
@@ -205,7 +209,9 @@ def run_margins(traj: solver.Trajectory, opt: float | None) -> dict[str, Margin]
     certified = opt is not None and not opt <= 0  # a NaN optimum gives NaN margins
     if certified:
         scale = np.max(traj.F, initial=opt)  # a NaN value or optimum propagates
-        increments = np.diff(traj.potential(opt)) + np.maximum(traj.G, 0.0) * opt + traj.B_exact
+        # Trajectory.potential's series, which refuses the NaN optimum that makes these NaN
+        potential = traj.a * traj.F - traj.b * opt
+        increments = np.diff(potential) + np.maximum(traj.G, 0.0) * opt + traj.B_exact
         slack = traj.final_value - (traj.bound.coefficient * opt - traj.bound.additive)
     margins = {
         "potential increment margin": _smallest(increments / scale) if certified else None,

@@ -10,11 +10,14 @@ case), and packing polytopes A x <= b with nonnegative A.  Packing oracles
 run on a small dense simplex that enters the largest reduced cost, or the
 lowest improving column right after a degenerate pivot, so a cycle (which
 holds only degenerate pivots) would follow Bland's rule throughout and
-cannot occur.  It can start from a given vertex, such as the previous
-Frank-Wolfe step's: one rule rebuilds the vertex's basis at its own cap,
-dual pivots restore a lowered cap it breaks (none if it meets the cap),
-and the answer is kept only when the optimum is unique.  The other kinds
-(box, partition) use closed-form greedy fills.
+cannot occur.  A run passes one WarmStart to all its oracle calls: it
+keeps the last optimal tableau, whose slack columns hold the basis
+inverse, so the next LP over the same columns needs no factorization.  A
+point start, such as a previous vertex, is rebuilt instead: one rule finds
+the vertex's basis at its own cap and one solve factorizes it.  Either way
+dual pivots restore a lowered cap the start breaks (none if it meets the
+cap), and the answer is kept only when the optimum is unique.  The other
+kinds (box, partition) use closed-form greedy fills.
 The exhaustive reference oracle at the bottom of the module, used for
 cross-checking, enumerates the vertices of the inequality system every
 body stores.
@@ -106,14 +109,19 @@ class ConvexBody:
         Ties are broken deterministically: box and partition bodies fill the
         lowest coordinate index first, packing bodies take the vertex the simplex's
         pivot rule reaches, and coordinates with nonpositive coefficients
-        stay at zero.  ``start``, a point of the body's dimension such as the
-        previous Frank-Wolfe vertex, is a hint that only saves work: packing
-        bodies start the simplex from its basis when it is a nondegenerate
-        vertex of the LP at its own cap, and dual pivots restore a lower cap
-        of the masked oracle that it breaks (see simplex_solve).  They keep
-        that answer only when the optimum is unique and otherwise solve from
-        the all-slack basis, so the tie rule above holds with or without a
-        start; box and partition bodies ignore it.
+        stay at zero.  ``start`` is a hint that only saves work: a run's
+        WarmStart, or a point of the body's dimension such as the previous
+        Frank-Wolfe vertex.  Packing bodies reuse a WarmStart's kept tableau,
+        with no factorization, when its LP was over the same active
+        coordinates of the same body, and otherwise start from its last
+        answer as from a point; a point starts the simplex from its basis
+        when it is a nondegenerate vertex of the LP at its own cap.  Dual
+        pivots restore a lower cap of the masked oracle that the start
+        breaks (see simplex_solve).  They keep that answer only when the
+        optimum is unique and otherwise solve from the all-slack basis, so
+        the tie rule above holds with or without a start, and they rewrite a
+        WarmStart with the LP they solved.  Box and partition bodies ignore
+        the start.
         """
         raise NotImplementedError
 
@@ -263,14 +271,22 @@ class PackingBody(ConvexBody):
 
     def _solve(self, g: np.ndarray, cap: np.ndarray, start) -> np.ndarray:
         """Maximize <g, v> over the body and {v <= cap}, for a checked g and cap in [0, 1]^n."""
-        start = None if start is None else checked_array(start, (self.n,), "start")
+        if isinstance(start, WarmStart):
+            state = start
+        else:  # a point start, or none, lasts this one call
+            state = WarmStart()
+            if start is not None:
+                state.body, state.active = self, np.arange(self.n)
+                state.x = checked_array(start, (self.n,), "start")
         # coordinates with nonpositive payoff (or a zero cap) stay at zero;
         # this keeps the output minimal and the subproblem bounds positive
         active = np.flatnonzero((g > 0.0) & (cap > 0.0))
+        state.aim(self, active)
         v = np.zeros(self.n)
         if active.size:
-            v[active] = simplex_solve(g[active], self.A[:, active], self.b, cap[active],
-                                      None if start is None else start[active])[0]
+            v[active] = simplex_solve(g[active], self.A[:, active], self.b, cap[active], state)[0]
+        else:
+            state.x = v[active]  # the answer of the LP over no columns
         return v
 
     def diameter(self) -> float:
@@ -279,6 +295,43 @@ class PackingBody(ConvexBody):
 
 
 # --- dense simplex ---------------------------------------------------------------
+
+
+class WarmStart:
+    """The state a run carries from one packing LMO call to the next, passed as ``start``.
+
+    A run makes one, empty, and passes it to every oracle call; box and
+    partition bodies ignore it.  A packing body keeps in it the LP it last
+    solved, keyed by the body and its active columns (``body``, ``active``):
+    the answer ``x`` in those columns, and the optimal tableau ``tab`` and
+    ``basis`` that gave it.  The slack columns of that tableau hold the
+    inverse of its basis matrix, which depends on the LP's columns alone, so
+    the next LP over the same columns, whatever its costs and caps, starts
+    from it with no factorization (see simplex_solve).  The state lives in
+    the run, so bodies stay immutable and a run's answers depend only on
+    its own inputs.
+    """
+
+    __slots__ = ("body", "active", "x", "tab", "basis")
+
+    def __init__(self):
+        self.body = self.active = self.x = self.tab = self.basis = None
+
+    def aim(self, body: ConvexBody, active: np.ndarray) -> None:
+        """Make the state start the LP of ``body`` over its columns ``active``.
+
+        The kept tableau stays only for the same body and the same columns.
+        Otherwise it is dropped, and the last answer on the same body, read
+        in the new columns, is the point start; on another body there is none.
+        """
+        if body is self.body and np.array_equal(active, self.active):
+            return
+        x = None
+        if body is self.body and self.x is not None:
+            v = np.zeros(body.n)
+            v[self.active] = self.x
+            x = v[active]
+        self.body, self.active, self.x, self.tab, self.basis = body, active, x, None, None
 
 
 def simplex_solve(c: np.ndarray, A: np.ndarray, b: np.ndarray, u: np.ndarray,
@@ -297,16 +350,24 @@ def simplex_solve(c: np.ndarray, A: np.ndarray, b: np.ndarray, u: np.ndarray,
     rule, which never cycles (Bland 1977).  The clipped result is re-checked
     against A x <= b.
 
-    ``start`` (a point of shape (len(c),), or None) only saves pivots.  When
-    it is a nondegenerate vertex of this LP at its own cap, which may lie
-    above u (a masked oracle's previous vertex once the cap is lowered), one
-    solve over the nonbasic columns and the rhs rebuilds that basis, and
-    dual pivots restore x <= u before the primal pivots (see _warm_tableau).
-    A warm answer is kept only when every nonbasic reduced cost ends below
-    -_PIVOT_TOL: the optimum is then unique, so it is the vertex the
-    all-slack start reaches, up to round-off.  Any other start, and a warm
+    ``start`` (None, a point of shape (len(c),), or a WarmStart) only saves
+    pivots.  A WarmStart's kept tableau, which must come from an LP over
+    this A (PackingBody keys it on the body and its active columns), is
+    reused with no factorization: its rows stay, the rhs is B^-1 [b; u] and
+    the reduced costs c - c_B (B^-1 M) (see _kept_tableau).  A point start,
+    or the WarmStart's last answer when it keeps no tableau or its reuse is
+    refused, is rebuilt instead: when it is a nondegenerate vertex of this
+    LP at its own cap, which may lie above u (a masked oracle's previous
+    vertex once the cap is lowered), one solve over the nonbasic columns
+    and the rhs rebuilds that basis (see _warm_tableau).  Either way dual
+    pivots restore the rhs before the primal pivots, and a warm answer is
+    kept only when every nonbasic reduced cost ends below -_PIVOT_TOL: the
+    optimum is then unique, so it is the vertex the all-slack start
+    reaches, up to round-off.  A reused tableau's answer then takes one step
+    of iterative refinement (see _refine).  Any other start, and a warm
     start that cannot be rebuilt, repaired or kept, give the all-slack solve
-    bit for bit.
+    bit for bit.  A WarmStart is rewritten with the answer and the final
+    tableau, whichever path found them.
     """
     n = c.size
     k = b.size
@@ -322,18 +383,76 @@ def simplex_solve(c: np.ndarray, A: np.ndarray, b: np.ndarray, u: np.ndarray,
     tab[k:m, -1] = u
     tab[m, :n] = c  # reduced-cost row; positive entry means improvement
 
-    if start is not None:
-        warm = _warm_tableau(tab, checked_array(start, (n,), "start"))
-        if warm is not None:
-            warm_tab, basis = warm
-            _pivot(warm_tab, basis)
-            cost = warm_tab[m, :-1].copy()
-            cost[basis] = -np.inf  # only the nonbasic reduced costs decide
-            if cost.max() < -_PIVOT_TOL:
-                return _vertex(warm_tab, basis, c, A, b, u)
-    basis = np.arange(n, n + m)
+    state = start if isinstance(start, WarmStart) else None
+    solved = None
+    if state is not None:
+        if state.tab is not None:
+            solved = _unique_optimum(_kept_tableau(tab, state.tab, state.basis))
+            if solved is not None:
+                _refine(*solved, tab)
+        start = state.x
+    elif start is not None:
+        start = checked_array(start, (n,), "start")
+    if solved is None and start is not None:
+        solved = _unique_optimum(_warm_tableau(tab, start))
+    if solved is None:
+        solved = tab, np.arange(n, n + m)
+        _pivot(*solved)
+    x, value = _vertex(*solved, c, A, b, u)
+    if state is not None:
+        state.x, (state.tab, state.basis) = x, solved
+    return x, value
+
+
+def _unique_optimum(warm: tuple[np.ndarray, np.ndarray] | None
+                    ) -> tuple[np.ndarray, np.ndarray] | None:
+    """A warm (tableau, basis) pivoted to its optimum, or None when that optimum may not be unique.
+
+    It is kept only when every nonbasic reduced cost ends below -_PIVOT_TOL.
+    """
+    if warm is None:
+        return None
+    tab, basis = warm
     _pivot(tab, basis)
-    return _vertex(tab, basis, c, A, b, u)
+    cost = tab[basis.size, :-1].copy()
+    cost[basis] = -np.inf  # only the nonbasic reduced costs decide
+    return warm if cost.max() < -_PIVOT_TOL else None
+
+
+def _kept_tableau(tab: np.ndarray, kept: np.ndarray,
+                  basis: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
+    """The all-slack tableau ``tab`` in the basis of ``kept``, an optimal tableau of the same A.
+
+    kept's rows are B^-1 [M I] for the unfactored columns [M I] of tab, so
+    its slack columns hold B^-1: the new rhs is one product B^-1 [b; u], and
+    the reduced costs one more, c - c_B (B^-1 M).  The basic columns stay
+    the exact unit vectors a pivot keeps, so their reduced costs are exactly
+    0.  No factorization is made.  _dual_pivots then restore the new rhs,
+    with no pivot when the caps did not move; None as there.
+    """
+    m = basis.size
+    n = tab.shape[1] - m - 1
+    warm = np.empty((m + 2, tab.shape[1]))  # the rows, the reduced costs, the shifted costs
+    warm[:m, :-1] = kept[:m, :-1]
+    warm[:m, -1] = kept[:m, n:n + m] @ tab[:m, -1]
+    warm[m] = tab[m] - tab[m, basis] @ warm[:m]
+    np.minimum(warm[m], 0.0, out=warm[m + 1])
+    return _dual_pivots(warm, basis.copy())
+
+
+def _refine(final: np.ndarray, basis: np.ndarray, tab: np.ndarray) -> None:
+    """One step of iterative refinement of the basic solution of ``final``, in place.
+
+    A kept tableau is never refactorized, so its B^-1 carries the round-off
+    of every pivot since the last factorization, and so would the basic
+    solution.  The residual [b; u] - B x_B is taken against the unfactored
+    basis columns B of the all-slack ``tab`` and multiplied by final's own
+    B^-1: two matvecs, after which x_B is as accurate as a fresh solve's.
+    """
+    m = basis.size
+    n = tab.shape[1] - m - 1
+    rhs = final[:m, -1]
+    rhs += final[:m, n:n + m] @ (tab[:m, -1] - tab[:m, basis] @ rhs)
 
 
 def _warm_tableau(tab: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:

@@ -167,12 +167,17 @@ def checked_steps(N: int) -> int:
 
 
 def on_grid(s: Schedule, N: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Nodes t_j = j*T/N (j = 0..N) and the weights a_j > 0 and b_j on them."""
+    """Nodes t_j = j*T/N (j = 0..N) and the finite weights a_j > 0 and b_j on them."""
     t = np.linspace(0.0, s.T, checked_steps(N) + 1)
-    a = np.asarray(s.a(t), dtype=float)
-    if np.any(a <= 0):
+    with np.errstate(all="ignore"):  # overflow and NaN are refused below
+        weights = {"a": np.asarray(s.a(t), dtype=float), "b": np.asarray(s.b(t), dtype=float)}
+    for name, w in weights.items():
+        j = int(np.argmin(np.isfinite(w)))  # the first non-finite node, if any
+        if not np.isfinite(w[j]):
+            raise InputError(f"schedule weight {name} is {w[j]} at node j={j} (t={t[j]:.6g})")
+    if np.any(weights["a"] <= 0):
         raise InputError("schedule weight a must be positive on the grid")
-    return t, a, np.asarray(s.b(t), dtype=float)
+    return t, weights["a"], weights["b"]
 
 
 def coupling_residual(s: Schedule, spec: FamilySpec, N: int) -> float:

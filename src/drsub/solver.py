@@ -22,6 +22,8 @@ and ``g_series`` read one read-only table of them, memoized for N <= 1,000.
 
 A step makes exactly three oracle calls: one gradient, one LMO (masked with
 the cap 1 - x_j for the masked direction) and one value of the new iterate.
+Every LMO call gets the run's one ``feasible.WarmStart`` as its start, so a
+packing body's next LP reuses the last one's tableau.
 Membership of the iterates is checked once, over the whole trajectory, in
 one ``contains_batch`` after the loop; an iterate that leaves the body
 still fails the run with an InvariantError naming its step.
@@ -30,12 +32,15 @@ still fails the run with an InvariantError naming its step.
 from __future__ import annotations
 
 import functools
+import math
+import numbers
+import reprlib
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ConfigurationError, InputError, InvariantError, ValidationError, checked_array
-from .feasible import ConvexBody
+from .feasible import ConvexBody, WarmStart
 from .objective import DrFunction
 from .schedule import (FamilySpec, Schedule, checked_steps, family_spec,  # noqa: F401 (re-exported)
                        on_grid)
@@ -88,12 +93,19 @@ class Trajectory:
     def potential(self, opt: float) -> np.ndarray:
         """The potential E_j = a_j F(x_j) - b_j opt, j = 0..N.
 
-        opt must be positive.  Any opt below the true optimum only makes the
-        potential increments larger, so certified lower bounds are safe inputs.
+        opt must be a finite positive real number; anything else (NaN, an
+        infinity, a string, a bool, an integer beyond the float range) raises
+        InputError.  Any opt below the true optimum only makes the potential
+        increments larger, so certified lower bounds are safe inputs.
         """
-        if opt <= 0:
-            raise InputError(f"opt must be positive, got {opt}")
-        return self.a * self.F - self.b * opt
+        real = isinstance(opt, numbers.Real) and not isinstance(opt, bool)
+        try:
+            value = float(opt) if real else math.nan
+        except OverflowError:  # an integer beyond the float range
+            value = math.inf
+        if not 0.0 < value < math.inf:  # NaN fails too
+            raise InputError(f"opt must be a finite positive real number, got {reprlib.repr(opt)}")
+        return self.a * self.F - self.b * value
 
 
 @dataclass(frozen=True)
@@ -209,12 +221,12 @@ def run(f: DrFunction, C: ConvexBody, s: Schedule, spec: FamilySpec, N: int,
     Fs[0] = f.value(x)
     value_calls += 1
     masked = spec.direction == "masked"
-    v = None  # the previous step's vertex starts the next oracle call
+    warm = WarmStart()  # the previous step's LP starts the next oracle call
     try:
         for j in range(N):
             g = f.grad(x)
             grad_calls += 1
-            v = C.masked_lmo(g, 1.0 - x, v) if masked else C.lmo(g, v)
+            v = C.masked_lmo(g, 1.0 - x, warm) if masked else C.lmo(g, warm)
             lmo_calls += 1
             x_next = x + rho[j] * (v - x if offset else v)
             dx = x_next - x

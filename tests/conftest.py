@@ -21,6 +21,16 @@ def warm_tableaus(monkeypatch):
     return seen
 
 
+@pytest.fixture
+def kept_tableaus(monkeypatch):
+    """What every feasible._kept_tableau call of the test returned (None: the reuse was refused)."""
+    from drsub import feasible
+    seen = []
+    tableau = feasible._kept_tableau
+    monkeypatch.setattr(feasible, "_kept_tableau", lambda *a: seen.append(tableau(*a)) or seen[-1])
+    return seen
+
+
 def empirical_smoothness(f, samples: int = 100, seed: int = 0) -> float:
     """Largest observed gradient-difference ratio over random pairs in the box."""
     rng = np.random.default_rng(seed)

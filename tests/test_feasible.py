@@ -570,6 +570,110 @@ class TestSimplex:
             PackingBody(np.ones((1, 65)), np.array([1.0]))
 
 
+def drawn_body(rng):
+    """A 20x30 packing body drawn as the packing benchmark draws its bodies."""
+    A = rng.uniform(0.0, 1.0, size=(20, 30))
+    return PackingBody(A, 0.2 * A.sum(axis=1))
+
+
+class TestWarmStart:
+    """A run's state: the last LP's tableau is reused, with no factorization, on the same columns."""
+
+    def test_empty_state_gives_the_cold_solve_and_keeps_its_tableau(self, rng):
+        c, A, b, u = drawn_lp(rng)
+        state = feasible.WarmStart()
+        x, val = simplex_solve(c, A, b, u, state)
+        cold = simplex_solve(c, A, b, u)
+        assert np.array_equal(x, cold[0]) and val == cold[1]
+        assert np.array_equal(state.x, x)
+        m = state.basis.size
+        assert state.tab.shape == (m + 1, 30 + m + 1) and np.all(state.tab[m, :-1] <= 1e-10)
+
+    @pytest.mark.parametrize("masked", [False, True], ids=["plain", "masked"])
+    def test_reuse_matches_cold_without_a_factorization(self, masked, rng, monkeypatch,
+                                                        kept_tableaus, warm_tableaus):
+        body, state = drawn_body(rng), feasible.WarmStart()
+        g, cap = rng.uniform(0.1, 1.0, size=30), np.ones(30)
+        solves = []
+        solve_ = np.linalg.solve
+        monkeypatch.setattr(np.linalg, "solve", lambda *a: solves.append(1) or solve_(*a))
+        for _ in range(20):
+            v = body.masked_lmo(g, cap, state) if masked else body.lmo(g, state)
+            cold = body.masked_lmo(g, cap) if masked else body.lmo(g)
+            assert np.max(np.abs(v - cold)) <= 1e-12
+            assert state.body is body and np.array_equal(state.active, np.arange(30))
+            g = g * np.exp(rng.normal(scale=0.05, size=30))  # every payoff stays positive
+            if masked:  # a measured step lowers the cap to 1 - x
+                cap = cap - 0.05 * v
+        assert solves == [] and warm_tableaus == []  # every LP after the first reused the last
+        assert len(kept_tableaus) == 19 and all(t is not None for t in kept_tableaus)
+
+    def test_state_is_not_reused_on_another_body(self, rng, kept_tableaus):
+        first, other = drawn_body(rng), drawn_body(rng)
+        state = feasible.WarmStart()
+        g = rng.uniform(0.1, 1.0, size=30)
+        first.lmo(g, state)
+        v = other.lmo(g, state)
+        assert kept_tableaus == []  # the other body's LP starts cold
+        assert np.array_equal(v, other.lmo(g)) and state.body is other
+
+    @pytest.mark.parametrize("dropped", [[1], [1, 2]], ids=["same-size", "smaller"])
+    def test_state_is_not_reused_on_other_active_columns(self, dropped, rng, kept_tableaus,
+                                                         warm_tableaus):
+        # coordinate 0, then the coordinates ``dropped``, get no payoff: the tableau of
+        # the first LP belongs to other columns, and its answer is the point start
+        body, state = drawn_body(rng), feasible.WarmStart()
+        g = rng.uniform(0.1, 1.0, size=30)
+        body.lmo(np.where(np.arange(30) == 0, -1.0, g), state)
+        g2 = g.copy()
+        g2[dropped] = -1.0
+        v = body.lmo(g2, state)
+        assert kept_tableaus == [] and len(warm_tableaus) == 1
+        assert np.max(np.abs(v - body.lmo(g2))) <= 1e-12
+        assert np.array_equal(state.active, np.flatnonzero(g2 > 0))
+        body.lmo(g2 * 1.01, state)  # now the columns match, so the tableau is reused
+        assert len(kept_tableaus) == 1
+
+    def test_refinement_corrects_a_drifted_inverse(self, rng, warm_tableaus):
+        # the kept B^-1 off by 1e-9, relative: the reused LP's answer is refined back to
+        # the cold one, where the unrefined basic solution would be 1e-9 off
+        c, A, b, u = drawn_lp(rng)
+        state = feasible.WarmStart()
+        simplex_solve(c, A, b, u, state)
+        m, n = state.basis.size, c.size
+        state.tab[:m, n:n + m] *= 1.0 + 1e-9 * rng.standard_normal((m, m))
+        c2 = c + rng.normal(scale=0.05, size=n)
+        x, val = simplex_solve(c2, A, b, u, state)
+        assert warm_tableaus == []  # the reuse was accepted
+        cold = simplex_solve(c2, A, b, u)
+        assert np.max(np.abs(x - cold[0])) <= 1e-12
+        assert abs(val - cold[1]) <= 1e-12 * abs(cold[1])
+
+    def test_refused_reuse_falls_back_to_the_point_then_the_cold_solve(self, kept_tableaus,
+                                                                      warm_tableaus):
+        # costs parallel to the first row tie the edge from (0.5, 0.5) to (0.75, 0): the
+        # reused basis and the rebuilt one both end on a zero reduced cost and are refused
+        A, b, u = np.array([[2.0, 1.0], [1.0, 2.0]]), np.array([1.5, 1.5]), np.ones(2)
+        state = feasible.WarmStart()
+        simplex_solve(np.array([1.0, 1.0]), A, b, u, state)
+        assert state.x == pytest.approx([0.5, 0.5], abs=1e-15)
+        c = np.array([2.0, 1.0])
+        x, val = simplex_solve(c, A, b, u, state)
+        cold = simplex_solve(c, A, b, u)
+        assert np.array_equal(x, cold[0]) and val == cold[1]
+        assert len(kept_tableaus) == 1 and len(warm_tableaus) == 1
+        assert np.array_equal(state.x, cold[0])
+
+    def test_point_start_is_checked_once(self, monkeypatch):
+        checked = []
+        check = feasible.checked_array
+        monkeypatch.setattr(feasible, "checked_array",
+                            lambda X, shape, name, *a: checked.append(name)
+                            or check(X, shape, name, *a))
+        PACK.lmo(np.ones(2), np.array([1.0, 0.0]))
+        assert checked == ["objective", "start"]
+
+
 class TestDiameter:
     def test_unit_box(self):
         assert BOX3.diameter() == pytest.approx(3.0)

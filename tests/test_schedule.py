@@ -7,8 +7,8 @@ from hypothesis import given, settings, strategies as st
 
 from drsub import (InputError, ValidationError, coupling_residual, preset, ratio,
                    ratio_curve, schedule_from_json, validate)
-from drsub.schedule import FAMILIES, Schedule
-from drsub.solver import family_spec, g_series
+from drsub.schedule import FAMILIES, Schedule, on_grid
+from drsub.solver import family_spec, g_series, guarantee
 
 RATIOS = {
     "monotone": 1.0 - 1.0 / math.e,
@@ -72,6 +72,39 @@ class TestFamilyTable:
     def test_unknown_family_spec(self):
         with pytest.raises(InputError, match="unknown solver family 'fastest'"):
             family_spec("fastest")
+
+
+def _spoiled(value, node: float):
+    """The preset exp weight, with ``value`` from t = node on."""
+    return lambda t: np.where(np.asarray(t, dtype=float) >= node, value, np.exp(t))
+
+
+class TestOnGrid:
+    @pytest.mark.parametrize("weight", ["a", "b"])
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_weights_are_refused_naming_weight_and_node(self, weight, value):
+        # a NaN a used to pass the a <= 0 test, and b was never checked
+        s = Schedule(1.0, *(_spoiled(value, 0.3) if w == weight else np.exp for w in "ab"))
+        with pytest.raises(InputError, match=rf"schedule weight {weight} is {value} "
+                                             rf"at node j=3 \(t=0\.3\)"):
+            on_grid(s, 10)
+
+    def test_a_run_refuses_a_nan_b_before_its_step_sizes(self):
+        # the step-length check used to report this as "sum rho_j = nan"
+        s = Schedule(1.0, np.exp, _spoiled(np.nan, 0.5))
+        with pytest.raises(InputError, match="schedule weight b is nan at node j=2"):
+            guarantee(s, FAMILIES["monotone"], 4, 1.0, 1.0)
+
+    def test_overflowing_weights_are_refused_without_a_warning(self):
+        # RuntimeWarning is an error under pytest: the overflow itself must stay silent
+        s = Schedule(1.0, lambda t: np.exp(1e308 * np.asarray(t, dtype=float)), np.exp)
+        with pytest.raises(InputError, match="schedule weight a is inf at node j=1"):
+            on_grid(s, 4)
+
+    def test_finite_weights_pass(self):
+        t, a, b = on_grid(preset("measured"), 4)
+        assert np.array_equal(t, np.linspace(0.0, 1.0, 5))
+        assert np.array_equal(a, np.exp(t)) and np.array_equal(b, t)
 
 
 class TestValidate:

@@ -161,7 +161,7 @@ def run_without_starts(monkeypatch, f, body, family, N):
 
 class TestWarmStartedOracles:
     @pytest.mark.parametrize("family", FAMILIES)
-    def test_packing_run_matches_cold_oracles(self, family, rng, monkeypatch, warm_tableaus):
+    def test_packing_run_matches_cold_oracles(self, family, rng, monkeypatch, kept_tableaus):
         # a 20x30 packing body and concave-modular objective, as the packing benchmark draws
         A = rng.uniform(0.0, 1.0, size=(20, 30))
         body = PackingBody(A, 0.2 * A.sum(axis=1))
@@ -171,10 +171,10 @@ class TestWarmStartedOracles:
         assert np.max(np.abs(traj.x - cold.x)) <= 1e-12
         assert np.max(np.abs(traj.F - cold.F)) <= 1e-12 * np.max(cold.F)
         assert traj.lmo_calls == cold.lmo_calls == 20
-        assert sum(t is not None for t in warm_tableaus) >= 15
+        assert sum(t is not None for t in kept_tableaus) >= 15  # steps that reused the last LP
 
     def test_measured_packing_run_repairs_its_starts_and_keeps_its_certificate(
-            self, rng, monkeypatch, warm_tableaus):
+            self, rng, monkeypatch, kept_tableaus):
         # each masked call's start breaks the lowered cap 1 - x and is repaired by dual pivots
         A = rng.uniform(0.0, 1.0, size=(20, 30))
         body = PackingBody(A, 0.2 * A.sum(axis=1))
@@ -183,11 +183,33 @@ class TestWarmStartedOracles:
         traj = run(f, body, preset("measured"), family_spec("measured"), 20)
         assert np.max(np.abs(traj.x - cold.x)) <= 1e-12
         assert np.max(np.abs(traj.F - cold.F)) <= 1e-12
-        assert sum(t is not None for t in warm_tableaus) == 19  # every step after the first
+        assert sum(t is not None for t in kept_tableaus) == 19  # every step after the first
         opt = float(np.max(cold.F))  # a lower bound on OPT keeps every margin true
         assert checks.gate(checks.run_margins(traj, opt), "measured") == []
         assert ((traj.value_calls, traj.grad_calls, traj.lmo_calls)
                 == (cold.value_calls, cold.grad_calls, cold.lmo_calls) == (21, 20, 20))
+
+    @pytest.mark.parametrize("family", ["monotone", "measured"])
+    def test_every_answer_of_a_long_run_stays_within_1e_12_of_cold(self, family, rng,
+                                                                   monkeypatch, kept_tableaus):
+        # 999 LPs in a row reuse one run's tableau, never refactorized: its B^-1 drifts,
+        # and one step of refinement per answer keeps the answers on the cold ones
+        A = rng.uniform(0.0, 1.0, size=(20, 30))
+        body = PackingBody(A, 0.2 * A.sum(axis=1))
+        f = make_concave_modular(rng.uniform(0.0, 1.0, size=(8, 30)))
+        answers = []
+        name = "masked_lmo" if family == "measured" else "lmo"
+        oracle = getattr(PackingBody, name)
+        monkeypatch.setattr(PackingBody, name,
+                            lambda *a: answers.append(oracle(*a)) or answers[-1])
+        cold = run_without_starts(monkeypatch, f, body, family, 1000)
+        cold_answers = answers[:]
+        answers.clear()
+        traj = run(f, body, preset(family), family_spec(family), 1000)
+        assert len(answers) == len(cold_answers) == 1000
+        assert np.max(np.abs(np.array(answers) - cold_answers)) <= 1e-12
+        assert np.max(np.abs(traj.x - cold.x)) <= 1e-12
+        assert sum(t is not None for t in kept_tableaus) == 999
 
     @pytest.mark.parametrize("body", [BOX2, CardinalityBody(2, 1),
                                       PartitionBody(2, ((0,), (1,)), (1, 1))],
@@ -368,6 +390,30 @@ class TestPotential:
         traj = run_family("monotone", N=5)
         with pytest.raises(InputError):
             traj.potential(0.0)
+
+    @pytest.mark.parametrize("opt", [np.nan, np.inf, -np.inf, "1", 10 ** 400, True, None, -1],
+                             ids=repr)
+    def test_refuses_every_opt_but_a_finite_positive_real(self, opt):
+        traj = run_family("monotone", N=5)
+        for render in (traj.potential, lambda o: trajectory_csv(traj, o)):
+            if opt is None and render is not traj.potential:
+                continue  # trajectory_csv leaves Ej empty without opt
+            with pytest.raises(InputError, match="^opt must be a finite positive real number"):
+                render(opt)
+
+    @pytest.mark.parametrize("opt", [2, 2.0, np.float64(2.0), np.int64(2)], ids=repr)
+    def test_accepts_finite_positive_reals(self, opt):
+        traj = run_family("monotone", N=5)
+        assert np.array_equal(traj.potential(opt), traj.a * traj.F - traj.b * 2.0)
+
+    def test_run_margins_keep_nan_margins_for_a_nan_opt(self):
+        # the certificate check reads the potential itself, so a NaN optimum still
+        # reaches the gate as NaN margins, which it fails
+        traj = run_family("measured", N=5)
+        margins = checks.run_margins(traj, np.nan)
+        assert math.isnan(margins["potential increment margin"].value)
+        assert math.isnan(margins["guarantee slack"].value)
+        assert len(checks.gate(margins, "measured")) == 2
 
     def test_modular_increments_nonnegative(self):
         w = np.array([1.0, 1.0])
