@@ -169,8 +169,9 @@ def cmd_run(args) -> int:
 
     _make_out_dir(exp.out_dir)
     _atomic_write(exp.out_dir / "trajectory.csv", trajectory)
-    _atomic_write(exp.out_dir / "summary.json", json.dumps(summary, indent=2) + "\n")
-    print(json.dumps(summary, indent=2))
+    text = json.dumps(summary, indent=2)  # one rendering for the file and stdout
+    _atomic_write(exp.out_dir / "summary.json", text + "\n")
+    print(text)
     return _report(problems)
 
 
@@ -318,9 +319,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+#: the parser of every main() call in this process; parsing leaves no state in it
+_parser = functools.cache(build_parser)
+
+
 def main(argv=None) -> int:
+    """Run one drsub command; may be called any number of times in one process."""
     try:
-        args = build_parser().parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as e:  # argparse exits 2 on a usage error, the code of invariant failures
         if e.code == 0:  # --help
             raise

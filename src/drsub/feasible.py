@@ -284,7 +284,7 @@ class PackingBody(ConvexBody):
         state.aim(self, active)
         v = np.zeros(self.n)
         if active.size:
-            v[active] = simplex_solve(g[active], self.A[:, active], self.b, cap[active], state)[0]
+            v[active] = simplex_solve(g[active], state.columns, self.b, cap[active], state)[0]
         else:
             state.x = v[active]  # the answer of the LP over no columns
         return v
@@ -302,29 +302,31 @@ class WarmStart:
 
     A run makes one, empty, and passes it to every oracle call; box and
     partition bodies ignore it.  A packing body keeps in it the LP it last
-    solved, keyed by the body and its active columns (``body``, ``active``):
-    the answer ``x`` in those columns, and the optimal tableau ``tab`` and
-    ``basis`` that gave it.  The slack columns of that tableau hold the
-    inverse of its basis matrix, which depends on the LP's columns alone, so
-    the next LP over the same columns, whatever its costs and caps, starts
-    from it with no factorization (see simplex_solve).  The state lives in
-    the run, so bodies stay immutable and a run's answers depend only on
-    its own inputs.
+    solved, keyed by the body and its active columns (``body``, ``active``),
+    whose matrix it reads once (``columns``, read-only).  simplex_solve keeps
+    the answer ``x``, and the optimal tableau ``tab`` and ``basis`` that gave
+    it together with the matrix ``A`` they were made for (by reference when
+    it is read-only, else as a copy).  The slack columns of that tableau
+    hold the inverse of its basis matrix, which depends on A alone, so the
+    next LP over the same A, whatever its costs and caps, starts from it
+    with no factorization.  The state lives in the run, so bodies stay
+    immutable and a run's answers depend only on its own inputs.
     """
 
-    __slots__ = ("body", "active", "x", "tab", "basis")
+    __slots__ = ("body", "active", "columns", "x", "A", "tab", "basis")
 
     def __init__(self):
-        self.body = self.active = self.x = self.tab = self.basis = None
+        self.body = self.active = self.columns = self.x = self.A = self.tab = self.basis = None
 
     def aim(self, body: ConvexBody, active: np.ndarray) -> None:
         """Make the state start the LP of ``body`` over its columns ``active``.
 
-        The kept tableau stays only for the same body and the same columns.
-        Otherwise it is dropped, and the last answer on the same body, read
-        in the new columns, is the point start; on another body there is none.
+        The kept tableau and the columns' matrix stay only for the same body
+        and the same columns.  Otherwise the tableau is dropped, the matrix
+        read anew, and the last answer on the same body, read in the new
+        columns, is the point start; on another body there is none.
         """
-        if body is self.body and np.array_equal(active, self.active):
+        if body is self.body and self.columns is not None and np.array_equal(active, self.active):
             return
         x = None
         if body is self.body and self.x is not None:
@@ -332,6 +334,8 @@ class WarmStart:
             v[self.active] = self.x
             x = v[active]
         self.body, self.active, self.x, self.tab, self.basis = body, active, x, None, None
+        self.columns = body.A[:, active]
+        self.columns.flags.writeable = False
 
 
 def simplex_solve(c: np.ndarray, A: np.ndarray, b: np.ndarray, u: np.ndarray,
@@ -351,15 +355,16 @@ def simplex_solve(c: np.ndarray, A: np.ndarray, b: np.ndarray, u: np.ndarray,
     against A x <= b.
 
     ``start`` (None, a point of shape (len(c),), or a WarmStart) only saves
-    pivots.  A WarmStart's kept tableau, which must come from an LP over
-    this A (PackingBody keys it on the body and its active columns), is
-    reused with no factorization: its rows stay, the rhs is B^-1 [b; u] and
-    the reduced costs c - c_B (B^-1 M) (see _kept_tableau).  A point start,
-    or the WarmStart's last answer when it keeps no tableau or its reuse is
-    refused, is rebuilt instead: when it is a nondegenerate vertex of this
-    LP at its own cap, which may lie above u (a masked oracle's previous
-    vertex once the cap is lowered), one solve over the nonbasic columns
-    and the rhs rebuilds that basis (see _warm_tableau).  Either way dual
+    pivots.  A WarmStart's kept tableau is reused only on the A it was made
+    for (the same object, which is how a PackingBody passes its columns, or
+    an equal matrix), with no factorization: its rows stay, the rhs is
+    B^-1 [b; u] and the reduced costs c - c_B (B^-1 M) (see _kept_tableau).
+    A point start, or the WarmStart's last answer of this shape when it
+    keeps no tableau for this A or its reuse is refused, is rebuilt
+    instead: when it is a nondegenerate vertex of this LP at its own cap,
+    which may lie above u (a masked oracle's previous vertex once the cap
+    is lowered), one solve over the nonbasic columns and the rhs rebuilds
+    that basis (see _warm_tableau).  Either way dual
     pivots restore the rhs before the primal pivots, and a warm answer is
     kept only when every nonbasic reduced cost ends below -_PIVOT_TOL: the
     optimum is then unique, so it is the vertex the all-slack start
@@ -386,11 +391,11 @@ def simplex_solve(c: np.ndarray, A: np.ndarray, b: np.ndarray, u: np.ndarray,
     state = start if isinstance(start, WarmStart) else None
     solved = None
     if state is not None:
-        if state.tab is not None:
+        if state.tab is not None and (A is state.A or np.array_equal(A, state.A)):
             solved = _unique_optimum(_kept_tableau(tab, state.tab, state.basis))
             if solved is not None:
                 _refine(*solved, tab)
-        start = state.x
+        start = state.x if state.x is not None and state.x.shape == (n,) else None
     elif start is not None:
         start = checked_array(start, (n,), "start")
     if solved is None and start is not None:
@@ -401,6 +406,7 @@ def simplex_solve(c: np.ndarray, A: np.ndarray, b: np.ndarray, u: np.ndarray,
     x, value = _vertex(*solved, c, A, b, u)
     if state is not None:
         state.x, (state.tab, state.basis) = x, solved
+        state.A = A.copy() if A.flags.writeable else A
     return x, value
 
 

@@ -46,6 +46,14 @@ _SUBMODULAR_TOL = 1e-9
 #: at most 4096 groups by 20 sets (640 KB)
 _COVERAGE_BLOCK = 1 << 16
 
+#: floats per block of coverage_function's table sums (2 MB); a block holds the table
+#: and at least one group
+_TABLE_BLOCK = 1 << 18
+
+#: floats per buffer of SetFunction.differences (256 KB); a buffer holds at least one
+#: difference, at most 2^19 floats at m = 20
+_DR_BLOCK = 1 << 15
+
 #: rows per block of mesh_chunks and of the grid oracle's feasible mesh; a block of n=6
 #: points and its values take well under 1 MB
 MESH_CHUNK = 4096
@@ -125,17 +133,57 @@ class SetFunction:
 
         Each is 0 when there is no element, or no pair.  One O(m^2 2^m)
         pass, made once for the monotonicity and submodularity checks and
-        the extension's L together.
+        the extension's L together.  Each difference along i, and along j
+        of that, is one subtraction of two basic-slice views (the entries
+        np.diff gives), written into a bounded buffer that is reduced once
+        it is full.
         """
-        T = self.table.reshape((2,) * self.m)  # one axis per element
-        first = lo = hi = 0.0
-        for i in range(self.m):
-            along_i = np.diff(T, axis=i)
-            first = min(first, float(along_i.min()))
-            for j in range(i + 1, self.m):
-                D = np.diff(along_i, axis=j)
-                lo, hi = min(lo, float(D.min())), max(hi, float(D.max()))
-        return first, lo, hi
+        m = self.m
+        firsts, seconds = _Extremes(1 << m >> 1, m), _Extremes(1 << m >> 2, m * (m - 1) // 2)
+        for i in range(m):
+            along_i = _halves(self.table, i, firsts.slot())
+            for j in range(i, m - 1):  # element j + 1 is axis j of along_i
+                _halves(along_i, j, seconds.slot())
+        return firsts.extremes()[0], *seconds.extremes()
+
+
+def _halves(v: np.ndarray, axis: int, out: np.ndarray) -> np.ndarray:
+    """v[..., 1, ...] - v[..., 0, ...] along ``axis`` of v seen as a (2, ..., 2) array, into out.
+
+    Both halves are basic-slice views of v reshaped to (2^axis, 2, rest), so
+    each entry is the subtraction np.diff makes.
+    """
+    pair = v.reshape(1 << axis, 2, -1)
+    return np.subtract(pair[:, 1], pair[:, 0], out=out.reshape(1 << axis, -1))
+
+
+class _Extremes:
+    """Running min and max, both from 0, of ``count`` arrays of ``size`` floats.
+
+    The arrays are written into the slots of one buffer of at most _DR_BLOCK
+    floats (or one array), which is reduced once it is full.
+    """
+
+    def __init__(self, size: int, count: int):
+        self.buffer = np.empty((max(1, min(count, _DR_BLOCK // max(size, 1))), size))
+        self.fill, self.low, self.high = 0, 0.0, 0.0
+
+    def slot(self) -> np.ndarray:
+        if self.fill == len(self.buffer):
+            self._reduce()
+        self.fill += 1
+        return self.buffer[self.fill - 1]
+
+    def _reduce(self) -> None:
+        if self.fill:
+            full = self.buffer[:self.fill]
+            self.low = min(self.low, float(full.min()))
+            self.high = max(self.high, float(full.max()))
+        self.fill = 0
+
+    def extremes(self) -> tuple[float, float]:
+        self._reduce()
+        return self.low, self.high
 
 
 def set_function_from_table(values: Sequence[float]) -> SetFunction:
@@ -201,12 +249,20 @@ def coverage_function(subsets: Sequence[Sequence[int]],
     universe element (default all ones).
     """
     m, masks, group_weights = _coverage_groups(subsets, weights, n_elements)
-    # a group adds its weight to every subset that meets its mask, so only
-    # nonnegative terms are summed
-    subset_masks = np.arange(1 << m)
+    # each entry adds the weight of every group its subset meets, in group order, so only
+    # nonnegative terms are summed.  A block's axis-0 sum runs down its rows in order and
+    # carries the table so far as its first row.  One block buffer serves every block: a
+    # fresh 2 MB block each time costs a process's first m = 16 table about 0.1 s of page faults.
+    subset_masks, masks = np.arange(1 << m, dtype=np.int32), masks.astype(np.int32)
     table = np.zeros(1 << m)
-    for mask, weight in zip(masks, group_weights):
-        table[(subset_masks & mask) != 0] += weight
+    per = max(1, _TABLE_BLOCK // table.size - 1)
+    block = np.empty((min(per, masks.size) + 1, table.size))
+    for start in range(0, masks.size, per):
+        meets = (subset_masks & masks[start:start + per, None]) != 0
+        rows = block[:meets.shape[0] + 1]
+        rows[0] = table
+        np.multiply(meets, group_weights[start:start + per, None], out=rows[1:])
+        rows.sum(axis=0, out=table)
     return SetFunction(m, table)
 
 

@@ -286,30 +286,21 @@ CSV_COLUMNS = ("j", "t", "F", "infnorm", "rho", "Gj", "Bj_exact", "Bj_bound",
                "gronwall_margin", "Ej")
 
 
-def _fmt(x: float | None) -> str:
-    return "" if x is None else format(float(x), ".17g")
-
-
 def trajectory_csv(traj: Trajectory, opt: float | None = None) -> str:
     """Render a trajectory as CSV text (step columns are empty on the last row).
 
     The ``Ej`` column holds ``traj.potential(opt)``, and is empty without opt.
+    Every field is ``format(float(x), ".17g")``, made column by column from
+    one ``tolist`` each.
     """
     E = None if opt is None else traj.potential(opt)
-    lines = [",".join(CSV_COLUMNS)]
-    for j in range(traj.N + 1):
-        last = j == traj.N
-        row = [
-            str(j),
-            _fmt(traj.t[j]),
-            _fmt(traj.F[j]),
-            _fmt(traj.infnorm[j]),
-            _fmt(None if last else traj.rho[j]),
-            _fmt(None if last else traj.G[j]),
-            _fmt(None if last else traj.B_exact[j]),
-            _fmt(None if last else traj.B_bound[j]),
-            _fmt(None if traj.gronwall_margin is None else traj.gronwall_margin[j]),
-            _fmt(None if E is None else E[j]),
-        ]
-        lines.append(",".join(row))
-    return "\n".join(lines) + "\n"
+    rows = traj.N + 1
+
+    def column(values: np.ndarray | None) -> list[str]:
+        out = [] if values is None else [format(x, ".17g") for x in values[:rows].tolist()]
+        return out + [""] * (rows - len(out))
+
+    fields = [map(str, range(rows))] + [
+        column(values) for values in (traj.t, traj.F, traj.infnorm, traj.rho, traj.G,
+                                      traj.B_exact, traj.B_bound, traj.gronwall_margin, E)]
+    return "\n".join([",".join(CSV_COLUMNS), *map(",".join, zip(*fields))]) + "\n"

@@ -904,3 +904,69 @@ class TestDeterminism:
             assert proc.returncode == 0, proc.stderr
             outputs.append((out_dir / "trajectory.csv").read_bytes())
         assert outputs[0] == outputs[1]
+
+
+class TestRepeatedCalls:
+    """main() builds its parser once per process, and no call leaves state for the next."""
+
+    RUN = ["run", "--instance", COVERAGE, "--constraint", CARD, "--family", "measured",
+           "--iters", "40", "--opt", "sets"]
+
+    @staticmethod
+    def call(argv, capsys):
+        code = main(argv)
+        captured = capsys.readouterr()
+        return code, captured.out, captured.err
+
+    @staticmethod
+    def files(out_dir):
+        return {p.name: p.read_bytes() for p in sorted(out_dir.iterdir())}
+
+    def test_one_parser_per_process(self, tmp_path, capsys):
+        from drsub import cli
+        cli._parser.cache_clear()
+        for sub in ("a", "b"):
+            main(self.RUN + ["--out", str(tmp_path / sub)])
+        main(["check", "--seed", "x"])
+        assert cli._parser.cache_info().misses == 1
+
+    @pytest.mark.parametrize("command,iters", [("run", "40"), ("sweep", "4,8,16")])
+    def test_same_argv_twice(self, tmp_path, capsys, command, iters):
+        argv = [command, *self.RUN[1:7], "--opt", "sets", "--iters", iters]
+        first = self.call(argv + ["--out", str(tmp_path / "a")], capsys)
+        second = self.call(argv + ["--out", str(tmp_path / "b")], capsys)
+        assert first == second and first[0] == 0
+        assert self.files(tmp_path / "a") == self.files(tmp_path / "b")
+
+    def test_a_repeated_flag_then_a_good_call(self, tmp_path, capsys):
+        fresh = self.call(self.RUN + ["--out", str(tmp_path / "a")], capsys)
+        code, out, err = self.call(self.RUN + ["--out", str(tmp_path / "x"),
+                                               "--out", str(tmp_path / "y")], capsys)
+        assert code == 1 and out == "" and "--out: given more than once" in err
+        assert self.call(self.RUN + ["--out", str(tmp_path / "b")], capsys) == fresh
+        assert self.files(tmp_path / "a") == self.files(tmp_path / "b")
+
+    def test_missing_flags_then_a_good_call(self, tmp_path, capsys):
+        fresh = self.call(self.RUN + ["--out", str(tmp_path / "a")], capsys)
+        for _ in range(2):
+            assert self.call(["run", "--out", str(tmp_path / "x")], capsys) == (
+                1, "", "error: missing required flags: --instance --constraint --family --iters\n")
+        assert self.call(self.RUN + ["--out", str(tmp_path / "b")], capsys) == fresh
+        assert not (tmp_path / "x").exists()
+
+    @pytest.mark.parametrize("argv", [["--help"], ["run", "--help"], ["check", "-h"]])
+    def test_help_is_the_same_on_the_first_and_the_fifth_call(self, argv, capsys):
+        from drsub import cli
+        cli._parser.cache_clear()
+        texts = []
+        for _ in range(5):
+            with pytest.raises(SystemExit) as exit_:
+                main(argv)
+            assert exit_.value.code == 0
+            texts.append(capsys.readouterr().out)
+        assert texts[0].startswith("usage: drsub") and texts == [texts[0]] * 5
+
+    def test_check_after_run(self, tmp_path, capsys):
+        before = self.call(["check", "--seed", "1"], capsys)
+        assert self.call(self.RUN + ["--out", str(tmp_path)], capsys)[0] == 0
+        assert self.call(["check", "--seed", "1"], capsys) == before and before[0] == 0

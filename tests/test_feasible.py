@@ -664,6 +664,69 @@ class TestWarmStart:
         assert len(kept_tableaus) == 1 and len(warm_tableaus) == 1
         assert np.array_equal(state.x, cold[0])
 
+    def test_a_tableau_kept_on_another_matrix_is_not_reused(self, kept_tableaus):
+        # the tableau kept on A1 holds A1's basis inverse: on A2 the state's last
+        # answer is only a point start, so every answer is A2's own optimum
+        rng = np.random.default_rng(5)
+        b, u = np.ones(4), np.ones(6)
+        for _ in range(50):
+            A1, A2 = rng.uniform(size=(4, 6)), rng.uniform(size=(4, 6))
+            c = rng.normal(size=6)
+            state = feasible.WarmStart()
+            simplex_solve(c, A1, b, u, state)
+            x, val = simplex_solve(c, A2, b, u, state)
+            cold = simplex_solve(c, A2, b, u)
+            assert np.max(np.abs(x - cold[0])) <= 1e-12 and abs(val - cold[1]) <= 1e-12
+        assert kept_tableaus == []
+
+    def test_an_equal_matrix_reuses_the_tableau(self, rng, kept_tableaus):
+        c, A, b, u = drawn_lp(rng)
+        state = feasible.WarmStart()
+        simplex_solve(c, A, b, u, state)
+        x, _ = simplex_solve(c * 1.01, A.copy(), b, u, state)
+        assert len(kept_tableaus) == 1 and kept_tableaus[0] is not None
+        assert np.max(np.abs(x - simplex_solve(c * 1.01, A, b, u)[0])) <= 1e-12
+
+    def test_a_matrix_written_after_the_solve_is_not_reused(self, rng, kept_tableaus):
+        c, A, b, u = drawn_lp(rng)
+        state = feasible.WarmStart()
+        simplex_solve(c, A, b, u, state)
+        A[:, :5] *= 2.0  # the state holds its own copy of the writable A it was made for
+        x, _ = simplex_solve(c, A, b, u, state)
+        assert kept_tableaus == []
+        assert np.max(np.abs(x - simplex_solve(c, A, b, u)[0])) <= 1e-12
+
+    def test_a_start_of_another_size_is_dropped(self):
+        state = feasible.WarmStart()
+        simplex_solve(np.ones(3), np.ones((1, 3)), np.ones(1), np.ones(3), state)
+        x, val = simplex_solve(np.ones(2), np.ones((1, 2)), np.ones(1), np.ones(2), state)
+        cold = simplex_solve(np.ones(2), np.ones((1, 2)), np.ones(1), np.ones(2))
+        assert np.array_equal(x, cold[0]) and val == cold[1]
+
+    def test_a_body_reads_its_columns_once_per_column_set(self, rng):
+        body, state = drawn_body(rng), feasible.WarmStart()
+        g = rng.uniform(0.1, 1.0, size=30)
+        body.lmo(g, state)
+        columns = state.columns
+        assert not columns.flags.writeable and np.array_equal(columns, body.A)
+        body.lmo(g * 1.01, state)
+        assert state.columns is columns and state.A is columns
+        g[3] = -1.0
+        body.lmo(g, state)
+        assert np.array_equal(state.columns, np.delete(body.A, 3, axis=1))
+
+    @pytest.mark.parametrize("seed, accepted", [(0, 32), (1, 35), (9, 34)])
+    def test_simplex_check_reuses_its_kept_tableaus(self, seed, accepted, capsys, monkeypatch):
+        # drsub check solves each lowered-cap LP from the state its first cold solve
+        # kept, on the same A: 50 reuses, each accepted one refined once
+        from drsub import cli
+        refined = []
+        refine = feasible._refine
+        monkeypatch.setattr(feasible, "_refine", lambda *a: refined.append(1) or refine(*a))
+        assert cli.main(["check", "--seed", str(seed)]) == 0
+        assert "PASS feasible-simplex" in capsys.readouterr().out
+        assert len(refined) == accepted
+
     def test_point_start_is_checked_once(self, monkeypatch):
         checked = []
         check = feasible.checked_array

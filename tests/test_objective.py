@@ -548,6 +548,87 @@ def pinned_hessian(F, x) -> np.ndarray:
     return H
 
 
+def group_loop_table(subsets, weights, n_elements) -> np.ndarray:
+    """The coverage table summed group by group, each weight onto every subset it meets."""
+    m, masks, group_weights = objective._coverage_groups(subsets, weights, n_elements)
+    subset_masks, table = np.arange(1 << m), np.zeros(1 << m)
+    for mask, weight in zip(masks, group_weights):
+        table[(subset_masks & mask) != 0] += weight
+    return table
+
+
+def diff_extremes(sf) -> tuple[float, float, float]:
+    """SetFunction.differences by np.diff, one first difference and one pair at a time."""
+    T = sf.table.reshape((2,) * sf.m)
+    first = lo = hi = 0.0
+    for i in range(sf.m):
+        along_i = np.diff(T, axis=i)
+        first = min(first, float(along_i.min()))
+        for j in range(i + 1, sf.m):
+            D = np.diff(along_i, axis=j)
+            lo, hi = min(lo, float(D.min())), max(hi, float(D.max()))
+    return first, lo, hi
+
+
+def same_floats(a, b) -> bool:
+    """Float for float, so that 0.0 and -0.0 differ."""
+    return list(map(float.hex, a)) == list(map(float.hex, b))
+
+
+def random_coverage(rng, m: int, n_elements: int):
+    subsets = [np.flatnonzero(rng.random(n_elements) < 0.15).tolist() for _ in range(m)]
+    return subsets, rng.uniform(0.5, 1.5, size=n_elements) * 10.0 ** rng.uniform(-3, 3), n_elements
+
+
+class TestTableIdentities:
+    """The blocked table sums and the buffered DR check against per-group and np.diff loops."""
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(m=st.integers(0, 10), seed=st.integers(0, 2 ** 32 - 1),
+           kind=st.sampled_from(["uniform", "ties", "concave"]))
+    def test_differences_match_the_diff_loop(self, m, seed, kind):
+        rng = np.random.default_rng(seed)
+        if kind == "uniform":
+            table = rng.uniform(size=1 << m) * 10.0 ** rng.uniform(-6, 6)
+        elif kind == "ties":  # many equal differences, zeros of both signs included
+            table = rng.integers(0, 3, size=1 << m).astype(float)
+            table[rng.random(1 << m) < 0.2] = -0.0
+        else:
+            w = rng.uniform(size=max(m, 1))
+            table = np.sqrt([sum(w[i] for i in range(m) if s >> i & 1) for s in range(1 << m)])
+        sf = objective.SetFunction(m, table)
+        assert same_floats(sf.differences, diff_extremes(sf))
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(cover=coverage_instances())
+    def test_coverage_tables_match_the_loops(self, cover):
+        sf = coverage_function(*cover)
+        assert same_floats(sf.table, group_loop_table(*cover))
+        assert same_floats(sf.differences, diff_extremes(sf))
+
+    def test_sixteen_sets(self):
+        # 16 sets over 300 elements: some 300 groups, three per block, a 65,536-entry
+        # table and a 120-pair DR check that fills its buffers many times
+        cover = random_coverage(np.random.default_rng(16), 16, 300)
+        sf = coverage_function(*cover)
+        assert len(objective._coverage_groups(*cover)[1]) > 100
+        assert same_floats(sf.table, group_loop_table(*cover))
+        assert same_floats(sf.differences, diff_extremes(sf))
+
+    @pytest.mark.parametrize("block", [8, 40, 1 << 10])
+    def test_small_blocks_and_buffers_keep_every_float(self, block, monkeypatch):
+        # a table block of 8 floats holds one group from m = 2 on; a DR buffer of 8
+        # floats fills after every first difference from m = 4 on
+        monkeypatch.setattr(objective, "_TABLE_BLOCK", block)
+        monkeypatch.setattr(objective, "_DR_BLOCK", block)
+        rng = np.random.default_rng(block)
+        for m in range(13):
+            cover = random_coverage(rng, m, 60)
+            sf = coverage_function(*cover)
+            assert same_floats(sf.table, group_loop_table(*cover))
+            assert same_floats(sf.differences, diff_extremes(sf))
+
+
 @settings(max_examples=150, deadline=None, derandomize=True)
 @given(cover=coverage_instances(), data=st.data())
 def test_coverage_closed_form_matches_its_table(cover, data):

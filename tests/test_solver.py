@@ -616,3 +616,21 @@ class TestCsv:
         traj = run_family("general", f=QUAD, body=BOX2, N=2)
         row = trajectory_csv(traj).strip().split("\n")[2].split(",")
         assert row[2] == format(traj.F[1], ".17g")
+
+    @pytest.mark.parametrize("N", [1, 7, 50])
+    @pytest.mark.parametrize("family", list(PRESET_FAMILIES))
+    def test_columns_match_per_field_formatting(self, family, N):
+        traj = run_family(family, N=N)
+        opt = set_bruteforce(COVER3, CARD).value
+        for given in (None, opt):
+            E = None if given is None else traj.potential(given)
+            steps = (traj.rho, traj.G, traj.B_exact, traj.B_bound)
+            rows = ["j,t,F,infnorm,rho,Gj,Bj_exact,Bj_bound,gronwall_margin,Ej"]
+            for j in range(N + 1):
+                fields = [traj.t[j], traj.F[j], traj.infnorm[j],
+                          *(None if j == N else s[j] for s in steps),
+                          None if traj.gronwall_margin is None else traj.gronwall_margin[j],
+                          None if E is None else E[j]]
+                rows.append(",".join([str(j)] + ["" if x is None else format(float(x), ".17g")
+                                                 for x in fields]))
+            assert trajectory_csv(traj, given) == "\n".join(rows) + "\n"
