@@ -113,13 +113,12 @@ def max_simplex_gap(rng: np.random.Generator) -> float:
     Every second LP is a 0/1 matrix with unit budgets and bounds and costs in {1, 2, 3}:
     its tied ratios make degenerate pivots, and its tied costs make the Bland fallback
     after them enter other columns than Dantzig's rule would.  Each LP is solved again
-    from a start: the vertex of the reversed costs for the continuous LPs, and another
-    optimal vertex, where there is one, for the 0/1 LPs.  Then each is solved at the cap
-    u - x/2, cold, from its own vertex x, which breaks that cap wherever it sat at u,
-    as a masked Frank-Wolfe step lowers the cap (that start is repaired by dual pivots),
-    and from the tableau the first cold solve kept, as a run's next LMO call reuses it.
-    A warm gap adds the distance to the cold vertex, and is infinite when a 0/1 LP with
-    tied optima gives a warm answer other than the cold vertex bit for bit.
+    from the tableau that a solve of the reversed costs kept.  Then each is solved at
+    the cap u - x/2, cold, and from the tableau the first cold solve kept, whose vertex
+    x breaks that cap wherever it sat at u, as a masked Frank-Wolfe step lowers the cap
+    (dual pivots repair it).  A warm gap adds the distance to the cold vertex, and is
+    infinite when a 0/1 LP with tied optima gives a warm answer other than the cold
+    vertex bit for bit.
     """
     gaps = []
     for i in range(50):
@@ -136,35 +135,30 @@ def max_simplex_gap(rng: np.random.Generator) -> float:
             u = rng.uniform(0.2, 1.0, size=n)
             c = rng.normal(size=n)
         body = feasible.PackingBody(A, b)
-        kept = feasible.WarmStart()
+        kept, flipped = feasible.WarmStart(), feasible.WarmStart()
         x, val = feasible.simplex_solve(c, A, b, u, kept)  # cold: the state is empty
-        ref, others = _optima(body, c, u, x)
-        if ties:
-            start = others[0] if others.size else x
-        else:
-            start = feasible.simplex_solve(c[::-1], A, b, u)[0]
-        gaps += [abs(val - ref), _warm_gap(c, A, b, u, start, x, ref, ties and others.size > 0)]
+        feasible.simplex_solve(c[::-1], A, b, u, flipped)
+        ref, tied = _optima(body, c, u, x)
+        gaps += [abs(val - ref), _warm_gap(c, A, b, u, flipped, x, ref, ties and tied)]
         low = u - 0.5 * x
         x_low, val_low = feasible.simplex_solve(c, A, b, low)
-        ref, others = _optima(body, c, low, x_low)
-        tied = ties and others.size > 0
-        gaps += [abs(val_low - ref), _warm_gap(c, A, b, low, x, x_low, ref, tied),
-                 _warm_gap(c, A, b, low, kept, x_low, ref, tied)]
+        ref, tied = _optima(body, c, low, x_low)
+        gaps += [abs(val_low - ref), _warm_gap(c, A, b, low, kept, x_low, ref, ties and tied)]
     return float(np.max(gaps))
 
 
-def _optima(body: ConvexBody, c: np.ndarray, u: np.ndarray,
-            x: np.ndarray) -> tuple[float, np.ndarray]:
-    """Enumerated optimum of max c.x over the body and {x <= u}, and its optimal vertices off x."""
+def _optima(body: ConvexBody, c: np.ndarray, u: np.ndarray, x: np.ndarray) -> tuple[float, bool]:
+    """Enumerated optimum of max c.x over the body and {x <= u}, and whether a vertex off x
+    attains it too."""
     V = feasible.vertices(body, u)
     values = V @ c
     best = float(np.max(values))  # the origin is one of the vertices
-    return best, V[(values >= best - 1e-9) & (np.max(np.abs(V - x), axis=1) > 1e-9)]
+    return best, bool(np.any((values >= best - 1e-9) & (np.max(np.abs(V - x), axis=1) > 1e-9)))
 
 
 def _warm_gap(c, A, b, u, start, x: np.ndarray, ref: float, tied: bool) -> float:
-    """Gap of the solve from ``start`` (a point or a WarmStart) to the optimum ref, plus its
-    distance to the cold x."""
+    """Gap of the solve from the WarmStart ``start`` to the optimum ref, plus its distance
+    to the cold x."""
     x_warm, val_warm = feasible.simplex_solve(c, A, b, u, start)
     if tied and not np.array_equal(x_warm, x):
         return np.inf

@@ -5,7 +5,7 @@ inputs (InputError, CapacityError, ConfigurationError, ValidationError)
 exits with code 1, while InvariantError signals that a run violated an
 internal contract and exits with code 2.  Caller input is read here:
 ``fields`` reads one JSON object against its typed, closed schema, and
-``checked_array`` reads every point, gradient, cap, start and batch that a
+``checked_array`` reads every point, gradient, cap and batch that a
 caller passes to the oracles, and every array a builder takes.
 """
 

@@ -10,14 +10,13 @@ case), and packing polytopes A x <= b with nonnegative A.  Packing oracles
 run on a small dense simplex that enters the largest reduced cost, or the
 lowest improving column right after a degenerate pivot, so a cycle (which
 holds only degenerate pivots) would follow Bland's rule throughout and
-cannot occur.  A run passes one WarmStart to all its oracle calls: it
-keeps the last optimal tableau, whose slack columns hold the basis
-inverse, so the next LP over the same columns needs no factorization.  A
-point start, such as a previous vertex, is rebuilt instead: one rule finds
-the vertex's basis at its own cap and one solve factorizes it.  Either way
-dual pivots restore a lowered cap the start breaks (none if it meets the
-cap), and the answer is kept only when the optimum is unique.  The other
-kinds (box, partition) use closed-form greedy fills.
+cannot occur.  An LP starts one of two ways.  A run passes one WarmStart
+to all its oracle calls: it keeps the last optimal tableau, whose slack
+columns hold the basis inverse, so the next LP over the same matrix needs
+no factorization; dual pivots restore a lowered cap the kept basis breaks
+(none if it meets the cap), and the answer is kept only when the optimum
+is unique.  Every other LP starts cold, from the all-slack basis.  The
+other kinds (box, partition) use closed-form greedy fills.
 The exhaustive reference oracle at the bottom of the module, used for
 cross-checking, enumerates the vertices of the inequality system every
 body stores.
@@ -109,19 +108,16 @@ class ConvexBody:
         Ties are broken deterministically: box and partition bodies fill the
         lowest coordinate index first, packing bodies take the vertex the simplex's
         pivot rule reaches, and coordinates with nonpositive coefficients
-        stay at zero.  ``start`` is a hint that only saves work: a run's
-        WarmStart, or a point of the body's dimension such as the previous
-        Frank-Wolfe vertex.  Packing bodies reuse a WarmStart's kept tableau,
-        with no factorization, when its LP was over the same active
-        coordinates of the same body, and otherwise start from its last
-        answer as from a point; a point starts the simplex from its basis
-        when it is a nondegenerate vertex of the LP at its own cap.  Dual
-        pivots restore a lower cap of the masked oracle that the start
+        stay at zero.  ``start`` is None or a run's WarmStart, and only
+        saves work.  Packing bodies reuse its kept tableau, with no
+        factorization, when its LP was over the same matrix (the same active
+        coordinates of the same body), and otherwise solve cold.  Dual
+        pivots restore a lower cap of the masked oracle that the kept basis
         breaks (see simplex_solve).  They keep that answer only when the
         optimum is unique and otherwise solve from the all-slack basis, so
-        the tie rule above holds with or without a start, and they rewrite a
-        WarmStart with the LP they solved.  Box and partition bodies ignore
-        the start.
+        the tie rule above holds with or without a start, and they rewrite
+        the WarmStart with the LP they solved.  Packing bodies refuse any
+        other start with an InputError; box and partition bodies ignore it.
         """
         raise NotImplementedError
 
@@ -271,22 +267,14 @@ class PackingBody(ConvexBody):
 
     def _solve(self, g: np.ndarray, cap: np.ndarray, start) -> np.ndarray:
         """Maximize <g, v> over the body and {v <= cap}, for a checked g and cap in [0, 1]^n."""
-        if isinstance(start, WarmStart):
-            state = start
-        else:  # a point start, or none, lasts this one call
-            state = WarmStart()
-            if start is not None:
-                state.body, state.active = self, np.arange(self.n)
-                state.x = checked_array(start, (self.n,), "start")
+        state = _checked_start(start)
         # coordinates with nonpositive payoff (or a zero cap) stay at zero;
         # this keeps the output minimal and the subproblem bounds positive
         active = np.flatnonzero((g > 0.0) & (cap > 0.0))
-        state.aim(self, active)
         v = np.zeros(self.n)
         if active.size:
-            v[active] = simplex_solve(g[active], state.columns, self.b, cap[active], state)[0]
-        else:
-            state.x = v[active]  # the answer of the LP over no columns
+            A = self.A[:, active] if state is None else state.aim(self, active)
+            v[active] = simplex_solve(g[active], A, self.b, cap[active], state)[0]
         return v
 
     def diameter(self) -> float:
@@ -301,41 +289,38 @@ class WarmStart:
     """The state a run carries from one packing LMO call to the next, passed as ``start``.
 
     A run makes one, empty, and passes it to every oracle call; box and
-    partition bodies ignore it.  A packing body keeps in it the LP it last
-    solved, keyed by the body and its active columns (``body``, ``active``),
-    whose matrix it reads once (``columns``, read-only).  simplex_solve keeps
-    the answer ``x``, and the optimal tableau ``tab`` and ``basis`` that gave
-    it together with the matrix ``A`` they were made for (by reference when
-    it is read-only, else as a copy).  The slack columns of that tableau
-    hold the inverse of its basis matrix, which depends on A alone, so the
-    next LP over the same A, whatever its costs and caps, starts from it
-    with no factorization.  The state lives in the run, so bodies stay
-    immutable and a run's answers depend only on its own inputs.
+    partition bodies ignore it.  A packing body reads in it the matrix of
+    the LP's active columns once per column set (``columns``, read-only,
+    keyed by ``body`` and ``active``).  simplex_solve keeps the optimal
+    tableau ``tab`` and ``basis`` of the LP it last solved, together with
+    the matrix ``A`` they were made for: by reference when that is the
+    state's own ``columns``, else as a copy, so no later write to a
+    caller's array reaches it.  The slack columns of that tableau hold the
+    inverse of its basis matrix, which depends on A alone, so the next LP
+    over the same A, whatever its costs and caps, starts from it with no
+    factorization.  The state lives in the run, so bodies stay immutable
+    and a run's answers depend only on its own inputs.
     """
 
-    __slots__ = ("body", "active", "columns", "x", "A", "tab", "basis")
+    __slots__ = ("body", "active", "columns", "A", "tab", "basis")
 
     def __init__(self):
-        self.body = self.active = self.columns = self.x = self.A = self.tab = self.basis = None
+        self.body = self.active = self.columns = self.A = self.tab = self.basis = None
 
-    def aim(self, body: ConvexBody, active: np.ndarray) -> None:
-        """Make the state start the LP of ``body`` over its columns ``active``.
+    def aim(self, body: ConvexBody, active: np.ndarray) -> np.ndarray:
+        """The read-only matrix of ``body``'s columns ``active``, read only when they change."""
+        if body is not self.body or self.columns is None or not np.array_equal(active, self.active):
+            self.body, self.active = body, active
+            self.columns = body.A[:, active]
+            self.columns.flags.writeable = False
+        return self.columns
 
-        The kept tableau and the columns' matrix stay only for the same body
-        and the same columns.  Otherwise the tableau is dropped, the matrix
-        read anew, and the last answer on the same body, read in the new
-        columns, is the point start; on another body there is none.
-        """
-        if body is self.body and self.columns is not None and np.array_equal(active, self.active):
-            return
-        x = None
-        if body is self.body and self.x is not None:
-            v = np.zeros(body.n)
-            v[self.active] = self.x
-            x = v[active]
-        self.body, self.active, self.x, self.tab, self.basis = body, active, x, None, None
-        self.columns = body.A[:, active]
-        self.columns.flags.writeable = False
+
+def _checked_start(start) -> WarmStart | None:
+    """``start`` if it is None or a WarmStart; any other start is refused."""
+    if start is None or isinstance(start, WarmStart):
+        return start
+    raise InputError(f"start must be a WarmStart or None, got {type(start).__name__}")
 
 
 def simplex_solve(c: np.ndarray, A: np.ndarray, b: np.ndarray, u: np.ndarray,
@@ -354,25 +339,19 @@ def simplex_solve(c: np.ndarray, A: np.ndarray, b: np.ndarray, u: np.ndarray,
     rule, which never cycles (Bland 1977).  The clipped result is re-checked
     against A x <= b.
 
-    ``start`` (None, a point of shape (len(c),), or a WarmStart) only saves
-    pivots.  A WarmStart's kept tableau is reused only on the A it was made
-    for (the same object, which is how a PackingBody passes its columns, or
-    an equal matrix), with no factorization: its rows stay, the rhs is
-    B^-1 [b; u] and the reduced costs c - c_B (B^-1 M) (see _kept_tableau).
-    A point start, or the WarmStart's last answer of this shape when it
-    keeps no tableau for this A or its reuse is refused, is rebuilt
-    instead: when it is a nondegenerate vertex of this LP at its own cap,
-    which may lie above u (a masked oracle's previous vertex once the cap
-    is lowered), one solve over the nonbasic columns and the rhs rebuilds
-    that basis (see _warm_tableau).  Either way dual
-    pivots restore the rhs before the primal pivots, and a warm answer is
-    kept only when every nonbasic reduced cost ends below -_PIVOT_TOL: the
+    ``start`` (None or a WarmStart; anything else is refused) only saves
+    pivots.  The LP starts one of two ways.  A WarmStart's kept tableau is
+    reused only on the A it was made for (the same object, which is how a
+    PackingBody passes its columns, or an equal matrix), with no
+    factorization: its rows stay, the rhs is B^-1 [b; u] and the reduced
+    costs c - c_B (B^-1 M) (see _kept_tableau).  Dual pivots restore the
+    rhs of a lowered cap before the primal pivots, and the answer is kept
+    only when every nonbasic reduced cost ends below -_PIVOT_TOL: the
     optimum is then unique, so it is the vertex the all-slack start
-    reaches, up to round-off.  A reused tableau's answer then takes one step
-    of iterative refinement (see _refine).  Any other start, and a warm
-    start that cannot be rebuilt, repaired or kept, give the all-slack solve
-    bit for bit.  A WarmStart is rewritten with the answer and the final
-    tableau, whichever path found them.
+    reaches, up to round-off, and it takes one step of iterative refinement
+    (see _refine).  Every other LP, and a reuse that cannot be repaired or
+    kept, starts cold and gives the all-slack solve bit for bit.  A
+    WarmStart is rewritten with the final tableau, whichever start found it.
     """
     n = c.size
     k = b.size
@@ -388,25 +367,19 @@ def simplex_solve(c: np.ndarray, A: np.ndarray, b: np.ndarray, u: np.ndarray,
     tab[k:m, -1] = u
     tab[m, :n] = c  # reduced-cost row; positive entry means improvement
 
-    state = start if isinstance(start, WarmStart) else None
+    state = _checked_start(start)
     solved = None
-    if state is not None:
-        if state.tab is not None and (A is state.A or np.array_equal(A, state.A)):
-            solved = _unique_optimum(_kept_tableau(tab, state.tab, state.basis))
-            if solved is not None:
-                _refine(*solved, tab)
-        start = state.x if state.x is not None and state.x.shape == (n,) else None
-    elif start is not None:
-        start = checked_array(start, (n,), "start")
-    if solved is None and start is not None:
-        solved = _unique_optimum(_warm_tableau(tab, start))
+    if state is not None and state.tab is not None and (A is state.A or np.array_equal(A, state.A)):
+        solved = _unique_optimum(_kept_tableau(tab, state.tab, state.basis))
+        if solved is not None:
+            _refine(*solved, tab)
     if solved is None:
         solved = tab, np.arange(n, n + m)
         _pivot(*solved)
     x, value = _vertex(*solved, c, A, b, u)
     if state is not None:
-        state.x, (state.tab, state.basis) = x, solved
-        state.A = A.copy() if A.flags.writeable else A
+        state.tab, state.basis = solved
+        state.A = A if A is state.columns else A.copy()
     return x, value
 
 
@@ -461,76 +434,17 @@ def _refine(final: np.ndarray, basis: np.ndarray, tab: np.ndarray) -> None:
     rhs += final[:m, n:n + m] @ (tab[:m, -1] - tab[:m, basis] @ rhs)
 
 
-def _warm_tableau(tab: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
-    """The all-slack tableau ``tab`` in a primal feasible basis built from the start x, or None.
-
-    z holds x, then the slacks of A x <= b, then those of x <= u.  The basis
-    B of _start_basis is factorized once, against only the nonbasic columns
-    and the rhs: the basic columns are written as the exact unit vectors a
-    pivot keeps, so their reduced costs are exactly 0.  _dual_pivots then
-    restore x <= u, with no pivot if x meets the cap.  The basis rule costs
-    one matvec and no factorization, so a refused start adds none; a
-    singular basis gives None.
-    """
-    m, n = tab.shape[0] - 1, x.size
-    basis = _start_basis(np.concatenate([x, tab[:m, -1] - tab[:m, :n] @ x]), n)
-    if basis is None:
-        return None
-    other = np.ones(tab.shape[1], dtype=bool)  # the nonbasic columns and the rhs
-    other[basis] = False
-    try:
-        rows = np.linalg.solve(tab[:m, basis], tab[:m, other])
-    except np.linalg.LinAlgError:  # a singular basis matrix
-        return None
-    warm = np.zeros((m + 2, tab.shape[1]))  # the rows, the reduced costs, the shifted costs
-    warm[np.arange(m), basis] = 1.0
-    warm[:m, other] = rows
-    warm[m, other] = tab[m, other] - tab[m, basis] @ rows
-    np.minimum(warm[m], 0.0, out=warm[m + 1])
-    return _dual_pivots(warm, basis)
-
-
-def _start_basis(z: np.ndarray, n: int) -> np.ndarray | None:
-    """The basis of the start x as a nondegenerate vertex at its own cap, or None.
-
-    z is as in _warm_tableau; x must meet x >= 0 and A x <= b up to
-    _PIVOT_TOL.  Every entry of z above _PIVOT_TOL is basic and every entry
-    within _PIVOT_TOL of zero is not, so a vertex that meets the cap has m
-    basic entries.  Bound rows below -_PIVOT_TOL break the cap: of these,
-    the (entries above) + (rows below) - m of least relative headroom
-    (u_i - x_i) / x_i are tight at x's own cap and the others stay basic.
-    When a masked Frank-Wolfe step lowers the cap from u to u - rho x, the
-    tight ones are the coordinates that sat at u, each rho below its cap in
-    relative terms, and the others keep more.  A start with too few or too
-    many entries for that, such as an interior or a degenerate one, gives
-    None.  The sort is Python's, over at most 64 keys, which pages in none
-    of numpy's sort code.
-    """
-    m = z.size - n
-    if z[:m].min() < -_PIVOT_TOL:
-        return None
-    basic = z > _PIVOT_TOL
-    below = np.flatnonzero(z[m:] < -_PIVOT_TOL)
-    tight = np.count_nonzero(basic) + below.size - m
-    if not 0 <= tight <= below.size:
-        return None
-    if below.size:
-        relative = (z[m + below] / z[below]).tolist()
-        basic[m + below[sorted(range(below.size), key=relative.__getitem__)[tight:]]] = True
-    return np.flatnonzero(basic)
-
-
 def _dual_pivots(tab: np.ndarray, basis: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
     """Dual simplex pivots from ``basis`` until every rhs is at least -_PIVOT_TOL, or None.
 
     ``tab`` carries two cost rows: the reduced costs, then a copy with its
     positive entries set to zero.  The dual simplex runs on the copy, for
-    which every basis is dual feasible, so a start that is neither primal
-    nor dual feasible needs no special case: the row of the most negative
-    rhs leaves, and the column of least ratio (shifted cost over negative
-    row entry) enters, which keeps the copy nonpositive.  When x was
-    optimal at its own cap and the costs did not move, the copy is the
-    reduced costs themselves.  The true reduced costs are carried along
+    which every basis is dual feasible, so a kept basis that is neither
+    primal feasible (a lowered cap) nor dual feasible (new costs) needs no
+    special case: the row of the most negative rhs leaves, and the column
+    of least ratio (shifted cost over negative row entry) enters, which
+    keeps the copy nonpositive.  When the costs did not move, the copy is
+    the reduced costs themselves.  The true reduced costs are carried along
     for the primal pivots that finish.  A row with no negative entry, or
     more than m pivots, gives None.
     """

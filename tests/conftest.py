@@ -12,16 +12,6 @@ def rng():
 
 
 @pytest.fixture
-def warm_tableaus(monkeypatch):
-    """What every feasible._warm_tableau call of the test returned (None: the start was refused)."""
-    from drsub import feasible
-    seen = []
-    tableau = feasible._warm_tableau
-    monkeypatch.setattr(feasible, "_warm_tableau", lambda *a: seen.append(tableau(*a)) or seen[-1])
-    return seen
-
-
-@pytest.fixture
 def kept_tableaus(monkeypatch):
     """What every feasible._kept_tableau call of the test returned (None: the reuse was refused)."""
     from drsub import feasible

@@ -26,12 +26,6 @@ ENTRY_POINTS = [
         (f"{kind}.lmo", lambda a, C=C: C.lmo(a), "objective", False, False),
         (f"{kind}.masked_lmo", lambda a, C=C: C.masked_lmo(a, OK), "objective", False, False),
         (f"{kind}.masked_lmo.cap", lambda a, C=C: C.masked_lmo(OK, a), "cap", False, True)]],
-    ("packing.lmo.start", lambda a: BODIES["packing"].lmo(OK, a), "start", False, False),
-    ("packing.masked_lmo.start", lambda a: BODIES["packing"].masked_lmo(OK, OK, a), "start",
-     False, False),
-    ("simplex_solve.start",
-     lambda a: simplex_solve(np.ones(2), np.ones((1, 2)), np.ones(1), np.ones(2), a), "start",
-     False, False),
     ("vertices.cap", lambda a: vertices(BODIES["cardinality"], a), "cap", False, True),
     ("lmo_bruteforce", lambda a: lmo_bruteforce(BODIES["cardinality"], a), "objective",
      False, False),
@@ -82,6 +76,31 @@ def test_a_non_finite_last_entry_is_refused(entry, call, name, batch, box, bad):
     row = [0.5, bad]
     with pytest.raises(InputError, match=rf"^(a row of )?{re.escape(name)} .*NaN"):
         call([OK, row] if batch else row)
+
+
+#: the packing oracles and the simplex, each called with the start under test
+START_ENTRIES = {
+    "lmo": lambda start: BODIES["packing"].lmo(OK, start),
+    "masked_lmo": lambda start: BODIES["packing"].masked_lmo(OK, OK, start),
+    "simplex_solve": lambda start: simplex_solve(np.ones(2), np.ones((1, 2)), np.ones(1),
+                                                 np.ones(2), start),
+}
+
+
+#: starts that are not a WarmStart: a point as a list or an array, a string, a NaN, and
+#: the malformed points that were once read as an array argument
+NOT_STARTS = {"list": [0.5, 0.5], "array": OK, "string": "start", "nan": np.nan,
+              "shape": np.zeros(3), "ragged": [[0.5], [0.5, 0.5]], "far": [np.inf, 0.5],
+              "first-nan": [np.nan, 0.5], "last-nan": [0.5, np.nan],
+              "last-inf": [0.5, np.inf], "last--inf": [0.5, -np.inf]}
+
+
+@pytest.mark.parametrize("start", list(NOT_STARTS.values()), ids=list(NOT_STARTS))
+@pytest.mark.parametrize("entry", START_ENTRIES)
+def test_a_start_other_than_a_warm_start_is_refused(entry, start):
+    # a start is a run's WarmStart or None: a point is refused, never ignored
+    with pytest.raises(InputError, match=r"^start must be a WarmStart or None, got "):
+        START_ENTRIES[entry](start)
 
 
 #: point entries at the edges of the box rule: non-finite, signed zeros, huge and

@@ -211,6 +211,42 @@ class TestWarmStartedOracles:
         assert np.max(np.abs(traj.x - cold.x)) <= 1e-12
         assert sum(t is not None for t in kept_tableaus) == 999
 
+    @pytest.mark.parametrize("family", ["measured", "general"])
+    def test_a_change_of_active_columns_starts_cold_then_reuses_again(self, family, rng,
+                                                                      monkeypatch, kept_tableaus):
+        # a non-monotone quadratic's gradient turns negative on some coordinates as x
+        # grows, so the LP's active columns (g_i > 0, cap_i > 0) change during the run
+        A = rng.uniform(0.0, 1.0, size=(6, 12))
+        body = PackingBody(A, 0.3 * A.sum(axis=1))
+        W = rng.uniform(0.0, 1.0, size=(12, 12))
+        f = make_quadratic(-(W + W.T) / 2, rng.uniform(0.0, 3.0, size=12))
+        assert not f.monotone
+        name = "masked_lmo" if family == "measured" else "lmo"
+        oracle = getattr(PackingBody, name)
+        calls = []
+
+        def watched(self, g, *rest):
+            before = len(kept_tableaus)
+            v = oracle(self, g, *rest)
+            cap = rest[0] if name == "masked_lmo" else np.ones(self.n)
+            calls.append((np.flatnonzero((g > 0.0) & (cap > 0.0)), v, oracle(self, g, *rest[:-1]),
+                          len(kept_tableaus) - before))
+            return v
+
+        monkeypatch.setattr(PackingBody, name, watched)
+        run(f, body, preset(family), family_spec(family), 200)
+        assert len(calls) == 200 and all(active.size for active, *_ in calls)
+        # True where the LP's columns differ from the last LP's (the first LP has no last)
+        new = [True] + [not np.array_equal(a, b) for (a, *_), (b, *_) in zip(calls[1:], calls)]
+        for (_, v, cold, reused), fresh in zip(calls, new):
+            assert np.max(np.abs(v - cold)) <= 1e-12
+            if fresh:  # the first LP over its columns is the cold solve, bit for bit
+                assert reused == 0 and v.tobytes() == cold.tobytes()
+            else:  # every next LP over the same columns reuses the kept tableau
+                assert reused == 1
+        assert sum(new[1:]) >= 2  # the columns change during the run
+        assert sum(a and not b for a, b in zip(new[1:], new[2:])) >= 2  # and the next LP reuses
+
     @pytest.mark.parametrize("body", [BOX2, CardinalityBody(2, 1),
                                       PartitionBody(2, ((0,), (1,)), (1, 1))],
                              ids=lambda b: type(b).__name__)
