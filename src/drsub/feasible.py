@@ -109,20 +109,27 @@ class ConvexBody:
         lowest coordinate index first, packing bodies take the vertex the simplex's
         pivot rule reaches, and coordinates with nonpositive coefficients
         stay at zero.  ``start`` is None or a run's WarmStart, and only
-        saves work.  Packing bodies reuse its kept tableau, with no
-        factorization, when its LP was over the same matrix (the same active
-        coordinates of the same body), and otherwise solve cold.  Dual
-        pivots restore a lower cap of the masked oracle that the kept basis
-        breaks (see simplex_solve).  They keep that answer only when the
-        optimum is unique and otherwise solve from the all-slack basis, so
-        the tie rule above holds with or without a start, and they rewrite
-        the WarmStart with the LP they solved.  Packing bodies refuse any
-        other start with an InputError; box and partition bodies ignore it.
+        saves work; every body refuses any other start with an InputError.
+        A packing body's LP is over its columns of the active coordinates,
+        and simplex_solve reuses the start's kept tableau, with no
+        factorization, when that matrix equals the last LP's, and otherwise
+        solves cold.  Dual pivots restore a lower cap of the masked oracle
+        that the kept basis breaks.  The answer is kept only when the optimum
+        is unique and otherwise solved from the all-slack basis, so the tie
+        rule above holds with or without a start.  Box and partition bodies
+        have no LP, so their answer does not depend on the start.
         """
-        raise NotImplementedError
+        return self._lmo(checked_array(g, (self.n,), "objective"), self._upper,
+                         _checked_start(start))
 
     def masked_lmo(self, g, cap, start=None) -> np.ndarray:
         """Maximize <g, v> over the body intersected with {v <= cap}; ``start`` as in lmo."""
+        return self._lmo(checked_array(g, (self.n,), "objective"),
+                         checked_array(cap, (self.n,), "cap", FEASIBILITY_TOL),
+                         _checked_start(start))
+
+    def _lmo(self, g: np.ndarray, cap: np.ndarray, start: WarmStart | None) -> np.ndarray:
+        """The oracles' kernel: maximize <g, v> over the body and {v <= cap}, for checked inputs."""
         raise NotImplementedError
 
     def diameter(self) -> float:
@@ -150,12 +157,7 @@ class BoxBody(ConvexBody):
     def n(self) -> int:
         return self.upper.size
 
-    def lmo(self, g, start=None) -> np.ndarray:
-        return np.where(checked_array(g, (self.n,), "objective") > 0.0, self.upper, 0.0)
-
-    def masked_lmo(self, g, cap, start=None) -> np.ndarray:
-        g = checked_array(g, (self.n,), "objective")
-        cap = checked_array(cap, (self.n,), "cap", FEASIBILITY_TOL)
+    def _lmo(self, g: np.ndarray, cap: np.ndarray, start: WarmStart | None) -> np.ndarray:
         return np.where(g > 0.0, np.minimum(self.upper, cap), 0.0)
 
     def diameter(self) -> float:
@@ -209,14 +211,8 @@ class PartitionBody(ConvexBody):
             row[list(blk)] = 1.0
         self._set_inequalities(np.ones(self.n), sums, np.array(caps, dtype=float))
 
-    def lmo(self, g, start=None) -> np.ndarray:
-        return _greedy_fill(checked_array(g, (self.n,), "objective"), self._upper, self.blocks,
-                            self.capacities)
-
-    def masked_lmo(self, g, cap, start=None) -> np.ndarray:
-        return _greedy_fill(checked_array(g, (self.n,), "objective"),
-                            checked_array(cap, (self.n,), "cap", FEASIBILITY_TOL),
-                            self.blocks, self.capacities)
+    def _lmo(self, g: np.ndarray, cap: np.ndarray, start: WarmStart | None) -> np.ndarray:
+        return _greedy_fill(g, cap, self.blocks, self.capacities)
 
     def diameter(self) -> float:
         # exact: a block's vertices are 0/1 points with at most k ones, so two of
@@ -259,22 +255,16 @@ class PackingBody(ConvexBody):
         return self.A.shape[1]
 
     def lmo(self, g, start=None) -> np.ndarray:
-        return self._solve(checked_array(g, (self.n,), "objective"), self._upper, start)
+        # kept only because bench/test_bench.py pins the qualname "PackingBody.lmo"
+        return ConvexBody.lmo(self, g, start)
 
-    def masked_lmo(self, g, cap, start=None) -> np.ndarray:
-        return self._solve(checked_array(g, (self.n,), "objective"),
-                           checked_array(cap, (self.n,), "cap", FEASIBILITY_TOL), start)
-
-    def _solve(self, g: np.ndarray, cap: np.ndarray, start) -> np.ndarray:
-        """Maximize <g, v> over the body and {v <= cap}, for a checked g and cap in [0, 1]^n."""
-        state = _checked_start(start)
+    def _lmo(self, g: np.ndarray, cap: np.ndarray, start: WarmStart | None) -> np.ndarray:
         # coordinates with nonpositive payoff (or a zero cap) stay at zero;
         # this keeps the output minimal and the subproblem bounds positive
         active = np.flatnonzero((g > 0.0) & (cap > 0.0))
         v = np.zeros(self.n)
         if active.size:
-            A = self.A[:, active] if state is None else state.aim(self, active)
-            v[active] = simplex_solve(g[active], A, self.b, cap[active], state)[0]
+            v[active] = simplex_solve(g[active], self.A[:, active], self.b, cap[active], start)[0]
         return v
 
     def diameter(self) -> float:
@@ -289,31 +279,23 @@ class WarmStart:
     """The state a run carries from one packing LMO call to the next, passed as ``start``.
 
     A run makes one, empty, and passes it to every oracle call; box and
-    partition bodies ignore it.  A packing body reads in it the matrix of
-    the LP's active columns once per column set (``columns``, read-only,
-    keyed by ``body`` and ``active``).  simplex_solve keeps the optimal
-    tableau ``tab`` and ``basis`` of the LP it last solved, together with
-    the matrix ``A`` they were made for: by reference when that is the
-    state's own ``columns``, else as a copy, so no later write to a
+    partition bodies have no LP to start.  simplex_solve keeps in it the
+    optimal tableau ``tab`` and ``basis`` of the LP it last solved, with a
+    copy of the matrix ``A`` they were made for, so no later write to a
     caller's array reaches it.  The slack columns of that tableau hold the
     inverse of its basis matrix, which depends on A alone, so the next LP
-    over the same A, whatever its costs and caps, starts from it with no
-    factorization.  The state lives in the run, so bodies stay immutable
-    and a run's answers depend only on its own inputs.
+    over an equal A, whatever its costs and caps, starts from it with no
+    factorization.  A packing body's LP is over its columns of the active
+    coordinates, so the tableau is reused exactly when those columns equal
+    the last LP's, whichever body they came from.  The state lives in the
+    run, so bodies stay immutable and a run's answers depend only on its
+    own inputs.
     """
 
-    __slots__ = ("body", "active", "columns", "A", "tab", "basis")
+    __slots__ = ("A", "tab", "basis")
 
     def __init__(self):
-        self.body = self.active = self.columns = self.A = self.tab = self.basis = None
-
-    def aim(self, body: ConvexBody, active: np.ndarray) -> np.ndarray:
-        """The read-only matrix of ``body``'s columns ``active``, read only when they change."""
-        if body is not self.body or self.columns is None or not np.array_equal(active, self.active):
-            self.body, self.active = body, active
-            self.columns = body.A[:, active]
-            self.columns.flags.writeable = False
-        return self.columns
+        self.A = self.tab = self.basis = None
 
 
 def _checked_start(start) -> WarmStart | None:
@@ -341,8 +323,7 @@ def simplex_solve(c: np.ndarray, A: np.ndarray, b: np.ndarray, u: np.ndarray,
 
     ``start`` (None or a WarmStart; anything else is refused) only saves
     pivots.  The LP starts one of two ways.  A WarmStart's kept tableau is
-    reused only on the A it was made for (the same object, which is how a
-    PackingBody passes its columns, or an equal matrix), with no
+    reused only on a matrix equal to the A it was made for, with no
     factorization: its rows stay, the rhs is B^-1 [b; u] and the reduced
     costs c - c_B (B^-1 M) (see _kept_tableau).  Dual pivots restore the
     rhs of a lowered cap before the primal pivots, and the answer is kept
@@ -369,7 +350,7 @@ def simplex_solve(c: np.ndarray, A: np.ndarray, b: np.ndarray, u: np.ndarray,
 
     state = _checked_start(start)
     solved = None
-    if state is not None and state.tab is not None and (A is state.A or np.array_equal(A, state.A)):
+    if state is not None and state.tab is not None and np.array_equal(A, state.A):
         solved = _unique_optimum(_kept_tableau(tab, state.tab, state.basis))
         if solved is not None:
             _refine(*solved, tab)
@@ -379,7 +360,7 @@ def simplex_solve(c: np.ndarray, A: np.ndarray, b: np.ndarray, u: np.ndarray,
     x, value = _vertex(*solved, c, A, b, u)
     if state is not None:
         state.tab, state.basis = solved
-        state.A = A if A is state.columns else A.copy()
+        state.A = A.copy()
     return x, value
 
 

@@ -13,11 +13,26 @@ def rng():
 
 @pytest.fixture
 def kept_tableaus(monkeypatch):
-    """What every feasible._kept_tableau call of the test returned (None: the reuse was refused)."""
+    """What every feasible._kept_tableau call of the test returned: one entry per attempted reuse.
+
+    None means the dual pivots could not repair the kept basis.  A repaired
+    tableau may still be refused by the unique-optimum rule, so ``reuses``
+    counts the accepted ones.
+    """
     from drsub import feasible
     seen = []
     tableau = feasible._kept_tableau
     monkeypatch.setattr(feasible, "_kept_tableau", lambda *a: seen.append(tableau(*a)) or seen[-1])
+    return seen
+
+
+@pytest.fixture
+def reuses(monkeypatch):
+    """One entry per accepted reuse of a kept tableau: each takes one feasible._refine call."""
+    from drsub import feasible
+    seen = []
+    refine = feasible._refine
+    monkeypatch.setattr(feasible, "_refine", lambda *a: seen.append(1) or refine(*a))
     return seen
 
 

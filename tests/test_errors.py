@@ -78,12 +78,16 @@ def test_a_non_finite_last_entry_is_refused(entry, call, name, batch, box, bad):
         call([OK, row] if batch else row)
 
 
-#: the packing oracles and the simplex, each called with the start under test
+#: every body's oracles (unprefixed: the packing body's) and the simplex, each called
+#: with the start under test; box and partition bodies have no LP but refuse it alike
 START_ENTRIES = {
     "lmo": lambda start: BODIES["packing"].lmo(OK, start),
     "masked_lmo": lambda start: BODIES["packing"].masked_lmo(OK, OK, start),
     "simplex_solve": lambda start: simplex_solve(np.ones(2), np.ones((1, 2)), np.ones(1),
                                                  np.ones(2), start),
+    **dict(entry for kind in ("box", "cardinality") for entry in [
+        (f"{kind}.lmo", lambda start, C=BODIES[kind]: C.lmo(OK, start)),
+        (f"{kind}.masked_lmo", lambda start, C=BODIES[kind]: C.masked_lmo(OK, OK, start))]),
 }
 
 

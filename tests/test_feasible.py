@@ -346,7 +346,8 @@ class TestSimplex:
         assert val == pytest.approx(1.25, abs=1e-12)
         assert x == pytest.approx([1.0, 0.0, 1.0, 0.0], abs=1e-12)
 
-    def test_matches_bland_reference_at_benchmark_scale(self, rng, monkeypatch, kept_tableaus):
+    def test_matches_bland_reference_at_benchmark_scale(self, rng, monkeypatch, kept_tableaus,
+                                                         reuses):
         # 20x30 packing LPs drawn like the packing benchmark; the optimum is unique
         # almost surely, so every correct pivot rule lands on the same vertex, and so
         # does a start from the tableau of nearby costs, as a Frank-Wolfe step has
@@ -371,8 +372,7 @@ class TestSimplex:
                 x_warm, val_warm = simplex_solve(c, A, b, u, start)
                 assert np.max(np.abs(x_warm - x)) <= 1e-12
                 assert abs(val_warm - val) <= 1e-12 * max(1.0, abs(val))
-        assert len(kept_tableaus) == 200
-        assert sum(t is not None for t in kept_tableaus) >= 190
+        assert len(kept_tableaus) == len(reuses) == 200  # every reuse was accepted
         # a tableau kept at the same cap is primal feasible: the dual phase makes no pivot
         assert dual_pivots and not any(dual_pivots)
 
@@ -404,7 +404,7 @@ class TestSimplex:
         assert len(kept_tableaus) == 2  # both kept tableaus were reused, then refused
 
     def test_lowered_cap_start_matches_bland_reference_at_benchmark_scale(self, rng, monkeypatch,
-                                                                         kept_tableaus):
+                                                                         kept_tableaus, reuses):
         # a measured step at benchmark scale: the tableau kept at cap u starts the LP of
         # nearby costs at the cap u - rho v, which its vertex v breaks where it sat at u
         pivots, shifted = [], []
@@ -433,8 +433,7 @@ class TestSimplex:
             for y, y_val in ((x, val), (x_ref, val_ref)):
                 assert np.max(np.abs(x_warm - y)) <= 1e-12
                 assert abs(val_warm - y_val) <= 1e-12 * max(1.0, abs(y_val))
-        assert len(kept_tableaus) == 100
-        assert sum(t is not None for t in kept_tableaus) >= 95
+        assert len(kept_tableaus) == len(reuses) == 100  # every reuse was accepted
         # each dual pivot keeps the shifted costs dual feasible, so few pivots repair a kept basis
         assert shifted and max(shifted) <= 1e-10
         assert len(pivots) <= 8 * 100
@@ -465,11 +464,12 @@ class TestSimplex:
     def test_malformed_start_is_refused(self, start):
         with pytest.raises(InputError, match="start"):
             simplex_solve(np.ones(2), np.ones((1, 2)), np.ones(1), np.ones(2), start)
-        body = PackingBody(np.ones((1, 2)), np.ones(1))
-        with pytest.raises(InputError, match="start"):
-            body.lmo(np.ones(2), start)
-        with pytest.raises(InputError, match="start"):
-            body.masked_lmo(np.ones(2), np.ones(2), start)
+        for body in (PackingBody(np.ones((1, 2)), np.ones(1)), BoxBody(np.ones(2)),
+                     PartitionBody(2, ((0,), (1,)), (1, 1))):
+            with pytest.raises(InputError, match="start"):
+                body.lmo(np.ones(2), start)
+            with pytest.raises(InputError, match="start"):
+                body.masked_lmo(np.ones(2), np.ones(2), start)
 
     @pytest.mark.parametrize("entry", ["lmo", "masked_lmo", "simplex_solve"])
     def test_a_nan_outside_the_lp_is_refused(self, entry):
@@ -506,7 +506,7 @@ def drawn_body(rng):
 
 
 class TestWarmStart:
-    """A run's state: the last LP's tableau is reused, with no factorization, on the same columns."""
+    """A run's state: the last LP's tableau is reused, with no factorization, on an equal matrix."""
 
     def test_empty_state_gives_the_cold_solve_and_keeps_its_tableau(self, rng):
         c, A, b, u = drawn_lp(rng)
@@ -519,8 +519,7 @@ class TestWarmStart:
         assert state.tab.shape == (m + 1, 30 + m + 1) and np.all(state.tab[m, :-1] <= 1e-10)
 
     @pytest.mark.parametrize("masked", [False, True], ids=["plain", "masked"])
-    def test_reuse_matches_cold_without_a_factorization(self, masked, rng, monkeypatch,
-                                                        kept_tableaus):
+    def test_reuse_matches_cold_without_a_factorization(self, masked, rng, monkeypatch, reuses):
         body, state = drawn_body(rng), feasible.WarmStart()
         g, cap = rng.uniform(0.1, 1.0, size=30), np.ones(30)
         solves = []
@@ -530,12 +529,12 @@ class TestWarmStart:
             v = body.masked_lmo(g, cap, state) if masked else body.lmo(g, state)
             cold = body.masked_lmo(g, cap) if masked else body.lmo(g)
             assert np.max(np.abs(v - cold)) <= 1e-12
-            assert state.body is body and np.array_equal(state.active, np.arange(30))
+            assert np.array_equal(state.A, body.A)  # every coordinate is active
             g = g * np.exp(rng.normal(scale=0.05, size=30))  # every payoff stays positive
             if masked:  # a measured step lowers the cap to 1 - x
                 cap = cap - 0.05 * v
         assert solves == []  # every LP after the first reused the last
-        assert len(kept_tableaus) == 19 and all(t is not None for t in kept_tableaus)
+        assert len(reuses) == 19
 
     def test_state_is_not_reused_on_another_body(self, rng, kept_tableaus):
         first, other = drawn_body(rng), drawn_body(rng)
@@ -544,10 +543,11 @@ class TestWarmStart:
         first.lmo(g, state)
         v = other.lmo(g, state)
         assert kept_tableaus == []  # the other body's LP starts cold
-        assert np.array_equal(v, other.lmo(g)) and state.body is other
+        assert np.array_equal(v, other.lmo(g)) and np.array_equal(state.A, other.A)
 
     @pytest.mark.parametrize("dropped", [[1], [1, 2]], ids=["same-size", "smaller"])
-    def test_state_is_not_reused_on_other_active_columns(self, dropped, rng, kept_tableaus):
+    def test_state_is_not_reused_on_other_active_columns(self, dropped, rng, kept_tableaus,
+                                                         reuses):
         # coordinate 0, then the coordinates ``dropped``, get no payoff: the tableau of
         # the first LP belongs to other columns, so the second LP starts cold
         body, state = drawn_body(rng), feasible.WarmStart()
@@ -557,11 +557,11 @@ class TestWarmStart:
         g2[dropped] = -1.0
         v = body.lmo(g2, state)
         assert kept_tableaus == [] and np.array_equal(v, body.lmo(g2))
-        assert np.array_equal(state.active, np.flatnonzero(g2 > 0))
+        assert np.array_equal(state.A, body.A[:, g2 > 0])
         body.lmo(g2 * 1.01, state)  # now the columns match, so the tableau is reused
-        assert len(kept_tableaus) == 1
+        assert len(kept_tableaus) == len(reuses) == 1
 
-    def test_refinement_corrects_a_drifted_inverse(self, rng, kept_tableaus):
+    def test_refinement_corrects_a_drifted_inverse(self, rng, reuses):
         # the kept B^-1 off by 1e-9, relative: the reused LP's answer is refined back to
         # the cold one, where the unrefined basic solution would be 1e-9 off
         c, A, b, u = drawn_lp(rng)
@@ -571,7 +571,7 @@ class TestWarmStart:
         state.tab[:m, n:n + m] *= 1.0 + 1e-9 * rng.standard_normal((m, m))
         c2 = c + rng.normal(scale=0.05, size=n)
         x, val = simplex_solve(c2, A, b, u, state)
-        assert len(kept_tableaus) == 1 and kept_tableaus[0] is not None  # the reuse was accepted
+        assert len(reuses) == 1  # the reuse was accepted
         cold = simplex_solve(c2, A, b, u)
         assert np.max(np.abs(x - cold[0])) <= 1e-12
         assert abs(val - cold[1]) <= 1e-12 * abs(cold[1])
@@ -608,12 +608,12 @@ class TestWarmStart:
             assert np.max(np.abs(x - cold[0])) <= 1e-12 and abs(val - cold[1]) <= 1e-12
         assert kept_tableaus == []
 
-    def test_an_equal_matrix_reuses_the_tableau(self, rng, kept_tableaus):
+    def test_an_equal_matrix_reuses_the_tableau(self, rng, reuses):
         c, A, b, u = drawn_lp(rng)
         state = feasible.WarmStart()
         simplex_solve(c, A, b, u, state)
         x, _ = simplex_solve(c * 1.01, A.copy(), b, u, state)
-        assert len(kept_tableaus) == 1 and kept_tableaus[0] is not None
+        assert len(reuses) == 1
         assert np.max(np.abs(x - simplex_solve(c * 1.01, A, b, u)[0])) <= 1e-12
 
     def test_a_matrix_written_after_the_solve_is_not_reused(self, rng, kept_tableaus):
@@ -627,7 +627,7 @@ class TestWarmStart:
 
     def test_a_read_only_view_written_through_its_base_is_not_reused(self, kept_tableaus):
         # a read-only A can still change through a writable base: the state copies
-        # every A but its own columns, so the tableau kept on A1 is not reused on A2
+        # every A, so the tableau kept on A1 is not reused on A2
         rng = np.random.default_rng(5)
         b, u = np.ones(4), np.ones(6)
         for _ in range(50):
@@ -651,30 +651,28 @@ class TestWarmStart:
         cold = simplex_solve(np.ones(2), np.ones((1, 2)), np.ones(1), np.ones(2))
         assert np.array_equal(x, cold[0]) and val == cold[1]
 
-    def test_a_body_reads_its_columns_once_per_column_set(self, rng):
-        body, state = drawn_body(rng), feasible.WarmStart()
+    def test_two_bodies_of_one_matrix_share_a_kept_tableau(self, rng, reuses):
+        # the tableau is keyed on the LP's matrix alone, so a second body built from
+        # the same A starts from the tableau of the first body's LP
+        A = rng.uniform(0.0, 1.0, size=(20, 30))
+        first, second = PackingBody(A, 0.2 * A.sum(axis=1)), PackingBody(A, 0.2 * A.sum(axis=1))
+        state = feasible.WarmStart()
         g = rng.uniform(0.1, 1.0, size=30)
-        body.lmo(g, state)
-        columns = state.columns
-        assert not columns.flags.writeable and np.array_equal(columns, body.A)
-        body.lmo(g * 1.01, state)
-        assert state.columns is columns and state.A is columns
-        g[3] = -1.0
-        body.lmo(g, state)
-        assert np.array_equal(state.columns, np.delete(body.A, 3, axis=1))
+        first.lmo(g, state)
+        g2 = g * np.exp(rng.normal(scale=0.05, size=30))
+        v = second.lmo(g2, state)
+        assert len(reuses) == 1
+        assert np.max(np.abs(v - second.lmo(g2))) <= 1e-12
 
     @pytest.mark.parametrize("seed, accepted", [(0, 71), (1, 72), (9, 74)])
-    def test_simplex_check_reuses_its_kept_tableaus(self, seed, accepted, capsys, monkeypatch):
+    def test_simplex_check_reuses_its_kept_tableaus(self, seed, accepted, capsys, reuses):
         # drsub check solves each LP from the state of its reversed costs, and each
         # lowered-cap LP from the state its first cold solve kept, on the same A:
         # 100 reuses, each accepted one refined once
         from drsub import cli
-        refined = []
-        refine = feasible._refine
-        monkeypatch.setattr(feasible, "_refine", lambda *a: refined.append(1) or refine(*a))
         assert cli.main(["check", "--seed", str(seed)]) == 0
         assert "PASS feasible-simplex" in capsys.readouterr().out
-        assert len(refined) == accepted
+        assert len(reuses) == accepted
 
 
 class TestDiameter:

@@ -161,7 +161,7 @@ def run_without_starts(monkeypatch, f, body, family, N):
 
 class TestWarmStartedOracles:
     @pytest.mark.parametrize("family", FAMILIES)
-    def test_packing_run_matches_cold_oracles(self, family, rng, monkeypatch, kept_tableaus):
+    def test_packing_run_matches_cold_oracles(self, family, rng, monkeypatch, reuses):
         # a 20x30 packing body and concave-modular objective, as the packing benchmark draws
         A = rng.uniform(0.0, 1.0, size=(20, 30))
         body = PackingBody(A, 0.2 * A.sum(axis=1))
@@ -171,10 +171,10 @@ class TestWarmStartedOracles:
         assert np.max(np.abs(traj.x - cold.x)) <= 1e-12
         assert np.max(np.abs(traj.F - cold.F)) <= 1e-12 * np.max(cold.F)
         assert traj.lmo_calls == cold.lmo_calls == 20
-        assert sum(t is not None for t in kept_tableaus) >= 15  # steps that reused the last LP
+        assert len(reuses) == 19  # every step after the first reused the last LP
 
     def test_measured_packing_run_repairs_its_starts_and_keeps_its_certificate(
-            self, rng, monkeypatch, kept_tableaus):
+            self, rng, monkeypatch, reuses):
         # each masked call's start breaks the lowered cap 1 - x and is repaired by dual pivots
         A = rng.uniform(0.0, 1.0, size=(20, 30))
         body = PackingBody(A, 0.2 * A.sum(axis=1))
@@ -183,7 +183,7 @@ class TestWarmStartedOracles:
         traj = run(f, body, preset("measured"), family_spec("measured"), 20)
         assert np.max(np.abs(traj.x - cold.x)) <= 1e-12
         assert np.max(np.abs(traj.F - cold.F)) <= 1e-12
-        assert sum(t is not None for t in kept_tableaus) == 19  # every step after the first
+        assert len(reuses) == 19  # every step after the first
         opt = float(np.max(cold.F))  # a lower bound on OPT keeps every margin true
         assert checks.gate(checks.run_margins(traj, opt), "measured") == []
         assert ((traj.value_calls, traj.grad_calls, traj.lmo_calls)
@@ -191,7 +191,7 @@ class TestWarmStartedOracles:
 
     @pytest.mark.parametrize("family", ["monotone", "measured"])
     def test_every_answer_of_a_long_run_stays_within_1e_12_of_cold(self, family, rng,
-                                                                   monkeypatch, kept_tableaus):
+                                                                   monkeypatch, reuses):
         # 999 LPs in a row reuse one run's tableau, never refactorized: its B^-1 drifts,
         # and one step of refinement per answer keeps the answers on the cold ones
         A = rng.uniform(0.0, 1.0, size=(20, 30))
@@ -209,11 +209,11 @@ class TestWarmStartedOracles:
         assert len(answers) == len(cold_answers) == 1000
         assert np.max(np.abs(np.array(answers) - cold_answers)) <= 1e-12
         assert np.max(np.abs(traj.x - cold.x)) <= 1e-12
-        assert sum(t is not None for t in kept_tableaus) == 999
+        assert len(reuses) == 999
 
     @pytest.mark.parametrize("family", ["measured", "general"])
     def test_a_change_of_active_columns_starts_cold_then_reuses_again(self, family, rng,
-                                                                      monkeypatch, kept_tableaus):
+                                                                      monkeypatch, reuses):
         # a non-monotone quadratic's gradient turns negative on some coordinates as x
         # grows, so the LP's active columns (g_i > 0, cap_i > 0) change during the run
         A = rng.uniform(0.0, 1.0, size=(6, 12))
@@ -226,11 +226,11 @@ class TestWarmStartedOracles:
         calls = []
 
         def watched(self, g, *rest):
-            before = len(kept_tableaus)
+            before = len(reuses)
             v = oracle(self, g, *rest)
             cap = rest[0] if name == "masked_lmo" else np.ones(self.n)
             calls.append((np.flatnonzero((g > 0.0) & (cap > 0.0)), v, oracle(self, g, *rest[:-1]),
-                          len(kept_tableaus) - before))
+                          len(reuses) - before))
             return v
 
         monkeypatch.setattr(PackingBody, name, watched)
@@ -242,7 +242,7 @@ class TestWarmStartedOracles:
             assert np.max(np.abs(v - cold)) <= 1e-12
             if fresh:  # the first LP over its columns is the cold solve, bit for bit
                 assert reused == 0 and v.tobytes() == cold.tobytes()
-            else:  # every next LP over the same columns reuses the kept tableau
+            else:  # every next LP over the same columns reuses the kept tableau, accepted
                 assert reused == 1
         assert sum(new[1:]) >= 2  # the columns change during the run
         assert sum(a and not b for a, b in zip(new[1:], new[2:])) >= 2  # and the next LP reuses
