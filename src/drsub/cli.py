@@ -99,7 +99,7 @@ class _Experiment:
             raise InputError(f"cannot create output directory {self.out_dir}: "
                              f"{existing} is not a directory")
 
-        self.objective, self.build_set_function = objective.instance_from_json(
+        self.objective, self.set_function = objective.instance_from_json(
             _load_json_arg(parsed.instance, "instance"))
         self.body = feasible.body_from_json(_load_json_arg(parsed.constraint, "constraint"))
         if parsed.schedule is None:
@@ -113,10 +113,9 @@ class _Experiment:
 
     def certificate(self) -> oracle.OptCertificate | None:
         if self.opt_mode == "sets":
-            if self.build_set_function is None:
+            if self.set_function is None:
                 raise InputError("--opt sets needs a coverage or table instance")
-            oracle.check_set_bruteforce(self.objective.n, self.body)  # before the 2^m table
-            return oracle.set_bruteforce(self.build_set_function(), self.body)
+            return oracle.set_bruteforce(self.set_function, self.body)
         if self.opt_mode == "grid":
             return oracle.grid_search(self.objective, self.body)
         return None

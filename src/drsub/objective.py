@@ -46,13 +46,8 @@ _SUBMODULAR_TOL = 1e-9
 #: at most 4096 groups by 20 sets (640 KB)
 _COVERAGE_BLOCK = 1 << 16
 
-#: floats per block of coverage_function's table sums (2 MB); a block holds the table
-#: and at least one group
+#: floats per block of Coverage.values' terms (2 MB), which holds at least two subsets
 _TABLE_BLOCK = 1 << 18
-
-#: floats per buffer of SetFunction.differences (256 KB); a buffer holds at least one
-#: difference, at most 2^19 floats at m = 20
-_DR_BLOCK = 1 << 15
 
 #: rows per block of mesh_chunks and of the grid oracle's feasible mesh; a block of n=6
 #: points and its values take well under 1 MB
@@ -127,63 +122,27 @@ class SetFunction:
     def max_value(self) -> float:
         return float(np.max(self.table)) if self.table.size else 0.0
 
+    def values(self, S) -> np.ndarray:
+        """f at each bitmask of S."""
+        return self.table[S]
+
     @cached_property
     def differences(self) -> tuple[float, float, float]:
         """Smallest f(S+i) - f(S), then smallest and largest f(S+i+j) - f(S+i) - f(S+j) + f(S).
 
         Each is 0 when there is no element, or no pair.  One O(m^2 2^m)
         pass, made once for the monotonicity and submodularity checks and
-        the extension's L together.  Each difference along i, and along j
-        of that, is one subtraction of two basic-slice views (the entries
-        np.diff gives), written into a bounded buffer that is reduced once
-        it is full.
+        the extension's L together.
         """
-        m = self.m
-        firsts, seconds = _Extremes(1 << m >> 1, m), _Extremes(1 << m >> 2, m * (m - 1) // 2)
-        for i in range(m):
-            along_i = _halves(self.table, i, firsts.slot())
-            for j in range(i, m - 1):  # element j + 1 is axis j of along_i
-                _halves(along_i, j, seconds.slot())
-        return firsts.extremes()[0], *seconds.extremes()
-
-
-def _halves(v: np.ndarray, axis: int, out: np.ndarray) -> np.ndarray:
-    """v[..., 1, ...] - v[..., 0, ...] along ``axis`` of v seen as a (2, ..., 2) array, into out.
-
-    Both halves are basic-slice views of v reshaped to (2^axis, 2, rest), so
-    each entry is the subtraction np.diff makes.
-    """
-    pair = v.reshape(1 << axis, 2, -1)
-    return np.subtract(pair[:, 1], pair[:, 0], out=out.reshape(1 << axis, -1))
-
-
-class _Extremes:
-    """Running min and max, both from 0, of ``count`` arrays of ``size`` floats.
-
-    The arrays are written into the slots of one buffer of at most _DR_BLOCK
-    floats (or one array), which is reduced once it is full.
-    """
-
-    def __init__(self, size: int, count: int):
-        self.buffer = np.empty((max(1, min(count, _DR_BLOCK // max(size, 1))), size))
-        self.fill, self.low, self.high = 0, 0.0, 0.0
-
-    def slot(self) -> np.ndarray:
-        if self.fill == len(self.buffer):
-            self._reduce()
-        self.fill += 1
-        return self.buffer[self.fill - 1]
-
-    def _reduce(self) -> None:
-        if self.fill:
-            full = self.buffer[:self.fill]
-            self.low = min(self.low, float(full.min()))
-            self.high = max(self.high, float(full.max()))
-        self.fill = 0
-
-    def extremes(self) -> tuple[float, float]:
-        self._reduce()
-        return self.low, self.high
+        T = self.table.reshape((2,) * self.m)  # one axis per element
+        first = lo = hi = 0.0
+        for i in range(self.m):
+            along_i = np.diff(T, axis=i)
+            first = min(first, float(along_i.min()))
+            for j in range(i + 1, self.m):
+                D = np.diff(along_i, axis=j)
+                lo, hi = min(lo, float(D.min())), max(hi, float(D.max()))
+        return first, lo, hi
 
 
 def set_function_from_table(values: Sequence[float]) -> SetFunction:
@@ -227,7 +186,7 @@ def _coverage_groups(subsets: Sequence[Sequence[int]], weights: Sequence[float] 
     if np.any(w < 0) or not np.all(np.isfinite(w)):
         raise InputError("element weights must be finite and nonnegative")
 
-    covers = np.zeros(n_elements, dtype=np.int64)
+    covers = np.zeros(n_elements, dtype=np.int32)  # m <= 20 bits
     for i, s in enumerate(subsets):
         covers[np.asarray(s, dtype=np.intp)] |= 1 << i
     masks, which = np.unique(covers, return_inverse=True)
@@ -240,30 +199,52 @@ def _coverage_groups(subsets: Sequence[Sequence[int]], weights: Sequence[float] 
     return m, masks[keep], group_weights[keep]
 
 
+@dataclass(frozen=True, eq=False)
+class Coverage:
+    """Weighted coverage as a set function, in closed form over its cover-mask groups.
+
+    ``masks`` and ``weights`` are the groups of _coverage_groups: f(S) is the
+    total weight of the groups that S meets.  It is monotone and submodular
+    by construction, so it needs neither a table nor an exhaustive check.
+    """
+
+    m: int
+    masks: np.ndarray
+    weights: np.ndarray
+
+    def values(self, S) -> np.ndarray:
+        """f at each bitmask of S: the sum of w_g [S & g != 0], in group order.
+
+        A block of subsets fills one (groups, subsets) array of terms, whose
+        axis-0 sum adds each column down the groups in order.  numpy sums a
+        lone column pairwise, so a block holds at least two subsets.
+        """
+        S = np.asarray(S, dtype=np.int32)
+        if S.size == 1:
+            return self.values(np.repeat(S, 2))[:1]
+        out = np.empty(S.size)
+        per = max(2, _TABLE_BLOCK // max(self.masks.size, 1))
+        terms = np.empty((self.masks.size, min(per, S.size)))
+        for start in range(0, S.size, per):
+            first = min(start, S.size - 2)
+            block = S[first:start + per]
+            rows = terms[:, :block.size]
+            np.multiply((block & self.masks[:, None]) != 0, self.weights[:, None], out=rows)
+            rows.sum(axis=0, out=out[first:first + block.size])
+        return out
+
+
 def coverage_function(subsets: Sequence[Sequence[int]],
                       weights: Sequence[float] | None = None,
                       n_elements: int | None = None) -> SetFunction:
-    """Weighted coverage: f(S) = total weight of elements covered by S.
+    """Weighted coverage: f(S) = total weight of elements covered by S, as its 2^m table.
 
     The ground set is the list of covering subsets; ``weights`` are per
-    universe element (default all ones).
+    universe element (default all ones).  The table is Coverage.values at
+    every bitmask.
     """
-    m, masks, group_weights = _coverage_groups(subsets, weights, n_elements)
-    # each entry adds the weight of every group its subset meets, in group order, so only
-    # nonnegative terms are summed.  A block's axis-0 sum runs down its rows in order and
-    # carries the table so far as its first row.  One block buffer serves every block: a
-    # fresh 2 MB block each time costs a process's first m = 16 table about 0.1 s of page faults.
-    subset_masks, masks = np.arange(1 << m, dtype=np.int32), masks.astype(np.int32)
-    table = np.zeros(1 << m)
-    per = max(1, _TABLE_BLOCK // table.size - 1)
-    block = np.empty((min(per, masks.size) + 1, table.size))
-    for start in range(0, masks.size, per):
-        meets = (subset_masks & masks[start:start + per, None]) != 0
-        rows = block[:meets.shape[0] + 1]
-        rows[0] = table
-        np.multiply(meets, group_weights[start:start + per, None], out=rows[1:])
-        rows.sum(axis=0, out=table)
-    return SetFunction(m, table)
+    cover = Coverage(*_coverage_groups(subsets, weights, n_elements))
+    return SetFunction(cover.m, cover.values(np.arange(1 << cover.m)))
 
 
 def make_coverage(subsets: Sequence[Sequence[int]],
@@ -288,7 +269,12 @@ def make_coverage(subsets: Sequence[Sequence[int]],
     diagonal and |d2F/dx_i dx_j| <= P_ij, the weight of the groups holding
     both i and j, so L = ||P||_2 bounds its norm.
     """
-    m, masks, w = _coverage_groups(subsets, weights, n_elements)
+    return _coverage_extension(Coverage(*_coverage_groups(subsets, weights, n_elements)))
+
+
+def _coverage_extension(cover: Coverage) -> DrFunction:
+    """make_coverage's closed form of a grouped coverage."""
+    m, masks, w = cover.m, cover.masks, cover.weights
     member = (masks[:, None] >> np.arange(m) & 1).astype(bool)  # (groups, m)
     rows = max(1, _COVERAGE_BLOCK // max(member.size, 1))
     # each group's members in ascending order, padded with m to the largest group's D
@@ -528,16 +514,14 @@ def finite_diff_grad(f: DrFunction, x, h: float = 1e-4) -> np.ndarray:
 INSTANCE_KINDS = ("coverage", "quadratic", "concave_modular", "table")
 
 
-def instance_from_json(obj: dict) -> tuple[DrFunction, Callable[[], SetFunction] | None]:
+def instance_from_json(obj: dict) -> tuple[DrFunction, SetFunction | Coverage | None]:
     """Build an instance from its JSON description.
 
-    Returns the objective together with a zero-argument builder of the
-    underlying set function for the coverage and table kinds (None for the
-    smooth families).  A coverage objective is its closed form, validated here;
-    its 2^m table is built only when the builder is called, as the subset
-    oracle does.  A table's builder returns the table already checked here.
-    Fields are typed and closed: a mistyped, missing or unknown field raises
-    InputError.
+    Returns the objective together with its set function for the coverage
+    and table kinds (None for the smooth families).  A coverage's universe is
+    validated and grouped once, and both its extension and its set function
+    are closed forms over those groups.  A table is checked here.  Fields are
+    typed and closed: a mistyped, missing or unknown field raises InputError.
     """
     if not isinstance(obj, dict) or "kind" not in obj:
         raise InputError("instance JSON must be an object with a 'kind' key")
@@ -545,8 +529,8 @@ def instance_from_json(obj: dict) -> tuple[DrFunction, Callable[[], SetFunction]
     if kind == "coverage":
         v = fields(obj, kind, kind=None, subsets="int lists", weights="reals?",
                    n_elements="int?")
-        cover = (v["subsets"], v.get("weights"), v.get("n_elements"))
-        return make_coverage(*cover), lambda: coverage_function(*cover)
+        cover = Coverage(*_coverage_groups(v["subsets"], v.get("weights"), v.get("n_elements")))
+        return _coverage_extension(cover), cover
     if kind == "table":
         v = fields(obj, kind, kind=None, values="reals", m="int?")
         sf = set_function_from_table(v["values"])
@@ -554,7 +538,7 @@ def instance_from_json(obj: dict) -> tuple[DrFunction, Callable[[], SetFunction]
             raise InputError(f"declared m={v['m']} does not match table length 2^{sf.m}")
         if not set_is_submodular(sf):  # coverage is submodular by construction
             raise InputError("table values are not submodular")
-        return multilinear_extension(sf), lambda: sf
+        return multilinear_extension(sf), sf
     if kind == "quadratic":
         v = fields(obj, kind, kind=None, H="matrix", c="reals")
         return make_quadratic(v["H"], v["c"]), None

@@ -13,15 +13,17 @@ grid_search).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import CapacityError, ConfigurationError, InputError
 from .feasible import BoxBody, ConvexBody, PartitionBody
-from .objective import MESH_CHUNK, DrFunction, SetFunction, corners, set_is_submodular
+from .objective import MESH_CHUNK, Coverage, DrFunction, SetFunction, set_is_submodular
 
-_MAX_BRUTEFORCE_M = 16
+#: most feasible subsets that subset enumeration scores: every subset of 16 elements
+_MAX_SUBSETS = 1 << 16
 _MAX_GRID_N = 6
 #: the grid widths run from 1/_COARSEST_STEPS to 1/_FINEST_STEPS by halving
 _COARSEST_STEPS = 8
@@ -65,26 +67,22 @@ class OptCertificate:
         }
 
 
-def check_set_bruteforce(m: int, C: ConvexBody) -> None:
-    """Raise unless set_bruteforce can certify a set function on m elements over C.
+def _feasible_masks(blocks, capacities) -> np.ndarray:
+    """The bitmasks with at most capacities[b] elements of each block b, in ascending order.
 
-    It enumerates at most 2^_MAX_BRUTEFORCE_M subsets of a ground set that
-    matches the body's dimension, and certifies slack 0 only on partition
-    bodies and on the unit box (see set_bruteforce).  They need m, not the
-    table, so a caller can refuse before it builds one.
+    Each element of a block joins every mask so far with room in the block.
     """
-    if m > _MAX_BRUTEFORCE_M:
-        raise CapacityError(f"subset brute force supports m <= {_MAX_BRUTEFORCE_M}, got m={m}")
-    if m != C.n:
-        raise InputError(f"ground-set size {m} != body dimension {C.n}")
-    if not (isinstance(C, PartitionBody)
-            or isinstance(C, BoxBody) and np.all(C.upper == 1.0)):
-        raise ConfigurationError(f"--opt sets certifies slack 0 only on cardinality and partition "
-                                 f"bodies and on boxes whose upper bounds are all 1, not on this "
-                                 f"{type(C).__name__}; use --opt grid")
+    masks = np.zeros(1, dtype=np.int64)
+    for block, k in zip(blocks, capacities):
+        counts = np.zeros(masks.size, dtype=np.intp)  # each mask's elements of this block
+        for e in block:
+            room = counts < k
+            masks = np.concatenate([masks, masks[room] | 1 << e])
+            counts = np.concatenate([counts, counts[room] + 1])
+    return np.sort(masks)
 
 
-def set_bruteforce(f: SetFunction, C: ConvexBody) -> OptCertificate:
+def set_bruteforce(f: SetFunction | Coverage, C: ConvexBody) -> OptCertificate:
     """Exact maximum of a submodular set function over the feasible subsets of C.
 
     The winning indicator vector is a feasible point of the body, so the
@@ -92,16 +90,33 @@ def set_bruteforce(f: SetFunction, C: ConvexBody) -> OptCertificate:
     multilinear extension.  It is the continuous optimum itself (slack 0)
     only where that optimum sits at a 0/1 point: on partition bodies, by
     pipage rounding, and on the unit box, where F is linear in each
-    coordinate.  Every other body (check_set_bruteforce), and a set function
-    that is not submodular (pipage rounding needs it), raises.
+    coordinate.  Every other body, a body with over _MAX_SUBSETS feasible
+    subsets, and a table that is not submodular (pipage rounding needs it)
+    raise before a subset is scored.  Among equal values the lowest mask wins.
     """
-    check_set_bruteforce(f.m, C)
-    if not set_is_submodular(f):
+    if f.m != C.n:
+        raise InputError(f"ground-set size {f.m} != body dimension {C.n}")
+    if isinstance(C, PartitionBody):
+        blocks, capacities = C.blocks, C.capacities
+    elif isinstance(C, BoxBody) and np.all(C.upper == 1.0):
+        blocks, capacities = (range(C.n),), (C.n,)
+    else:
+        raise ConfigurationError(f"--opt sets certifies slack 0 only on cardinality and partition "
+                                 f"bodies and on boxes whose upper bounds are all 1, not on this "
+                                 f"{type(C).__name__}; use --opt grid")
+    count = math.prod(sum(math.comb(len(block), i) for i in range(min(k, len(block)) + 1))
+                      for block, k in zip(blocks, capacities))
+    if count > _MAX_SUBSETS:
+        raise CapacityError(f"subset enumeration supports at most {_MAX_SUBSETS} feasible "
+                            f"subsets, and this {type(C).__name__} has {count}")
+    if isinstance(f, SetFunction) and not set_is_submodular(f):  # coverage is by construction
         raise InputError("subset enumeration certifies slack 0 only for submodular set functions")
-    X = corners(f.m)  # the origin is a row, and every body above contains it
-    best = int(np.argmax(np.where(C.contains_batch(X), f.table, -np.inf)))  # lowest on ties
-    subset = tuple(int(i) for i in np.flatnonzero(X[best]))
-    return OptCertificate(float(f.table[best]), X[best], "set-bruteforce", 0.0, None, subset)
+    masks = _feasible_masks(blocks, capacities)
+    values = f.values(masks)
+    best = int(np.argmax(values))  # the first, so the lowest, of the maxima
+    x = (masks[best] >> np.arange(f.m) & 1).astype(float)
+    return OptCertificate(float(values[best]), x, "set-bruteforce", 0.0, None,
+                          tuple(int(i) for i in np.flatnonzero(x)))
 
 
 def _leading_runs(C: ConvexBody, P: np.ndarray, i: int, axes) -> np.ndarray:

@@ -36,6 +36,19 @@ def reuses(monkeypatch):
     return seen
 
 
+@pytest.fixture
+def coverage_builds(monkeypatch):
+    """How many times the test called objective._coverage_groups and coverage_function."""
+    from drsub import objective
+    calls = {"groups": 0, "table": 0}
+    for name, attr in (("groups", "_coverage_groups"), ("table", "coverage_function")):
+        def counted(*cover, name=name, original=getattr(objective, attr)):
+            calls[name] += 1
+            return original(*cover)
+        monkeypatch.setattr(objective, attr, counted)
+    return calls
+
+
 def empirical_smoothness(f, samples: int = 100, seed: int = 0) -> float:
     """Largest observed gradient-difference ratio over random pairs in the box."""
     rng = np.random.default_rng(seed)

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from drsub import (BoxBody, InvariantError, checks, coverage_function, desk, family_spec,
-                   objective, oracle, preset, run, schedule, solver)
+                   oracle, preset, run, schedule, solver)
 from drsub.cli import main
 
 COVERAGE = '{"kind":"coverage","subsets":[[0,1],[1,2],[2,3]]}'
@@ -496,46 +496,47 @@ class TestSweepCommand:
 
 
 class TestCoverageTable:
-    """A coverage load builds its closed form; only --opt sets builds the 2^m table."""
-
-    @pytest.fixture
-    def built(self, monkeypatch):
-        calls, table = [], objective.coverage_function
-        monkeypatch.setattr(objective, "coverage_function",
-                            lambda *cover: calls.append(cover) or table(*cover))
-        return calls
+    """A coverage command groups its universe once and never builds the 2^m table."""
 
     @pytest.mark.parametrize("opt", ["none", "grid"])
     @pytest.mark.parametrize("command,iters", [("run", "20"), ("sweep", "4,8,16")])
-    def test_never_built_without_opt_sets(self, tmp_path, built, command, iters, opt):
+    def test_never_built_without_opt_sets(self, tmp_path, coverage_builds, command, iters, opt):
         assert run_cli(command, "--instance", COVERAGE, "--constraint", CARD,
                        "--family", "measured", "--iters", iters, "--opt", opt,
                        "--out", str(tmp_path)) == 0
-        assert built == []
+        assert coverage_builds == {"groups": 1, "table": 0}
 
-    def test_sweep_builds_it_once(self, tmp_path, built):
+    def test_sweep_builds_it_once(self, tmp_path, coverage_builds):
         assert run_cli("sweep", "--instance", COVERAGE, "--constraint", CARD,
                        "--family", "measured", "--iters", "4,8,16", "--opt", "sets",
                        "--out", str(tmp_path)) == 0
-        assert len(built) == 1
+        assert coverage_builds == {"groups": 1, "table": 0}
         assert len(list(tmp_path.glob("trajectory_N*.csv"))) == 3
+
+    def test_run_groups_its_universe_once(self, tmp_path, coverage_builds):
+        assert run_cli("run", "--instance", COVERAGE, "--constraint", CARD,
+                       "--family", "measured", "--iters", "20", "--opt", "sets",
+                       "--out", str(tmp_path)) == 0
+        assert coverage_builds == {"groups": 1, "table": 0}
+        assert json.loads((tmp_path / "summary.json").read_text())["opt"] == 4.0
 
     @pytest.mark.parametrize("instance,constraint,message", [
         (json.dumps({"kind": "coverage", "subsets": [[i] for i in range(20)]}),
-         '{"kind":"cardinality","n":20,"k":2}', "subset brute force supports m <= 16, got m=20"),
+         '{"kind":"box","n":20}', "subset enumeration supports at most 65536 feasible "
+                                  "subsets, and this BoxBody has 1048576"),
         (COVERAGE, '{"kind":"cardinality","n":4,"k":2}', "ground-set size 3 != body dimension 4"),
         (COVERAGE, '{"kind":"packing","A":[[1,1,1]],"b":[2]}',
          "--opt sets certifies slack 0 only on cardinality and partition bodies and on boxes "
          "whose upper bounds are all 1, not on this PackingBody; use --opt grid"),
     ], ids=["cap", "dimension", "body"])
     @pytest.mark.parametrize("command,iters", [("run", "20"), ("sweep", "4,8,16")])
-    def test_refused_before_it_is_built(self, tmp_path, capsys, built, command, iters,
+    def test_refused_before_it_is_built(self, tmp_path, capsys, coverage_builds, command, iters,
                                         instance, constraint, message):
         assert run_cli(command, "--instance", instance, "--constraint", constraint,
                        "--family", "measured", "--iters", iters, "--opt", "sets",
                        "--out", str(tmp_path)) == 1
         assert capsys.readouterr().err == f"error: {message}\n"
-        assert built == []
+        assert coverage_builds == {"groups": 1, "table": 0}
         assert not any(tmp_path.iterdir())
 
 

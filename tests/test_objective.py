@@ -581,7 +581,7 @@ def random_coverage(rng, m: int, n_elements: int):
 
 
 class TestTableIdentities:
-    """The blocked table sums and the buffered DR check against per-group and np.diff loops."""
+    """The blocked coverage scorer and the DR check against per-group and np.diff loops."""
 
     @settings(max_examples=150, deadline=None, derandomize=True)
     @given(m=st.integers(0, 10), seed=st.integers(0, 2 ** 32 - 1),
@@ -607,20 +607,31 @@ class TestTableIdentities:
         assert same_floats(sf.differences, diff_extremes(sf))
 
     def test_sixteen_sets(self):
-        # 16 sets over 300 elements: some 300 groups, three per block, a 65,536-entry
-        # table and a 120-pair DR check that fills its buffers many times
+        # 16 sets over 300 elements: some 300 groups, some 870 subsets per block, a
+        # 65,536-entry table and a 120-pair DR check
         cover = random_coverage(np.random.default_rng(16), 16, 300)
         sf = coverage_function(*cover)
         assert len(objective._coverage_groups(*cover)[1]) > 100
         assert same_floats(sf.table, group_loop_table(*cover))
         assert same_floats(sf.differences, diff_extremes(sf))
 
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(cover=coverage_instances(), data=st.data())
+    def test_scores_at_any_masks_match_the_table(self, cover, data):
+        # any order, repeats, and a single subset, which is scored as two
+        m, masks, weights = objective._coverage_groups(*cover)
+        S = np.array(data.draw(st.lists(st.integers(0, (1 << m) - 1), max_size=40)), dtype=int)
+        table = group_loop_table(*cover)
+        f = objective.Coverage(m, masks, weights)
+        assert same_floats(f.values(S), table[S])
+        for s in S[:3]:
+            assert same_floats(f.values([s]), table[[s]])
+
     @pytest.mark.parametrize("block", [8, 40, 1 << 10])
     def test_small_blocks_and_buffers_keep_every_float(self, block, monkeypatch):
-        # a table block of 8 floats holds one group from m = 2 on; a DR buffer of 8
-        # floats fills after every first difference from m = 4 on
+        # a block of 8 floats takes the two-subset minimum from 5 groups on, and one of
+        # 40 floats from 21 groups on; a last block of one subset takes the one before it
         monkeypatch.setattr(objective, "_TABLE_BLOCK", block)
-        monkeypatch.setattr(objective, "_DR_BLOCK", block)
         rng = np.random.default_rng(block)
         for m in range(13):
             cover = random_coverage(rng, m, 60)
@@ -780,26 +791,21 @@ def test_random_quadratics_are_dr(seed, n):
 
 class TestInstanceJson:
     def test_coverage_roundtrip(self):
-        F, build = instance_from_json({"kind": "coverage", "subsets": [[0, 1], [1, 2]]})
-        sf = build()
-        assert sf is not None and sf.table.tolist() == COVER2.table.tolist()
+        F, sf = instance_from_json({"kind": "coverage", "subsets": [[0, 1], [1, 2]]})
+        assert sf.values(np.arange(4)).tolist() == COVER2.table.tolist()
         assert F.value([1.0, 1.0]) == pytest.approx(3.0)
 
     def test_coverage_is_evaluated_in_closed_form(self):
-        F, build = instance_from_json({"kind": "coverage", "subsets": [[0, 1], [1, 2]],
-                                       "weights": [1.0, 2.0, 0.5]})
+        F, sf = instance_from_json({"kind": "coverage", "subsets": [[0, 1], [1, 2]],
+                                    "weights": [1.0, 2.0, 0.5]})
         assert F.name == "coverage(m=2)" and F.L == pytest.approx(2.0, rel=1e-11)
-        assert F.values(objective.corners(2)).tolist() == build().table.tolist()
+        assert F.values(objective.corners(2)).tolist() == sf.values(np.arange(4)).tolist()
 
-    def test_coverage_table_is_built_on_call(self, monkeypatch):
-        built = []
-        table = objective.coverage_function
-        monkeypatch.setattr(objective, "coverage_function",
-                            lambda *cover: built.append(cover) or table(*cover))
-        F, build = instance_from_json({"kind": "coverage", "subsets": [[0, 1], [1, 2]]})
-        assert built == []
-        assert build().table.tolist() == COVER2.table.tolist()
-        assert built == [([[0, 1], [1, 2]], None, None)]
+    def test_coverage_set_function_shares_the_extension_groups(self, coverage_builds):
+        F, sf = instance_from_json({"kind": "coverage", "subsets": [[0, 1], [1, 2]]})
+        assert isinstance(sf, objective.Coverage) and sf.m == 2
+        assert sf.values(np.arange(4)).tolist() == COVER2.table.tolist()
+        assert coverage_builds == {"groups": 1, "table": 0}
 
     @pytest.mark.parametrize("instance,message", [
         ({"subsets": [[0]] * 21}, "at most 20 covering sets supported, got 21"),
@@ -819,10 +825,9 @@ class TestInstanceJson:
             instance_from_json({"kind": "coverage", **instance})
 
     def test_table_kind(self):
-        F, build = instance_from_json({"kind": "table", "m": 2, "values": [0, 1, 1, 1.5]})
-        sf = build()
-        assert sf.table[0b11] == 1.5
-        assert build() is sf  # the table checked at load
+        F, sf = instance_from_json({"kind": "table", "m": 2, "values": [0, 1, 1, 1.5]})
+        assert isinstance(sf, objective.SetFunction)  # the table checked at load
+        assert sf.table[0b11] == 1.5 and sf.values(np.array([3, 0])).tolist() == [1.5, 0.0]
         assert F.value([1.0, 0.0]) == pytest.approx(1.0)
 
     def test_smoothness_override(self):

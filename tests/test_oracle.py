@@ -68,9 +68,21 @@ class TestSetBruteforce:
         assert grid_search(F, CardinalityBody(2, 1)).value == 1.0
 
     def test_capacity_limit(self):
-        sf = set_function_from_table(np.zeros(1 << 17))
-        with pytest.raises(CapacityError, match=r"supports m <= 16, got m=17$"):
-            set_bruteforce(sf, CardinalityBody(17, 2))
+        # the cap counts feasible subsets, not elements: 1 + 17 + 136 = 154 of them here
+        sf = set_function_from_table(np.arange(1 << 17) >> 16 & 1)  # f = [16 in S]
+        cert = set_bruteforce(sf, CardinalityBody(17, 2))
+        assert cert.value == 1.0 and cert.subset == (16,)
+
+    def test_all_sixteen_element_subsets_are_accepted(self):
+        f = objective.Coverage(16, np.array([1 << 15, 3]), np.array([2.0, 1.0]))
+        cert = set_bruteforce(f, BoxBody(np.ones(16)))  # exactly 65,536 subsets
+        assert cert.value == 3.0 and cert.subset == (0, 15)
+
+    def test_seventeen_elements_on_the_unit_box_are_refused(self):
+        f = objective.Coverage(17, np.array([1]), np.array([1.0]))
+        with pytest.raises(CapacityError, match=r"at most 65536 feasible subsets, and this "
+                                                 r"BoxBody has 131072$"):
+            set_bruteforce(f, BoxBody(np.ones(17)))
 
     def test_rejects_a_set_function_that_is_not_submodular(self):
         # the extension x1 x2 reaches 0.25 at (0.5, 0.5), above every feasible subset's 0
@@ -190,6 +202,53 @@ class TestRandomInstances:
             cg = grid_search(multilinear_extension(sf), body)
             assert cs.value <= cg.value + cg.slack + 1e-12
             assert abs(cs.value - cg.value) <= cs.slack + cg.slack + 1e-12
+
+
+@st.composite
+def subset_cases(draw):
+    """A coverage or table set function on m <= 12 elements and a body whose subsets it scores.
+
+    Unit weights and the min of a modular sum with a cap both tie many subsets.  A
+    partition block may have capacity 0 or one at or above its size.
+    """
+    m = draw(st.integers(1, 12))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    subsets = [np.flatnonzero(rng.random(16) < 0.2).tolist() for _ in range(m)]
+    weights = {} if draw(st.booleans()) else {"weights": rng.uniform(0.0, 3.0, size=16).tolist()}
+    kind = draw(st.sampled_from(["coverage", "coverage-table", "capped"]))
+    if kind == "coverage":
+        f = objective.instance_from_json({"kind": "coverage", "subsets": subsets,
+                                          "n_elements": 16, **weights})[1]
+    elif kind == "coverage-table":
+        f = coverage_function(subsets, weights.get("weights"), 16)
+    else:
+        modular = (np.arange(1 << m)[:, None] >> np.arange(m) & 1) @ rng.integers(0, 3, size=m)
+        f = set_function_from_table(np.minimum(modular, rng.integers(1, 2 * m + 2)))
+    body = draw(st.sampled_from(["cardinality", "partition", "box"]))
+    if body == "cardinality":
+        C = CardinalityBody(m, draw(st.integers(0, m + 1)))
+    elif body == "partition":
+        of = rng.integers(0, draw(st.integers(1, m)), size=m)
+        blocks = [np.flatnonzero(of == b).tolist() for b in np.unique(of)]
+        C = PartitionBody(m, blocks, [draw(st.integers(0, len(b) + 1)) for b in blocks])
+    else:
+        C = BoxBody(np.ones(m))
+    return f, C
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(case=subset_cases())
+def test_feasible_subsets_match_the_full_table_scan(case):
+    # the argmax over the full table, restricted to the body's 0/1 points, as the oracle
+    # once scanned it: the lowest bitmask wins ties
+    f, C = case
+    table = f.values(np.arange(1 << f.m))
+    X = objective.corners(f.m)
+    best = int(np.argmax(np.where(C.contains_batch(X), table, -np.inf)))
+    cert = set_bruteforce(f, C)
+    assert cert.value.hex() == float(table[best]).hex()
+    assert cert.subset == tuple(int(i) for i in np.flatnonzero(X[best]))
+    assert cert.maximizer.tolist() == X[best].tolist()
 
 
 @st.composite
@@ -417,7 +476,6 @@ def _supermodular_by_delta(w0, w1, w2):
      [0.0, 21 / 32, 1.0]),
 ], ids=["flat", "large-scale"])
 def test_a_table_just_inside_the_submodular_tolerance_keeps_its_certificate(table, body, winner):
-    F, build = objective.instance_from_json({"kind": "table", "values": table})
-    sf = build()
+    F, sf = objective.instance_from_json({"kind": "table", "values": table})
     assert sf.differences[2] > 0.99 * objective._SUBMODULAR_TOL * sf.max_value()
     assert _full_mesh_maximizer(F, body) == winner
