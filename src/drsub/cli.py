@@ -197,11 +197,17 @@ def cmd_sweep(args) -> int:
     _atomic_write(exp.out_dir / "sweep.csv", "\n".join(lines) + "\n")
 
     print("\n".join(lines))
-    if any(additive):
-        slope = float(np.polyfit(np.log(exp.iters), np.log(additive), 1)[0])
+    # a zero gap (L*D = 0, or an underflow) has no logarithm, so the slope fits the others
+    positive = [(N, gap) for N, gap in zip(exp.iters, additive) if gap > 0]
+    zero = [str(N) for N, gap in zip(exp.iters, additive) if gap == 0]
+    if len(positive) >= 2:
+        Ns, gaps = zip(*positive)
+        slope = float(np.polyfit(np.log(Ns), np.log(gaps), 1)[0])
         print(f"additive log-log slope: {slope:.6f}")
-    else:  # L*D = 0: a zero gap has no logarithm
+    if not positive:
         print("additive gap: 0 at every N")
+    elif zero:
+        print(f"additive gap: 0 at N={','.join(zero)}")
     return _report(problems)
 
 

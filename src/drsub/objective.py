@@ -13,7 +13,6 @@ a diminishing-returns residual and a finite-difference gradient.
 
 from __future__ import annotations
 
-import math
 import reprlib
 from dataclasses import dataclass
 from functools import cached_property
@@ -46,12 +45,12 @@ _SUBMODULAR_TOL = 1e-9
 #: at most 4096 groups by 20 sets (640 KB)
 _COVERAGE_BLOCK = 1 << 16
 
-#: floats per block of Coverage.values' terms (2 MB), which holds at least two subsets
-_TABLE_BLOCK = 1 << 18
-
-#: rows per block of mesh_chunks and of the grid oracle's feasible mesh; a block of n=6
-#: points and its values take well under 1 MB
+#: rows per block of make_quadratic's vertex scan and of the grid oracle's feasible mesh; a
+#: block of n=6 points and its values take well under 1 MB
 MESH_CHUNK = 4096
+
+#: finite_diff_grad's step h (it extrapolates from h and 2h)
+_FD_STEP = 1e-4
 
 
 @dataclass(frozen=True)
@@ -75,7 +74,6 @@ class DrFunction:
     monotone: bool
     values_fn: Callable[[np.ndarray], np.ndarray]
     grad_fn: Callable[[np.ndarray], np.ndarray]
-    name: str = ""
 
     def value(self, x) -> float:
         return float(self.values_fn(checked_array(x, (self.n,), "point", CLAMP_TOL)[None])[0])
@@ -213,24 +211,11 @@ class Coverage:
     weights: np.ndarray
 
     def values(self, S) -> np.ndarray:
-        """f at each bitmask of S: the sum of w_g [S & g != 0], in group order.
-
-        A block of subsets fills one (groups, subsets) array of terms, whose
-        axis-0 sum adds each column down the groups in order.  numpy sums a
-        lone column pairwise, so a block holds at least two subsets.
-        """
-        S = np.asarray(S, dtype=np.int32)
-        if S.size == 1:
-            return self.values(np.repeat(S, 2))[:1]
-        out = np.empty(S.size)
-        per = max(2, _TABLE_BLOCK // max(self.masks.size, 1))
-        terms = np.empty((self.masks.size, min(per, S.size)))
-        for start in range(0, S.size, per):
-            first = min(start, S.size - 2)
-            block = S[first:start + per]
-            rows = terms[:, :block.size]
-            np.multiply((block & self.masks[:, None]) != 0, self.weights[:, None], out=rows)
-            rows.sum(axis=0, out=out[first:first + block.size])
+        """f at each bitmask of S: the sum of w_g [S & g != 0], added group by group in order."""
+        S = np.asarray(S)
+        out = np.zeros(S.shape)
+        for mask, w in zip(self.masks.tolist(), self.weights.tolist()):
+            out += w * ((S & mask) != 0)
         return out
 
 
@@ -275,7 +260,8 @@ def make_coverage(subsets: Sequence[Sequence[int]],
 def _coverage_extension(cover: Coverage) -> DrFunction:
     """make_coverage's closed form of a grouped coverage."""
     m, masks, w = cover.m, cover.masks, cover.weights
-    member = (masks[:, None] >> np.arange(m) & 1).astype(bool)  # (groups, m)
+    in_group = corners(masks, m)  # (groups, m)
+    member = in_group.astype(bool)
     rows = max(1, _COVERAGE_BLOCK // max(member.size, 1))
     # each group's members in ascending order, padded with m to the largest group's D
     D = int(member.sum(axis=1).max(initial=0))
@@ -286,8 +272,6 @@ def _coverage_extension(cover: Coverage) -> DrFunction:
     # (D - 1, pairs) in C order: a product over axis 0 runs along contiguous rows
     pair_others = slots[:, skip][real].T.copy()
     pair_w = np.broadcast_to(w[:, None], real.shape)[real]
-
-    in_group = member.astype(float)
 
     def covered(block: np.ndarray) -> np.ndarray:
         # 1 - 0 * x_i is exactly 1 off the group, so this is np.where(member, 1 - x, 1)
@@ -313,28 +297,15 @@ def _coverage_extension(cover: Coverage) -> DrFunction:
     np.fill_diagonal(pair_weights, 0.0)
     # the margin lifts SVD round-off, as for the quadratic family
     L = float(np.linalg.norm(pair_weights, 2)) * (1.0 + 1e-12) if m else 0.0
-    return DrFunction(m, L, True, values, grad, name=f"coverage(m={m})")
+    return DrFunction(m, L, True, values, grad)
 
 
-def corners(m: int) -> np.ndarray:
-    """The (2^m, m) 0/1 matrix whose row s is the indicator vector of bitmask s."""
-    return (np.arange(1 << m)[:, None] >> np.arange(m) & 1).astype(float)
+def corners(masks, m: int) -> np.ndarray:
+    """The 0/1 rows of the bitmasks ``masks``: row i is the indicator vector of masks[i].
 
-
-def mesh_chunks(axes: Sequence[np.ndarray]):
-    """The product of the 1-d ``axes``, MESH_CHUNK points at a time, as (rows, len(axes)) arrays.
-
-    Points come in itertools.product order (the last axis varies fastest),
-    so with ascending axes every block is lexicographically sorted and
-    follows the previous one.  make_quadratic's scan of the box's vertices
-    uses it; the grid oracle builds only the feasible part of its meshes.
+    Bit i of a mask is coordinate i, and a scalar mask gives one (m,) row.
     """
-    axes = [np.asarray(a, dtype=float) for a in axes]
-    shape = tuple(a.size for a in axes)
-    total = math.prod(shape)
-    for start in range(0, total, MESH_CHUNK):
-        index = np.unravel_index(np.arange(start, min(start + MESH_CHUNK, total)), shape)
-        yield np.stack([a[i] for a, i in zip(axes, index)], axis=1)
+    return (np.asarray(masks)[..., None] >> np.arange(m) & 1).astype(float)
 
 
 def set_is_monotone(f: SetFunction) -> bool:
@@ -395,7 +366,7 @@ def multilinear_extension(f: SetFunction) -> DrFunction:
 
     _, lo, hi = f.differences
     L = max(m - 1, 0) * max(-lo, hi)
-    return DrFunction(m, float(L), set_is_monotone(f), values, grad, name=f"multilinear(m={m})")
+    return DrFunction(m, float(L), set_is_monotone(f), values, grad)
 
 
 # --- closed-form instance families ---------------------------------------------
@@ -424,7 +395,8 @@ def make_quadratic(H, c) -> DrFunction:
         # x . (c + H x / 2) row by row; einsum's row dot, unlike BLAS, is the same for any batch
         return np.einsum("ij,ij->i", row_products(X, half_H) + c, X)
 
-    d = -min(unlifted(V).min() for V in mesh_chunks([(0.0, 1.0)] * n))
+    d = -min(unlifted(corners(np.arange(s, min(s + MESH_CHUNK, 1 << n)), n)).min()
+             for s in range(0, 1 << n, MESH_CHUNK))
 
     def values(X: np.ndarray) -> np.ndarray:
         return unlifted(X) + d
@@ -435,7 +407,7 @@ def make_quadratic(H, c) -> DrFunction:
     monotone = bool(np.all(c + H @ np.ones(n) >= 0.0))
     # the margin lifts SVD round-off (far below 1e-12 for n <= 20): L is an upper bound
     L = float(np.linalg.norm(H, 2)) * (1.0 + 1e-12)
-    return DrFunction(n, L, monotone, values, grad, name=f"quadratic(n={n})")
+    return DrFunction(n, L, monotone, values, grad)
 
 
 def make_concave_modular(weights: Sequence[Sequence[float]], n: int | None = None) -> DrFunction:
@@ -466,7 +438,7 @@ def make_concave_modular(weights: Sequence[Sequence[float]], n: int | None = Non
     def grad(x: np.ndarray) -> np.ndarray:
         return (W / (2.0 * np.sqrt(SQRT_FLOOR + W @ x))[:, None]).sum(axis=0)
 
-    return DrFunction(int(n), L, True, values, grad, name=f"concave_modular(k={len(ws)})")
+    return DrFunction(int(n), L, True, values, grad)
 
 
 # --- verification utilities -----------------------------------------------------
@@ -485,20 +457,18 @@ def check_dr_inequality(f: DrFunction, x, y) -> float:
     return lhs - float(upper + lower - 2.0 * at_x)
 
 
-def finite_diff_grad(f: DrFunction, x, h: float = 1e-4) -> np.ndarray:
-    """Central differences Richardson-extrapolated from steps h and 2h.
+def finite_diff_grad(f: DrFunction, x) -> np.ndarray:
+    """Central differences Richardson-extrapolated from steps h = _FD_STEP and 2h.
 
     Each step shrinks to keep the stencil symmetric inside the box (on a face
     it falls back to one side).  (4 D(h) - D(2h)) / 3 cancels the h^2 term,
     which dominates where the curvature is steep, as just above SQRT_FLOOR.
     All 4n stencil points are scored by one ``values`` call.
     """
-    if not h > 0:  # NaN fails too
-        raise InputError(f"finite-difference step must be positive, got {h}")
     x = checked_array(x, (f.n,), "x", CLAMP_TOL)
     diag = np.arange(f.n)
     ends = []  # for h, then 2h: every coordinate moved up, then every coordinate moved down
-    for full in (h, 2.0 * h):
+    for full in (_FD_STEP, 2.0 * _FD_STEP):
         step = np.minimum(np.minimum(full, x), 1.0 - x)
         step[step == 0.0] = full
         ends += [np.minimum(x + step, 1.0), np.maximum(x - step, 0.0)]

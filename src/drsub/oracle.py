@@ -20,7 +20,7 @@ import numpy as np
 
 from .errors import CapacityError, ConfigurationError, InputError
 from .feasible import BoxBody, ConvexBody, PartitionBody
-from .objective import MESH_CHUNK, Coverage, DrFunction, SetFunction, set_is_submodular
+from .objective import MESH_CHUNK, Coverage, DrFunction, SetFunction, corners, set_is_submodular
 
 #: most feasible subsets that subset enumeration scores: every subset of 16 elements
 _MAX_SUBSETS = 1 << 16
@@ -114,7 +114,7 @@ def set_bruteforce(f: SetFunction | Coverage, C: ConvexBody) -> OptCertificate:
     masks = _feasible_masks(blocks, capacities)
     values = f.values(masks)
     best = int(np.argmax(values))  # the first, so the lowest, of the maxima
-    x = (masks[best] >> np.arange(f.m) & 1).astype(float)
+    x = corners(masks[best], f.m)
     return OptCertificate(float(values[best]), x, "set-bruteforce", 0.0, None,
                           tuple(int(i) for i in np.flatnonzero(x)))
 
@@ -228,8 +228,8 @@ def _feasible_blocks(C: ConvexBody, axes, P: np.ndarray, i: int, prune):
 def _feasible_mesh(C: ConvexBody, axes, prune=None):
     """The points of the mesh ``axes`` that C contains, in blocks of 1 to MESH_CHUNK rows.
 
-    These are exactly the rows C.contains_batch accepts from mesh_chunks(axes),
-    in the same (lexicographic) order, but only feasible points are built: the
+    These are exactly the points of the product of ``axes`` that C.contains_batch
+    accepts, in lexicographic order, but only feasible points are built: the
     mesh is walked one axis at a time, on blocks of feasible prefixes with the
     later coordinates at their axes' first values.  A prefix that leaves C there
     has no feasible completion, by the same monotonicity that lets

@@ -235,13 +235,12 @@ def run(f: DrFunction, C: ConvexBody, s: Schedule, spec: FamilySpec, N: int,
             xs[j + 1] = x
             Fs[j + 1] = f.value(x)
             value_calls += 1
-    except InputError:
+    except InputError as e:
         # an iterate outside the unit box reaches the objective before the body
         # check.  Only the last row written, x_{j+1}, can be NaN or infinite, and
-        # the batch check refuses such a row first, so x_0..x_j go alone before it
-        _check_iterates(C, xs[:j + 1], spec)
-        _check_iterates(C, xs[:j + 2], spec)
-        raise
+        # the batch check would refuse such a row as input, so it goes in only if finite
+        _check_iterates(C, xs[:j + 2 if np.isfinite(xs[j + 1]).all() else j + 1], spec)
+        raise InputError(f"step {j}, family {spec.name}: {e}") from e
     _check_iterates(C, xs, spec)
 
     infnorm = np.max(np.abs(xs), axis=1)

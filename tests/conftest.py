@@ -221,9 +221,12 @@ def brute_grid_search(F, C):
 
 
 def filtered_mesh(C, axes):
-    """Every point of the mesh ``axes`` that C.contains_batch accepts, in mesh order: (k, n)."""
-    from drsub.objective import mesh_chunks
-    return np.concatenate([X[C.contains_batch(X)] for X in mesh_chunks(axes)])
+    """Every point of the mesh ``axes`` that C.contains_batch accepts, in lexicographic order.
+
+    The mesh is built whole, with the last axis varying fastest: (k, n).
+    """
+    X = np.stack([a.ravel() for a in np.meshgrid(*axes, indexing="ij")], axis=1)
+    return X[C.contains_batch(X)]
 
 
 def full_mesh_grid_search(F, C):

@@ -422,6 +422,21 @@ class TestSweepCommand:
         rows = (tmp_path / "sweep.csv").read_text().strip().split("\n")[1:]
         assert [float(r.split(",")[3]) for r in rows] == [0.0, 0.0, 0.0]
 
+    def test_gaps_that_underflow_to_zero_are_named_not_fitted(self, tmp_path, capsys):
+        # L = 1e-315 puts the gaps at 2.7e-317, 3.2e-319 and 0: the slope fits the first two
+        code = run_cli("sweep", "--instance", '{"kind":"quadratic","H":[[-1e-315]],"c":[1]}',
+                       "--constraint", '{"kind":"box","n":1}', "--family", "measured",
+                       "--iters", "10,1000,100000", "--out", str(tmp_path))
+        assert code == 0, capsys.readouterr().err
+        rows = (tmp_path / "sweep.csv").read_text().strip().split("\n")[1:]
+        gaps = [float(r.split(",")[3]) for r in rows]
+        assert gaps[0] > gaps[1] > gaps[2] == 0.0
+        out = capsys.readouterr().out
+        slope = float(np.polyfit(np.log([10, 1000]), np.log(gaps[:2]), 1)[0])
+        assert out.endswith(f"additive log-log slope: {slope:.6f}\n"
+                            "additive gap: 0 at N=100000\n")
+        assert "nan" not in out
+
     def test_achieved_is_a_ratio_or_empty(self, tmp_path, capsys):
         # the column holds final_value / opt, and stays empty where no optimum is known;
         # each row and trajectory is the one `run --iters N` reports

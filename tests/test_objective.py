@@ -12,6 +12,7 @@ from drsub import (CapacityError, CardinalityBody, InputError, check_dr_inequali
                    make_concave_modular, make_coverage, make_quadratic, multilinear_extension,
                    preset, run, set_function_from_table)
 from drsub import checks, desk, objective
+from drsub.feasible import row_products
 from drsub.objective import set_is_monotone, set_is_submodular
 
 from conftest import (brute_coverage_table, brute_multilinear, cut_table, empirical_smoothness,
@@ -74,16 +75,20 @@ def _batch_instances():
     concave = make_concave_modular(rng.uniform(0.0, 2.0, size=(3, 4)))
     cover4 = ([[0, 1], [1, 2], [2, 3]], [1.0, 0.5, 2.0, 1.5])
     cover12 = (sets12, rng.uniform(0.5, 2.0, size=30), 30)
-    return [QUAD, quadratic, concave,
-            multilinear_extension(set_function_from_table([2.5])),
-            multilinear_extension(set_function_from_table([0.5, 2.0])),
-            multilinear_extension(coverage_function(*cover4)),
-            multilinear_extension(coverage_function(*cover12)),
-            make_coverage([]), make_coverage(*cover4), make_coverage(*cover12)]
+    return {"quadratic(n=2)": QUAD, "quadratic(n=5)": quadratic, "concave_modular(k=3)": concave,
+            "multilinear(m=0)": multilinear_extension(set_function_from_table([2.5])),
+            "multilinear(m=1)": multilinear_extension(set_function_from_table([0.5, 2.0])),
+            "multilinear(m=3)": multilinear_extension(coverage_function(*cover4)),
+            "multilinear(m=12)": multilinear_extension(coverage_function(*cover12)),
+            "coverage(m=0)": make_coverage([]), "coverage(m=3)": make_coverage(*cover4),
+            "coverage(m=12)": make_coverage(*cover12)}
+
+
+BATCH_INSTANCES = _batch_instances()
 
 
 class TestBatchValues:
-    @pytest.mark.parametrize("F", _batch_instances(), ids=lambda F: F.name)
+    @pytest.mark.parametrize("F", BATCH_INSTANCES.values(), ids=BATCH_INSTANCES)
     def test_rows_match_single_points_exactly(self, F, rng):
         X = rng.uniform(size=(300, F.n))
         X[:40] = rng.choice([0.0, 1.0, -1e-13, 1.0 + 1e-13], size=(40, F.n))  # faces, round-off
@@ -92,8 +97,8 @@ class TestBatchValues:
         assert np.array_equal(values, [F.value(x) for x in X])
         assert np.array_equal(F.values(X[7:100]), values[7:100])  # a row's batch does not matter
 
-    @pytest.mark.parametrize("F", [F for F in _batch_instances() if F.n],  # m = 0 has no entry
-                             ids=lambda F: F.name)
+    @pytest.mark.parametrize("F", [F for F in BATCH_INSTANCES.values() if F.n],  # m = 0: no entry
+                             ids=[name for name, F in BATCH_INSTANCES.items() if F.n])
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, 1.0 + 1e-9, -1e-9, 5.0])
     def test_rejects_nan_infinite_and_far_out_rows(self, F, bad):
         X = np.full((3, F.n), 0.5)
@@ -106,7 +111,7 @@ class TestBatchValues:
         with pytest.raises(InputError, match="batch"):
             QUAD.values(np.zeros(shape))
 
-    @pytest.mark.parametrize("F", _batch_instances(), ids=lambda F: F.name)
+    @pytest.mark.parametrize("F", BATCH_INSTANCES.values(), ids=BATCH_INSTANCES)
     def test_empty_batch(self, F):
         assert F.values(np.zeros((0, F.n))).shape == (0,)
 
@@ -231,6 +236,23 @@ class TestQuadraticFamily:
             vertex_values = [F.value(v) for v in itertools.product((0.0, 1.0), repeat=n)]
             assert min(vertex_values) == 0.0
 
+    @pytest.mark.parametrize("n", range(1, 13))
+    def test_lift_is_the_exact_vertex_minimum(self, n):
+        # each vertex is scored alone, as a one-row batch, in itertools.product order; the
+        # unlifted value at the origin is 0, so F there is the lift itself
+        rng = np.random.default_rng(n)
+        H = -np.abs(rng.normal(size=(n, n)))
+        H = (H + H.T) / 2.0
+        c = rng.normal(size=n) * 10.0 ** rng.uniform(-3, 3)
+        F = make_quadratic(H, c)
+
+        def unlifted(v):
+            V = np.array([v])
+            return float(np.einsum("ij,ij->i", row_products(V, 0.5 * H) + c, V)[0])
+
+        vertices = itertools.product((0.0, 1.0), repeat=n)
+        assert F.value(np.zeros(n)) == -min(map(unlifted, vertices))
+
     def test_twenty_dimensions_build_in_under_two_seconds(self, rng):
         H = -np.abs(rng.normal(size=(20, 20)))
         start = time.perf_counter()
@@ -294,20 +316,20 @@ class TestFiniteDiff:
     def test_modular_exact(self):
         w = np.array([1.0, 2.0, 0.25])
         F = make_quadratic(np.zeros((3, 3)), w)
-        assert finite_diff_grad(F, [0.2, 0.5, 0.9], 1e-4) == pytest.approx(w, abs=1e-12)
+        assert finite_diff_grad(F, [0.2, 0.5, 0.9]) == pytest.approx(w, abs=1e-12)
 
     def test_coverage_interior(self):
         F = multilinear_extension(COVER2)
-        fd = finite_diff_grad(F, [0.3, 0.7], 1e-4)
+        fd = finite_diff_grad(F, [0.3, 0.7])
         assert fd == pytest.approx([1.3, 1.7], rel=1e-6)
 
     def test_quadratic_interior(self, rng):
         x = rng.uniform(0.1, 0.9, size=2)
-        fd = finite_diff_grad(QUAD, x, 1e-4)
+        fd = finite_diff_grad(QUAD, x)
         assert fd == pytest.approx(QUAD.grad(x), rel=1e-6, abs=1e-9)
 
     def test_boundary_fallback(self):
-        fd = finite_diff_grad(QUAD, [0.0, 1.0], 1e-4)
+        fd = finite_diff_grad(QUAD, [0.0, 1.0])
         assert fd == pytest.approx(QUAD.grad([0.0, 1.0]), rel=1e-3, abs=1e-3)
 
     @pytest.mark.parametrize("F,x", [
@@ -319,12 +341,8 @@ class TestFiniteDiff:
     ], ids=["sqrt-near-floor", "near-face"])
     def test_hard_points_within_check_tolerance(self, F, x):
         g = F.grad(x)
-        fd = finite_diff_grad(F, x, 1e-4)
+        fd = finite_diff_grad(F, x)
         assert np.max(np.abs(g - fd)) / (1.0 + np.max(np.abs(g))) <= 1e-5
-
-    def test_bad_step_rejected(self):
-        with pytest.raises(InputError):
-            finite_diff_grad(QUAD, [0.5, 0.5], 0.0)
 
 
 class TestInvariantBatteries:
@@ -366,7 +384,7 @@ class TestInvariantBatteries:
         for _ in range(50):
             x = rng.uniform(size=instance.n)
             g = instance.grad(x)
-            fd = finite_diff_grad(instance, x, 1e-4)
+            fd = finite_diff_grad(instance, x)
             assert np.max(np.abs(g - fd)) / (1.0 + np.max(np.abs(g))) <= 1e-5
 
     def test_empirical_smoothness_within_L(self, instance):
@@ -548,10 +566,15 @@ def pinned_hessian(F, x) -> np.ndarray:
     return H
 
 
-def group_loop_table(subsets, weights, n_elements) -> np.ndarray:
-    """The coverage table summed group by group, each weight onto every subset it meets."""
+def group_loop_table(subsets, weights, n_elements, subset_masks=None) -> np.ndarray:
+    """The coverage table summed group by group, each weight onto every subset it meets.
+
+    Only the entries at ``subset_masks``, in their order, if given.
+    """
     m, masks, group_weights = objective._coverage_groups(subsets, weights, n_elements)
-    subset_masks, table = np.arange(1 << m), np.zeros(1 << m)
+    if subset_masks is None:
+        subset_masks = np.arange(1 << m)
+    table = np.zeros(len(subset_masks))
     for mask, weight in zip(masks, group_weights):
         table[(subset_masks & mask) != 0] += weight
     return table
@@ -618,7 +641,7 @@ class TestTableIdentities:
     @settings(max_examples=100, deadline=None, derandomize=True)
     @given(cover=coverage_instances(), data=st.data())
     def test_scores_at_any_masks_match_the_table(self, cover, data):
-        # any order, repeats, and a single subset, which is scored as two
+        # any order, repeats, and a single subset
         m, masks, weights = objective._coverage_groups(*cover)
         S = np.array(data.draw(st.lists(st.integers(0, (1 << m) - 1), max_size=40)), dtype=int)
         table = group_loop_table(*cover)
@@ -627,17 +650,32 @@ class TestTableIdentities:
         for s in S[:3]:
             assert same_floats(f.values([s]), table[[s]])
 
-    @pytest.mark.parametrize("block", [8, 40, 1 << 10])
-    def test_small_blocks_and_buffers_keep_every_float(self, block, monkeypatch):
-        # a block of 8 floats takes the two-subset minimum from 5 groups on, and one of
-        # 40 floats from 21 groups on; a last block of one subset takes the one before it
-        monkeypatch.setattr(objective, "_TABLE_BLOCK", block)
-        rng = np.random.default_rng(block)
-        for m in range(13):
-            cover = random_coverage(rng, m, 60)
-            sf = coverage_function(*cover)
-            assert same_floats(sf.table, group_loop_table(*cover))
-            assert same_floats(sf.differences, diff_extremes(sf))
+    def test_twenty_sets_at_random_masks(self):
+        # 20 sets over 4,096 elements, the size of CI's coverage: some 2,000 groups, scored
+        # at 300 masks, the empty and the full set among them, in one batch and one by one
+        rng = np.random.default_rng(20)
+        cover = random_coverage(rng, 20, 4096)
+        m, masks, weights = objective._coverage_groups(*cover)
+        assert m == 20 and masks.size > 1000
+        S = np.concatenate([[0, (1 << m) - 1], rng.integers(0, 1 << m, size=298)])
+        table = group_loop_table(*cover, S)
+        f = objective.Coverage(m, masks, weights)
+        assert same_floats(f.values(S), table)
+        for i in range(0, S.size, 30):
+            assert same_floats(f.values(S[i:i + 1]), table[i:i + 1])
+            assert f.values(S[i]) == table[i]
+
+
+@pytest.mark.parametrize("m", [0, 1, 5, 20])
+def test_corner_rows_are_the_indicators_of_their_masks(m):
+    # the empty and the full set, a repeat, and every mask below 8 that fits
+    masks = [0, (1 << m) - 1, (1 << m) - 1, *range(min(8, 1 << m))]
+    X = objective.corners(masks, m)
+    assert X.shape == (len(masks), m) and X.dtype == float
+    for row, mask in zip(X, masks):
+        assert row.tolist() == [1.0 if mask & (1 << i) else 0.0 for i in range(m)]
+    assert objective.corners(masks[1], m).tolist() == [1.0] * m  # a scalar mask is one row
+    assert objective.corners(5, 3).tolist() == [1.0, 0.0, 1.0]
 
 
 @settings(max_examples=150, deadline=None, derandomize=True)
@@ -798,8 +836,9 @@ class TestInstanceJson:
     def test_coverage_is_evaluated_in_closed_form(self):
         F, sf = instance_from_json({"kind": "coverage", "subsets": [[0, 1], [1, 2]],
                                     "weights": [1.0, 2.0, 0.5]})
-        assert F.name == "coverage(m=2)" and F.L == pytest.approx(2.0, rel=1e-11)
-        assert F.values(objective.corners(2)).tolist() == sf.values(np.arange(4)).tolist()
+        assert F.L == pytest.approx(2.0, rel=1e-11)
+        masks = np.arange(4)
+        assert F.values(objective.corners(masks, 2)).tolist() == sf.values(masks).tolist()
 
     def test_coverage_set_function_shares_the_extension_groups(self, coverage_builds):
         F, sf = instance_from_json({"kind": "coverage", "subsets": [[0, 1], [1, 2]]})

@@ -243,7 +243,7 @@ def test_feasible_subsets_match_the_full_table_scan(case):
     # once scanned it: the lowest bitmask wins ties
     f, C = case
     table = f.values(np.arange(1 << f.m))
-    X = objective.corners(f.m)
+    X = objective.corners(np.arange(1 << f.m), f.m)
     best = int(np.argmax(np.where(C.contains_batch(X), table, -np.inf)))
     cert = set_bruteforce(f, C)
     assert cert.value.hex() == float(table[best]).hex()

@@ -6,7 +6,7 @@ import re
 import numpy as np
 import pytest
 
-from drsub import (BoxBody, CardinalityBody, ConfigurationError, InputError,
+from drsub import (BoxBody, CardinalityBody, ConfigurationError, DrFunction, InputError,
                    InvariantError, PackingBody, PartitionBody, coupling_residual, family_spec,
                    g_series, guarantee, make_concave_modular, make_quadratic,
                    multilinear_extension, preset, run, set_bruteforce,
@@ -134,9 +134,35 @@ class TestLeftTheBodyGuard:
 
     @pytest.mark.parametrize("family", FAMILIES)
     def test_nan_vertex_is_an_input_error(self, family, monkeypatch):
+        # x_4 is NaN, so the objective refuses it at step 3
         leave_the_body(monkeypatch, np.full(3, np.nan))
-        with pytest.raises(InputError, match="the batch contains NaN or infinity"):
+        with pytest.raises(InputError, match=rf"^step 3, family {family}: point .* is NaN, "):
             run(COVER3_F, SMALL_BOX, preset(family), family_spec(family), 6)
+
+    @pytest.mark.parametrize("family", ["measured", "general"])
+    def test_nan_gradient_names_its_step(self, family):
+        # the 4th gradient, at step 3, reaches the LMO, whose argument is named "objective"
+        calls = itertools.count()
+        f = dataclasses.replace(QUAD, grad_fn=lambda x: (np.array([np.nan, 1.0])
+                                                         if next(calls) >= 3 else QUAD.grad(x)))
+        with pytest.raises(InputError) as raised:
+            run(f, CardinalityBody(2, 1), preset(family), family_spec(family), 10)
+        assert str(raised.value) == (f"step 3, family {family}: "
+                                     "objective contains NaN or infinity")
+        assert isinstance(raised.value.__cause__, InputError)
+
+    def test_cli_names_the_step_of_a_nan_gradient(self, monkeypatch, tmp_path, capsys):
+        calls = itertools.count()
+        grad = DrFunction.grad
+        monkeypatch.setattr(DrFunction, "grad", lambda self, x: (np.array([np.nan, 1.0])
+                                                                if next(calls) >= 3
+                                                                else grad(self, x)))
+        argv = ["run", "--instance", '{"kind": "quadratic", "H": [[-1, 0], [0, -1]], "c": [1, 1]}',
+                "--constraint", '{"kind": "cardinality", "n": 2, "k": 1}',
+                "--family", "measured", "--iters", "10", "--out", str(tmp_path / "out")]
+        assert cli.main(argv) == 1
+        assert capsys.readouterr().err == ("error: step 3, family measured: "
+                                           "objective contains NaN or infinity\n")
 
     @pytest.mark.parametrize("bad,code", [(1.0, 2), (50.0, 2), (np.nan, 1)])
     def test_cli_exit_codes(self, bad, code, monkeypatch, tmp_path, capsys):
