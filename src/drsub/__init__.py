@@ -16,8 +16,8 @@ from .objective import (DrFunction, SetFunction, check_dr_inequality,
                         make_concave_modular, make_coverage, make_quadratic,
                         multilinear_extension, set_function_from_table)
 from .oracle import OptCertificate, grid_search, set_bruteforce
-from .schedule import (Schedule, coupling_residual, preset, ratio, ratio_curve,
-                       schedule_from_json, validate)
+from .schedule import (Schedule, coupling_residual, preset, ratio, schedule_from_json,
+                       validate)
 from .solver import (FamilySpec, GuaranteeBound, Trajectory, family_spec, g_series,
                      guarantee, run, trajectory_csv)
 

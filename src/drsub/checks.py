@@ -52,16 +52,20 @@ def max_coupling_residual(schedules: Mapping[str, schedule.Schedule]) -> float:
 
 
 def ratio_curve_peaks(peaks: Mapping[str, float] | None = None) -> tuple[float, float]:
-    """Worst |peak - 1/4| and distance of the peak from t* beyond one cell of 10001 nodes."""
+    """Worst |peak - 1/4| and distance of the peak from t* beyond one cell of 10001 nodes.
+
+    The curve is an offset preset's running ratio b(t)/a(t) on [0, T], which
+    stays at or below 1/4 and touches it once, where a_t/a_0 reaches r = 4.
+    """
     if peaks is None:  # every offset family, which peaks at its horizon T
         peaks = {n: f.preset.T for n, f in schedule.FAMILIES.items() if f.direction == "offset"}
     value_errors, offsets = [], []
     for variant, t_star in peaks.items():
-        T = schedule.preset(variant).T
-        t = np.linspace(0.0, T, 10001)
-        curve = schedule.ratio_curve(variant, t)
+        s = schedule.preset(variant)
+        t = np.linspace(0.0, s.T, 10001)
+        curve = np.asarray(s.b(t), dtype=float) / np.asarray(s.a(t), dtype=float)
         value_errors.append(abs(float(np.max(curve)) - 0.25))
-        offsets.append(abs(float(t[np.argmax(curve)]) - t_star) - T / 10000)
+        offsets.append(abs(float(t[np.argmax(curve)]) - t_star) - s.T / 10000)
     return float(np.max(value_errors, initial=0.0)), float(np.max(offsets, initial=0.0))
 
 

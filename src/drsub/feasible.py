@@ -133,8 +133,12 @@ class ConvexBody:
         raise NotImplementedError
 
     def diameter(self) -> float:
-        """Upper bound on max ||x - y||_2^2 over the body (exact where noted)."""
-        raise NotImplementedError
+        """Upper bound on max ||x - y||_2^2 over the body: the box bound sum(upper^2).
+
+        The body lies in [0, upper], so this holds for every kind; a kind
+        that knows better overrides it (a partition body's bound is exact).
+        """
+        return float(np.sum(self._upper ** 2))
 
 
 @dataclass(frozen=True, eq=False)
@@ -159,9 +163,6 @@ class BoxBody(ConvexBody):
 
     def _lmo(self, g: np.ndarray, cap: np.ndarray, start: WarmStart | None) -> np.ndarray:
         return np.where(g > 0.0, np.minimum(self.upper, cap), 0.0)
-
-    def diameter(self) -> float:
-        return float(np.sum(self.upper ** 2))
 
 
 def _greedy_fill(g: np.ndarray, cap: np.ndarray, blocks, budgets) -> np.ndarray:
@@ -266,10 +267,6 @@ class PackingBody(ConvexBody):
         if active.size:
             v[active] = simplex_solve(g[active], self.A[:, active], self.b, cap[active], start)[0]
         return v
-
-    def diameter(self) -> float:
-        # safe overestimate (unit-box bound); only ever used inside upper bounds
-        return float(self.n)
 
 
 # --- dense simplex ---------------------------------------------------------------

@@ -118,7 +118,7 @@ class SetFunction:
         object.__setattr__(self, "table", table)
 
     def max_value(self) -> float:
-        return float(np.max(self.table)) if self.table.size else 0.0
+        return float(self.table.max())
 
     def values(self, S) -> np.ndarray:
         """f at each bitmask of S."""

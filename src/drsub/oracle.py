@@ -201,15 +201,14 @@ def _feasible_blocks(C: ConvexBody, axes, P: np.ndarray, i: int, prune):
     """The points of C on the mesh ``axes`` that agree with a row of P on the first i axes.
 
     The rows of P are in C, sorted, and hold each later axis's first value.
-    With two or more axes left, ``prune`` (if given) first drops the rows
-    whose completions cannot matter.
+    With two or more axes left, ``prune`` first drops the rows whose
+    completions cannot matter.
     """
     if i == len(axes):
         yield P
         return
-    pruning = prune is not None and len(axes) - i >= 2
-    runs = _leading_runs(C, P, i, axes[i:] if pruning else axes[i:i + 1])
-    if pruning:
+    runs = _leading_runs(C, P, i, axes[i:])
+    if len(axes) - i >= 2:
         keep = prune(P, i, runs)
         P, runs = P[keep], runs[keep]
     runs = runs[:, 0]
@@ -225,7 +224,7 @@ def _feasible_blocks(C: ConvexBody, axes, P: np.ndarray, i: int, prune):
         first = last
 
 
-def _feasible_mesh(C: ConvexBody, axes, prune=None):
+def _feasible_mesh(C: ConvexBody, axes, prune):
     """The points of the mesh ``axes`` that C contains, in blocks of 1 to MESH_CHUNK rows.
 
     These are exactly the points of the product of ``axes`` that C.contains_batch
@@ -233,10 +232,10 @@ def _feasible_mesh(C: ConvexBody, axes, prune=None):
     mesh is walked one axis at a time, on blocks of feasible prefixes with the
     later coordinates at their axes' first values.  A prefix that leaves C there
     has no feasible completion, by the same monotonicity that lets
-    _leading_runs bisect.  ``prune``, if given, maps a block of prefixes at
-    level i, while two or more axes are left, and their _leading_runs along
-    the later axes to the mask of those to keep, so the completions of a
-    dropped prefix are never built.  No intermediate array holds more than
+    _leading_runs bisect.  ``prune`` maps a block of prefixes at level i,
+    while two or more axes are left, and their _leading_runs along the later
+    axes to the mask of those to keep, so the completions of a dropped
+    prefix are never built.  No intermediate array holds more than
     MESH_CHUNK rows.
     """
     axes = [np.asarray(a, dtype=float) for a in axes]

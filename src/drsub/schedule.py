@@ -186,22 +186,6 @@ def coupling_residual(s: Schedule, spec: FamilySpec, N: int) -> float:
     return float(np.max(np.abs((b - b[0]) - (spec.beta(a) - spec.beta(a[0])))))
 
 
-def ratio_curve(variant: str, t) -> np.ndarray | float:
-    """Running ratio b_t/a_t of an offset family's preset at time t in [0, T].
-
-    Every curve stays at or below 1/4 and touches 1/4 exactly once, at
-    t = T, where a_t/a_0 reaches the maximizer r = 4.
-    """
-    if family_spec(variant).direction != "offset":
-        raise InputError(f"ratio_curve is defined for offset families, got {variant!r}")
-    s = preset(variant)
-    t_arr = np.asarray(t, dtype=float)
-    if np.any(t_arr < 0.0) or np.any(t_arr > s.T + 1e-12):
-        raise InputError(f"t must lie in [0, {s.T}] for variant {variant!r}")
-    out = np.asarray(s.b(t_arr), dtype=float) / np.asarray(s.a(t_arr), dtype=float)
-    return float(out) if np.isscalar(t) or out.ndim == 0 else out
-
-
 # --- user schedules from JSON -------------------------------------------------
 
 _EXPR_FORMS = ("exp", "poly", "sqrt_affine")

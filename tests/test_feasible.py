@@ -593,6 +593,32 @@ class TestWarmStart:
         assert np.array_equal(state.tab, cold_state.tab)
         assert np.array_equal(state.basis, cold_state.basis)
 
+    def test_an_unrepairable_reuse_falls_back_to_the_cold_solve(self, monkeypatch,
+                                                                 kept_tableaus, reuses):
+        # new costs and 4 lowered caps of the kept vertex x0: the dual phase would need
+        # more than m + 1 = 51 pivots, so it stops there and the LP is solved cold
+        rng = np.random.default_rng(0)
+        A = rng.uniform(0.0, 1.0, (20, 30))
+        b, u = 0.2 * A.sum(axis=1), np.ones(30)
+        state = feasible.WarmStart()
+        x0 = simplex_solve(np.abs(rng.normal(size=30)) + 1e-3, A, b, u, state)[0]
+        c1 = np.abs(rng.normal(size=30)) + 1e-3
+        u1 = np.maximum(u - rng.uniform(0.0, 0.5) * x0, 1e-3)
+        dual_pivots = []
+        exchange = feasible._exchange
+
+        def watched(tab, basis, leave, enter):
+            dual_pivots.append(tab.shape[0] == basis.size + 2)  # the dual phase's tableau
+            exchange(tab, basis, leave, enter)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(feasible, "_exchange", watched)
+            x, val = simplex_solve(c1, A, b, u1, state)
+        cold = simplex_solve(c1, A, b, u1)
+        assert kept_tableaus == [None] and reuses == []
+        assert sum(dual_pivots) == 51
+        assert np.array_equal(x, cold[0]) and val == cold[1]
+
     def test_a_tableau_kept_on_another_matrix_is_not_reused(self, kept_tableaus):
         # the tableau kept on A1 holds A1's basis inverse: on A2 the LP starts cold,
         # so every answer is A2's own optimum

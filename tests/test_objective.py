@@ -191,6 +191,14 @@ class TestMultilinearExtension:
         with pytest.raises(InputError):
             set_function_from_table([0.0, -1.0, 0.0, 0.0])
 
+    @pytest.mark.parametrize("m, table, message", [
+        (2, [0.0, 1.0, 1.0], r"value table must have length 2\^2"),
+        (1, [0.0, np.nan], "value table contains NaN or infinity"),
+    ])
+    def test_direct_construction_refusals(self, m, table, message):
+        with pytest.raises(InputError, match=message):
+            objective.SetFunction(m, table)
+
 
 class TestQuadraticFamily:
     def test_offdiagonal_instance(self):

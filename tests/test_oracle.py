@@ -340,7 +340,8 @@ def mesh_cases(draw):
                 [np.linspace(0.0, 1.0, 9), np.array([0.25, 0.5])]))  # nothing to yield
 def test_feasible_mesh_is_the_filtered_mesh(case):
     C, axes = case
-    blocks = list(oracle._feasible_mesh(C, axes))
+    keep_all = lambda P, i, runs: np.ones(P.shape[0], dtype=bool)
+    blocks = list(oracle._feasible_mesh(C, axes, keep_all))
     assert all(1 <= X.shape[0] <= MESH_CHUNK for X in blocks)
     got = np.concatenate(blocks) if blocks else np.zeros((0, C.n))
     expected = filtered_mesh(C, axes)

@@ -5,10 +5,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from drsub import (InputError, ValidationError, coupling_residual, preset, ratio,
-                   ratio_curve, schedule_from_json, validate)
+from drsub import (BoxBody, InputError, ValidationError, checks, coupling_residual,
+                   make_quadratic, preset, ratio, schedule_from_json, validate)
 from drsub.schedule import FAMILIES, Schedule, on_grid
-from drsub.solver import family_spec, g_series, guarantee
+from drsub.solver import family_spec, g_series, guarantee, run
 
 RATIOS = {
     "monotone": 1.0 - 1.0 / math.e,
@@ -101,6 +101,17 @@ class TestOnGrid:
         with pytest.raises(InputError, match="schedule weight a is inf at node j=1"):
             on_grid(s, 4)
 
+    @pytest.mark.parametrize("entry", ["run", "guarantee", "g_series"])
+    def test_a_weight_a_of_zero_is_refused(self, entry):
+        ramp = lambda t: np.asarray(t, dtype=float)  # a_0 = 0
+        s, spec = Schedule(1.0, ramp, ramp), FAMILIES["monotone"]
+        calls = {"run": lambda: run(make_quadratic(-np.eye(2), np.ones(2)), BoxBody(np.ones(2)),
+                                    s, spec, 4),
+                 "guarantee": lambda: guarantee(s, spec, 4, 1.0, 1.0),
+                 "g_series": lambda: g_series(s, spec, 4)}
+        with pytest.raises(InputError, match="schedule weight a must be positive on the grid"):
+            calls[entry]()
+
     def test_finite_weights_pass(self):
         t, a, b = on_grid(preset("measured"), 4)
         assert np.array_equal(t, np.linspace(0.0, 1.0, 5))
@@ -173,27 +184,17 @@ class TestValidate:
 
 
 class TestRatioCurve:
+    """The running ratio b(t)/a(t) of each offset preset, as checks.ratio_curve_peaks reads it."""
+
     def test_peak_values(self):
-        assert ratio_curve("general-exp", 2.0 * math.log(2.0)) == pytest.approx(0.25, abs=1e-12)
-        assert ratio_curve("general-linear", 3.0) == pytest.approx(0.25, abs=1e-12)
-        assert ratio_curve("general", 1.0) == pytest.approx(0.25, abs=1e-12)
+        peak_error, peak_offset = checks.ratio_curve_peaks()  # every offset preset, at its T
+        assert peak_error <= 1e-12 and peak_offset <= 1e-12
 
     @pytest.mark.parametrize("variant,t_star", sorted(VARIANT_PEAKS.items()))
     def test_bounded_by_quarter_and_peaks_at_argmax(self, variant, t_star):
-        T = preset(variant).T
-        t = np.linspace(0.0, T, 10001)
-        curve = ratio_curve(variant, t)
-        assert np.max(curve) <= 0.25 + 1e-12
-        assert curve[np.argmax(curve)] >= 0.25 - 1e-9
-        assert abs(t[np.argmax(curve)] - t_star) <= T / 10000 + 1e-12
-
-    def test_out_of_range(self):
-        with pytest.raises(InputError):
-            ratio_curve("general", 1.5)
-
-    def test_monotone_has_no_curve(self):
-        with pytest.raises(InputError):
-            ratio_curve("monotone", 0.5)
+        peak_error, peak_offset = checks.ratio_curve_peaks({variant: t_star})
+        assert peak_error <= 1e-12  # the peak is 1/4
+        assert peak_offset <= 1e-12  # at most one cell of 10001 nodes from t_star
 
 
 class TestJsonSchedules:
