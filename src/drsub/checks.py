@@ -16,7 +16,7 @@ from typing import Iterable, Mapping, NamedTuple
 import numpy as np
 
 from . import feasible, objective, schedule, solver
-from .errors import ValidationError
+from .errors import InputError, ValidationError
 from .feasible import ConvexBody
 from .objective import DrFunction, SetFunction
 
@@ -31,17 +31,15 @@ RUN_STEPS = (1, 10, 100, 500)
 MARGIN_TOL = 1e-9
 
 
-def max_ratio_error(schedules: Mapping[str, schedule.Schedule],
-                    expected: Mapping[str, float] | None = None) -> float:
-    """Largest |ratio - expected| by family (default: the table's ratio), naming it on error."""
+def max_ratio_error(schedules: Mapping[str, schedule.Schedule]) -> float:
+    """Largest |ratio - the table's ratio| by family, naming the family on error."""
     errors = []
     for family, s in schedules.items():
         spec = schedule.FAMILIES[family]
-        want = spec.ratio if expected is None else expected[family]
         try:
-            errors.append(abs(schedule.ratio(s, spec) - want))
-        except ValidationError as e:
-            raise ValidationError(f"{family}: {e}") from None
+            errors.append(abs(schedule.ratio(s, spec) - spec.ratio))
+        except (InputError, ValidationError) as e:
+            raise type(e)(f"{family}: {e}") from None
     return float(np.max(errors, initial=0.0))
 
 
@@ -51,22 +49,19 @@ def max_coupling_residual(schedules: Mapping[str, schedule.Schedule]) -> float:
                          for family, s in schedules.items()]))
 
 
-def ratio_curve_peaks(peaks: Mapping[str, float] | None = None) -> tuple[float, float]:
-    """Worst |peak - 1/4| and distance of the peak from t* beyond one cell of 10001 nodes.
+def ratio_curve_peaks() -> tuple[float, float]:
+    """Worst |peak - 1/4| and distance of the peak from T beyond one cell of 10001 nodes.
 
     The curve is an offset preset's running ratio b(t)/a(t) on [0, T], which
-    stays at or below 1/4 and touches it once, where a_t/a_0 reaches r = 4.
+    stays at or below 1/4 and touches it once, at T, where a_t/a_0 reaches r = 4.
     """
-    if peaks is None:  # every offset family, which peaks at its horizon T
-        peaks = {n: f.preset.T for n, f in schedule.FAMILIES.items() if f.direction == "offset"}
     value_errors, offsets = [], []
-    for variant, t_star in peaks.items():
-        s = schedule.preset(variant)
+    for s in (spec.preset for spec in schedule.FAMILIES.values() if spec.direction == "offset"):
         t = np.linspace(0.0, s.T, 10001)
         curve = np.asarray(s.b(t), dtype=float) / np.asarray(s.a(t), dtype=float)
         value_errors.append(abs(float(np.max(curve)) - 0.25))
-        offsets.append(abs(float(t[np.argmax(curve)]) - t_star) - s.T / 10000)
-    return float(np.max(value_errors, initial=0.0)), float(np.max(offsets, initial=0.0))
+        offsets.append(abs(float(t[np.argmax(curve)]) - s.T) - s.T / 10000)
+    return float(np.max(value_errors)), float(np.max(offsets))
 
 
 def min_dr_residual(objectives: Iterable[DrFunction], rng: np.random.Generator) -> float:

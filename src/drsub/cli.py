@@ -91,7 +91,7 @@ class _Experiment:
         if missing:
             raise InputError(f"missing required flags: {' '.join(missing)}")
         self.spec = solver.family_spec(parsed.family)
-        self.iters = [schedule.checked_steps(N) for N in _parse_iters(parsed.iters)]
+        self.iters = _parse_iters(parsed.iters)
         self.opt_mode = parsed.opt
         self.out_dir = Path(parsed.out)
         existing = next(p for p in (self.out_dir, *self.out_dir.parents) if p.exists())
@@ -107,6 +107,8 @@ class _Experiment:
         else:
             self.schedule = schedule.schedule_from_json(_load_json_arg(parsed.schedule, "schedule"))
             schedule.validate(self.schedule, self.spec)
+        for N in self.iters:  # the memoized step table each run reads, and its refusals
+            solver.g_series(self.schedule, self.spec, N)
         if self.spec.direction == "plain" and not self.objective.monotone:
             raise ConfigurationError("the monotone family needs a monotone instance; "
                                      "use measured or general")

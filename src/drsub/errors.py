@@ -6,11 +6,12 @@ exits with code 1, while InvariantError signals that a run violated an
 internal contract and exits with code 2.  Caller input is read here:
 ``fields`` reads one JSON object against its typed, closed schema, and
 ``checked_array`` reads every point, gradient, cap and batch that a
-caller passes to the oracles, and every array a builder takes.
+caller passes to the oracles, and every array a builder takes; ``real_value`` every scalar.
 """
 
 import itertools
 import math
+import numbers
 import reprlib
 import sys
 
@@ -44,6 +45,16 @@ class InvariantError(DrsubError):
 def is_int(v) -> bool:
     """An integer, numpy's included; a bool is not one."""
     return isinstance(v, (int, np.integer)) and not isinstance(v, bool)
+
+
+def real_value(v) -> float:
+    """v as a float if it is a real number (a bool is not one), else NaN; a huge integer is inf."""
+    if not isinstance(v, numbers.Real) or isinstance(v, bool):
+        return math.nan
+    try:
+        return float(v)
+    except OverflowError:  # an integer beyond the float range
+        return math.inf
 
 
 #: expected kinds of JSON field: (description, leaf type, array depth)

@@ -13,6 +13,7 @@ grid_search).
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from dataclasses import dataclass
 
@@ -57,14 +58,7 @@ class OptCertificate:
     subset: tuple[int, ...] | None = None
 
     def to_json(self) -> dict:
-        return {
-            "value": self.value,
-            "maximizer": [float(v) for v in self.maximizer],
-            "method": self.method,
-            "slack": self.slack,
-            "resolution": self.resolution,
-            "subset": None if self.subset is None else list(self.subset),
-        }
+        return {**dataclasses.asdict(self), "maximizer": self.maximizer.tolist()}
 
 
 def _feasible_masks(blocks, capacities) -> np.ndarray:

@@ -22,12 +22,13 @@ variants differ only in the preset:
 from __future__ import annotations
 
 import math
+import reprlib
 from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
-from .errors import CapacityError, InputError, ValidationError, fields, is_int
+from .errors import CapacityError, InputError, ValidationError, fields, is_int, real_value
 
 #: desk-scale cap on the step count N
 _MAX_STEPS = 100_000
@@ -53,8 +54,11 @@ class Schedule:
     b: Callable
 
     def __post_init__(self):
-        if not 0 < self.T < math.inf:  # NaN fails too
-            raise InputError(f"schedule horizon must be positive and finite, got {self.T}")
+        if not 0 < real_value(self.T) < math.inf:  # NaN fails too
+            raise InputError(f"schedule horizon must be positive and finite, got {self.T!r}")
+        if not (callable(self.a) and callable(self.b)):
+            raise InputError(f"schedule weights must be callable, got {reprlib.repr(self.a)} "
+                             f"and {reprlib.repr(self.b)}")
 
 
 @dataclass(frozen=True)
@@ -110,41 +114,34 @@ def preset(family: str) -> Schedule:
 
 
 def validate(s: Schedule, spec: FamilySpec) -> None:
-    """Check the weight values on an equally spaced grid of 1000 nodes.
+    """Check the weights, read by ``on_grid`` as a run reads them, on 1000 equal nodes.
 
-    a and b must be finite, a_0 >= 1 and b_0 >= 0, and every secant slope
-    between neighbouring nodes nonnegative; a ``spec`` whose steps share a
-    unit budget (every direction but offset) also pins a_0 = 1 and a_T = e.
-    a_0 >= 1 keeps the headroom floors 1/a_j and 1/sqrt(a_j) at or below 1
-    from the first step.  A ValidationError names every failed check with its worst
-    node and value.  Weights that dip between nodes are out of scope.
+    a_0 >= 1 and b_0 >= 0, and every secant slope between neighbouring nodes
+    nonnegative; a ``spec`` whose steps share a unit budget (every direction but
+    offset) also pins a_0 = 1 and a_T = e.  a_0 >= 1 keeps the headroom floors
+    1/a_j and 1/sqrt(a_j) at or below 1 from the first step.  A ValidationError names
+    every failed check with its worst node and value.  A run's own grid has its
+    step table's rule: no step may run backwards or be too long (``solver._steps``).
     """
-    t = np.linspace(0.0, s.T, _VALIDATION_NODES)
-    with np.errstate(all="ignore"):  # overflow and NaN are reported by the finite check
-        weights = {"a": np.asarray(s.a(t), dtype=float), "b": np.asarray(s.b(t), dtype=float)}
+    t, a, b = on_grid(s, _VALIDATION_NODES - 1)
     failed = []
 
     def check(passed, name: str, quantity: str, value: float, at: float) -> None:
         if not passed:
             failed.append(f"{name} ({quantity} {value:.2e} at t={at:.4g})")
 
-    for name, w in weights.items():
-        i = int(np.argmin(np.isfinite(w)))  # the first non-finite node, if any
-        check(np.isfinite(w[i]), f"{name} finite", "value", w[i], t[i])
-    if not failed:
-        a, b = weights["a"], weights["b"]
-        check(a[0] >= 1.0 - _BOUNDARY_TOL, "a0 >= 1", "a0", a[0], 0.0)
-        check(b[0] >= -_MONOTONICITY_TOL, "b0 nonnegative", "b0", b[0], 0.0)
-        for name, w in weights.items():
-            slope = np.diff(w) / np.diff(t)
-            i = int(np.argmin(slope))
-            check(slope[i] >= -_MONOTONICITY_TOL, f"{name} nondecreasing", "slope", slope[i], t[i])
-        if spec.direction != "offset":
-            # these rules distribute total step mass ln(a_T/a_0) = 1, so the
-            # boundary values are pinned: a_0 = 1 and a_T = e
-            log_a0, log_aT = (math.log(v) if v > 0 else math.inf for v in (a[0], a[-1]))
-            check(abs(log_a0) <= _BOUNDARY_TOL, "log a0 == 0", "log a0", log_a0, 0.0)
-            check(abs(log_aT - 1.0) <= _BOUNDARY_TOL, "log aT == 1", "log aT", log_aT, s.T)
+    check(a[0] >= 1.0 - _BOUNDARY_TOL, "a0 >= 1", "a0", a[0], 0.0)
+    check(b[0] >= -_MONOTONICITY_TOL, "b0 nonnegative", "b0", b[0], 0.0)
+    for name, w in (("a", a), ("b", b)):
+        slope = np.diff(w) / np.diff(t)
+        i = int(np.argmin(slope))
+        check(slope[i] >= -_MONOTONICITY_TOL, f"{name} nondecreasing", "slope", slope[i], t[i])
+    if spec.direction != "offset":
+        # these rules distribute total step mass ln(a_T/a_0) = 1, so the
+        # boundary values are pinned: a_0 = 1 and a_T = e
+        log_a0, log_aT = math.log(a[0]), math.log(a[-1])
+        check(abs(log_a0) <= _BOUNDARY_TOL, "log a0 == 0", "log a0", log_a0, 0.0)
+        check(abs(log_aT - 1.0) <= _BOUNDARY_TOL, "log aT == 1", "log aT", log_aT, s.T)
     if failed:
         raise ValidationError(f"schedule fails validation: {', '.join(failed)}")
 

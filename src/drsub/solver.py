@@ -33,13 +33,13 @@ from __future__ import annotations
 
 import functools
 import math
-import numbers
 import reprlib
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigurationError, InputError, InvariantError, ValidationError, checked_array
+from .errors import (ConfigurationError, InputError, InvariantError, ValidationError, checked_array,
+                     real_value)
 from .feasible import ConvexBody, WarmStart
 from .objective import DrFunction
 from .schedule import (FamilySpec, Schedule, checked_steps, family_spec,  # noqa: F401 (re-exported)
@@ -98,12 +98,7 @@ class Trajectory:
         InputError.  Any opt below the true optimum only makes the potential
         increments larger, so certified lower bounds are safe inputs.
         """
-        real = isinstance(opt, numbers.Real) and not isinstance(opt, bool)
-        try:
-            value = float(opt) if real else math.nan
-        except OverflowError:  # an integer beyond the float range
-            value = math.inf
-        if not 0.0 < value < math.inf:  # NaN fails too
+        if not 0.0 < (value := real_value(opt)) < math.inf:  # NaN fails too
             raise InputError(f"opt must be a finite positive real number, got {reprlib.repr(opt)}")
         return self.a * self.F - self.b * value
 
@@ -129,7 +124,7 @@ def _steps(s: Schedule, spec: FamilySpec, N: int) -> tuple:
     """The read-only step table (t, a, b, rho, G, db2, d, coefficient) of an N-step run.
 
     t, a and b are the grid nodes and weights; rho_j = (b_{j+1} - b_j) / a_{j+1}
-    * d_j the step sizes, whose mass must be at most 1; G_j the coupling terms
+    * d_j the step sizes, none negative and with mass at most 1; G_j the coupling terms
     of ``g_series``; db2 = (b_{j+1} - b_j)^2, which float_power rounds like a
     scalar ``x ** 2`` (C pow: an array ``** 2`` computes x * x, which can
     differ in the last ulp); d = d(a_j) at every node, j = 0..N; and the
@@ -151,6 +146,9 @@ def _build_steps(s: Schedule, spec: FamilySpec, N: int) -> tuple:
     db = np.diff(b)
     d = np.asarray(spec.d(a), dtype=float)
     rho = db / a[1:] * d[:-1]
+    j = int(np.argmin(rho))
+    if not rho[j] >= -_STEP_MASS_TOL:  # a backward step can leave the body, as a long one can
+        raise ValidationError(f"schedule steps run backwards: rho_{j} = {rho[j]:.6g} at N={N}")
     # the body is convex and holds 0, so x_N = sum_j rho_j v_j stays in it when
     # sum_j rho_j <= 1, and an offset step x + rho_j (v - x) when rho_j <= 1
     offset = spec.direction == "offset"
@@ -274,8 +272,8 @@ def guarantee(s: Schedule, spec: FamilySpec, N: int, L: float, D: float) -> Guar
 
     ``run`` attaches the same bound, for its own start, as ``Trajectory.bound``.
     """
-    if not (L >= 0 and D >= 0):  # NaN fails too
-        raise InputError("L and D must be nonnegative")
+    if not all(0.0 <= real_value(v) < math.inf for v in (L, D)):  # NaN fails too
+        raise InputError(f"L and D must be nonnegative and finite, got {reprlib.repr((L, D))}")
     return _bound(_steps(s, spec, N), L, D, 1.0)[1]
 
 

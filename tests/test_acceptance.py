@@ -14,7 +14,7 @@ import numpy as np
 from drsub import (BoxBody, CardinalityBody, PackingBody, PartitionBody,
                    coverage_function, family_spec,
                    g_series, grid_search, guarantee, make_coverage, multilinear_extension,
-                   preset, run, set_bruteforce, set_function_from_table)
+                   preset, ratio, run, set_bruteforce, set_function_from_table)
 from drsub import checks, desk
 from drsub.cli import main as cli_main
 
@@ -32,11 +32,13 @@ def test_criterion_01_schedule_ratios():
     start = time.perf_counter()
     expected = {"monotone": 1.0 - 1.0 / math.e, "measured": 1.0 / math.e,
                 "general": 0.25, "general-exp": 0.25, "general-linear": 0.25}
-    ratio_error = checks.max_ratio_error({f: preset(f) for f in expected}, expected)
+    ratio_error = max(abs(ratio(preset(f), family_spec(f)) - want) for f, want in expected.items())
 
+    # ratio_curve_peaks reads each offset preset's peak at its T, which must be t*
     peaks = {"general": 1.0, "general-exp": 2.0 * math.log(2.0), "general-linear": 3.0}
-    peak_error, peak_offset = checks.ratio_curve_peaks(peaks)
-    curve_ok = peak_error <= 1e-9 and peak_offset <= 1e-12
+    peaks_at_t_star = all(preset(f).T == t_star for f, t_star in peaks.items())
+    peak_error, peak_offset = checks.ratio_curve_peaks()
+    curve_ok = peaks_at_t_star and peak_error <= 1e-9 and peak_offset <= 1e-12
     elapsed = time.perf_counter() - start
     _verdict(1, "schedule ratios", ratio_error <= 1e-9 and curve_ok and elapsed < 1.0,
              f"ratios to 1e-9, variant peaks at 1/4, {elapsed:.2f}s")

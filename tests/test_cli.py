@@ -20,6 +20,10 @@ CARD = '{"kind":"cardinality","n":3,"k":2}'
 QUAD = '{"kind":"quadratic","H":[[-2,0],[0,-2]],"c":[1,0.5]}'
 BOX2 = '{"kind":"box","n":2}'
 CARD1 = '{"kind":"cardinality","n":2,"k":1}'
+# b' = 3 (t - 1/2)^2 - 2.25e-7 dips below 0 between the nodes validate reads; a run grid
+# of N = 10,000 reads the dip
+DIPPING = {"a": {"form": "poly", "coeffs": [1, 2, 1]},
+           "b": {"form": "poly", "coeffs": [0, 0.7499997745493241, -1.5, 1]}, "T": 1}
 # its second differences reach 1e308 in size, so L = (m - 1) * 1e308 overflows
 LIPSCHITZ_OVERFLOW = '{"kind":"table","values":[0,1e308,1e308,1e308,1e308,1e308,1e308,1e308]}'
 
@@ -129,6 +133,35 @@ class TestRunCommand:
         assert message in capsys.readouterr().err
         assert taken.is_file() if bad.startswith("out") else not taken.exists()
 
+    @pytest.mark.parametrize("command,iters,instance,constraint,family,opt,schedule_json,message", [
+        ("run", "5", json.dumps({"kind": "quadratic", "H": np.zeros((4, 4)).tolist(),
+                                 "c": [0] * 4}), '{"kind":"box","n":4}', "general", "grid",
+         {"a": {"form": "poly", "coeffs": [1, 1]}, "b": {"form": "poly", "coeffs": [0, 1e300]},
+          "T": 1}, "schedule steps are too long: max rho_j = 1.66667e+299 exceeds 1 at N=5"),
+        ("sweep", "4,8,16", COVERAGE, CARD, "monotone", "sets",
+         {"a": {"form": "exp", "rate": 1}, "b": {"form": "exp", "rate": 1, "scale": 1.05},
+          "T": 1}, "schedule steps are too long: sum rho_j = 1.01786 exceeds 1 at N=16"),
+        ("run", "10000", QUAD, BOX2, "general", "grid", DIPPING,
+         "schedule steps run backwards: rho_4999 = -1.43624e-11 at N=10000"),
+        ("sweep", "100,1000,10000", COVERAGE, CARD, "general", "sets", DIPPING,
+         "schedule steps run backwards: rho_4999 = -1.43624e-11 at N=10000"),
+    ], ids=["run-too-long", "sweep-too-long", "run-backwards", "sweep-backwards"])
+    def test_every_step_table_is_checked_before_the_oracle_and_the_files(
+            self, tmp_path, capsys, monkeypatch, command, iters, instance, constraint, family,
+            opt, schedule_json, message):
+        # the step table of every N is built, and so refused, before either oracle runs
+        # and before the first file of a sweep is written
+        def never(*args):
+            raise AssertionError("the oracle ran on input that is refused anyway")
+        monkeypatch.setattr(oracle, "grid_search", never)
+        monkeypatch.setattr(oracle, "set_bruteforce", never)
+        code = run_cli(command, "--instance", instance, "--constraint", constraint,
+                       "--family", family, "--iters", iters, "--opt", opt,
+                       "--schedule", json.dumps(schedule_json), "--out", str(tmp_path))
+        assert code == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not any(tmp_path.iterdir())
+
     def test_measured_on_non_down_closed_body(self, tmp_path, capsys):
         # every body is down-closed by construction; declaring otherwise is stale input
         body = '{"kind":"packing","A":[[1,1]],"b":[1.5],"down_closed":false}'
@@ -233,8 +266,8 @@ class TestRunCommand:
         assert run_cli("run", "--instance", QUAD, "--constraint", BOX2, "--family", "general",
                        "--iters", "20", "--schedule", json.dumps(overflowing),
                        "--out", str(tmp_path)) == 1
-        err = capsys.readouterr().err
-        assert err.startswith("error: schedule fails validation: a finite (value inf")
+        assert capsys.readouterr().err == \
+            "error: schedule weight a is inf at node j=1 (t=0.001001)\n"
 
     @pytest.mark.parametrize("instance,constraint,family,schedule_json,message", [
         (QUAD, BOX2, "general", {"a": {"form": "poly", "coeffs": [1, 1]},

@@ -690,6 +690,25 @@ class TestWarmStart:
         assert len(reuses) == 1
         assert np.max(np.abs(v - second.lmo(g2))) <= 1e-12
 
+    def test_a_row_with_no_entering_column_ends_the_dual_phase(self):
+        # one row, x + s = -1 with x, s >= 0: its rhs is negative and no entry of it is,
+        # so no column can enter and the kept basis cannot be repaired
+        tab = np.array([[1.0, 1.0, -1.0],    # the row
+                        [-1.0, 0.0, 0.0],    # the reduced costs
+                        [-1.0, 0.0, 0.0]])   # the shifted costs
+        assert feasible._dual_pivots(tab, np.array([1])) is None
+
+    def test_the_simplex_check_flags_a_tied_warm_answer_off_the_cold_vertex(self):
+        # max x1 + x2 over x1 + x2 <= 1 ties at (1, 0) and (0, 1): a warm answer must be
+        # the cold vertex bit for bit, and any other optimum is an infinite gap
+        from drsub import checks
+        c, A, b, u = np.ones(2), np.ones((1, 2)), np.ones(1), np.ones(2)
+        x, _ = simplex_solve(c, A, b, u)
+        ref, tied = checks._optima(PackingBody(A, b), c, u, x)
+        assert tied
+        assert checks._warm_gap(c, A, b, u, feasible.WarmStart(), x, ref, tied) == 0.0
+        assert checks._warm_gap(c, A, b, u, feasible.WarmStart(), x[::-1], ref, tied) == np.inf
+
     @pytest.mark.parametrize("seed, accepted", [(0, 71), (1, 72), (9, 74)])
     def test_simplex_check_reuses_its_kept_tableaus(self, seed, accepted, capsys, reuses):
         # drsub check solves each LP from the state of its reversed costs, and each

@@ -101,14 +101,15 @@ class TestOnGrid:
         with pytest.raises(InputError, match="schedule weight a is inf at node j=1"):
             on_grid(s, 4)
 
-    @pytest.mark.parametrize("entry", ["run", "guarantee", "g_series"])
+    @pytest.mark.parametrize("entry", ["run", "guarantee", "g_series", "validate"])
     def test_a_weight_a_of_zero_is_refused(self, entry):
         ramp = lambda t: np.asarray(t, dtype=float)  # a_0 = 0
         s, spec = Schedule(1.0, ramp, ramp), FAMILIES["monotone"]
         calls = {"run": lambda: run(make_quadratic(-np.eye(2), np.ones(2)), BoxBody(np.ones(2)),
                                     s, spec, 4),
                  "guarantee": lambda: guarantee(s, spec, 4, 1.0, 1.0),
-                 "g_series": lambda: g_series(s, spec, 4)}
+                 "g_series": lambda: g_series(s, spec, 4),
+                 "validate": lambda: validate(s, spec)}  # validate reads weights as a run does
         with pytest.raises(InputError, match="schedule weight a must be positive on the grid"):
             calls[entry]()
 
@@ -119,10 +120,24 @@ class TestOnGrid:
 
 
 class TestValidate:
-    @pytest.mark.parametrize("T", [0.0, -1.0, np.nan, np.inf])
+    # T is read as Trajectory.potential reads opt: a real number, so a one-entry array,
+    # which guarantee then failed on in numpy's broadcasting, is refused too
+    @pytest.mark.parametrize("T", [0.0, -1.0, np.nan, np.inf,
+                                   *(pytest.param(T, id=name) for name, T in (
+                                       ("array", np.array([1.0])), ("str", "1"), ("None", None),
+                                       ("bool", True), ("huge-int", 10 ** 400)))])
     def test_horizon_must_be_positive_and_finite(self, T):
         with pytest.raises(InputError, match="schedule horizon must be positive"):
             Schedule(T, np.exp, np.exp)
+
+    @pytest.mark.parametrize("T", [2, np.float64(2.0), np.int64(2)], ids=repr)
+    def test_horizon_may_be_any_real_number(self, T):
+        assert Schedule(T, np.exp, np.exp).T == 2
+
+    @pytest.mark.parametrize("weights", [(np.exp, 1.0), ("exp", np.exp)], ids=["b", "a"])
+    def test_weights_must_be_callable(self, weights):
+        with pytest.raises(InputError, match="^schedule weights must be callable, got "):
+            Schedule(1.0, *weights)
 
     def test_decreasing_a_fails(self):
         s = Schedule(1.0, lambda t: np.exp(-np.asarray(t, dtype=float)),
@@ -170,16 +185,23 @@ class TestValidate:
         assert float(found["b"]) == pytest.approx(-1.5, rel=1e-2)
 
     def test_non_finite_weight_fails_at_once(self):
+        # validate reads the weights by on_grid, so it refuses them as a run does
         s = Schedule(1.0, lambda t: np.exp(1e308 * np.asarray(t, dtype=float)),
                      lambda t: np.asarray(t, dtype=float) + 0.0)
-        with pytest.raises(ValidationError, match=r"a finite \(value inf at t=0\.001001\)$"):
+        with pytest.raises(InputError,
+                           match=r"^schedule weight a is inf at node j=1 \(t=0\.001001\)$"):
             validate(s, FAMILIES["general"])
+
+    def test_the_ratio_check_names_the_family_of_a_weight_a_run_refuses(self):
+        s = Schedule(1.0, lambda t: np.exp(1e308 * np.asarray(t, dtype=float)), np.exp)
+        with pytest.raises(InputError, match=r"^monotone: schedule weight a is inf at node j=1 "):
+            checks.max_ratio_error({"monotone": s})
 
     def test_root_of_negative_fails_finite_check(self):
         s = schedule_from_json(
             {"a": {"form": "poly", "coeffs": [1, 1]},
              "b": {"form": "sqrt_affine", "inner_shift": -1.0}, "T": 1.0})
-        with pytest.raises(ValidationError, match=r"b finite \(value nan at t=0\)"):
+        with pytest.raises(InputError, match=r"^schedule weight b is nan at node j=0 \(t=0\)$"):
             validate(s, FAMILIES["general"])
 
 
@@ -192,9 +214,13 @@ class TestRatioCurve:
 
     @pytest.mark.parametrize("variant,t_star", sorted(VARIANT_PEAKS.items()))
     def test_bounded_by_quarter_and_peaks_at_argmax(self, variant, t_star):
-        peak_error, peak_offset = checks.ratio_curve_peaks({variant: t_star})
-        assert peak_error <= 1e-12  # the peak is 1/4
-        assert peak_offset <= 1e-12  # at most one cell of 10001 nodes from t_star
+        # ratio_curve_peaks takes each offset preset's peak at its T; here it is t* itself
+        s = preset(variant)
+        assert s.T == pytest.approx(t_star, abs=1e-15)
+        t = np.linspace(0.0, s.T, 10001)
+        curve = np.asarray(s.b(t), dtype=float) / np.asarray(s.a(t), dtype=float)
+        assert abs(float(np.max(curve)) - 0.25) <= 1e-12  # the peak is 1/4
+        assert abs(float(t[np.argmax(curve)]) - t_star) <= s.T / 10000 + 1e-12  # within a cell
 
 
 class TestJsonSchedules:

@@ -10,7 +10,7 @@ from drsub import (BoxBody, CardinalityBody, ConfigurationError, DrFunction, Inp
                    InvariantError, PackingBody, PartitionBody, coupling_residual, family_spec,
                    g_series, guarantee, make_concave_modular, make_quadratic,
                    multilinear_extension, preset, run, set_bruteforce,
-                   trajectory_csv)
+                   trajectory_csv, validate)
 from drsub import checks, cli, desk
 from drsub.errors import ValidationError
 from drsub.schedule import FAMILIES as PRESET_FAMILIES, Schedule, checked_steps
@@ -301,10 +301,22 @@ class TestScheduleGrid:
             with pytest.raises(InputError, match="N must be an integer"):
                 call()
 
-    @pytest.mark.parametrize("L, D", [(np.nan, 1.0), (1.0, np.nan), (-1.0, 1.0), (1.0, -1.0)])
+    # L and D are read as Trajectory.potential reads opt, as finite real numbers: an
+    # infinite L used to give an infinite additive term, and a string or None a TypeError
+    @pytest.mark.parametrize("L, D", [(np.nan, 1.0), (1.0, np.nan), (-1.0, 1.0), (1.0, -1.0),
+                                      *(pytest.param(L, D, id=name) for name, L, D in (
+                                          ("str-L", "1", 1.0), ("None-D", 1.0, None),
+                                          ("inf-L", np.inf, 1.0), ("inf-D", 1.0, np.inf),
+                                          ("bool-L", True, 1.0), ("huge-int-D", 1.0, 10 ** 400),
+                                          ("array-L", np.ones(1), 1.0)))])
     def test_guarantee_needs_nonnegative_constants(self, L, D):
         with pytest.raises(InputError, match="L and D must be nonnegative"):
             guarantee(preset("general"), family_spec("general"), 5, L, D)
+
+    @pytest.mark.parametrize("L, D", [(2, 1), (np.int64(2), np.float64(1.0))], ids=repr)
+    def test_guarantee_accepts_every_real_number(self, L, D):
+        s, spec = preset("general"), family_spec("general")
+        assert guarantee(s, spec, 5, L, D) == guarantee(s, spec, 5, 2.0, 1.0)
 
     def test_endpoints_exact_for_irrational_horizon(self):
         s = preset("general-exp")  # T = 2 ln 2
@@ -381,6 +393,30 @@ class TestStepTable:
         for call in [lambda: run(QUAD, BOX2, s, spec, N),
                      lambda: guarantee(s, spec, N, 1.0, 1.0), lambda: g_series(s, spec, N)] * 2:
             with pytest.raises(ValidationError, match=rf"sum rho_j = .* exceeds 1 at N={N}$"):
+                call()
+
+    def test_a_backward_step_is_refused_as_the_schedule_defect_it_is(self):
+        # b = e^t - 0.6 sin(pi t) falls at first: the first step used to take x_1 out of
+        # the body, reported as an internal-contract failure (InvariantError)
+        s = Schedule(1.0, np.exp, lambda t: np.exp(t) - 0.6 * np.sin(np.pi * np.asarray(t)))
+        with pytest.raises(ValidationError,
+                           match=r"^schedule steps run backwards: rho_0 = -0\.0726035 at N=10$"):
+            run(COVER3_F, CARD, s, family_spec("monotone"), 10)
+
+    @pytest.mark.parametrize("N,j,rho", [(10_000, 4999, "-1.43624e-11"),
+                                         (100_000, 49999, "-1.50232e-12")])
+    def test_a_dip_between_validation_nodes_is_refused_on_a_run_grid(self, N, j, rho):
+        # b' = 3 (t - 1/2)^2 - 2.25e-7 is negative only within 2.8e-4 of t = 1/2, closer than
+        # any of validate's 1000 nodes comes, so validate passes b; a fine run grid reads the dip
+        b = np.polynomial.Polynomial([0, 0.7499997745493241, -1.5, 1])
+        s = Schedule(1.0, lambda t: (1.0 + np.asarray(t, dtype=float)) ** 2,
+                     lambda t: b(np.asarray(t, dtype=float)))
+        spec = family_spec("general")
+        validate(s, spec)
+        for call in [lambda: run(QUAD, BOX2, s, spec, N),
+                     lambda: guarantee(s, spec, N, 1.0, 1.0), lambda: g_series(s, spec, N)]:
+            with pytest.raises(ValidationError,
+                               match=rf"^schedule steps run backwards: rho_{j} = {rho} at N={N}$"):
                 call()
 
     def test_an_unhashable_schedule_still_runs(self):
@@ -499,6 +535,11 @@ class TestPotential:
 
 
 class TestGronwall:
+    def test_a_monotone_run_keeps_no_headroom(self):
+        # the plain direction needs no headroom below the box ceiling, so there is no margin
+        traj = run_family("monotone", N=5)
+        assert traj.gronwall_margin is None and traj.min_gronwall_margin is None
+
     def test_margin_zero_at_start(self):
         for family in ("measured", "general"):
             traj = run_family(family, N=5)
