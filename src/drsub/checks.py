@@ -57,8 +57,8 @@ def ratio_curve_peaks() -> tuple[float, float]:
     """
     value_errors, offsets = [], []
     for s in (spec.preset for spec in schedule.FAMILIES.values() if spec.direction == "offset"):
-        t = np.linspace(0.0, s.T, 10001)
-        curve = np.asarray(s.b(t), dtype=float) / np.asarray(s.a(t), dtype=float)
+        t, a, b = schedule.on_grid(s, 10000)
+        curve = b / a
         value_errors.append(abs(float(np.max(curve)) - 0.25))
         offsets.append(abs(float(t[np.argmax(curve)]) - s.T) - s.T / 10000)
     return float(np.max(value_errors)), float(np.max(offsets))

@@ -93,12 +93,15 @@ class DrFunction:
 
 @dataclass(frozen=True, eq=False)
 class SetFunction:
-    """Set function on a ground set of size m, stored as a full value table.
+    """Submodular set function on a ground set of size m, stored as a full value table.
 
     ``table[s]`` is the value of the subset whose bitmask is s (bit i set
     means element i is in the subset), and the table is the instance's own
     read-only copy of the values it was given.  Ground sets are capped at
-    20 elements so the table and all exhaustive checks stay exact.
+    20 elements so the table and all exhaustive checks stay exact.  A table
+    whose largest second difference exceeds _SUBMODULAR_TOL * max f is
+    refused: every certificate built on the table, its extension's DR
+    property and set_bruteforce's slack 0, needs submodularity.
     """
 
     m: int
@@ -116,6 +119,8 @@ class SetFunction:
             raise InputError("set-function values must be nonnegative")
         table.flags.writeable = False
         object.__setattr__(self, "table", table)
+        if self.differences[2] > _SUBMODULAR_TOL * self.max_value():
+            raise InputError("table values are not submodular")
 
     def max_value(self) -> float:
         return float(self.table.max())
@@ -129,8 +134,8 @@ class SetFunction:
         """Smallest f(S+i) - f(S), then smallest and largest f(S+i+j) - f(S+i) - f(S+j) + f(S).
 
         Each is 0 when there is no element, or no pair.  One O(m^2 2^m)
-        pass, made once for the monotonicity and submodularity checks and
-        the extension's L together.
+        pass, made once, at construction, for the submodularity and
+        monotonicity checks and the extension's L together.
         """
         T = self.table.reshape((2,) * self.m)  # one axis per element
         first = lo = hi = 0.0
@@ -313,11 +318,6 @@ def set_is_monotone(f: SetFunction) -> bool:
     return f.differences[0] >= -_MONOTONE_TOL * f.max_value()
 
 
-def set_is_submodular(f: SetFunction) -> bool:
-    """Pairwise marginal check, equivalent to the subset-chain definition."""
-    return f.differences[2] <= _SUBMODULAR_TOL * f.max_value()
-
-
 def multilinear_extension(f: SetFunction) -> DrFunction:
     """Exact multilinear extension of a set function on up to 20 elements.
 
@@ -384,7 +384,7 @@ def make_quadratic(H, c) -> DrFunction:
     H = checked_array(H, (n, n), "H").copy()
     if np.any(H > 0):
         raise InputError("H must be entrywise nonpositive")
-    if not np.allclose(H, H.T, atol=1e-12):
+    if not np.allclose(H, H.T, rtol=0.0, atol=1e-12):
         raise InputError("H must be symmetric")
     if n > _MAX_GROUND_SET:
         raise CapacityError(f"vertex enumeration supports n <= {_MAX_GROUND_SET}")
@@ -490,8 +490,9 @@ def instance_from_json(obj: dict) -> tuple[DrFunction, SetFunction | Coverage | 
     Returns the objective together with its set function for the coverage
     and table kinds (None for the smooth families).  A coverage's universe is
     validated and grouped once, and both its extension and its set function
-    are closed forms over those groups.  A table is checked here.  Fields are
-    typed and closed: a mistyped, missing or unknown field raises InputError.
+    are closed forms over those groups.  A table is a SetFunction, so a
+    table that is not submodular is refused.  Fields are typed and closed: a
+    mistyped, missing or unknown field raises InputError.
     """
     if not isinstance(obj, dict) or "kind" not in obj:
         raise InputError("instance JSON must be an object with a 'kind' key")
@@ -506,8 +507,6 @@ def instance_from_json(obj: dict) -> tuple[DrFunction, SetFunction | Coverage | 
         sf = set_function_from_table(v["values"])
         if v.get("m", sf.m) != sf.m:
             raise InputError(f"declared m={v['m']} does not match table length 2^{sf.m}")
-        if not set_is_submodular(sf):  # coverage is submodular by construction
-            raise InputError("table values are not submodular")
         return multilinear_extension(sf), sf
     if kind == "quadratic":
         v = fields(obj, kind, kind=None, H="matrix", c="reals")

@@ -13,7 +13,6 @@ grid_search).
 
 from __future__ import annotations
 
-import dataclasses
 import math
 from dataclasses import dataclass
 
@@ -21,7 +20,7 @@ import numpy as np
 
 from .errors import CapacityError, ConfigurationError, InputError
 from .feasible import BoxBody, ConvexBody, PartitionBody
-from .objective import MESH_CHUNK, Coverage, DrFunction, SetFunction, corners, set_is_submodular
+from .objective import MESH_CHUNK, Coverage, DrFunction, SetFunction, corners
 
 #: most feasible subsets that subset enumeration scores: every subset of 16 elements
 _MAX_SUBSETS = 1 << 16
@@ -58,7 +57,7 @@ class OptCertificate:
     subset: tuple[int, ...] | None = None
 
     def to_json(self) -> dict:
-        return {**dataclasses.asdict(self), "maximizer": self.maximizer.tolist()}
+        return {**vars(self), "maximizer": self.maximizer.tolist()}
 
 
 def _feasible_masks(blocks, capacities) -> np.ndarray:
@@ -84,9 +83,10 @@ def set_bruteforce(f: SetFunction | Coverage, C: ConvexBody) -> OptCertificate:
     multilinear extension.  It is the continuous optimum itself (slack 0)
     only where that optimum sits at a 0/1 point: on partition bodies, by
     pipage rounding, and on the unit box, where F is linear in each
-    coordinate.  Every other body, a body with over _MAX_SUBSETS feasible
-    subsets, and a table that is not submodular (pipage rounding needs it)
-    raise before a subset is scored.  Among equal values the lowest mask wins.
+    coordinate.  Pipage rounding needs f submodular, which a SetFunction and
+    a Coverage are by construction.  Every other body, and a body with over
+    _MAX_SUBSETS feasible subsets, raise before a subset is scored.  Among
+    equal values the lowest mask wins.
     """
     if f.m != C.n:
         raise InputError(f"ground-set size {f.m} != body dimension {C.n}")
@@ -103,8 +103,6 @@ def set_bruteforce(f: SetFunction | Coverage, C: ConvexBody) -> OptCertificate:
     if count > _MAX_SUBSETS:
         raise CapacityError(f"subset enumeration supports at most {_MAX_SUBSETS} feasible "
                             f"subsets, and this {type(C).__name__} has {count}")
-    if isinstance(f, SetFunction) and not set_is_submodular(f):  # coverage is by construction
-        raise InputError("subset enumeration certifies slack 0 only for submodular set functions")
     masks = _feasible_masks(blocks, capacities)
     values = f.values(masks)
     best = int(np.argmax(values))  # the first, so the lowest, of the maxima
@@ -282,8 +280,8 @@ def grid_search(F: DrFunction, C: ConvexBody) -> OptCertificate:
     than _PRUNE_TOL * (|incumbent| + ascent + 1), ascent being the slack's
     sum(max(grad F(0), 0)).  Once the origin is scored, |incumbent| + ascent
     bounds F on the box, so the margin covers round-off and the at most
-    C(n, 2) * objective._SUBMODULAR_TOL * max f by which a table instance's
-    admitted second differences can lift a completion above its bound.  A
+    C(n, 2) * objective._SUBMODULAR_TOL * max f by which the second
+    differences a SetFunction admits can lift a completion above its bound.  A
     dropped prefix holds only points scoring strictly less than the
     incumbent, so value, maximizer, slack and resolution are those of the
     unpruned sweep.  Pruning assumes the DR property, as the slack does.  It

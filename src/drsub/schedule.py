@@ -35,8 +35,9 @@ _MAX_STEPS = 100_000
 
 #: grid resolution used by validate()
 _VALIDATION_NODES = 1000
-_MONOTONICITY_TOL = 1e-12
-_BOUNDARY_TOL = 1e-12
+
+#: round-off allowed in a schedule's weights and in the steps a run takes from them
+ROUNDOFF_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -130,18 +131,18 @@ def validate(s: Schedule, spec: FamilySpec) -> None:
         if not passed:
             failed.append(f"{name} ({quantity} {value:.2e} at t={at:.4g})")
 
-    check(a[0] >= 1.0 - _BOUNDARY_TOL, "a0 >= 1", "a0", a[0], 0.0)
-    check(b[0] >= -_MONOTONICITY_TOL, "b0 nonnegative", "b0", b[0], 0.0)
+    check(a[0] >= 1.0 - ROUNDOFF_TOL, "a0 >= 1", "a0", a[0], 0.0)
+    check(b[0] >= -ROUNDOFF_TOL, "b0 nonnegative", "b0", b[0], 0.0)
     for name, w in (("a", a), ("b", b)):
         slope = np.diff(w) / np.diff(t)
         i = int(np.argmin(slope))
-        check(slope[i] >= -_MONOTONICITY_TOL, f"{name} nondecreasing", "slope", slope[i], t[i])
+        check(slope[i] >= -ROUNDOFF_TOL, f"{name} nondecreasing", "slope", slope[i], t[i])
     if spec.direction != "offset":
         # these rules distribute total step mass ln(a_T/a_0) = 1, so the
         # boundary values are pinned: a_0 = 1 and a_T = e
         log_a0, log_aT = math.log(a[0]), math.log(a[-1])
-        check(abs(log_a0) <= _BOUNDARY_TOL, "log a0 == 0", "log a0", log_a0, 0.0)
-        check(abs(log_aT - 1.0) <= _BOUNDARY_TOL, "log aT == 1", "log aT", log_aT, s.T)
+        check(abs(log_a0) <= ROUNDOFF_TOL, "log a0 == 0", "log a0", log_a0, 0.0)
+        check(abs(log_aT - 1.0) <= ROUNDOFF_TOL, "log aT == 1", "log aT", log_aT, s.T)
     if failed:
         raise ValidationError(f"schedule fails validation: {', '.join(failed)}")
 
@@ -149,7 +150,8 @@ def validate(s: Schedule, spec: FamilySpec) -> None:
 def ratio(s: Schedule, spec: FamilySpec) -> float:
     """Guaranteed fraction (b_T - b_0)/a_T of the optimum, after validation."""
     validate(s, spec)
-    return (float(s.b(s.T)) - float(s.b(0.0))) / float(s.a(s.T))
+    _, a, b = on_grid(s, 1)
+    return float((b[1] - b[0]) / a[1])
 
 
 def checked_steps(N: int) -> int:

@@ -42,10 +42,8 @@ from .errors import (ConfigurationError, InputError, InvariantError, ValidationE
                      real_value)
 from .feasible import ConvexBody, WarmStart
 from .objective import DrFunction
-from .schedule import (FamilySpec, Schedule, checked_steps, family_spec,  # noqa: F401 (re-exported)
-                       on_grid)
-
-_STEP_MASS_TOL = 1e-12
+from .schedule import (ROUNDOFF_TOL, FamilySpec, Schedule, checked_steps,  # noqa: F401 (re-exported)
+                       family_spec, on_grid)
 
 
 @dataclass(frozen=True, eq=False)
@@ -147,13 +145,13 @@ def _build_steps(s: Schedule, spec: FamilySpec, N: int) -> tuple:
     d = np.asarray(spec.d(a), dtype=float)
     rho = db / a[1:] * d[:-1]
     j = int(np.argmin(rho))
-    if not rho[j] >= -_STEP_MASS_TOL:  # a backward step can leave the body, as a long one can
+    if not rho[j] >= -ROUNDOFF_TOL:  # a backward step can leave the body, as a long one can
         raise ValidationError(f"schedule steps run backwards: rho_{j} = {rho[j]:.6g} at N={N}")
     # the body is convex and holds 0, so x_N = sum_j rho_j v_j stays in it when
     # sum_j rho_j <= 1, and an offset step x + rho_j (v - x) when rho_j <= 1
     offset = spec.direction == "offset"
     what, mass = ("max rho_j", np.max(rho)) if offset else ("sum rho_j", np.sum(rho))
-    if not mass <= 1.0 + _STEP_MASS_TOL:
+    if not mass <= 1.0 + ROUNDOFF_TOL:
         raise ValidationError(
             f"schedule steps are too long: {what} = {mass:.6g} exceeds 1 at N={N}")
     G = spec.c(a[:-1]) * db - np.diff(a)
@@ -193,10 +191,14 @@ def run(f: DrFunction, C: ConvexBody, s: Schedule, spec: FamilySpec, N: int,
     Only the offset direction starts from a caller-chosen feasible x0: its
     update contracts toward the oracle vertex, so feasibility is preserved
     from any x0 in the body, and the guarantee coefficient (``bound``) scales
-    by 1 - ||x0||_inf.
+    by 1 - ||x0||_inf.  The plain direction's guarantee needs a monotone f,
+    so it refuses any other before the first oracle call.
     """
     if f.n != C.n:
         raise InputError(f"objective dimension {f.n} != body dimension {C.n}")
+    if spec.direction == "plain" and not f.monotone:
+        raise ConfigurationError("the monotone family needs a monotone instance; "
+                                 "use measured or general")
     if x0 is None:
         x0 = np.zeros(C.n)
     elif spec.direction != "offset":

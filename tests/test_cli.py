@@ -286,12 +286,16 @@ class TestRunCommand:
         assert f"error: schedule steps are too long: {message}\n" in capsys.readouterr().err
 
     def test_monotone_family_on_non_monotone_instance_rejected(self, tmp_path, capsys):
-        code = run_cli("run", "--instance", QUAD, "--constraint",
-                       '{"kind":"packing","A":[[1,1],[2,1]],"b":[1,2]}', "--family", "monotone",
-                       "--iters", "50", "--opt", "grid", "--out", str(tmp_path))
-        assert code == 1
-        assert capsys.readouterr().err.startswith(
-            "error: the monotone family needs a monotone instance")
+        # solver.run's refusal, after the oracle; neither command writes a file
+        for command, iters in (("run", "50"), ("sweep", "10,20,40")):
+            out = tmp_path / command
+            code = run_cli(command, "--instance", QUAD, "--constraint",
+                           '{"kind":"packing","A":[[1,1],[2,1]],"b":[1,2]}', "--family",
+                           "monotone", "--iters", iters, "--opt", "grid", "--out", str(out))
+            assert code == 1
+            assert capsys.readouterr().err == ("error: the monotone family needs a monotone "
+                                               "instance; use measured or general\n")
+            assert not out.exists()
 
     @pytest.mark.parametrize("instance,constraint,family", [
         ('{"kind":"table","values":[0,0,0,1]}', BOX2, "measured"),

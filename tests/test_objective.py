@@ -2,6 +2,7 @@ import dataclasses
 import itertools
 import math
 import time
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -13,12 +14,13 @@ from drsub import (CapacityError, CardinalityBody, InputError, check_dr_inequali
                    preset, run, set_function_from_table)
 from drsub import checks, desk, objective
 from drsub.feasible import row_products
-from drsub.objective import set_is_monotone, set_is_submodular
+from drsub.objective import set_is_monotone
 
 from conftest import (brute_coverage_table, brute_multilinear, cut_table, empirical_smoothness,
                       exhaustive_monotonicity_ok, exhaustive_submodularity_ok)
 
 COVER2 = coverage_function([[0, 1], [1, 2]])  # extension is 2x1 + 2x2 - x1 x2
+NOT_SUBMODULAR = "^table values are not submodular$"
 QUAD = make_quadratic([[-2.0, 0.0], [0.0, -2.0]], [1.0, 0.5])
 
 
@@ -174,8 +176,8 @@ class TestMultilinearExtension:
         assert F.L == 1.0
 
     def test_lattice_agreement_at_twelve_elements(self, rng):
-        table = rng.uniform(0.0, 3.0, size=1 << 12)
-        table[0] = 0.0
+        # the square root of a random modular function: submodular, with table[0] = 0
+        table = np.sqrt(objective.corners(np.arange(1 << 12), 12) @ rng.uniform(0.0, 3.0, 12))
         sf = set_function_from_table(table)
         F = multilinear_extension(sf)
         for mask in rng.integers(0, 1 << 12, size=64):
@@ -228,6 +230,12 @@ class TestQuadraticFamily:
     def test_asymmetric_rejected(self):
         with pytest.raises(InputError):
             make_quadratic([[0.0, -1.0], [-2.0, 0.0]], [1.0, 1.0])
+
+    def test_a_relative_asymmetry_is_rejected(self):
+        # H_21 - H_12 = -4e-4 is within numpy's default rtol of 1e-5 * 100, and the
+        # gradient c + H x would miss the values' own by (4.0e-5, -1.4e-4) at (0.7, 0.2)
+        with pytest.raises(InputError, match="^H must be symmetric$"):
+            make_quadratic([[-2.0, -100.0], [-100.0004, -2.0]], [300.0, 300.0])
 
     def test_spectral_norm_matches_numpy(self, rng):
         for _ in range(10):
@@ -437,23 +445,35 @@ class TestOwnedArrays:
 
 class TestSetFunctionChecks:
     def test_coverage_is_monotone_submodular(self):
-        sf = coverage_function([[0, 1], [1, 2], [2, 3]])
+        sf = coverage_function([[0, 1], [1, 2], [2, 3]])  # construction checks submodularity
         assert set_is_monotone(sf)
-        assert set_is_submodular(sf)
+        assert sf.differences[2] <= 0.0
 
     def test_cut_is_submodular_not_monotone(self):
         w = np.array([[0.0, 1.0, 0.5], [1.0, 0.0, 2.0], [0.5, 2.0, 0.0]])
         sf = set_function_from_table(cut_table(w))
-        assert set_is_submodular(sf)
+        assert sf.differences[2] <= 0.0
         assert not set_is_monotone(sf)
+
+    def test_supermodular_tables_are_refused(self):
+        # the extension x1 x2 of [0, 0, 0, 1] would end every family's run at 0 on the
+        # unit box, below the 0.631, 0.367 and 0.250 that their bounds promise (OPT 1)
+        for build in (lambda: set_function_from_table([0.0, 0.0, 0.0, 1.0]),
+                      lambda: objective.SetFunction(2, [0.0, 0.0, 0.0, 1.0]),
+                      lambda: instance_from_json({"kind": "table", "values": [0, 0, 0, 1]})):
+            with pytest.raises(InputError, match=NOT_SUBMODULAR):
+                build()
 
     def test_pairwise_check_matches_exhaustive_definition(self, rng):
         for _ in range(20):
             m = int(rng.integers(2, 5))
             table = rng.uniform(size=1 << m)
             table[0] = 0.0
-            sf = set_function_from_table(table)
-            assert set_is_submodular(sf) == exhaustive_submodularity_ok(table, m)
+            if exhaustive_submodularity_ok(table, m):
+                set_function_from_table(table)
+            else:
+                with pytest.raises(InputError, match=NOT_SUBMODULAR):
+                    set_function_from_table(table)
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)
@@ -467,10 +487,10 @@ def test_set_checks_read_the_tables_own_units(exponent, m, seed):
     covers[:2, :2] = [[True, False], [False, True]]
     sf = coverage_function([np.flatnonzero(row).tolist() for row in covers],
                            rng.uniform(0.5, 1.5, size=24) * 10.0 ** exponent, 24)
-    assert set_is_monotone(sf) and set_is_submodular(sf)
+    assert set_is_monotone(sf)
     both = (np.arange(1 << m) & 3) == 3
-    bumped = set_function_from_table(sf.table + 1e-6 * sf.max_value() * both)
-    assert set_is_monotone(bumped) and not set_is_submodular(bumped)
+    with pytest.raises(InputError, match=NOT_SUBMODULAR):
+        set_function_from_table(sf.table + 1e-6 * sf.max_value() * both)
 
 
 class TestCoverageTable:
@@ -495,11 +515,17 @@ class TestCoverageTable:
 
 @st.composite
 def set_tables(draw):
-    """A nonnegative table on m <= 8 elements: arbitrary, or concave of a modular function."""
+    """A nonnegative table on m <= 8 elements: arbitrary, concave of a modular function, or a
+    graph cut."""
     m = draw(st.integers(0, 8))
     table = np.array(draw(st.lists(st.floats(0.0, 100.0), min_size=1 << m, max_size=1 << m)))
-    if draw(st.booleans()):  # monotone and submodular
+    kind = draw(st.sampled_from(["arbitrary", "concave", "cut"]))
+    if kind == "concave":  # monotone and submodular
         table = np.sqrt([sum(table[i] for i in range(m) if s >> i & 1) for s in range(1 << m)])
+    elif kind == "cut":  # submodular, and not monotone unless every weight is 0
+        weights = np.zeros((m, m))
+        weights[np.triu_indices(m, 1)] = table[:m * (m - 1) // 2]  # 2^m >= m(m-1)/2 values
+        table = cut_table(weights)
     return table
 
 
@@ -508,6 +534,10 @@ def set_tables(draw):
 def test_axis_algorithms_match_literal_references(table, data):
     m = int(table.size).bit_length() - 1
     x = np.array(data.draw(st.lists(st.floats(0.0, 1.0), min_size=m, max_size=m)))
+    if not exhaustive_submodularity_ok(table, m):
+        with pytest.raises(InputError, match=NOT_SUBMODULAR):
+            set_function_from_table(table)
+        return
     sf = set_function_from_table(table)
     F = multilinear_extension(sf)
     tol = {"rtol": 1e-12, "atol": 1e-12 * float(np.max(table))}
@@ -516,7 +546,6 @@ def test_axis_algorithms_match_literal_references(table, data):
               - brute_multilinear(table, np.where(np.arange(m) == i, 0.0, x)) for i in range(m)]
     np.testing.assert_allclose(F.grad(x), pinned, **tol)
     assert set_is_monotone(sf) == exhaustive_monotonicity_ok(table, m)
-    assert set_is_submodular(sf) == exhaustive_submodularity_ok(table, m)
 
 
 @settings(max_examples=40, deadline=None)
@@ -589,8 +618,11 @@ def group_loop_table(subsets, weights, n_elements, subset_masks=None) -> np.ndar
 
 
 def diff_extremes(sf) -> tuple[float, float, float]:
-    """SetFunction.differences by np.diff, one first difference and one pair at a time."""
-    T = sf.table.reshape((2,) * sf.m)
+    """SetFunction.differences by np.diff, one first difference and one pair at a time.
+
+    ``sf`` needs only ``m`` and ``table``, so the table may be one that SetFunction refuses.
+    """
+    T = np.asarray(sf.table, dtype=float).reshape((2,) * sf.m)
     first = lo = hi = 0.0
     for i in range(sf.m):
         along_i = np.diff(T, axis=i)
@@ -627,8 +659,15 @@ class TestTableIdentities:
         else:
             w = rng.uniform(size=max(m, 1))
             table = np.sqrt([sum(w[i] for i in range(m) if s >> i & 1) for s in range(1 << m)])
-        sf = objective.SetFunction(m, table)
-        assert same_floats(sf.differences, diff_extremes(sf))
+        # the differences of any table, also of one that construction refuses
+        unchecked = SimpleNamespace(m=m, table=table)
+        want = diff_extremes(unchecked)
+        assert same_floats(objective.SetFunction.differences.func(unchecked), want)
+        if want[2] > objective._SUBMODULAR_TOL * float(np.max(table)):
+            with pytest.raises(InputError, match=NOT_SUBMODULAR):
+                objective.SetFunction(m, table)
+        else:
+            assert same_floats(objective.SetFunction(m, table).differences, want)
 
     @settings(max_examples=100, deadline=None, derandomize=True)
     @given(cover=coverage_instances())

@@ -85,9 +85,19 @@ class TestSetBruteforce:
             set_bruteforce(f, BoxBody(np.ones(17)))
 
     def test_rejects_a_set_function_that_is_not_submodular(self):
-        # the extension x1 x2 reaches 0.25 at (0.5, 0.5), above every feasible subset's 0
-        with pytest.raises(InputError, match="submodular"):
-            set_bruteforce(set_function_from_table([0.0, 0.0, 0.0, 1.0]), CardinalityBody(2, 1))
+        # the extension x1 x2 reaches 0.25 at (0.5, 0.5), above every feasible subset's 0;
+        # such a table is refused where it is built, so no certificate can be made for it
+        with pytest.raises(InputError, match="^table values are not submodular$"):
+            set_function_from_table([0.0, 0.0, 0.0, 1.0])
+
+    def test_certificate_json_lists_every_field_without_a_deep_copy(self, monkeypatch):
+        cert = set_bruteforce(COVER3, CardinalityBody(3, 2))
+        monkeypatch.setattr(dataclasses, "asdict", mock.Mock(side_effect=AssertionError))
+        assert cert.to_json() == {"value": 4.0, "maximizer": [1.0, 0.0, 1.0],
+                                  "method": "set-bruteforce", "slack": 0.0,
+                                  "resolution": None, "subset": (0, 2)}
+        assert list(cert.to_json()) == ["value", "maximizer", "method", "slack", "resolution",
+                                        "subset"]
 
 
 class TestGridSearch:

@@ -19,13 +19,23 @@ COVER3 = desk.coverage_three_sets()
 COVER3_F = multilinear_extension(COVER3)
 CARD = CardinalityBody(3, 2)
 QUAD = desk.quad_two_dim()
+#: a monotone quadratic of QUAD's shape (its gradient 1 - x/2 stays positive), for the
+#: plain direction, which refuses QUAD
+MONO_QUAD = make_quadratic(-0.5 * np.eye(2), [1.0, 1.0])
 BOX2 = BoxBody(np.ones(2))
 
 FAMILIES = ("monotone", "measured", "general")
 
+MONOTONE_REFUSAL = r"^the monotone family needs a monotone instance; use measured or general$"
+
 
 def run_family(family, f=COVER3_F, body=CARD, N=50):
     return run(f, body, preset(family), family_spec(family), N)
+
+
+def quad_for(family):
+    """QUAD, or MONO_QUAD for a family of the plain direction."""
+    return MONO_QUAD if family_spec(family).direction == "plain" else QUAD
 
 
 class TestUpdateRule:
@@ -75,7 +85,8 @@ class TestUpdateRule:
     @pytest.mark.parametrize("family", FAMILIES)
     @pytest.mark.parametrize("N", [1, 7, 50, 500])
     def test_feasibility_all_iterates(self, family, N):
-        for f, body in ((COVER3_F, CARD), (QUAD, BOX2), (QUAD, CardinalityBody(2, 1))):
+        quad = quad_for(family)
+        for f, body in ((COVER3_F, CARD), (quad, BOX2), (quad, CardinalityBody(2, 1))):
             traj = run(f, body, preset(family), family_spec(family), N)
             for x in traj.x:
                 assert body.contains(x)
@@ -278,8 +289,8 @@ class TestWarmStartedOracles:
                              ids=lambda b: type(b).__name__)
     @pytest.mark.parametrize("family", FAMILIES)
     def test_box_and_partition_runs_ignore_starts(self, body, family, monkeypatch):
-        cold = run_without_starts(monkeypatch, QUAD, body, family, 30)
-        traj = run(QUAD, body, preset(family), family_spec(family), 30)
+        cold = run_without_starts(monkeypatch, quad_for(family), body, family, 30)
+        traj = run(quad_for(family), body, preset(family), family_spec(family), 30)
         assert trajectory_csv(traj, 0.5) == trajectory_csv(cold, 0.5)
         assert (traj.value_calls, traj.grad_calls, traj.lmo_calls) == (31, 30, 30)
         assert (cold.value_calls, cold.grad_calls, cold.lmo_calls) == (31, 30, 30)
@@ -353,7 +364,8 @@ class TestStepTable:
         s, spec = preset(family), family_spec(family)
         x0 = np.array([0.25, 0.0]) if spec.direction == "offset" else None
         # two objectives with different L share one table; the second run reads it
-        for f in (QUAD, dataclasses.replace(QUAD, L=2.5 * QUAD.L)):
+        quad = quad_for(family)
+        for f in (quad, dataclasses.replace(quad, L=2.5 * quad.L)):
             traj = run(f, BOX2, s, spec, N, x0=x0)
             want = _table(s, spec, N, f.L, BOX2.diameter(), np.zeros(2) if x0 is None else x0)
             for name in ("t", "a", "b", "rho", "G", "B_bound"):
@@ -390,7 +402,7 @@ class TestStepTable:
     @pytest.mark.parametrize("N", [1, 30, 1001])
     def test_a_too_long_step_is_refused_on_every_call(self, N):
         s, spec = Schedule(1.0, np.exp, lambda t: 3.0 * np.exp(t)), family_spec("monotone")
-        for call in [lambda: run(QUAD, BOX2, s, spec, N),
+        for call in [lambda: run(MONO_QUAD, BOX2, s, spec, N),
                      lambda: guarantee(s, spec, N, 1.0, 1.0), lambda: g_series(s, spec, N)] * 2:
             with pytest.raises(ValidationError, match=rf"sum rho_j = .* exceeds 1 at N={N}$"):
                 call()
@@ -465,15 +477,16 @@ class TestBTerms:
         assert np.all(traj.B_bound == 0.0)
 
     def test_zero_step(self):
-        # the gradient vanishes at the origin, so every oracle vertex is 0
-        f = make_quadratic(-np.eye(2), np.zeros(2))
+        # the gradient vanishes everywhere, so every oracle vertex is 0; L = 1 is a true
+        # bound on the zero quadratic, whose own L is 0
+        f = dataclasses.replace(make_quadratic(np.zeros((2, 2)), np.zeros(2)), L=1.0)
         traj = run_family("monotone", f=f, body=BOX2, N=4)
         assert np.all(traj.x == 0.0)
         assert np.all(traj.B_exact == 0.0)
         assert np.all(traj.B_bound > 0.0)
 
     def test_monotone_single_step_bound(self):
-        traj = run_family("monotone", f=dataclasses.replace(QUAD, L=1.0), body=BOX2, N=1)
+        traj = run_family("monotone", f=dataclasses.replace(MONO_QUAD, L=1.0), body=BOX2, N=1)
         assert BOX2.diameter() == 2.0
         assert traj.B_bound[0] == pytest.approx((math.e - 1.0) ** 2 / math.e, abs=1e-12)
 
@@ -621,12 +634,37 @@ class TestGuarantee:
 
     @pytest.mark.parametrize("family", PRESET_FAMILIES)
     def test_run_carries_the_a_priori_bound(self, family):
+        # the plain direction's bound holds only for a monotone objective, which it refuses
         s, spec = preset(family), family_spec(family)
         for inst in desk.bundled_instances():
             for N in (1, 7, 200):
+                if spec.direction == "plain" and not inst.objective.monotone:
+                    with pytest.raises(ConfigurationError, match=MONOTONE_REFUSAL):
+                        run(inst.objective, inst.body, s, spec, N)
+                    continue
                 traj = run(inst.objective, inst.body, s, spec, N)
                 assert traj.bound == guarantee(s, spec, N, inst.objective.L,
                                                inst.body.diameter())
+
+
+class TestMonotonePremise:
+    """The plain direction's guarantee needs a monotone objective, and run refuses any other."""
+
+    # the monotone family ends at 0.8986 here at N = 1,000, below the 0.9466 that its
+    # bound would promise (OPT 1.5, at (0, 1))
+    OFF_DIAGONAL = make_quadratic([[0.0, -2.5], [-2.5, 0.0]], [1.0, 1.5])
+
+    @pytest.mark.parametrize("f", [OFF_DIAGONAL, QUAD], ids=["off-diagonal", "desk-quad2"])
+    def test_refused_before_the_first_oracle_call(self, f):
+        def untouched(X):
+            raise AssertionError("an oracle was called")
+
+        assert not f.monotone
+        silent = dataclasses.replace(f, values_fn=untouched, grad_fn=untouched)
+        with pytest.raises(ConfigurationError, match=MONOTONE_REFUSAL):
+            run(silent, BOX2, preset("monotone"), family_spec("monotone"), 1000)
+        for family in ("measured", "general"):  # the other rules need no monotone f
+            assert run(f, BOX2, preset(family), family_spec(family), 10).N == 10
 
 
 class TestRunMargins:
